@@ -5,7 +5,8 @@ Examples::
 
     python3 scripts/ladder_tables.py dinf --k 1 2 4 8 --nmax 10
     python3 scripts/ladder_tables.py lamplighter --k 2 8 32 --limit --nmax 12
-    python3 scripts/ladder_tables.py z_drift --k 2 4 --p 3/4 --format csv
+    python3 scripts/ladder_tables.py bs11 --k 2 4 --p 2/3 --format csv
+    python3 scripts/ladder_tables.py z_drift --k 2 4 --limit   # takes no --p
 """
 
 from __future__ import annotations

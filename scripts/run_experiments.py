@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the registered experiments and write one JSON report per run.
 
+Each status line ends with the sha256 of the experiment's replay payload, so
+two checkouts can be compared for byte-identical results by their output.
+
 Examples::
 
     python3 scripts/run_experiments.py                  # everything, ./reports
@@ -11,6 +14,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -48,7 +52,9 @@ def main(argv: list[str] | None = None) -> int:
             if csv.count("\n") > 1:
                 (args.out_dir / f"{ident.lower()}_ladders.csv").write_text(csv)
         status = "ok" if report.passed else "FAILED EXPECTATIONS"
-        print(f"{ident}: {status} in {elapsed:.1f}s -> {path}")
+        digest = hashlib.sha256(report.replay_payload().encode()).hexdigest()
+        print(f"{ident}: {status} in {elapsed:.1f}s -> {path} "
+              f"replay sha256 {digest}")
         for exp in report.expectations:
             mark = "+" if exp["passed"] else "-"
             print(f"  [{mark}] {exp['name']}: {exp['detail']}")

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import exp, log, sqrt
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import groups, measures
 from .groups import BaumslagSolitar, Cyclic, Dihedral, GroupElement, IntegerLattice
 from .measures import FiniteMeasure, MeasureError
-from .rng import chunk_schedule, sample_stream
+from .rng import chunk_schedule, cumulative, draw, sample_stream
 
 _Z1 = IntegerLattice(1)
 _Z2 = IntegerLattice(2)
@@ -130,12 +131,11 @@ def hoeffding_return_bound(bound: DriftBound, n: int) -> float:
     return 2.0 * exp(-float(rate) * n)
 
 
-def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
-    """Exact masses ``mu^{*n}(0)`` for n = 0 .. n_terms on the 1-d lattice."""
-    values, weights = _z1_values_weights(mu)
+def _return_masses(values: list[int],
+                   weights: list[Fraction]) -> Iterator[Fraction]:
+    """Exact masses ``mu^{*n}(0)`` for n = 1, 2, ... of a 1-d lattice walk."""
     dist: dict[int, Fraction] = {0: Fraction(1)}
-    out = [Fraction(1)]
-    for _ in range(n_terms):
+    while True:
         nxt: dict[int, Fraction] = {}
         for pos, w in dist.items():
             for x, wx in zip(values, weights):
@@ -145,8 +145,13 @@ def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
                 else:
                     nxt[key] = w * wx
         dist = nxt
-        out.append(dist.get(0, Fraction(0)))
-    return out
+        yield dist.get(0, Fraction(0))
+
+
+def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
+    """Exact masses ``mu^{*n}(0)`` for n = 0 .. n_terms on the 1-d lattice."""
+    masses = _return_masses(*_z1_values_weights(mu))
+    return [Fraction(1), *islice(masses, n_terms)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +180,10 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
     q = exp(-rate) * (1 + 1e-12)
     if q >= 1.0:
         raise EscapeError("degenerate concentration rate")
-    dist: dict[int, Fraction] = {0: Fraction(1)}
     series = Fraction(1)
-    n = 0
-    while True:
-        n += 1
-        if n > max_terms:
-            raise EscapeError(f"series did not converge within {max_terms} terms")
-        nxt: dict[int, Fraction] = {}
-        for pos, w in dist.items():
-            for x, wx in zip(values, weights):
-                key = pos + x
-                if key in nxt:
-                    nxt[key] += w * wx
-                else:
-                    nxt[key] = w * wx
-        dist = nxt
-        series += dist.get(0, Fraction(0))
+    masses = islice(_return_masses(values, weights), max_terms)
+    for n, mass in enumerate(masses, 1):
+        series += mass
         tail = 2.0 * q ** (n + 1) / (1.0 - q)
         s_lo = float(series)
         s_hi = s_lo + tail
@@ -199,6 +191,8 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
         hi = 1.0 / s_lo + _FLOAT_SLACK
         if hi - lo <= tol:
             break
+    else:
+        raise EscapeError(f"series did not converge within {max_terms} terms")
     return EscapeEstimate(
         "exact-series", (lo + hi) / 2, lo, hi, n=n,
         details={"series_lo": s_lo, "series_hi": s_hi, "tail_bound": tail,
@@ -349,20 +343,6 @@ def _make_stepper(spec, elems: list[GroupElement]):
     return groups.identity(spec), step
 
 
-def _cumulative(mu: FiniteMeasure) -> tuple[list[GroupElement], np.ndarray]:
-    fm = mu.as_float()
-    elems = []
-    cum = []
-    acc = 0.0
-    for g, w in fm.atoms():
-        elems.append(g)
-        acc += w
-        cum.append(acc)
-    arr = np.array(cum)
-    arr[-1] = 1.0
-    return elems, arr
-
-
 def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
                        seed: int) -> np.ndarray:
     """First return time to the identity per sample; horizon+1 if none seen.
@@ -372,8 +352,7 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
     """
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
-    elems, cum = _cumulative(mu)
-    n_atoms = len(elems)
+    elems, cum = cumulative(mu)
     out = np.full(samples, horizon + 1, dtype=np.int64)
     spec = mu.spec
     if isinstance(spec, IntegerLattice) and spec.dim == 1:
@@ -383,9 +362,7 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
             pos = 0
             done = 0
             for chunk in chunk_schedule(horizon):
-                u = gen.random(chunk)
-                idx = np.minimum(np.searchsorted(cum, u, side="right"),
-                                 n_atoms - 1)
+                idx = draw(cum, gen.random(chunk))
                 path = pos + np.cumsum(vals[idx])
                 hits = np.flatnonzero(path == 0)
                 if hits.size:
@@ -401,8 +378,7 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
         done = 0
         found = False
         for chunk in chunk_schedule(horizon):
-            u = gen.random(chunk)
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), n_atoms - 1)
+            idx = draw(cum, gen.random(chunk))
             for j, ix in enumerate(idx.tolist()):
                 state = step(state, ix)
                 if state == ident:
@@ -479,25 +455,20 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int, seed: int,
     """
     if n < 1 or samples < 1:
         raise EscapeError("n and samples must be >= 1")
-    elems, cum = _cumulative(mu)
-    n_atoms = len(elems)
+    elems, cum = cumulative(mu)
     rates = np.empty(samples)
     spec = mu.spec
     if isinstance(spec, IntegerLattice) and spec.dim == 1:
         vals = np.array([g[0] for g in elems], dtype=np.int64)
         for i in range(samples):
-            gen = sample_stream(seed, i)
-            u = gen.random(n)
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), n_atoms - 1)
+            idx = draw(cum, sample_stream(seed, i).random(n))
             path = np.cumsum(vals[idx])
             sites = np.unique(np.concatenate(([0], path)))
             rates[i] = sites.size / n
     else:
         ident, step = _make_stepper(spec, elems)
         for i in range(samples):
-            gen = sample_stream(seed, i)
-            u = gen.random(n)
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), n_atoms - 1)
+            idx = draw(cum, sample_stream(seed, i).random(n))
             seen = {ident}
             state = ident
             for ix in idx.tolist():
@@ -643,11 +614,6 @@ def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
                 mu, "mean-zero finite-support walk on the line is recurrent")
         return exact_escape_drifted_z(mu, tol)
     if spec == _Z2:
-        fm = mu.as_float()
-        mean = [0.0, 0.0]
-        for (x, y), w in fm.atoms():
-            mean[0] += x * w
-            mean[1] += y * w
         exact_mean_zero = False
         if mu.exact:
             ex = sum(Fraction(x) * w for (x, y), w in mu.atoms())

@@ -41,7 +41,7 @@ from random import Random
 from typing import Any, Callable
 
 from . import __version__
-from . import escape, groups, magnus, measures, parsing, walks
+from . import escape, groups, magnus, measures, walks
 from .measures import FiniteMeasure
 from .walks import EntropyLadder
 
@@ -358,7 +358,7 @@ def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
             "checkpoints": est.details["checkpoints"],
             "ladder": summary,
         })
-    limit_mu = measures.z_drift_limit()
+    limit_mu = measures.z_drift_family()
     limit_est = escape.exact_escape_drifted_z(limit_mu, tol=tol)
     limit_ladder = cached_exact_ladder(limit_mu, n_max, "e2-mu(limit)", cap)
     limit_summary = _ladder_summary(limit_ladder)
@@ -397,10 +397,10 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     summaries: list[dict] = []
     expectations: list[dict] = []
     panels = [
-        ("dinf", "Dinf", measures.dinf_family, measures.dinf_limit),
-        ("bs11", "BS(1,-1)", measures.bs11_family, measures.bs11_limit),
+        ("dinf", "Dinf", measures.dinf_family),
+        ("bs11", "BS(1,-1)", measures.bs11_family),
     ]
-    for panel_idx, (panel, group_text, member, limit_of) in enumerate(panels):
+    for panel_idx, (panel, group_text, member) in enumerate(panels):
         monos: list[bool] = []
         finals: list[tuple[int, float, bool]] = []
         for idx, k in enumerate(k_grid):
@@ -421,7 +421,7 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                 "checkpoints": est.details["checkpoints"],
                 "ladder": summary,
             })
-        limit_mu = limit_of(p)
+        limit_mu = member(p)
         limit_est = escape.auto_escape(limit_mu, tol=cfg.tol or 1e-6)
         limit_ladder = cached_exact_ladder(
             limit_mu, n_max, f"e3-{panel}(limit)", cap)
@@ -465,10 +465,10 @@ def _run_e4(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     results: list[dict] = []
     summaries: list[dict] = []
     limit_ladder = cached_exact_ladder(
-        parsing.lamplighter_family(p, None), n_max, "e4-nu(limit)", cap)
+        measures.lamplighter_family(p), n_max, "e4-nu(limit)", cap)
     ladders: list[tuple[str, EntropyLadder]] = []
     for k in k_grid:
-        nu = parsing.lamplighter_family(p, k)
+        nu = measures.lamplighter_family(p, k)
         ladders.append((f"k={k}", cached_exact_ladder(
             nu, n_max, f"e4-nu(k={k})", cap)))
     ladders.append(("limit", limit_ladder))
@@ -508,10 +508,10 @@ def _run_e5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     summaries.append(free_summary)
     results.append({"grid": "free-factor", "ladder": free_summary})
     base_labels = [(f"k={k}", f"e4-nu(k={k})",
-                    lambda kk=k: parsing.lamplighter_family(p, kk))
+                    lambda kk=k: measures.lamplighter_family(p, kk))
                    for k in k_grid]
     base_labels.append(("limit", "e4-nu(limit)",
-                        lambda: parsing.lamplighter_family(p, None)))
+                        lambda: measures.lamplighter_family(p)))
     for grid, label, make in base_labels:
         base_ladder = cached_exact_ladder(make(), n_max, label, cap)
         product_ladder = EntropyLadder.sum_of(
@@ -521,10 +521,10 @@ def _run_e5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         results.append({"grid": f"product {grid}", "ladder": summary})
     # honest decomposition check: direct convolution on the product group
     check_n = 3
-    direct_nu = parsing.f2product_family(p, k_grid[0])
-    eta_l = walks.entropy_ladder(parsing.f2_uniform(), check_n,
+    direct_nu = measures.f2product_family(p, k_grid[0])
+    eta_l = walks.entropy_ladder(measures.f2_uniform(), check_n,
                                  label="f2-uniform")
-    mu_l = cached_exact_ladder(parsing.lamplighter_family(p, k_grid[0]),
+    mu_l = cached_exact_ladder(measures.lamplighter_family(p, k_grid[0]),
                                n_max, f"e4-nu(k={k_grid[0]})", cap)
     direct_l = walks.entropy_ladder(direct_nu, check_n, cap=cap,
                                     label="direct-product")
@@ -640,8 +640,8 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                 lv = rng.randint(1, word_len)
                 u = magnus.random_reduced_word(d, lu, rng)
                 v = magnus.random_reduced_word(d, lv, rng)
-                image = magnus.sdm_multiply(
-                    d, m, magnus.magnus_embed(u, d, m),
+                image = groups.multiply(
+                    magnus.sdm_spec(d, m), magnus.magnus_embed(u, d, m),
                     magnus.magnus_embed(v, d, m))
                 if image != magnus.magnus_embed(
                         magnus.concat_words(u, v), d, m):

@@ -21,12 +21,15 @@ Conventions the rest of the package relies on:
 * ``Wreath(lamp, base)`` elements are ``(lamps, pos)``: ``lamps`` is a tuple
   of ``(site, value)`` pairs sorted by site, identity values never stored,
   sites are base elements and ``pos`` is a base element.
-* ``FreeSolvable(r, 1)`` behaves exactly like ``IntegerLattice(r)``; for
-  derived length ``m >= 2`` elements are wreath values with integer-vector
-  lamps over level ``m - 1``.  Membership in the embedded subgroup is not a
-  local property of the tuple, so ``validate`` only checks structure; the
+* ``FreeSolvable(r, m)`` is realised by its lattice tower
+  ``Z^r wr ... wr Z^r`` of height ``m`` (:func:`lattice_tower`): elements,
+  canonical keys, arithmetic and validation are the tower's, so level 1 is
+  ``Z^r`` and level ``m >= 2`` holds wreath values with integer-vector lamps
+  over level ``m - 1``.  Membership in the embedded subgroup is not a local
+  property of the tuple, so ``validate`` only checks structure; the
   arithmetic never leaves the subgroup when inputs come from the embedding
-  in :mod:`walklab.magnus`.
+  in :mod:`walklab.magnus`.  The step laws on these groups are built in
+  :mod:`walklab.measures`.
 """
 
 from __future__ import annotations
@@ -173,12 +176,11 @@ def tower_height(spec: GroupSpec) -> int:
     return 1
 
 
-def _base_spec(spec: GroupSpec) -> GroupSpec:
-    if isinstance(spec, Wreath):
-        return spec.base
-    if isinstance(spec, FreeSolvable) and spec.length >= 2:
-        return FreeSolvable(spec.rank, spec.length - 1)
-    raise GroupError(f"{spec!r} has no base level")
+@lru_cache(maxsize=None)
+def lattice_tower(spec: FreeSolvable) -> GroupSpec:
+    """The tower ``Z^r wr ... wr Z^r`` of height ``m`` realising S(r, m)."""
+    lattice = IntegerLattice(spec.rank)
+    return wreath_tower([lattice] * (spec.length - 1), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +205,7 @@ def identity(spec: GroupSpec) -> GroupElement:
     if t is Wreath:
         return ((), identity(spec.base))
     if t is FreeSolvable:
-        if spec.length == 1:
-            return (0,) * spec.rank
-        return ((), identity(_base_spec(spec)))
+        return identity(lattice_tower(spec))
     raise GroupError(f"unknown spec {spec!r}")
 
 
@@ -222,7 +222,8 @@ def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _concat_reduced(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+def concat_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two freely reduced words, cancelling at the seam."""
     i = len(u)
     j = 0
     while i > 0 and j < len(v) and u[i - 1] == -v[j]:
@@ -262,7 +263,7 @@ def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     if t is Cyclic:
         return (g + h) % spec.modulus
     if t is FreeGroup:
-        return _concat_reduced(g, h)
+        return concat_words(g, h)
     if t is Dihedral:
         tg, fg = g
         th, fh = h
@@ -276,10 +277,7 @@ def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     if t is Wreath:
         return _wreath_multiply(spec.lamp, spec.base, g, h)
     if t is FreeSolvable:
-        if spec.length == 1:
-            return tuple(a + b for a, b in zip(g, h))
-        return _wreath_multiply(IntegerLattice(spec.rank),
-                                FreeSolvable(spec.rank, spec.length - 1), g, h)
+        return multiply(lattice_tower(spec), g, h)
     raise GroupError(f"unknown spec {spec!r}")
 
 
@@ -300,35 +298,20 @@ def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
     if t is DirectProduct:
         return (inverse(spec.left, g[0]), inverse(spec.right, g[1]))
     if t is Wreath:
-        lamp_spec, base_spec = spec.lamp, spec.base
-    elif t is FreeSolvable:
-        if spec.length == 1:
-            return tuple(-a for a in g)
-        lamp_spec, base_spec = wreath_parts(spec)
-    else:
-        raise GroupError(f"unknown spec {spec!r}")
-    lamps, x = g
-    xi = inverse(base_spec, x)
-    moved = [(multiply(base_spec, xi, site), inverse(lamp_spec, val))
-             for site, val in lamps]
-    return (tuple(sorted(moved)), xi)
+        lamps, x = g
+        xi = inverse(spec.base, x)
+        moved = [(multiply(spec.base, xi, site), inverse(spec.lamp, val))
+                 for site, val in lamps]
+        return (tuple(sorted(moved)), xi)
+    if t is FreeSolvable:
+        return inverse(lattice_tower(spec), g)
+    raise GroupError(f"unknown spec {spec!r}")
 
 
 def act_on_lamps(spec: GroupSpec, x: GroupElement, lamps: tuple) -> tuple:
     """Left translation action of a base element on a lamp configuration."""
     _, base_spec = wreath_parts(spec)
     return tuple(sorted((multiply(base_spec, x, site), val) for site, val in lamps))
-
-
-def conjugate(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
-    """g h g^-1."""
-    return multiply(spec, multiply(spec, g, h), inverse(spec, g))
-
-
-def commutator_of(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
-    """g h g^-1 h^-1."""
-    return multiply(spec, multiply(spec, g, h),
-                    multiply(spec, inverse(spec, g), inverse(spec, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +346,7 @@ def _enc_int(out: bytearray, n: int) -> None:
 
 def _encode(spec: GroupSpec, g: GroupElement, out: bytearray) -> None:
     t = type(spec)
-    if t is IntegerLattice or (t is FreeSolvable and spec.length == 1):
+    if t is IntegerLattice:
         out.append(_TAG_VECTOR)
         _enc_uint(out, len(g))
         for a in g:
@@ -394,15 +377,17 @@ def _encode(spec: GroupSpec, g: GroupElement, out: bytearray) -> None:
         _encode(spec.left, g[0], out)
         _encode(spec.right, g[1], out)
         return
-    if t is Wreath or t is FreeSolvable:
-        lamp_spec, base_spec = wreath_parts(spec)
+    if t is Wreath:
         lamps, pos = g
         out.append(_TAG_WREATH)
         _enc_uint(out, len(lamps))
         for site, val in lamps:
-            _encode(base_spec, site, out)
-            _encode(lamp_spec, val, out)
-        _encode(base_spec, pos, out)
+            _encode(spec.base, site, out)
+            _encode(spec.lamp, val, out)
+        _encode(spec.base, pos, out)
+        return
+    if t is FreeSolvable:
+        _encode(lattice_tower(spec), g, out)
         return
     raise GroupError(f"unknown spec {spec!r}")
 
@@ -427,11 +412,11 @@ def canonical_key(spec: GroupSpec, g: GroupElement) -> bytes:
 def validate(spec: GroupSpec, g: GroupElement) -> None:
     """Raise :class:`GroupError` unless ``g`` is a canonical element of ``spec``."""
     t = type(spec)
-    if t is IntegerLattice or (t is FreeSolvable and spec.length == 1):
-        dim = spec.dim if t is IntegerLattice else spec.rank
-        if not (isinstance(g, tuple) and len(g) == dim
+    if t is IntegerLattice:
+        if not (isinstance(g, tuple) and len(g) == spec.dim
                 and all(isinstance(a, int) for a in g)):
-            raise GroupError(f"expected {dim}-tuple of ints for {spec!r}, got {g!r}")
+            raise GroupError(
+                f"expected {spec.dim}-tuple of ints for {spec!r}, got {g!r}")
         return
     if t is Cyclic:
         if not (isinstance(g, int) and 0 <= g < spec.modulus):
@@ -462,8 +447,8 @@ def validate(spec: GroupSpec, g: GroupElement) -> None:
         validate(spec.left, g[0])
         validate(spec.right, g[1])
         return
-    if t is Wreath or t is FreeSolvable:
-        lamp_spec, base_spec = wreath_parts(spec)
+    if t is Wreath:
+        lamp_spec, base_spec = spec.lamp, spec.base
         if not (isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], tuple)):
             raise GroupError(f"expected (lamps, position) pair, got {g!r}")
         lamps, pos = g
@@ -484,21 +469,14 @@ def validate(spec: GroupSpec, g: GroupElement) -> None:
             raise GroupError("duplicate lamp sites")
         validate(base_spec, pos)
         return
+    if t is FreeSolvable:
+        validate(lattice_tower(spec), g)
+        return
     raise GroupError(f"unknown spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
 # projections
-
-
-_PROJ_KINDS = (
-    "wreath-to-base",
-    "tower-to-level",
-    "product-left",
-    "product-right",
-    "free-solvable-to-level",
-    "abelianization",
-)
 
 
 @dataclass(frozen=True)
@@ -522,9 +500,8 @@ def tower_to_level(spec: GroupSpec, level: int) -> Projection:
         raise GroupError(f"level {level} out of range for height {height}")
     target = spec
     for _ in range(height - level):
-        target = _base_spec(target)
-    kind = "free-solvable-to-level" if isinstance(spec, FreeSolvable) else "tower-to-level"
-    return Projection(spec, target, kind, level)
+        target = wreath_parts(target)[1]
+    return Projection(spec, target, "tower-to-level", level)
 
 
 def product_factor(spec: DirectProduct, side: str) -> Projection:
@@ -586,9 +563,9 @@ def _abelianize(spec: GroupSpec, g: GroupElement) -> GroupElement:
             total = multiply(lamp_ab, total, _abelianize(spec.lamp, val))
         return (total, _abelianize(spec.base, g[1]))
     if t is FreeSolvable:
-        while spec.length > 1:
+        # the level-1 image: Z^r, not the abelianization of the tower
+        for _ in range(spec.length - 1):
             g = g[1]
-            spec = FreeSolvable(spec.rank, spec.length - 1)
         return g
     raise GroupError(f"unknown spec {spec!r}")
 
@@ -597,7 +574,7 @@ def project(p: Projection, g: GroupElement) -> GroupElement:
     kind = p.kind
     if kind == "wreath-to-base":
         return g[1]
-    if kind in ("tower-to-level", "free-solvable-to-level"):
+    if kind == "tower-to-level":
         steps = tower_height(p.source) - p.level
         for _ in range(steps):
             g = g[1]

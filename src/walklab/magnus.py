@@ -22,7 +22,7 @@ import re
 from random import Random
 
 from . import groups
-from .groups import FreeSolvable, GroupElement, GroupError, IntegerLattice
+from .groups import FreeSolvable, GroupElement, concat_words
 
 FreeWord = tuple[int, ...]
 
@@ -35,28 +35,13 @@ class WordError(ValueError):
 # word utilities
 
 
-def reduce_word(letters) -> FreeWord:
-    return groups.reduce_letters(letters)
-
-
 def invert_word(w: FreeWord) -> FreeWord:
     return tuple(-letter for letter in reversed(w))
 
 
-def concat_words(u: FreeWord, v: FreeWord) -> FreeWord:
-    i = len(u)
-    j = 0
-    while i > 0 and j < len(v) and u[i - 1] == -v[j]:
-        i -= 1
-        j += 1
-    return u[:i] + v[j:]
-
-
-_concat = concat_words
-
-
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
-    return _concat(_concat(u, v), _concat(invert_word(u), invert_word(v)))
+    return concat_words(concat_words(u, v),
+                        concat_words(invert_word(u), invert_word(v)))
 
 
 _TOKEN = re.compile(r"\s*(?:([xX])(\d+)(?:\^(-?\d+))?|(\[)|(\])|(,)|(\*)|(e))")
@@ -93,7 +78,7 @@ def parse_word(text: str, rank: int | None = None) -> FreeWord:
                     raise WordError("write either X1 or x1^-1, not both")
                 if power < 0:
                     letter, power = -letter, -power
-                acc = _concat(acc, (letter,) * power)
+                acc = concat_words(acc, (letter,) * power)
             elif m.group(4):  # [
                 u, stop = parse_inner()
                 power_match = _POWER.match(text, pos)
@@ -104,9 +89,9 @@ def parse_word(text: str, rank: int | None = None) -> FreeWord:
                         u, power = invert_word(u), -power
                     repeated: FreeWord = ()
                     for _ in range(power):
-                        repeated = _concat(repeated, u)
+                        repeated = concat_words(repeated, u)
                     u = repeated
-                acc = _concat(acc, u)
+                acc = concat_words(acc, u)
             elif m.group(5):  # ]
                 if depth == 0:
                     raise WordError("unbalanced ']'")
@@ -190,15 +175,6 @@ def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
 def is_identity(w: FreeWord, rank: int, length: int) -> bool:
     """Whether the word maps to the identity at the given level."""
     return magnus_embed(w, rank, length) == groups.identity(sdm_spec(rank, length))
-
-
-def sdm_multiply(rank: int, length: int, g: GroupElement,
-                 h: GroupElement) -> GroupElement:
-    return groups.multiply(sdm_spec(rank, length), g, h)
-
-
-def sdm_inverse(rank: int, length: int, g: GroupElement) -> GroupElement:
-    return groups.inverse(sdm_spec(rank, length), g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,17 @@ in one of two weight modes: exact rationals (:class:`fractions.Fraction`,
 the default) or binary64 floats for large-support work.  Convolution walks
 the support product and enforces a hard support cap.
 
-The family constructors at the bottom build the perturbation families used
-throughout the experiments; their atoms are merged on construction, so e.g.
+The family constructors at the bottom build every step law the experiments
+and the family grammar name: one constructor per law, whose ``k=None``
+member is the limit law.  Their atoms are merged on construction, so e.g.
 the drifted-lattice family at its first parameter collapses cleanly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 from . import groups
 from .exact_entropy import LogLinear, entropy_form
@@ -27,6 +27,7 @@ from .groups import (
     DINF_A,
     DINF_B,
     Cyclic,
+    FreeGroup,
     GroupElement,
     GroupSpec,
     IntegerLattice,
@@ -55,14 +56,13 @@ Weight = Any  # Fraction in exact mode, float otherwise
 class FiniteMeasure:
     """Finitely supported probability measure on a group spec."""
 
-    __slots__ = ("spec", "_atoms", "exact", "_keyed")
+    __slots__ = ("spec", "_atoms", "exact")
 
     def __init__(self, spec: GroupSpec, atoms: dict[GroupElement, Weight],
                  exact: bool):
         self.spec = spec
         self._atoms = atoms
         self.exact = exact
-        self._keyed: tuple[dict, dict] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -93,11 +93,6 @@ class FiniteMeasure:
             raise MeasureError(f"weights must sum to 1 within 1e-12, got {total}")
         return cls(spec, atoms, exact)
 
-    @classmethod
-    def _raw(cls, spec: GroupSpec, atoms: dict[GroupElement, Weight],
-             exact: bool) -> "FiniteMeasure":
-        return cls(spec, atoms, exact)
-
     # -- views --------------------------------------------------------------
 
     def atoms(self) -> Iterator[tuple[GroupElement, Weight]]:
@@ -112,27 +107,6 @@ class FiniteMeasure:
 
     def __len__(self) -> int:
         return len(self._atoms)
-
-    def _ensure_keyed(self) -> tuple[dict, dict]:
-        if self._keyed is None:
-            weights: dict[bytes, Weight] = {}
-            elements: dict[bytes, GroupElement] = {}
-            for elem, w in self._atoms.items():
-                key = groups.canonical_key(self.spec, elem)
-                weights[key] = w
-                elements[key] = elem
-            self._keyed = (weights, elements)
-        return self._keyed
-
-    @property
-    def weights(self) -> dict[bytes, Weight]:
-        """Sparse map from canonical key to probability."""
-        return self._ensure_keyed()[0]
-
-    @property
-    def elements(self) -> dict[bytes, GroupElement]:
-        """Decoding table from canonical key back to the element."""
-        return self._ensure_keyed()[1]
 
     def as_float(self) -> "FiniteMeasure":
         if not self.exact:
@@ -203,7 +177,7 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
                 if len(out) > cap:
                     raise SupportCapError(
                         f"convolution support exceeded cap {cap}")
-    return FiniteMeasure._raw(spec, out, mu.exact)
+    return FiniteMeasure(spec, out, mu.exact)
 
 
 def convolution_power(mu: FiniteMeasure, n: int,
@@ -233,7 +207,7 @@ def pushforward(mu: FiniteMeasure, p: Projection) -> FiniteMeasure:
     for g, w in mu.atoms():
         img = groups.project(p, g)
         out[img] = out.get(img) + w if img in out else w
-    return FiniteMeasure._raw(p.target, out, mu.exact)
+    return FiniteMeasure(p.target, out, mu.exact)
 
 
 def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
@@ -245,7 +219,7 @@ def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     for g, wg in mu.atoms():
         for h, wh in nu.atoms():
             out[(g, h)] = wg * wh
-    return FiniteMeasure._raw(spec, out, mu.exact)
+    return FiniteMeasure(spec, out, mu.exact)
 
 
 def mix(mu: FiniteMeasure, nu: FiniteMeasure, weight_nu: Any) -> FiniteMeasure:
@@ -260,7 +234,7 @@ def mix(mu: FiniteMeasure, nu: FiniteMeasure, weight_nu: Any) -> FiniteMeasure:
         w = (1 - t) * mu._atoms.get(g, zero) + t * nu._atoms.get(g, zero)
         if w > 0:
             out[g] = w
-    return FiniteMeasure._raw(mu.spec, out, mu.exact)
+    return FiniteMeasure(mu.spec, out, mu.exact)
 
 
 def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Weight:
@@ -293,92 +267,94 @@ _BS_BI = groups.inverse(BS11, BS_B)
 _BS_AI = groups.inverse(BS11, BS_A)
 
 
-def _as_fraction(p: Any) -> Fraction:
-    return p if isinstance(p, Fraction) else Fraction(p)
+def _probability(p: Any) -> Fraction:
+    p = p if isinstance(p, Fraction) else Fraction(p)
+    if not 0 <= p <= 1:
+        raise MeasureError(f"p must lie in [0, 1], got {p}")
+    return p
 
 
-def dinf_family(p: Any, k: int) -> FiniteMeasure:
+def _leak(k: int | None) -> Fraction:
+    """1/k for the family member at depth ``k``; 0 for the limit (``None``)."""
+    if k is None:
+        return Fraction(0)
+    if k < 1:
+        raise MeasureError(f"k must be >= 1, got {k}")
+    return Fraction(1, k)
+
+
+def dinf_family(p: Any, k: int | None = None) -> FiniteMeasure:
     """Step law (1-1/k)(p ab + (1-p) ba) + (1/k) a on the infinite dihedral group.
 
-    The limit (``dinf_limit``) is supported on the translation subgroup; each
+    The limit (``k=None``) is supported on the translation subgroup; each
     member leaks 1/k of its mass onto the involution ``a``.  ``k = 1`` is the
     point mass at ``a``.
     """
-    p = _as_fraction(p)
-    if not 0 <= p <= 1:
-        raise MeasureError(f"p must lie in [0, 1], got {p}")
-    if k < 1:
-        raise MeasureError(f"k must be >= 1, got {k}")
-    bulk = 1 - Fraction(1, k)
+    p = _probability(p)
+    leak = _leak(k)
     return FiniteMeasure.from_pairs(DINF, [
-        (DINF_AB, bulk * p),
-        (DINF_BA, bulk * (1 - p)),
-        (DINF_A, Fraction(1, k)),
+        (DINF_AB, (1 - leak) * p),
+        (DINF_BA, (1 - leak) * (1 - p)),
+        (DINF_A, leak),
     ])
 
 
-def dinf_limit(p: Any) -> FiniteMeasure:
-    p = _as_fraction(p)
-    return FiniteMeasure.from_pairs(DINF, [
-        (DINF_AB, p),
-        (DINF_BA, 1 - p),
-    ])
+def bs11_family(p: Any, k: int | None = None) -> FiniteMeasure:
+    """Step law mixing b^{+-2} and a^{+-1} with 1/(2k) mass on b^{+-1}.
 
-
-def bs11_family(p: Any, k: int) -> FiniteMeasure:
-    """Step law mixing b^{+-2} and a^{+-1} with 1/(2k) mass on b^{+-1}."""
-    p = _as_fraction(p)
-    if not 0 <= p <= 1:
-        raise MeasureError(f"p must lie in [0, 1], got {p}")
-    if k < 1:
-        raise MeasureError(f"k must be >= 1, got {k}")
-    bulk = Fraction(1, 3) * (1 - Fraction(1, k))
+    The limit (``k=None``) puts no mass on b^{+-1}.
+    """
+    p = _probability(p)
+    leak = _leak(k)
+    bulk = Fraction(1, 3) * (1 - leak)
     return FiniteMeasure.from_pairs(BS11, [
         (_BS_B2, bulk),
         (_BS_B2I, bulk),
         (BS_A, bulk * p),
         (_BS_AI, bulk * (1 - p)),
-        (BS_B, Fraction(1, 2 * k)),
-        (_BS_BI, Fraction(1, 2 * k)),
-    ])
-
-
-def bs11_limit(p: Any) -> FiniteMeasure:
-    p = _as_fraction(p)
-    third = Fraction(1, 3)
-    return FiniteMeasure.from_pairs(BS11, [
-        (_BS_B2, third),
-        (_BS_B2I, third),
-        (BS_A, third * p),
-        (_BS_AI, third * (1 - p)),
+        (BS_B, leak / 2),
+        (_BS_BI, leak / 2),
     ])
 
 
 _Z1 = IntegerLattice(1)
 
 
-def z_drift_family(k: int) -> FiniteMeasure:
+def z_drift_family(k: int | None = None) -> FiniteMeasure:
     """Mean-zero lattice walk whose mass escapes to a far-away atom -k.
 
-    Each member has mean exactly zero; the weak limit is the drifted
-    (3/4, 1/4) walk.  At ``k = 1`` the far atom merges with -1, giving the
-    symmetric simple walk.
+    Each member has mean exactly zero; the weak limit (``k=None``) is the
+    drifted (3/4, 1/4) walk.  At ``k = 1`` the far atom merges with -1,
+    giving the symmetric simple walk.
     """
-    if k < 1:
-        raise MeasureError(f"k must be >= 1, got {k}")
-    scale = Fraction(2 * k, 1 + 2 * k)
-    return FiniteMeasure.from_pairs(_Z1, [
-        ((1,), Fraction(3, 4) * scale),
-        ((-1,), Fraction(1, 4) * scale),
-        ((-k,), Fraction(1, 1 + 2 * k)),
-    ])
+    leak = _leak(k)
+    far = leak / (2 + leak)  # 1/(1 + 2k), which keeps the mean at zero
+    pairs = [((1,), Fraction(3, 4) * (1 - far)),
+             ((-1,), Fraction(1, 4) * (1 - far))]
+    if k is not None:
+        pairs.append(((-k,), far))
+    return FiniteMeasure.from_pairs(_Z1, pairs)
 
 
-def z_drift_limit() -> FiniteMeasure:
-    return FiniteMeasure.from_pairs(_Z1, [
-        ((1,), Fraction(3, 4)),
-        ((-1,), Fraction(1, 4)),
-    ])
+def uniform_flip() -> FiniteMeasure:
+    """Uniform lamp-increment law on the order-2 group."""
+    return uniform_measure(Cyclic(2), [0, 1])
+
+
+def f2_uniform() -> FiniteMeasure:
+    """Uniform law on the four free generators of the rank-2 free group."""
+    return uniform_measure(FreeGroup(2), [(1,), (-1,), (2,), (-2,)])
+
+
+def lamplighter_family(p: Any, k: int | None = None) -> FiniteMeasure:
+    """Half a uniform lamp flip, half a dihedral base move (or its limit)."""
+    return lamplighter_mix(uniform_flip(), dinf_family(p, k))
+
+
+def f2product_family(p: Any, k: int | None = None) -> FiniteMeasure:
+    """Independent product of the free-group uniform law with the
+    lamplighter-over-dihedral family member."""
+    return product_measure(f2_uniform(), lamplighter_family(p, k))
 
 
 def lamplighter_mix(eta: FiniteMeasure, mu: FiniteMeasure) -> FiniteMeasure:
@@ -402,25 +378,5 @@ def lamplighter_mix(eta: FiniteMeasure, mu: FiniteMeasure) -> FiniteMeasure:
     for b, w in mu.atoms():
         elem = ((), b)
         out[elem] = out.get(elem, zero) + half * w
-    return FiniteMeasure._raw(spec, out, eta.exact)
+    return FiniteMeasure(spec, out, eta.exact)
 
-
-# ---------------------------------------------------------------------------
-# family wrapper used by the experiment layer
-
-
-@dataclass(frozen=True)
-class MeasureFamily:
-    """A parametrised family of measures with a fixed-support limit."""
-
-    name: str
-    spec: GroupSpec
-    member: Callable[[int], FiniteMeasure] = field(compare=False)
-    limit: FiniteMeasure = field(compare=False)
-    params: tuple[tuple[str, Any], ...] = ()
-
-    def label(self, k: int | None = None) -> str:
-        inner = ", ".join(f"{key}={val}" for key, val in self.params)
-        if k is not None:
-            inner = f"{inner}, k={k}" if inner else f"k={k}"
-        return f"{self.name}({inner})"

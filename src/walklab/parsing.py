@@ -30,7 +30,8 @@ Weights may be fractions, decimals, or integers and are read exactly.
 
 Family references: ``dinf(p=3/4, k=5)``, ``bs11(p=3/4, k=2)``,
 ``z_drift(k=3)``, ``lamplighter(k=8, p=3/4)``, ``f2product(k=8, p=3/4)``;
-``k=limit`` (or omitting ``k``) selects the limit measure.
+``k=limit`` (or omitting ``k``) selects the limit measure.  ``z_drift``
+takes no ``p``.  The laws themselves are built in :mod:`walklab.measures`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ from .groups import (
     IntegerLattice,
     Wreath,
 )
-from .measures import FiniteMeasure
+# f2_uniform is unused here; it is re-exported so that all the family laws
+# stay importable from this module as well as from measures.
+from .measures import (  # noqa: F401
+    FiniteMeasure,
+    f2_uniform,
+    f2product_family,
+    lamplighter_family,
+)
 
 
 class GrammarError(ValueError):
@@ -412,17 +420,16 @@ def element_to_text(spec: GroupSpec, g: GroupElement) -> str:
     if t is DirectProduct:
         return (f"({element_to_text(spec.left, g[0])} | "
                 f"{element_to_text(spec.right, g[1])})")
-    if t is Wreath or (t is FreeSolvable and spec.length >= 2):
-        lamp_spec, base_spec = groups.wreath_parts(spec)
+    if t is Wreath:
         lamps, pos = g
-        parts = [f"lamp({element_to_text(base_spec, site)}: "
-                 f"{element_to_text(lamp_spec, value)})"
+        parts = [f"lamp({element_to_text(spec.base, site)}: "
+                 f"{element_to_text(spec.lamp, value)})"
                  for site, value in lamps]
-        if pos != groups.identity(base_spec):
-            parts.append(f"base({element_to_text(base_spec, pos)})")
+        if pos != groups.identity(spec.base):
+            parts.append(f"base({element_to_text(spec.base, pos)})")
         return " ".join(parts)
     if t is FreeSolvable:
-        return element_to_text(IntegerLattice(spec.rank), g)
+        return element_to_text(groups.lattice_tower(spec), g)
     raise GrammarError(f"no textual form for elements of {spec!r}")
 
 
@@ -485,28 +492,14 @@ def _family_k(params: dict) -> int | None:
     return int(k)
 
 
-def uniform_flip() -> FiniteMeasure:
-    """Uniform lamp-increment law on the order-2 group."""
-    return measures.uniform_measure(Cyclic(2), [0, 1])
-
-
-def f2_uniform() -> FiniteMeasure:
-    """Uniform law on the four free generators of the rank-2 free group."""
-    spec = FreeGroup(2)
-    return measures.uniform_measure(spec, [(1,), (-1,), (2,), (-2,)])
-
-
-def lamplighter_family(p: Fraction, k: int | None) -> FiniteMeasure:
-    """Half a uniform lamp flip, half a dihedral base move (or its limit)."""
-    base = (measures.dinf_limit(p) if k is None
-            else measures.dinf_family(p, k))
-    return measures.lamplighter_mix(uniform_flip(), base)
-
-
-def f2product_family(p: Fraction, k: int | None) -> FiniteMeasure:
-    """Independent product of the free-group uniform law with the
-    lamplighter-over-dihedral family member."""
-    return measures.product_measure(f2_uniform(), lamplighter_family(p, k))
+# family name -> (constructor, whether the family takes the parameter p)
+_FAMILIES: dict[str, tuple[Callable[..., FiniteMeasure], bool]] = {
+    "dinf": (measures.dinf_family, True),
+    "bs11": (measures.bs11_family, True),
+    "z_drift": (measures.z_drift_family, False),
+    "lamplighter": (lamplighter_family, True),
+    "f2product": (f2product_family, True),
+}
 
 
 def family_measure(text: str) -> FiniteMeasure:
@@ -517,25 +510,20 @@ def family_measure(text: str) -> FiniteMeasure:
     params = _family_params(sc)
     if not sc.eof():
         raise sc.error("trailing input after family reference")
+    if name not in _FAMILIES:
+        raise GrammarError(f"unknown family {name!r}")
+    make, takes_p = _FAMILIES[name]
+    args: list[Fraction] = []
+    if takes_p:
+        p = params.pop("p", Fraction(3, 4))
+        if isinstance(p, str):
+            raise GrammarError(f"parameter p must be a number, got {p!r}")
+        args.append(p)
     k = _family_k(params)
-    p = params.pop("p", Fraction(3, 4))
-    if isinstance(p, str):
-        raise GrammarError(f"parameter p must be a number, got {p!r}")
     if params:
-        raise GrammarError(f"unknown family parameters {sorted(params)}")
-    if name == "dinf":
-        return measures.dinf_limit(p) if k is None else measures.dinf_family(p, k)
-    if name == "bs11":
-        return measures.bs11_limit(p) if k is None else measures.bs11_family(p, k)
-    if name == "z_drift":
-        if k is None:
-            return measures.z_drift_limit()
-        return measures.z_drift_family(k)
-    if name == "lamplighter":
-        return lamplighter_family(p, k)
-    if name == "f2product":
-        return f2product_family(p, k)
-    raise GrammarError(f"unknown family {name!r}")
+        raise GrammarError(f"unknown parameters {sorted(params)} "
+                           f"for family {name!r}")
+    return make(*args, k)
 
 
 def parse_measure_or_family(spec_text: str | None, text: str,

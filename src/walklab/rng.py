@@ -1,8 +1,10 @@
-"""Deterministic counter-based sample streams.
+"""Deterministic counter-based sample streams and the inverse-CDF draw.
 
 Every Monte Carlo sample draws from its own Philox stream keyed by
 ``(seed, sample_index)``, so results are bit-identical no matter how samples
-are batched or distributed across workers.
+are batched or distributed across workers.  Every sampler turns its uniforms
+into atoms the same way: :func:`cumulative` once per step law, then
+:func:`draw` per block of uniforms.
 """
 
 from __future__ import annotations
@@ -10,6 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+
+def cumulative(mu) -> tuple[list, np.ndarray]:
+    """Atoms of a step law and their cumulative float weights (last = 1)."""
+    elems = []
+    cum = []
+    acc = 0.0
+    for g, w in mu.as_float().atoms():
+        elems.append(g)
+        acc += w
+        cum.append(acc)
+    arr = np.array(cum)
+    arr[-1] = 1.0
+    return elems, arr
+
+
+def draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Atom index per uniform: the first atom whose cumulative weight exceeds it."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from math import log
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterator
 
 from . import groups, measures
 from .exact_entropy import LogLinear, entropy_form
 from .measures import FiniteMeasure, MeasureError, SupportCapError
-from .rng import sample_stream
+from .rng import cumulative, draw, sample_stream
 
 FLOAT_SLACK = 1e-9
 DEFAULT_ENUM_CAP = 10_000_000
@@ -173,13 +173,12 @@ def entropy_ladder(mu: FiniteMeasure, n_max: int,
 # the radial ladder of the simple walk on a free group
 
 
-def free_group_distance_distribution(rank: int, n: int,
-                                     exact: bool = False) -> list[Any]:
-    """Law of the word-length after ``n`` steps of the simple walk.
+def _radial_chain(rank: int, exact: bool) -> Iterator[list[Any]]:
+    """Laws of the word length after n = 0, 1, 2, ... simple-walk steps.
 
     The distance process is the birth-death chain on 0, 1, 2, ... stepping
     0 -> 1 surely and k -> k+1 with probability (2d-1)/2d, k -> k-1 with
-    probability 1/2d for k >= 1.
+    probability 1/2d for k >= 1.  The law after n steps has length n + 1.
     """
     if rank < 1:
         raise MeasureError("rank must be >= 1")
@@ -187,26 +186,29 @@ def free_group_distance_distribution(rank: int, n: int,
     if exact:
         up = Fraction(two_d - 1, two_d)
         down = Fraction(1, two_d)
-        zero: Any = Fraction(0)
+        dist: list[Any] = [Fraction(1)]
     else:
         up = (two_d - 1) / two_d
         down = 1 / two_d
-        zero = 0.0
-    dist = [zero] * (n + 1)
-    dist[0] = zero + 1
-    for _ in range(n):
-        nxt = [zero] * (n + 1)
+        dist = [1.0]
+    while True:
+        yield dist
+        nxt = [dist[0] * 0] * (len(dist) + 1)
         for k, mass in enumerate(dist):
             if not mass:
                 continue
             if k == 0:
                 nxt[1] += mass
             else:
-                if k + 1 <= n:
-                    nxt[k + 1] += mass * up
+                nxt[k + 1] += mass * up
                 nxt[k - 1] += mass * down
         dist = nxt
-    return dist
+
+
+def free_group_distance_distribution(rank: int, n: int,
+                                     exact: bool = False) -> list[Any]:
+    """Law of the word-length after ``n`` steps of the simple walk."""
+    return next(islice(_radial_chain(rank, exact), n, None))
 
 
 def sphere_size(rank: int, k: int) -> int:
@@ -222,30 +224,9 @@ def free_group_srw_ladder(rank: int, n_max: int,
     Conditioned on its distance the walk is uniform on the sphere, so
     ``H_n = H(distance law) + sum_k P(dist = k) log(sphere size k)``.
     """
-    two_d = 2 * rank
-    if exact:
-        up = Fraction(two_d - 1, two_d)
-        down = Fraction(1, two_d)
-        dist: list[Fraction] = [Fraction(1)]
-        values = [0.0]
-        forms: list[LogLinear] | None = [LogLinear.zero()]
-    else:
-        up = (two_d - 1) / two_d
-        down = 1 / two_d
-        dist = [1.0]
-        values = [0.0]
-        forms = None
-    for n in range(1, n_max + 1):
-        nxt = [dist[0] * 0] * (n + 1)
-        for k, mass in enumerate(dist):
-            if not mass:
-                continue
-            if k == 0:
-                nxt[1] += mass
-            else:
-                nxt[k + 1] += mass * up
-                nxt[k - 1] += mass * down
-        dist = nxt
+    values = [0.0]
+    forms: list[LogLinear] | None = [LogLinear.zero()] if exact else None
+    for dist in islice(_radial_chain(rank, exact), 1, n_max + 1):
         if exact:
             form = entropy_form(q for q in dist if q)
             for k, q in enumerate(dist):
@@ -298,25 +279,13 @@ def coarse_trajectory(traj: Trajectory, t0: int) -> CoarseTrajectory:
 
 def sample_walk(mu: FiniteMeasure, n: int, seed: int, index: int = 0) -> Trajectory:
     """Sample one n-step trajectory from the (seed, index) stream."""
-    fm = mu.as_float()
-    atoms = list(fm.atoms())
-    elems = [g for g, _ in atoms]
-    cum = []
-    acc = 0.0
-    for _, w in atoms:
-        acc += w
-        cum.append(acc)
-    cum[-1] = 1.0
-    gen = sample_stream(seed, index)
-    us = gen.random(n)
+    elems, cum = cumulative(mu)
+    idx = draw(cum, sample_stream(seed, index).random(n))
     spec = mu.spec
     pos = groups.identity(spec)
     increments = []
     positions = [pos]
-    for u in us:
-        i = 0
-        while cum[i] < u:
-            i += 1
+    for i in idx.tolist():
         g = elems[i]
         increments.append(g)
         pos = groups.multiply(spec, pos, g)

@@ -75,8 +75,8 @@ def test_criterion_04_solvable_embedding(criterion):
                     v = magnus.random_reduced_word(d, rng.randint(1, 12), rng)
                     uv = magnus.concat_words(u, v)
                     lhs = magnus.magnus_embed(uv, d, m)
-                    rhs = magnus.sdm_multiply(
-                        d, m, magnus.magnus_embed(u, d, m),
+                    rhs = groups.multiply(
+                        magnus.sdm_spec(d, m), magnus.magnus_embed(u, d, m),
                         magnus.magnus_embed(v, d, m))
                     assert lhs == rhs, f"homomorphism broke at d={d}, m={m}"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -152,6 +153,30 @@ def test_ladder_csv_rows():
     assert any(line.split(",")[1] == "4" for line in lines[1:])
 
 
+# sha256 of each experiment's replay payload at the default config (seed 7),
+# recorded with Python 3.11, numpy 2.4 and mpmath 1.3 on x86-64.  A refactor
+# must leave them unchanged; a deliberate change of numbers or report layout
+# updates them.
+REPLAY_SHA256 = {
+    "E1": "abd01229fe1829d2ac72b3be44afbc4268f441e5bc31214c60f3241b7928424d",
+    "E2": "d54b18ef93578d5a0d927861b3a4943b90f17aad4bf91edca8a435a2b51b878b",
+    "E3": "522c3e13d828d3e1cdc5f9f8de4fd1eee5e55bf56bcd972a892bbe05fddc2db9",
+    "E4": "8107dcac786156e47027cf8b07590c7b5e9f9806265f3bdc47b7e02e03826a93",
+    "E5": "4e8a433e683a968f0888a1c948350e5f0af597314607c2fc13e0d359262c8c1b",
+    "E6": "7568b9a52a8f173ad278e848eb63a96fe1c332b02c17543634d473d4a7cc472c",
+    "E7": "b0c1535e0ca313ffdd962f7c58086614533f6f73d72031e5027fb0b59103a5d7",
+}
+
+
+def test_replay_payloads_match_pinned_hashes(experiment_reports):
+    reports = dict(experiment_reports[0])
+    for ident in ("E6", "E7"):
+        reports[ident] = run_experiment(ident)
+    digests = {ident: hashlib.sha256(r.replay_payload().encode()).hexdigest()
+               for ident, r in reports.items()}
+    assert digests == REPLAY_SHA256
+
+
 def test_seed_changes_monte_carlo_results():
     a = run_experiment(ExperimentConfig("E6", seed=1))
     b = run_experiment(ExperimentConfig("E6", seed=2))
@@ -247,3 +272,6 @@ def test_cli_error_exit_codes(capsys):
     assert cli.main(["escape", 'measure { atom "a" 1 }']) == 2
     capsys.readouterr()
     assert cli.main(["experiment", "run", "E9"]) == 2
+    capsys.readouterr()
+    assert cli.main(["ladder", "z_drift(p=1/2, k=3)"]) == 2
+    assert "error" in capsys.readouterr().err.lower()

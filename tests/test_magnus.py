@@ -21,9 +21,6 @@ from walklab.magnus import (
     parse_word,
     random_derived_series_word,
     random_reduced_word,
-    reduce_word,
-    sdm_inverse,
-    sdm_multiply,
     sdm_spec,
     word_to_text,
 )
@@ -36,9 +33,9 @@ COMM = (1, 2, -1, -2)  # the commutator of the first two generators
 
 
 def test_reduce_word_cancels_adjacent_inverses():
-    assert reduce_word([1, 2, -2, -1]) == ()
-    assert reduce_word([1, 2, -2, 3]) == (1, 3)
-    assert reduce_word([]) == ()
+    assert groups.reduce_letters([1, 2, -2, -1]) == ()
+    assert groups.reduce_letters([1, 2, -2, 3]) == (1, 3)
+    assert groups.reduce_letters([]) == ()
 
 
 def test_invert_and_concat():
@@ -141,20 +138,21 @@ def test_embedding_is_a_homomorphism(d, m):
     for _ in range(1000):
         u = random_reduced_word(d, rng.randint(1, 12), rng)
         v = random_reduced_word(d, rng.randint(1, 12), rng)
-        product = sdm_multiply(d, m, magnus_embed(u, d, m),
-                               magnus_embed(v, d, m))
+        product = groups.multiply(sdm_spec(d, m), magnus_embed(u, d, m),
+                                  magnus_embed(v, d, m))
         assert product == magnus_embed(concat_words(u, v), d, m)
 
 
 @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (3, 2)])
 def test_image_inverses(d, m):
     rng = Random(10 * d + m)
+    spec = sdm_spec(d, m)
     e = magnus_embed((), d, m)
     for _ in range(100):
         w = random_reduced_word(d, rng.randint(1, 10), rng)
         g = magnus_embed(w, d, m)
-        assert sdm_multiply(d, m, g, sdm_inverse(d, m, g)) == e
-        assert sdm_inverse(d, m, g) == magnus_embed(invert_word(w), d, m)
+        assert groups.multiply(spec, g, groups.inverse(spec, g)) == e
+        assert groups.inverse(spec, g) == magnus_embed(invert_word(w), d, m)
 
 
 def test_lamp_support_bounded_by_word_length():
@@ -257,14 +255,14 @@ letters = st.integers(-3, 3).filter(bool)
 @given(st.lists(letters, max_size=10), st.lists(letters, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_concat_matches_reduction(u_raw, v_raw):
-    u = reduce_word(u_raw)
-    v = reduce_word(v_raw)
-    assert concat_words(u, v) == reduce_word(list(u) + list(v))
+    u = groups.reduce_letters(u_raw)
+    v = groups.reduce_letters(v_raw)
+    assert concat_words(u, v) == groups.reduce_letters(list(u) + list(v))
 
 
 @given(st.lists(letters, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_word_inverse_involution(raw):
-    w = reduce_word(raw)
+    w = groups.reduce_letters(raw)
     assert invert_word(invert_word(w)) == w
     assert concat_words(w, invert_word(w)) == ()

@@ -21,16 +21,13 @@ from walklab.groups import (
 from walklab.parsing import (
     GrammarError,
     element_to_text,
-    f2_uniform,
     family_measure,
-    lamplighter_family,
     measure_to_text,
     parse_element,
     parse_group,
     parse_measure,
     parse_measure_or_family,
     spec_to_text,
-    uniform_flip,
 )
 
 F = Fraction
@@ -258,26 +255,28 @@ def test_family_references_match_constructors():
     assert _same_atoms(family_measure("dinf(k=5)"),
                        measures.dinf_family(F(3, 4), 5))
     assert _same_atoms(family_measure("dinf(p=1/2)"),
-                       measures.dinf_limit(F(1, 2)))
+                       measures.dinf_family(F(1, 2)))
     assert _same_atoms(family_measure("dinf(k=limit)"),
-                       measures.dinf_limit(F(3, 4)))
+                       measures.dinf_family(F(3, 4)))
     assert _same_atoms(family_measure("family bs11(p=1/2, k=2)"),
                        measures.bs11_family(F(1, 2), 2))
     assert _same_atoms(family_measure("z_drift(k=3)"),
                        measures.z_drift_family(3))
     assert _same_atoms(family_measure("z_drift()"),
-                       measures.z_drift_limit())
+                       measures.z_drift_family())
     assert _same_atoms(family_measure("lamplighter(k=4)"),
-                       measures.lamplighter_mix(uniform_flip(),
+                       measures.lamplighter_mix(measures.uniform_flip(),
                                                 measures.dinf_family(F(3, 4), 4)))
     assert _same_atoms(family_measure("f2product(k=2)"),
-                       measures.product_measure(f2_uniform(),
-                                                lamplighter_family(F(3, 4), 2)))
+                       measures.product_measure(
+                           measures.f2_uniform(),
+                           measures.lamplighter_family(F(3, 4), 2)))
 
 
 def test_family_reference_errors():
     for text in ["gauss(k=2)", "dinf(q=1)", "dinf(k=x)", "dinf(p=abc)",
-                 "dinf(k=2) extra", "dinf(k=1/2)"]:
+                 "dinf(k=2) extra", "dinf(k=1/2)",
+                 "z_drift(p=1/2, k=3)", "z_drift(p=7)"]:
         with pytest.raises(GrammarError):
             family_measure(text)
 

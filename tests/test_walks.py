@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from walklab import groups, measures, walks
+from walklab import escape, groups, measures, walks
 from walklab.exact_entropy import LogLinear
 from walklab.groups import DINF, IntegerLattice
 from walklab.measures import (
@@ -164,6 +164,29 @@ def test_sampled_positions_recompute_from_increments():
     for i, g in enumerate(traj.increments):
         pos = groups.multiply(DINF, pos, g)
         assert traj.positions[i + 1] == pos
+
+
+@pytest.mark.parametrize("mu", [
+    measures.z_drift_family(),
+    measures.dinf_family(F(3, 4)),
+    measures.bs11_family(F(3, 4)),
+    measures.lamplighter_family(F(3, 4)),
+], ids=["Z", "Dinf", "BS11", "wreath-C2-Dinf"])
+def test_sample_walk_and_first_return_times_read_one_stream(mu):
+    """Both samplers turn the (seed, i) stream into the same steps, also
+    past the first 512-draw chunk of the first-return sampler."""
+    n, paths = 1500, 4
+    ident = groups.identity(mu.spec)
+    longest = 0
+    for seed in (3, 11, 29):
+        taus = escape.first_return_times(mu, n, paths, seed)
+        for i in range(paths):
+            positions = sample_walk(mu, n, seed, i).positions
+            first = next((t for t in range(1, n + 1) if positions[t] == ident),
+                         n + 1)
+            assert first == taus[i], (seed, i)
+            longest = max(longest, first)
+    assert longest > 512
 
 
 def test_sampling_is_deterministic_per_seed_and_index():
