@@ -20,9 +20,9 @@ from walklab import parsing, walks
 FAMILIES = ("dinf", "bs11", "z_drift", "lamplighter", "f2product")
 
 
-def family_text(name: str, p: Fraction, k: int | None) -> str:
+def family_text(name: str, p: Fraction | None, k: int | None) -> str:
     index = "k=limit" if k is None else f"k={k}"
-    if name == "z_drift":
+    if p is None:
         return f"{name}({index})"
     return f"{name}(p={p}, {index})"
 
@@ -34,10 +34,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="family depths (default 1 2 4)")
     parser.add_argument("--limit", action="store_true",
                         help="include the limit measure")
-    parser.add_argument("--p", type=Fraction, default=Fraction(3, 4))
+    parser.add_argument("--p", type=Fraction, default=None,
+                        help="family parameter (default 3/4; not for z_drift)")
     parser.add_argument("--nmax", type=int, default=8)
     parser.add_argument("--format", choices=("table", "csv"), default="table")
     args = parser.parse_args(argv)
+    if args.family == "z_drift":
+        if args.p is not None:
+            parser.error("z_drift takes no --p")
+    elif args.p is None:
+        args.p = Fraction(3, 4)
 
     grid: list[int | None] = list(args.k)
     if args.limit:
@@ -49,21 +55,20 @@ def main(argv: list[str] | None = None) -> int:
         text = family_text(args.family, args.p, k)
         ladder = walks.entropy_ladder(parsing.family_measure(text), args.nmax,
                                       label=text)
-        checks = walks.EntropyLadder.verify(ladder)
-        bad = [c for c in checks if not c.ok]
+        summary = ladder.summary()
+        bad = summary["failed_checks"]
         if args.format == "table":
             print(f"\n{text}   "
                   f"(invariants: {'ok' if not bad else f'{len(bad)} failing'})")
             print(f"{'n':>4} {'H':>12} {'H/n':>12} {'diff':>12}")
-            for row in ladder.to_rows():
+            for row in summary["rows"]:
                 ratio = f"{row['ratio']:.8f}" if row["n"] else "-"
                 diff = (f"{row['diff']:.8f}"
                         if row["n"] < ladder.n_max else "-")
                 print(f"{row['n']:>4} {row['H']:>12.8f} {ratio:>12} {diff:>12}")
         else:
-            for row in ladder.to_rows():
-                print(f"{text},{row['n']},{row['H']!r},{row['ratio']!r},"
-                      f"{row['diff']!r}")
+            for row in summary["rows"]:
+                print(f"{text},{walks.csv_row(row)}")
     return 0
 
 

@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--seed", type=int, default=dflt(None),
                         help="seed for Monte Carlo streams (default 7)")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default=dflt("json"))
+                        default=dflt(None), help="output format (default json)")
     parser.add_argument("--out", default=dflt(None),
                         help="write output to a file")
     mode = parser.add_mutually_exclusive_group()
@@ -119,25 +119,16 @@ def _cmd_ladder(args) -> int:
     mu = parsing.parse_measure_or_family(args.group, args.measure,
                                          exact=args.exact)
     cap = args.cap or measures.DEFAULT_SUPPORT_CAP
-    ladder = walks.entropy_ladder(mu, args.nmax, cap=cap, label=args.measure)
-    checks = ladder.verify()
-    failed = [f"{c.name}{c.index}" for c in checks if not c.ok]
+    summary = walks.entropy_ladder(mu, args.nmax, cap=cap,
+                                   label=args.measure).summary()
     if args.fmt == "csv":
-        lines = ["n,H,ratio,diff"]
-        for row in ladder.to_rows():
-            lines.append(f"{row['n']},{row['H']!r},{row['ratio']!r},"
-                         f"{row['diff']!r}")
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(["n,H,ratio,diff",
+                         *map(walks.csv_row, summary["rows"])]), args.out)
     else:
-        _emit(json.dumps(experiments.json_safe({
-            "measure": args.measure,
-            "group": parsing.spec_to_text(mu.spec),
-            "exact": ladder.exact,
-            "rows": ladder.to_rows(),
-            "invariants_pass": not failed,
-            "failed_checks": failed,
-        }), sort_keys=True, indent=2), args.out)
-    return 0 if not failed else 1
+        summary["group"] = parsing.spec_to_text(mu.spec)
+        _emit(json.dumps(experiments.json_safe(summary), sort_keys=True,
+                         indent=2), args.out)
+    return 0 if summary["invariants_pass"] else 1
 
 
 def _cmd_escape(args) -> int:
@@ -167,10 +158,8 @@ def _cmd_escape(args) -> int:
 
 def _cmd_magnus(args) -> int:
     if args.magnus_command == "suite":
-        cfg = experiments.ExperimentConfig(
-            experiment="E7", seed=7 if args.seed is None else args.seed,
-            samples=args.pairs)
-        return _finish_experiment(experiments.run_experiment(cfg), args)
+        return _run_experiment(experiments.ExperimentConfig(
+            experiment="E7", samples=args.pairs), args)
     word = magnus.parse_word(args.word, args.d)
     if args.magnus_command == "check-identity":
         _emit("true" if magnus.is_identity(word, args.d, args.m) else "false",
@@ -187,11 +176,17 @@ def _cmd_magnus(args) -> int:
     return 0
 
 
-def _finish_experiment(report: experiments.ExperimentReport, args) -> int:
-    if args.fmt == "csv":
-        _emit(report.ladder_csv(), args.out)
-    else:
-        _emit(report.to_json(), args.out)
+def _run_experiment(cfg: experiments.ExperimentConfig, args) -> int:
+    """Run ``cfg`` with the flags given on the command line overriding its
+    fields, and write the report in the merged config's format and place."""
+    overrides = {key: getattr(args, key) for key in ("seed", "cap", "fmt", "out")
+                 if getattr(args, key) is not None}
+    if not args.exact:
+        overrides["exact"] = False
+    cfg = dataclasses.replace(cfg, **overrides)
+    report = experiments.run_experiment(cfg)
+    _emit(report.ladder_csv() if cfg.fmt == "csv" else report.to_json(),
+          cfg.out)
     for exp in report.expectations:
         status = "PASS" if exp["passed"] else "FAIL"
         sys.stderr.write(f"[{status}] {report.experiment} {exp['name']}: "
@@ -200,27 +195,12 @@ def _finish_experiment(report: experiments.ExperimentReport, args) -> int:
 
 
 def _cmd_experiment_run(args) -> int:
-    target = args.target
-    path = Path(target)
+    path = Path(args.target)
     if path.exists():
         cfg = experiments.ExperimentConfig.from_text(path.read_text())
     else:
-        cfg = experiments.ExperimentConfig(experiment=target)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.cap is not None:
-        overrides["cap"] = args.cap
-    if args.fmt != "json":
-        overrides["fmt"] = args.fmt
-    if args.out is not None:
-        overrides["out"] = args.out
-    if not args.exact:
-        overrides["exact"] = False
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    report = experiments.run_experiment(cfg)
-    return _finish_experiment(report, args)
+        cfg = experiments.ExperimentConfig(experiment=args.target)
+    return _run_experiment(cfg, args)
 
 
 def _cmd_list(args) -> int:

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from . import groups, measures
-from .groups import BaumslagSolitar, Cyclic, Dihedral, GroupElement, IntegerLattice
+from .groups import BaumslagSolitar, Dihedral, GroupElement, IntegerLattice
 from .measures import FiniteMeasure, MeasureError
 from .rng import chunk_schedule, cumulative, draw, sample_stream
 
@@ -61,6 +61,16 @@ class DriftBound:
         if not self.lo <= self.mean <= self.hi:
             raise EscapeError(
                 f"mean {self.mean} outside support [{self.lo}, {self.hi}]")
+
+    @property
+    def rate(self) -> float:
+        """Exponent 2 mean^2 / (hi - lo)^2 of the concentration bound."""
+        return float(2 * self.mean ** 2 / (self.hi - self.lo) ** 2)
+
+    @property
+    def one_way(self) -> bool:
+        """Every step moves strictly one way, so zero is never revisited."""
+        return self.lo > 0 or self.hi < 0
 
 
 @dataclass
@@ -124,11 +134,9 @@ def drift_bound_z(mu: FiniteMeasure) -> DriftBound:
 
 def hoeffding_return_bound(bound: DriftBound, n: int) -> float:
     """Upper bound 2 exp(-2 n mean^2 / (hi - lo)^2) for the mass at zero."""
-    width = bound.hi - bound.lo
-    if width == 0:
+    if bound.hi == bound.lo:
         return 0.0 if bound.mean != 0 else 2.0
-    rate = 2 * bound.mean ** 2 / width ** 2
-    return 2.0 * exp(-float(rate) * n)
+    return 2.0 * exp(-bound.rate * n)
 
 
 def _return_masses(values: list[int],
@@ -169,15 +177,12 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
     bound = drift_bound_z(mu)
     if bound.mean == 0:
         raise EscapeError("drifted walk required; the mean is exactly zero")
-    if bound.lo > 0 or bound.hi < 0:
-        # zero is never revisited: every step moves strictly one way
+    if bound.one_way:
         return EscapeEstimate("exact-series", 1.0, 1.0, 1.0, n=0,
                               details={"series_lo": 1.0, "series_hi": 1.0,
                                        "tail_bound": 0.0,
                                        "mean": float(bound.mean)})
-    width = bound.hi - bound.lo
-    rate = float(2 * bound.mean ** 2 / width ** 2)
-    q = exp(-rate) * (1 + 1e-12)
+    q = exp(-bound.rate) * (1 + 1e-12)
     if q >= 1.0:
         raise EscapeError("degenerate concentration rate")
     series = Fraction(1)
@@ -329,15 +334,6 @@ def _make_stepper(spec, elems: list[GroupElement]):
             dm, dn = atoms[i]
             return (sm - dm if sn & 1 else sm + dm, sn + dn)
         return (0, 0), step
-    if t is Cyclic:
-        def step(state, i, atoms=tuple(elems), q=spec.modulus):
-            return (state + atoms[i]) % q
-        return 0, step
-    if t is IntegerLattice:
-        def step(state, i, atoms=tuple(elems)):
-            return tuple(a + b for a, b in zip(state, atoms[i]))
-        return groups.identity(spec), step
-
     def step(state, i, atoms=tuple(elems), mul=groups.multiply, sp=spec):
         return mul(sp, state, atoms[i])
     return groups.identity(spec), step
@@ -427,10 +423,9 @@ def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
         return None
     if bound.mean == 0:
         return None
-    if bound.lo > 0 or bound.hi < 0:
+    if bound.one_way:
         return 1.0 / n  # only the origin is ever recounted
-    width = bound.hi - bound.lo
-    rate = float(2 * bound.mean ** 2 / width ** 2)
+    rate = bound.rate
     q = exp(-rate)
     # sum_i (i-1) mu^{*i}(0): exact terms while they matter, then geometric
     cut = max(8, int(np.ceil(24.0 / rate)))
@@ -445,8 +440,8 @@ def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
     return (1.0 + series) / n
 
 
-def range_rate(mu: FiniteMeasure, n: int, samples: int, seed: int,
-               bias: str = "auto") -> EscapeEstimate:
+def range_rate(mu: FiniteMeasure, n: int, samples: int,
+               seed: int) -> EscapeEstimate:
     """Sample mean of (distinct sites)/n over n-step paths, with 95% CI.
 
     The finite-n range is biased upward as an estimator of the escape
@@ -478,7 +473,7 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int, seed: int,
     mean = float(rates.mean())
     sd = float(rates.std(ddof=1)) if samples > 1 else 0.0
     half = 1.96 * sd / sqrt(samples)
-    bias_bound = _range_bias_bound_z(mu, n) if bias == "auto" else None
+    bias_bound = _range_bias_bound_z(mu, n)
     lo = mean - half - (bias_bound or 0.0)
     hi = mean + half
     details: dict[str, Any] = {

@@ -80,6 +80,9 @@ class LogLinear:
         q = Fraction(q)
         return LogLinear({m: c * q for m, c in self.coeffs.items()})
 
+    def __truediv__(self, n: int) -> "LogLinear":
+        return self.scale(Fraction(1, n))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogLinear):
             return NotImplemented

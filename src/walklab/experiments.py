@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise ConfigError("grid indices must be >= 1")
         if not 0 <= self.p <= 1:
             raise ConfigError(f"p must lie in [0, 1], got {self.p}")
+        if not self.exact:
+            raise ConfigError("experiments run in rational mode only; "
+                              "exact = false is not supported")
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -158,44 +161,26 @@ class ExperimentReport:
     wall_clock_s: float
     timestamp: str
 
-    def replay_payload(self) -> str:
-        """Deterministic JSON: everything except timing fields."""
-        body = {
-            "experiment": self.experiment,
-            "config": self.config,
-            "results": self.results,
-            "expectations": self.expectations,
-            "passed": self.passed,
-            "version": self.version,
-        }
+    def _json(self, *drop: str) -> str:
+        body = asdict(self)
+        for key in drop:
+            del body[key]
         return json.dumps(json_safe(body), sort_keys=True, indent=2,
                           default=str)
 
+    def replay_payload(self) -> str:
+        """Deterministic JSON: everything except timing fields."""
+        return self._json("wall_clock_s", "timestamp")
+
     def to_json(self) -> str:
-        body = {
-            "experiment": self.experiment,
-            "config": self.config,
-            "results": self.results,
-            "expectations": self.expectations,
-            "passed": self.passed,
-            "version": self.version,
-            "wall_clock_s": self.wall_clock_s,
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(json_safe(body), sort_keys=True, indent=2,
-                          default=str)
+        return self._json()
 
     def ladder_csv(self) -> str:
         """CSV rows (n, H, ratio, diff) for every ladder in the results."""
         lines = ["measure,n,H,ratio,diff"]
-        for row in self.results:
-            ladder = row.get("ladder")
-            if not ladder:
-                continue
-            name = ladder["measure"]
-            for rec in ladder["rows"]:
-                lines.append(f"{name},{rec['n']},{rec['H']!r},"
-                             f"{rec['ratio']!r},{rec['diff']!r}")
+        for ladder in _ladders(self.results):
+            lines += [f"{ladder['measure']},{walks.csv_row(rec)}"
+                      for rec in ladder["rows"]]
         return "\n".join(lines) + "\n"
 
 
@@ -204,17 +189,24 @@ class ExperimentReport:
 
 
 _LADDER_CACHE: dict[tuple[str, int], EntropyLadder] = {}
+# (step law, ladder) per key; holding the ladder too means an entry of
+# _LADDER_CACHE that was replaced from outside is never taken as checked.
+_LADDER_LAWS: dict[tuple[str, int], tuple[dict, EntropyLadder]] = {}
 
 
 def cached_exact_ladder(mu: FiniteMeasure, n_max: int, label: str,
                         cap: int) -> EntropyLadder:
     """Exact ladders are the dominant cost; reuse them across experiments
-    within a process (keyed by label and depth)."""
+    within a process (keyed by label and depth).  An entry is reused only
+    for the law it was built from, since labels do not name every
+    parameter (E3 and E4 leave out p)."""
     key = (label, n_max)
+    law = dict(mu.atoms())
     found = _LADDER_CACHE.get(key)
-    if found is None:
+    if found is None or _LADDER_LAWS.get(key) != (law, found):
         found = walks.entropy_ladder(mu, n_max, cap=cap, label=label)
         _LADDER_CACHE[key] = found
+        _LADDER_LAWS[key] = (law, found)
     return found
 
 
@@ -227,17 +219,9 @@ def _expect(name: str, passed: bool, detail: str = "") -> dict[str, Any]:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _ladder_summary(ladder: EntropyLadder) -> dict[str, Any]:
-    checks = ladder.verify()
-    failed = [f"{c.name}{c.index}" for c in checks if not c.ok]
-    return {
-        "measure": ladder.label,
-        "n_max": ladder.n_max,
-        "exact": ladder.exact,
-        "rows": ladder.to_rows(),
-        "invariants_pass": not failed,
-        "failed_checks": failed,
-    }
+def _ladders(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """The ladder summaries of result rows, in row order."""
+    return [row["ladder"] for row in results if row.get("ladder")]
 
 
 def _ladder_expectation(name: str, summaries: list[dict[str, Any]]) -> dict[str, Any]:
@@ -281,7 +265,6 @@ def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     n_max = cfg.n_max or 16
     cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     results: list[dict] = []
-    summaries: list[dict] = []
     expectations: list[dict] = []
     for panel, limit_mu, spread_mu, panel_tol in _e1_panels():
         tol = cfg.tol or panel_tol
@@ -291,8 +274,6 @@ def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
             mu = measures.mix(limit_mu, spread_mu, Fraction(1, k))
             est = escape.auto_escape(mu, tol=tol)
             ladder = cached_exact_ladder(mu, n_max, f"e1-{panel}(k={k})", cap)
-            summary = _ladder_summary(ladder)
-            summaries.append(summary)
             gap = abs(est.value - limit_est.value)
             slack = (est.hi - est.lo) + (limit_est.hi - limit_est.lo)
             gaps.append((gap, slack))
@@ -300,16 +281,14 @@ def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                 "grid": f"{panel} k={k}",
                 "escape": est.to_record(group=panel, measure=f"mix(1/{k})"),
                 "gap_to_limit": gap,
-                "ladder": summary,
+                "ladder": ladder.summary(),
             })
         limit_ladder = cached_exact_ladder(
             limit_mu, n_max, f"e1-{panel}(limit)", cap)
-        limit_summary = _ladder_summary(limit_ladder)
-        summaries.append(limit_summary)
         results.append({
             "grid": f"{panel} limit",
             "escape": limit_est.to_record(group=panel, measure="limit"),
-            "ladder": limit_summary,
+            "ladder": limit_ladder.summary(),
         })
         # the grid is ordered by increasing k, so gaps should shrink
         mono = all(gaps[i + 1][0] <= gaps[i][0] + gaps[i][1] + gaps[i + 1][1]
@@ -318,7 +297,8 @@ def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         expectations.append(_expect(
             f"escape-gap-shrinks-{panel}", mono and closing,
             f"gaps {[round(g, 6) for g, _ in gaps]} along k grid {list(k_grid)}"))
-    expectations.append(_ladder_expectation("ladder-invariants", summaries))
+    expectations.append(_ladder_expectation("ladder-invariants",
+                                            _ladders(results)))
     return results, expectations
 
 
@@ -334,7 +314,6 @@ def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     tol = cfg.tol or 1e-6
     cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     results: list[dict] = []
-    summaries: list[dict] = []
     means_zero: list[bool] = []
     monos: list[bool] = []
     finals: list[tuple[int, float, bool]] = []
@@ -349,24 +328,20 @@ def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         monos.append(mono)
         finals.append((k, final, below))
         ladder = cached_exact_ladder(mu, n_max, f"e2-mu(k={k})", cap)
-        summary = _ladder_summary(ladder)
-        summaries.append(summary)
         results.append({
             "grid": f"k={k}",
             "mean": str(mean),
             "escape": est.to_record(group="Z", measure=f"z_drift(k={k})"),
             "checkpoints": est.details["checkpoints"],
-            "ladder": summary,
+            "ladder": ladder.summary(),
         })
     limit_mu = measures.z_drift_family()
     limit_est = escape.exact_escape_drifted_z(limit_mu, tol=tol)
     limit_ladder = cached_exact_ladder(limit_mu, n_max, "e2-mu(limit)", cap)
-    limit_summary = _ladder_summary(limit_ladder)
-    summaries.append(limit_summary)
     results.append({
         "grid": "limit",
         "escape": limit_est.to_record(group="Z", measure="z_drift(limit)"),
-        "ladder": limit_summary,
+        "ladder": limit_ladder.summary(),
     })
     expectations = [
         _expect("mean-zero-each-k", all(means_zero),
@@ -377,7 +352,7 @@ def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                 f"final-horizon estimates {[(k, round(v, 5)) for k, v, _ in finals]}"),
         _expect("limit-interval-above-0.45", limit_est.lo > 0.45,
                 f"rigorous interval [{limit_est.lo:.8f}, {limit_est.hi:.8f}]"),
-        _ladder_expectation("ladder-invariants", summaries),
+        _ladder_expectation("ladder-invariants", _ladders(results)),
     ]
     return results, expectations
 
@@ -394,7 +369,6 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     p = cfg.p
     results: list[dict] = []
-    summaries: list[dict] = []
     expectations: list[dict] = []
     panels = [
         ("dinf", "Dinf", measures.dinf_family),
@@ -412,26 +386,22 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
             monos.append(mono)
             finals.append((k, final, below))
             ladder = cached_exact_ladder(mu, n_max, f"e3-{panel}(k={k})", cap)
-            summary = _ladder_summary(ladder)
-            summaries.append(summary)
             results.append({
                 "grid": f"{panel} k={k}",
                 "escape": est.to_record(group=group_text,
                                         measure=f"{panel}(p={p}, k={k})"),
                 "checkpoints": est.details["checkpoints"],
-                "ladder": summary,
+                "ladder": ladder.summary(),
             })
         limit_mu = member(p)
         limit_est = escape.auto_escape(limit_mu, tol=cfg.tol or 1e-6)
         limit_ladder = cached_exact_ladder(
             limit_mu, n_max, f"e3-{panel}(limit)", cap)
-        limit_summary = _ladder_summary(limit_ladder)
-        summaries.append(limit_summary)
         results.append({
             "grid": f"{panel} limit",
             "escape": limit_est.to_record(group=group_text,
                                           measure=f"{panel}(p={p}, limit)"),
-            "ladder": limit_summary,
+            "ladder": limit_ladder.summary(),
         })
         expectations.append(_expect(
             f"{panel}-mc-nonincreasing", all(monos),
@@ -449,7 +419,8 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                 "dinf-limit-matches-drift-formula",
                 limit_est.lo <= target <= limit_est.hi,
                 f"reduced 1-d walk: |1 - 2p| = {target} inside the interval"))
-    expectations.append(_ladder_expectation("ladder-invariants", summaries))
+    expectations.append(_ladder_expectation("ladder-invariants",
+                                            _ladders(results)))
     return results, expectations
 
 
@@ -457,32 +428,32 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # E4: entropy discontinuity for lamp/base mixtures over the dihedral base
 
 
+def _lamplighter_ladder(cfg: ExperimentConfig,
+                        k: int | None = None) -> EntropyLadder:
+    """E4's exact ladder of the lamplighter law at depth k (the limit for
+    None); E5 reuses the same ladders as its base factors."""
+    index = "limit" if k is None else f"k={k}"
+    return cached_exact_ladder(
+        measures.lamplighter_family(cfg.p, k), cfg.n_max or 12,
+        f"e4-nu({index})", cfg.cap or measures.DEFAULT_SUPPORT_CAP)
+
+
 def _run_e4(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     k_grid = cfg.k_grid or (2, 8, 32)
-    n_max = cfg.n_max or 12
-    cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
-    p = cfg.p
-    results: list[dict] = []
-    summaries: list[dict] = []
-    limit_ladder = cached_exact_ladder(
-        measures.lamplighter_family(p), n_max, "e4-nu(limit)", cap)
-    ladders: list[tuple[str, EntropyLadder]] = []
-    for k in k_grid:
-        nu = measures.lamplighter_family(p, k)
-        ladders.append((f"k={k}", cached_exact_ladder(
-            nu, n_max, f"e4-nu(k={k})", cap)))
-    ladders.append(("limit", limit_ladder))
-    for grid, ladder in ladders:
-        summary = _ladder_summary(ladder)
-        summaries.append(summary)
-        row: dict[str, Any] = {"grid": grid, "ladder": summary}
-        if ladder is not limit_ladder:
-            row["gap_vs_limit"] = [
-                ladder.values[n] - limit_ladder.values[n]
-                for n in range(min(ladder.n_max, limit_ladder.n_max) + 1)]
-        results.append(row)
+    # every ladder is built before any is verified, which keeps the sign
+    # machinery's caches out of the convolutions' peak memory
+    limit_ladder = _lamplighter_ladder(cfg)
+    ladders = [(f"k={k}", _lamplighter_ladder(cfg, k)) for k in k_grid]
+    results: list[dict] = [{
+        "grid": grid,
+        "ladder": ladder.summary(),
+        "gap_vs_limit": [
+            ladder.values[n] - limit_ladder.values[n]
+            for n in range(min(ladder.n_max, limit_ladder.n_max) + 1)],
+    } for grid, ladder in ladders]
+    results.append({"grid": "limit", "ladder": limit_ladder.summary()})
     expectations = [
-        _ladder_expectation("ladder-invariants", summaries),
+        _ladder_expectation("ladder-invariants", _ladders(results)),
         _expect("gap-reported-not-asserted", True,
                 "finite-depth ladders cannot certify the limit gap; "
                 "per-n gaps appear in the results"),
@@ -496,38 +467,28 @@ def _run_e4(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 def _run_e5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     k_grid = cfg.k_grid or (2, 8, 32)
-    n_max = cfg.n_max or 12
     radial_n = cfg.radial_n_max or 2000
-    cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     p = cfg.p
-    results: list[dict] = []
-    summaries: list[dict] = []
+    bases = [(f"k={k}", _lamplighter_ladder(cfg, k)) for k in k_grid]
+    bases.append(("limit", _lamplighter_ladder(cfg)))
+    free_exact = walks.free_group_srw_ladder(2, bases[0][1].n_max, exact=True)
+    results: list[dict] = [{"grid": "free-factor",
+                            "ladder": free_exact.summary()}]
     expectations: list[dict] = []
-    free_exact = walks.free_group_srw_ladder(2, n_max, exact=True)
-    free_summary = _ladder_summary(free_exact)
-    summaries.append(free_summary)
-    results.append({"grid": "free-factor", "ladder": free_summary})
-    base_labels = [(f"k={k}", f"e4-nu(k={k})",
-                    lambda kk=k: measures.lamplighter_family(p, kk))
-                   for k in k_grid]
-    base_labels.append(("limit", "e4-nu(limit)",
-                        lambda: measures.lamplighter_family(p)))
-    for grid, label, make in base_labels:
-        base_ladder = cached_exact_ladder(make(), n_max, label, cap)
+    for grid, base_ladder in bases:
         product_ladder = EntropyLadder.sum_of(
             free_exact, base_ladder, f"e5-product({grid})")
-        summary = _ladder_summary(product_ladder)
-        summaries.append(summary)
-        results.append({"grid": f"product {grid}", "ladder": summary})
+        results.append({"grid": f"product {grid}",
+                        "ladder": product_ladder.summary()})
     # honest decomposition check: direct convolution on the product group
     check_n = 3
     direct_nu = measures.f2product_family(p, k_grid[0])
     eta_l = walks.entropy_ladder(measures.f2_uniform(), check_n,
                                  label="f2-uniform")
-    mu_l = cached_exact_ladder(measures.lamplighter_family(p, k_grid[0]),
-                               n_max, f"e4-nu(k={k_grid[0]})", cap)
-    direct_l = walks.entropy_ladder(direct_nu, check_n, cap=cap,
-                                    label="direct-product")
+    mu_l = _lamplighter_ladder(cfg, k_grid[0])
+    direct_l = walks.entropy_ladder(
+        direct_nu, check_n, cap=cfg.cap or measures.DEFAULT_SUPPORT_CAP,
+        label="direct-product")
     decompose_ok = all(
         (direct_l.forms[n] - (eta_l.forms[n] + mu_l.forms[n])).is_zero()
         for n in range(check_n + 1))
@@ -553,7 +514,8 @@ def _run_e5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     expectations.append(_expect(
         "radial-plateau-near-half-log3", plateau_gap <= 0.02,
         f"|d_{probe} - {HALF_LOG_3:.6f}| = {plateau_gap:.6f}"))
-    expectations.append(_ladder_expectation("ladder-invariants", summaries))
+    expectations.append(_ladder_expectation("ladder-invariants",
+                                            _ladders(results)))
     return results, expectations
 
 
@@ -694,7 +656,7 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     mu0 = FiniteMeasure.from_pairs(
         sdm, [(g, base_sixth) for g in gens], exact=False)
     ladder0 = walks.entropy_ladder(mu0, n_max, label="s32-uniform")
-    summaries = [_ladder_summary(ladder0)]
+    summaries = [ladder0.summary()]
     tables = []
     sups = []
     for eps_denom in (12, 24, 48):
@@ -705,7 +667,7 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         mu_eps = FiniteMeasure.from_pairs(sdm, pairs, exact=False)
         ladder = walks.entropy_ladder(mu_eps, n_max,
                                       label=f"s32-perturbed(1/{eps_denom})")
-        summaries.append(_ladder_summary(ladder))
+        summaries.append(ladder.summary())
         gap = [abs(ladder.values[n] - ladder0.values[n])
                for n in range(n_max + 1)]
         tables.append({"epsilon": eps, "ladder_gap": gap,

@@ -232,6 +232,11 @@ def concat_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return u[:i] + v[j:]
 
 
+def invert_word(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of a freely reduced word."""
+    return tuple(-letter for letter in reversed(w))
+
+
 def _wreath_multiply(lamp_spec: GroupSpec, base_spec: GroupSpec,
                      g: GroupElement, h: GroupElement) -> GroupElement:
     lamps_g, x = g
@@ -288,7 +293,7 @@ def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
     if t is Cyclic:
         return (-g) % spec.modulus
     if t is FreeGroup:
-        return tuple(-letter for letter in reversed(g))
+        return invert_word(g)
     if t is Dihedral:
         tg, fg = g
         return (tg, 1) if fg else (-tg, 0)

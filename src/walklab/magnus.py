@@ -22,7 +22,7 @@ import re
 from random import Random
 
 from . import groups
-from .groups import FreeSolvable, GroupElement, concat_words
+from .groups import FreeSolvable, GroupElement, concat_words, invert_word
 
 FreeWord = tuple[int, ...]
 
@@ -33,10 +33,6 @@ class WordError(ValueError):
 
 # ---------------------------------------------------------------------------
 # word utilities
-
-
-def invert_word(w: FreeWord) -> FreeWord:
-    return tuple(-letter for letter in reversed(w))
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -137,6 +133,8 @@ def sdm_spec(rank: int, length: int) -> FreeSolvable:
 
 
 def abelianize_word(w: FreeWord, rank: int) -> tuple[int, ...]:
+    """Letter-count vector of a word, computed without the tower so that E7
+    and the tests can use it as an independent oracle for level 1."""
     vec = [0] * rank
     for letter in w:
         if abs(letter) > rank:
@@ -149,18 +147,11 @@ def generator_image(rank: int, length: int, letter: int) -> GroupElement:
     """Image of the single letter ``+-i`` at the given level."""
     if letter == 0 or abs(letter) > rank:
         raise WordError(f"letter {letter} out of range for rank {rank}")
-    spec = sdm_spec(rank, length)
-    i = abs(letter)
-    if length == 1:
-        vec = [0] * rank
-        vec[i - 1] = 1 if letter > 0 else -1
-        return tuple(vec)
-    below = sdm_spec(rank, length - 1)
-    e_i = tuple(1 if j == i - 1 else 0 for j in range(rank))
-    positive = (((groups.identity(below), e_i),), generator_image(rank, length - 1, i))
-    if letter > 0:
-        return positive
-    return groups.inverse(spec, positive)
+    e_i = tuple(1 if j == abs(letter) - 1 else 0 for j in range(rank))
+    image: GroupElement = e_i  # level 1: abelianisation
+    for level in range(1, length):
+        image = (((groups.identity(sdm_spec(rank, level)), e_i),), image)
+    return image if letter > 0 else groups.inverse(sdm_spec(rank, length), image)
 
 
 def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
@@ -182,7 +173,10 @@ def is_identity(w: FreeWord, rank: int, length: int) -> bool:
 
 
 def random_reduced_word(rank: int, length: int, rng: Random) -> FreeWord:
-    """A random nonempty reduced word of exactly ``length`` letters."""
+    """A random nonempty reduced word of exactly ``length`` letters.
+
+    E7's stream of random words depends on these exact draws, so this stays
+    apart from ``groups.random_element``."""
     if length < 1:
         raise WordError("length must be >= 1")
     letters: list[int] = []

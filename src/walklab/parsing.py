@@ -342,23 +342,14 @@ def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
         return magnus.magnus_embed(word, spec.rank, spec.length)
     if t is Dihedral:
         if sc.peek() == "(":
-            sc.expect("(")
-            trans = sc.integer()
-            sc.expect(",")
-            flip = sc.integer()
-            sc.expect(")")
+            trans, flip = _int_tuple(sc, 2)
             if flip not in (0, 1):
                 raise sc.error("flip bit must be 0 or 1")
             return (trans, flip)
         return _letter_word(sc, spec, {"a": groups.DINF_A, "b": groups.DINF_B})
     if t is BaumslagSolitar:
         if sc.peek() == "(":
-            sc.expect("(")
-            m = sc.integer()
-            sc.expect(",")
-            n = sc.integer()
-            sc.expect(")")
-            return (m, n)
+            return _int_tuple(sc, 2)
         return _letter_word(sc, spec, {"a": groups.BS_A, "b": groups.BS_B})
     if t is DirectProduct:
         sc.expect("(")

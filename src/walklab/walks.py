@@ -5,7 +5,10 @@ with the ratios ``H_n / n`` and increments ``d_n = H_{n+1} - H_n``.  In
 rational mode every ladder value is carried as an exact log-linear form, so
 the ladder invariants (subadditivity, nonincreasing increments, and
 ``d_n <= H_n / n``) are decided exactly; in float mode they are checked to a
-small documented slack.
+small documented slack.  Each invariant is written once, as an expression
+over ``H_0 .. H_n`` that serves both modes.  ``EntropyLadder.summary`` is
+the one plain-data record of a ladder that experiment reports, the command
+line and the scripts print, and ``csv_row`` is its one CSV line.
 
 Trajectory enumerations list every length-``n`` increment sequence with its
 exact weight; partition views label trajectories, and view entropies give
@@ -93,47 +96,58 @@ class EntropyLadder:
 
     # -- invariants ---------------------------------------------------------
 
-    def verify(self, float_tol: float = FLOAT_SLACK) -> list[LadderCheck]:
+    def verify(self) -> list[LadderCheck]:
         """Check subadditivity, nonincreasing diffs, and d_n <= H_n/n.
 
         Exact ladders are decided exactly through the log-linear sign
-        machinery; float ladders allow ``float_tol`` slack.
+        machinery; float ladders allow ``FLOAT_SLACK`` slack.
         """
         checks: list[LadderCheck] = []
-        n_max = self.n_max
-
-        def nonneg(form: LogLinear | None, value: float, name: str,
-                   index: tuple[int, ...]) -> None:
-            if form is not None:
-                ok = form.sign() >= 0
-                detail = "" if ok else f"exact sign {form.sign()}"
+        for name, index, expr in _ladder_checks(self.n_max):
+            if self.forms is not None:
+                sign = expr(self.forms).sign()
+                ok = sign >= 0
+                detail = "" if ok else f"exact sign {sign}"
             else:
-                ok = value >= -float_tol
+                value = expr(self.values)
+                ok = value >= -FLOAT_SLACK
                 detail = "" if ok else f"value {value:.3e}"
             checks.append(LadderCheck(name, index, ok, detail))
-
-        vals = self.values
-        forms = self.forms
-        for n in range(1, n_max + 1):
-            for m in range(1, n_max + 1 - n):
-                form = (forms[n] + forms[m] - forms[n + m]) if forms else None
-                nonneg(form, vals[n] + vals[m] - vals[n + m],
-                       "subadditivity", (n, m))
-        for n in range(n_max - 1):
-            # d_n - d_{n+1} >= 0
-            form = None
-            if forms:
-                form = (forms[n + 1] - forms[n]) - (forms[n + 2] - forms[n + 1])
-            val = (vals[n + 1] - vals[n]) - (vals[n + 2] - vals[n + 1])
-            nonneg(form, val, "diff-nonincreasing", (n,))
-        for n in range(1, n_max):
-            # H_n/n - d_n >= 0
-            form = None
-            if forms:
-                form = forms[n].scale(Fraction(1, n)) - (forms[n + 1] - forms[n])
-            val = vals[n] / n - (vals[n + 1] - vals[n])
-            nonneg(form, val, "diff-below-average", (n,))
         return checks
+
+    def summary(self) -> dict[str, Any]:
+        """Rows, depth and the verdict of :meth:`verify`, as plain data."""
+        failed = [f"{c.name}{c.index}" for c in self.verify() if not c.ok]
+        return {
+            "measure": self.label,
+            "n_max": self.n_max,
+            "exact": self.exact,
+            "rows": self.to_rows(),
+            "invariants_pass": not failed,
+            "failed_checks": failed,
+        }
+
+
+def _ladder_checks(n_max: int) -> Iterator[tuple[str, tuple[int, ...], Callable]]:
+    """The ladder invariants as ``(name, index, expr)``: ``expr(h)`` over
+    ``h = H_0 .. H_n`` (forms or floats) is the quantity that must be >= 0."""
+    for n in range(1, n_max + 1):
+        for m in range(1, n_max + 1 - n):
+            yield ("subadditivity", (n, m),
+                   lambda h, n=n, m=m: h[n] + h[m] - h[n + m])
+    for n in range(n_max - 1):
+        # d_n - d_{n+1}
+        yield ("diff-nonincreasing", (n,),
+               lambda h, n=n: (h[n + 1] - h[n]) - (h[n + 2] - h[n + 1]))
+    for n in range(1, n_max):
+        # H_n/n - d_n
+        yield ("diff-below-average", (n,),
+               lambda h, n=n: h[n] / n - (h[n + 1] - h[n]))
+
+
+def csv_row(row: dict[str, Any]) -> str:
+    """One ladder row as the CSV fields ``n,H,ratio,diff``."""
+    return f"{row['n']},{row['H']!r},{row['ratio']!r},{row['diff']!r}"
 
 
 def entropy_ladder(mu: FiniteMeasure, n_max: int,

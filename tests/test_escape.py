@@ -51,6 +51,9 @@ def z2_drift():
 def test_drift_bound_fields():
     b = drift_bound_z(biased_pm1(F(3, 4)))
     assert (b.lo, b.hi, b.mean) == (F(-1), F(1), F(1, 2))
+    assert b.rate == 0.125 and not b.one_way
+    assert DriftBound(F(1), F(2), F(3, 2)).one_way
+    assert DriftBound(F(-2), F(-1), F(-3, 2)).one_way
 
 
 def test_drift_bound_rejects_mean_outside_support():

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,10 @@ def test_config_validation():
         ExperimentConfig("E1", k_grid=(0,))
     with pytest.raises(ConfigError):
         ExperimentConfig("E1", p=F(5, 4))
+    with pytest.raises(ConfigError, match="rational mode only"):
+        ExperimentConfig("E6", exact=False)
+    with pytest.raises(ConfigError, match="rational mode only"):
+        ExperimentConfig.from_text("experiment = E6\nexact = false")
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +161,20 @@ def test_ladder_csv_rows():
     assert any(line.split(",")[1] == "4" for line in lines[1:])
 
 
+def test_ladder_cache_checks_the_law(monkeypatch):
+    # E4's cache labels do not name p; a second p must not reuse the first
+    monkeypatch.setattr(experiments, "_LADDER_CACHE", {})
+
+    def e4(p):
+        cfg = ExperimentConfig("E4", n_max=4, k_grid=(2,), p=p)
+        return run_experiment(cfg).replay_payload()
+
+    e4(F(3, 4))
+    warm = e4(F(2, 3))
+    experiments._LADDER_CACHE.clear()
+    assert warm == e4(F(2, 3))
+
+
 # sha256 of each experiment's replay payload at the default config (seed 7),
 # recorded with Python 3.11, numpy 2.4 and mpmath 1.3 on x86-64.  A refactor
 # must leave them unchanged; a deliberate change of numbers or report layout
@@ -206,6 +228,7 @@ def test_cli_ladder_json_is_strict(capsys):
     doc = json.loads(capsys.readouterr().out,
                      parse_constant=lambda s: pytest.fail(s))
     assert doc["rows"][0]["ratio"] is None
+    assert doc["n_max"] == 3 and doc["group"] == "Z"
 
 
 def test_cli_global_flags_after_subcommand(capsys):
@@ -264,6 +287,50 @@ def test_cli_experiment_run_to_file(tmp_path, capsys):
     assert cli.main(["experiment", "run", "E6", "--out", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["experiment"] == "E6"
+
+
+def test_cli_experiment_run_honours_config_format_and_out(tmp_path, capsys):
+    csv_out = tmp_path / "ladders.csv"
+    cfg = tmp_path / "e4.txt"
+    cfg.write_text(f"experiment = E4\nk_grid = 2\nn_max = 3\n"
+                   f"fmt = csv\nout = {csv_out}\n")
+    assert cli.main(["experiment", "run", str(cfg)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "measure,n,H,ratio,diff"
+    assert lines[1].startswith("e4-nu(k=2),0,")
+    # flags on the command line override the file
+    json_out = tmp_path / "report.json"
+    assert cli.main(["experiment", "run", str(cfg), "--format", "json",
+                     "--out", str(json_out)]) == 0
+    capsys.readouterr()
+    assert json.loads(json_out.read_text())["config"]["fmt"] == "json"
+
+
+def test_cli_experiment_run_rejects_float(capsys):
+    assert cli.main(["experiment", "run", "E6", "--float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rational mode only" in captured.err
+
+
+def _ladder_tables(*argv):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "ladder_tables.py"), *argv],
+        capture_output=True, text=True, env=env)
+
+
+def test_ladder_tables_rejects_p_for_z_drift():
+    run = _ladder_tables("z_drift", "--k", "2", "--nmax", "2", "--p", "1/2")
+    assert run.returncode == 2
+    assert "z_drift takes no --p" in run.stderr
+    run = _ladder_tables("dinf", "--k", "2", "--nmax", "2", "--format", "csv")
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[1].startswith("dinf(p=3/4, k=2),0,")
 
 
 def test_cli_error_exit_codes(capsys):

@@ -73,6 +73,33 @@ def test_ladder_invariants_on_family_measure():
     assert checks and all(c.ok for c in checks)
 
 
+def bad_ladder(exact: bool) -> EntropyLadder:
+    """H = (0, log 2, 3 log 2): every invariant at depth 2 fails by log 2."""
+    forms = [LogLinear.zero(), LOG2, LOG2.scale(3)]
+    values = [0.0, math.log(2), 3 * math.log(2)]
+    return EntropyLadder("bad", values, forms if exact else None)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_verify_reports_each_violated_invariant(exact):
+    detail = "exact sign -1" if exact else "value -6.931e-01"
+    failed = [(c.name, c.index, c.detail)
+              for c in bad_ladder(exact).verify() if not c.ok]
+    assert failed == [("subadditivity", (1, 1), detail),
+                      ("diff-nonincreasing", (0,), detail),
+                      ("diff-below-average", (1,), detail)]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_ladder_summary_lists_failed_checks(exact):
+    summary = bad_ladder(exact).summary()
+    assert summary["measure"] == "bad" and summary["n_max"] == 2
+    assert summary["exact"] is exact
+    assert not summary["invariants_pass"]
+    assert summary["failed_checks"] == [
+        "subadditivity(1, 1)", "diff-nonincreasing(0,)", "diff-below-average(1,)"]
+
+
 def test_ladder_diff_form():
     ladder = entropy_ladder(uniform_pm1(), 3)
     assert ladder.diff_form(0) == LOG2
