@@ -20,12 +20,18 @@ invariants, experiment expectations) pass.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
 
 from . import escape, experiments, groups, magnus, measures, parsing, walks
+
+
+class UsageError(ValueError):
+    """A flag the subcommand cannot honour."""
 
 
 def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -132,6 +138,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_escape(args) -> int:
+    if args.cap is not None:
+        raise UsageError("escape does not take --cap (no estimator convolves)")
     mu = parsing.parse_measure_or_family(args.group, args.measure,
                                          exact=args.exact or args.method == "exact")
     seed = 7 if args.seed is None else args.seed
@@ -150,6 +158,12 @@ def _cmd_escape(args) -> int:
         est = escape.range_rate(mu, args.horizon, args.samples, seed)
     record = est.to_record(group=parsing.spec_to_text(mu.spec),
                            measure=args.measure)
+    if args.fmt == "csv":  # a header and one row
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            [record, record.values()])
+        _emit(text.getvalue(), args.out)
+        return 0
     if est.method == "monte-carlo":
         record["checkpoints"] = est.details["checkpoints"]
     _emit(json.dumps(record, sort_keys=True, indent=2), args.out)
@@ -160,6 +174,9 @@ def _cmd_magnus(args) -> int:
     if args.magnus_command == "suite":
         return _run_experiment(experiments.ExperimentConfig(
             experiment="E7", samples=args.pairs), args)
+    if args.cap is not None or not args.exact or args.fmt == "csv":
+        raise UsageError(f"magnus {args.magnus_command} does not take --cap, "
+                         "--float or --format csv")
     word = magnus.parse_word(args.word, args.d)
     if args.magnus_command == "check-identity":
         _emit("true" if magnus.is_identity(word, args.d, args.m) else "false",
@@ -227,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list(args)
     except (parsing.GrammarError, measures.MeasureError, escape.EscapeError,
             experiments.ConfigError, magnus.WordError,
-            groups.GroupError) as exc:
+            groups.GroupError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     raise AssertionError("unreachable")

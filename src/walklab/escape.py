@@ -15,6 +15,10 @@ Three estimator families:
   range overestimates the escape probability; for drifted lattice walks a
   rigorous upper bound for that bias is computed from the visit series and
   widens the low side of the interval.
+
+Both samplers walk Z, Dinf and BS(1,-1) a block of steps at a time, by numpy
+prefix scans over twisted-lattice states, and any other group one
+``groups.multiply`` per step; sample ``i`` reads only its (seed, i) stream.
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import exp, log, sqrt
+from math import exp, log, prod, sqrt
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import groups, measures
-from .groups import BaumslagSolitar, Dihedral, GroupElement, IntegerLattice
+from . import groups, measures, walks
+from .groups import GroupElement, IntegerLattice
 from .measures import FiniteMeasure, MeasureError
 from .rng import chunk_schedule, cumulative, draw, sample_stream
 
@@ -319,24 +323,61 @@ def recurrence_zero(mu: FiniteMeasure, reason: str) -> EscapeEstimate:
 # samplers
 
 
-def _make_stepper(spec, elems: list[GroupElement]):
-    """State machine for one walk: (initial state, step fn, identity state)."""
-    t = type(spec)
-    if t is Dihedral:
-        def step(state, i, atoms=tuple(elems)):
-            st, sf = state
-            dt, df = atoms[i]
-            return (st - dt if sf else st + dt, sf ^ df)
-        return (0, 0), step
-    if t is BaumslagSolitar:
-        def step(state, i, atoms=tuple(elems)):
-            sm, sn = state
-            dm, dn = atoms[i]
-            return (sm - dm if sn & 1 else sm + dm, sn + dn)
-        return (0, 0), step
-    def step(state, i, atoms=tuple(elems), mul=groups.multiply, sp=spec):
-        return mul(sp, state, atoms[i])
-    return groups.identity(spec), step
+def _twisted_table(spec, elems: list[GroupElement]):
+    """Atoms of a law on Z, Dinf or BS(1,-1) as twisted-lattice steps.
+
+    A state (a, b, f) moves by a step (da, db, df) to
+    (a + (-1)^f da, b + db, f ^ df).  Z steps are (x, 0, 0), Dinf steps
+    (t, 0, flip) and BS(1,-1) steps (m, n, n mod 2); the identity is
+    (0, 0, 0).  Returns the columns da, db, df, or None for other groups.
+    """
+    if spec == _Z1:
+        steps = [(x, 0, 0) for (x,) in elems]
+    elif spec == groups.DINF:
+        steps = [(t, 0, f) for t, f in elems]
+    elif spec == groups.BS11:
+        steps = [(m, n, n & 1) for m, n in elems]
+    else:
+        return None
+    if max(abs(x) for step in steps for x in step) >= 1 << 31:
+        return None  # int64 prefix sums of these steps could wrap
+    da, db, df = np.array(steps, dtype=np.int64).T
+    return da, db, df.astype(np.int8)
+
+
+def _twisted_path(table, idx: np.ndarray,
+                  start: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """States (a, b, f) after each step of ``idx``, walking from ``start``."""
+    da, db, df = table
+    a = da[idx]
+    b = f = np.zeros(idx.shape, dtype=np.int64)  # where no atom moves them
+    if df.any():
+        f = df[idx]
+        f[0] ^= start[2]
+        np.bitwise_xor.accumulate(f, out=f)
+        a[0] *= 1 - 2 * start[2]
+        a[1:] *= 1 - 2 * f[:-1]  # the flip before step j reverses step j
+    np.cumsum(a, out=a)
+    a += start[0]
+    if db.any():
+        b = db[idx]
+        np.cumsum(b, out=b)
+        b += start[1]
+    return a, b, f
+
+
+def _distinct_states(path: tuple[np.ndarray, ...]) -> int:
+    """Number of distinct states among the origin and those of ``path``."""
+    cols = [np.append(c, 0) for c in path]
+    spans = [int(c.max()) - int(c.min()) + 1 for c in cols]
+    if prod(spans) >= 1 << 63:  # too wide for an int64 key
+        return len(set(zip(*(c.tolist() for c in cols))))
+    key = np.zeros(cols[0].size, dtype=np.int64)
+    for c, span in zip(cols, spans):  # one mixed-radix digit per coordinate
+        key *= span
+        key += c - c.min()
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
@@ -349,39 +390,34 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
     elems, cum = cumulative(mu)
+    table = _twisted_table(mu.spec, elems)
+    if table is not None:
+        start = (0, 0, 0)
+
+        def advance(idx, state):
+            a, b, f = _twisted_path(table, idx, state)
+            hits = np.flatnonzero(a == 0)
+            hits = hits[(b[hits] == 0) & (f[hits] == 0)]
+            return (int(hits[0]) if hits.size else -1,
+                    (int(a[-1]), int(b[-1]), int(f[-1])))
+    else:
+        start = groups.identity(mu.spec)
+
+        def advance(idx, state):
+            for j, ix in enumerate(idx.tolist()):
+                state = groups.multiply(mu.spec, state, elems[ix])
+                if state == start:
+                    return j, state
+            return -1, state
     out = np.full(samples, horizon + 1, dtype=np.int64)
-    spec = mu.spec
-    if isinstance(spec, IntegerLattice) and spec.dim == 1:
-        vals = np.array([g[0] for g in elems], dtype=np.int64)
-        for i in range(samples):
-            gen = sample_stream(seed, i)
-            pos = 0
-            done = 0
-            for chunk in chunk_schedule(horizon):
-                idx = draw(cum, gen.random(chunk))
-                path = pos + np.cumsum(vals[idx])
-                hits = np.flatnonzero(path == 0)
-                if hits.size:
-                    out[i] = done + int(hits[0]) + 1
-                    break
-                pos = int(path[-1])
-                done += chunk
-        return out
-    ident, step = _make_stepper(spec, elems)
     for i in range(samples):
         gen = sample_stream(seed, i)
-        state = ident
+        state = start
         done = 0
-        found = False
         for chunk in chunk_schedule(horizon):
-            idx = draw(cum, gen.random(chunk))
-            for j, ix in enumerate(idx.tolist()):
-                state = step(state, ix)
-                if state == ident:
-                    out[i] = done + j + 1
-                    found = True
-                    break
-            if found:
+            hit, state = advance(draw(cum, gen.random(chunk)), state)
+            if hit >= 0:
+                out[i] = done + hit + 1
                 break
             done += chunk
     return out
@@ -451,25 +487,15 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     if n < 1 or samples < 1:
         raise EscapeError("n and samples must be >= 1")
     elems, cum = cumulative(mu)
-    rates = np.empty(samples)
-    spec = mu.spec
-    if isinstance(spec, IntegerLattice) and spec.dim == 1:
-        vals = np.array([g[0] for g in elems], dtype=np.int64)
-        for i in range(samples):
-            idx = draw(cum, sample_stream(seed, i).random(n))
-            path = np.cumsum(vals[idx])
-            sites = np.unique(np.concatenate(([0], path)))
-            rates[i] = sites.size / n
+    table = _twisted_table(mu.spec, elems)
+    if table is None:  # one groups.multiply per step
+        sites = [len(set(walks.sample_walk(mu, n, seed, i).positions))
+                 for i in range(samples)]
     else:
-        ident, step = _make_stepper(spec, elems)
-        for i in range(samples):
-            idx = draw(cum, sample_stream(seed, i).random(n))
-            seen = {ident}
-            state = ident
-            for ix in idx.tolist():
-                state = step(state, ix)
-                seen.add(state)
-            rates[i] = len(seen) / n
+        sites = [_distinct_states(_twisted_path(
+            table, draw(cum, sample_stream(seed, i).random(n)), (0, 0, 0)))
+            for i in range(samples)]
+    rates = np.array(sites) / n
     mean = float(rates.mean())
     sd = float(rates.std(ddof=1)) if samples > 1 else 0.0
     half = 1.96 * sd / sqrt(samples)

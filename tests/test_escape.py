@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walklab import escape, groups, measures
+from walklab import escape, groups, measures, rng
 from walklab.escape import (
     DriftBound,
     EscapeError,
@@ -236,6 +236,57 @@ def test_range_rate_ci_covers_known_value():
 def test_range_rate_validation():
     with pytest.raises(EscapeError):
         range_rate(biased_pm1(F(3, 4)), 0, 10, seed=0)
+
+
+def _reference_path(mu, seed, index, chunks):
+    """States of the (seed, index) walk built step by step with
+    ``groups.multiply``, drawing atoms by binary search in its chunks."""
+    elems, cum = rng.cumulative(mu)
+    gen = rng.sample_stream(seed, index)
+    state = groups.identity(mu.spec)
+    states = []
+    for chunk in chunks:
+        u = gen.random(chunk)
+        idx = np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1)
+        for i in idx.tolist():
+            state = groups.multiply(mu.spec, state, elems[i])
+            states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("mu", [
+    measures.z_drift_family(2),
+    measures.z_drift_family(),
+    measures.dinf_family(F(3, 4), 2),
+    measures.dinf_family(F(3, 4)),
+    measures.bs11_family(F(3, 4), 2),
+    measures.bs11_family(F(1, 3), 1),
+    FiniteMeasure.from_pairs(DINF, [((1, 0), F(3, 4)), ((1, 1), F(1, 4))]),
+    uniform_measure(BS11, [(1, 1), (-1, 0), (0, -1)]),
+    uniform_measure(Z, [(1 << 62,), (-1 << 62,)]),
+], ids=["z_drift(k=2)", "z_drift", "dinf(k=2)", "dinf", "bs11(k=2)",
+        "bs11(p=1/3,k=1)", "dinf-reflection", "bs11-twisted-step",
+        "z-steps-2^62"])
+def test_samplers_match_a_reference_walk(mu):
+    """First returns and range rates equal those of the plain group walk on
+    the same streams, across at least three draw chunks.  The reflection
+    and twisted-step laws move and flip in one atom, and some of their
+    paths cross a chunk boundary flipped; steps too long for int64 prefix
+    sums are walked exactly too."""
+    horizon, samples, n = 3000, 4, 3000
+    assert len(list(rng.chunk_schedule(horizon))) >= 3
+    ident = groups.identity(mu.spec)
+    for seed in (1, 7, 29):
+        taus = first_return_times(mu, horizon, samples, seed)
+        expected = []
+        for i in range(samples):
+            states = _reference_path(mu, seed, i, rng.chunk_schedule(horizon))
+            expected.append(next((t for t, g in enumerate(states, 1)
+                                  if g == ident), horizon + 1))
+        assert taus.tolist() == expected, seed
+        rates = np.array([len({ident, *_reference_path(mu, seed, i, [n])}) / n
+                          for i in range(samples)])
+        assert range_rate(mu, n, samples, seed).value == float(rates.mean())
 
 
 # ---------------------------------------------------------------------------

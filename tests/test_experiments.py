@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -254,6 +255,20 @@ def test_cli_escape_recurrence_certificate(capsys):
     assert doc["value"] == 0.0
 
 
+def test_cli_escape_csv(capsys):
+    assert cli.main(["escape", "bs11(k=2)", "--method", "mc", "--horizon",
+                     "200", "--samples", "10", "--format", "csv"]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert cli.main(["escape", "bs11(k=2)", "--method", "mc", "--horizon",
+                     "200", "--samples", "10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert header == ["method", "value", "lo", "hi", "horizon", "n",
+                      "samples", "seed", "group", "measure"]
+    assert row == [str(doc[key]) if doc[key] is not None else ""
+                   for key in header]
+    assert row[header.index("group")] == "BS(1,-1)"
+
+
 def test_cli_magnus_check_identity(capsys):
     code = cli.main(["magnus", "check-identity", "[x1, x2]",
                      "--d", "2", "--m", "1"])
@@ -342,3 +357,11 @@ def test_cli_error_exit_codes(capsys):
     capsys.readouterr()
     assert cli.main(["ladder", "z_drift(p=1/2, k=3)"]) == 2
     assert "error" in capsys.readouterr().err.lower()
+    assert cli.main(["escape", "z_drift()", "--cap", "10"]) == 2
+    assert "--cap" in capsys.readouterr().err
+    for command in ("embed", "check-identity"):
+        for flags in (["--float"], ["--cap", "5"], ["--format", "csv"]):
+            argv = ["magnus", command, "x1", "--d", "2", "--m", "2", *flags]
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert flags[0] in captured.err and not captured.out
