@@ -59,6 +59,17 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="support-size cap for convolutions")
 
 
+def _refuse(args, command: str, *flags: str) -> None:
+    """Raise :class:`UsageError` naming each of the shared ``flags``
+    (``--seed``, ``--cap``, ``--float``, ``--format csv``) that was given
+    to ``command``, which would ignore it."""
+    given = {"--seed": args.seed is not None, "--cap": args.cap is not None,
+             "--float": not args.exact, "--format csv": args.fmt == "csv"}
+    named = [flag for flag in flags if given[flag]]
+    if named:
+        raise UsageError(f"{command} does not take {', '.join(named)}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walklab",
@@ -122,6 +133,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_ladder(args) -> int:
+    _refuse(args, "ladder", "--seed")  # nothing is sampled
     mu = parsing.parse_measure_or_family(args.group, args.measure,
                                          exact=args.exact)
     cap = args.cap or measures.DEFAULT_SUPPORT_CAP
@@ -138,10 +150,11 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_escape(args) -> int:
-    if args.cap is not None:
-        raise UsageError("escape does not take --cap (no estimator convolves)")
+    _refuse(args, "escape", "--cap")  # no estimator convolves
+    if args.method == "exact":  # the series estimators need rational weights
+        _refuse(args, "escape --method exact", "--float")
     mu = parsing.parse_measure_or_family(args.group, args.measure,
-                                         exact=args.exact or args.method == "exact")
+                                         exact=args.exact)
     seed = 7 if args.seed is None else args.seed
     if args.method == "exact":
         est = escape.auto_escape(mu, tol=args.tol, horizon=args.horizon,
@@ -174,9 +187,8 @@ def _cmd_magnus(args) -> int:
     if args.magnus_command == "suite":
         return _run_experiment(experiments.ExperimentConfig(
             experiment="E7", samples=args.pairs), args)
-    if args.cap is not None or not args.exact or args.fmt == "csv":
-        raise UsageError(f"magnus {args.magnus_command} does not take --cap, "
-                         "--float or --format csv")
+    _refuse(args, f"magnus {args.magnus_command}",
+            "--cap", "--float", "--format csv")
     word = magnus.parse_word(args.word, args.d)
     if args.magnus_command == "check-identity":
         _emit("true" if magnus.is_identity(word, args.d, args.m) else "false",
@@ -221,6 +233,7 @@ def _cmd_experiment_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    _refuse(args, "list", "--seed", "--cap", "--float", "--format csv")
     lines = [f"{ident}  {description}"
              for ident, description in experiments.list_experiments()]
     _emit("\n".join(lines), args.out)

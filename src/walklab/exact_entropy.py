@@ -7,8 +7,16 @@ identities can be decided without rounding:
 
 * equality with zero reduces to an integer-factorisation argument (logs of
   distinct primes are linearly independent over the rationals);
-* the sign of a nonzero form is certified by evaluating at increasing
-  precision with an explicit accumulated error bound.
+* the sign of a nonzero form is read off an interval that contains its
+  value: each log(m) is bracketed by ``_log_at`` and the terms are combined
+  with outward rounding (``mpmath.libmp.libmpi``: every endpoint is rounded
+  away from the interval), so the true value stays inside.  A form may carry
+  such an enclosure at 80 bits; sums, differences and rational multiples of
+  enclosed forms inherit the interval combination of their operands'
+  enclosures, so a ladder's values are enclosed once and every check built
+  from them is decided without evaluating its terms again.  Forms whose
+  inherited enclosure contains 0 are enclosed afresh from their own
+  coefficients at increasing precision.
 
 Factoring only ever runs on candidate ties, whose integers are desk scale.
 """
@@ -22,25 +30,67 @@ from random import Random
 from typing import Iterable, Mapping
 
 import mpmath
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_log,
+                          mpf_sign, mpf_sub, round_ceiling, round_floor,
+                          round_nearest)
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mid, mpi_mul, mpi_sub
+
+Interval = tuple[tuple, tuple]   # raw mpf endpoints (lo, hi), lo <= hi
 
 _SIGN_PRECS = (80, 160, 320, 640, 1280, 2560)
-_LOG_CACHE: dict[tuple[int, int], "mpmath.mpf"] = {}
+_ENCLOSURE_PREC = _SIGN_PRECS[0]
+# (m, prec) -> the lower end of the interval of log(m) at prec bits
+_LOG_CACHE: dict[tuple[int, int], tuple] = {}
 
 
-def _log_at(m: int, prec: int) -> "mpmath.mpf":
+def _point(n: int) -> Interval:
+    x = from_int(n)
+    return x, x
+
+
+def _ulps(x: tuple, prec: int, k: int) -> tuple:
+    """``k`` units in the last place of the positive mpf ``x`` at ``prec``
+    bits."""
+    _, _, exp, bc = x
+    return from_man_exp(k, exp + bc - prec)
+
+
+def _log_at(m: int, prec: int) -> Interval:
+    """An interval with ``prec``-bit endpoints that contains ``log(m)``.
+
+    ``mpf_log`` rounds an approximation carried with 20 guard bits, so its
+    directed roundings are not proven.  Its value rounded to nearest at
+    ``prec + 40`` bits is within one unit of that precision of ``log(m)``
+    (the guard bits leave an error far below a unit), so one such unit
+    below it, rounded down to ``prec`` bits, is a lower end ``lo``, and
+    ``log(m) < lo + 2`` units of ``prec`` bits.  Only ``lo`` is cached.
+    """
     key = (m, prec)
-    val = _LOG_CACHE.get(key)
-    if val is None:
-        with mpmath.workprec(prec):
-            val = mpmath.log(m)
-        _LOG_CACHE[key] = val
-    return val
+    lo = _LOG_CACHE.get(key)
+    if lo is None:
+        wp = prec + 40
+        approx = mpf_log(from_int(m), wp, round_nearest)
+        lo = mpf_sub(approx, _ulps(approx, wp, 1), prec, round_floor)
+        _LOG_CACHE[key] = lo
+    return lo, mpf_add(lo, _ulps(lo, prec, 2), prec, round_ceiling)
+
+
+def _scaled(iv: Interval, q: Fraction, prec: int) -> Interval:
+    """An interval containing ``q * x`` for every ``x`` in ``iv``."""
+    out = mpi_mul(iv, _point(q.numerator), prec)
+    if q.denominator != 1:
+        out = mpi_div(out, _point(q.denominator), prec)
+    return out
 
 
 class LogLinear:
-    """A value ``sum c_m * log(m)`` with rational coefficients."""
+    """A value ``sum c_m * log(m)`` with rational coefficients.
 
-    __slots__ = ("coeffs",)
+    ``enclosure`` is None or an outward-rounded interval, as raw mpf
+    endpoints ``(lo, hi)``, that contains the value (see :meth:`enclose`).
+    """
+
+    __slots__ = ("coeffs", "enclosure")
 
     def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
         clean: dict[int, Fraction] = {}
@@ -52,6 +102,16 @@ class LogLinear:
                     continue
                 clean[m] = Fraction(c)
         self.coeffs = clean
+        self.enclosure: Interval | None = None
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, Fraction],
+            enclosure: Interval | None) -> "LogLinear":
+        """A form from the coefficients of clean forms, zeros dropped."""
+        out = cls.__new__(cls)
+        out.coeffs = {m: c for m, c in coeffs.items() if c}
+        out.enclosure = enclosure
+        return out
 
     @classmethod
     def zero(cls) -> "LogLinear":
@@ -61,24 +121,32 @@ class LogLinear:
     def of_log(cls, m: int, c: Fraction | int = 1) -> "LogLinear":
         return cls({m: Fraction(c)})
 
+    def _combined(self, other: "LogLinear", op) -> Interval | None:
+        if self.enclosure is None or other.enclosure is None:
+            return None
+        return op(self.enclosure, other.enclosure, _ENCLOSURE_PREC)
+
     def __add__(self, other: "LogLinear") -> "LogLinear":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return LogLinear(out)
+            out[m] = out.get(m, 0) + c
+        return LogLinear._of(out, self._combined(other, mpi_add))
 
     def __sub__(self, other: "LogLinear") -> "LogLinear":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return LogLinear(out)
+            out[m] = out.get(m, 0) - c
+        return LogLinear._of(out, self._combined(other, mpi_sub))
 
     def __neg__(self) -> "LogLinear":
-        return LogLinear({m: -c for m, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def scale(self, q: Fraction | int) -> "LogLinear":
         q = Fraction(q)
-        return LogLinear({m: c * q for m, c in self.coeffs.items()})
+        enc = self.enclosure
+        return LogLinear._of({m: c * q for m, c in self.coeffs.items()},
+                             None if enc is None
+                             else _scaled(enc, q, _ENCLOSURE_PREC))
 
     def __truediv__(self, n: int) -> "LogLinear":
         return self.scale(Fraction(1, n))
@@ -98,26 +166,50 @@ class LogLinear:
 
     # -- numeric evaluation -------------------------------------------------
 
+    def _interval(self, prec: int) -> Interval:
+        """Outward-rounded interval of the value from the coefficients, with
+        every operation at ``prec`` bits."""
+        total: Interval = (fzero, fzero)
+        for m, c in self.coeffs.items():
+            total = mpi_add(total, _scaled(_log_at(m, prec), c, prec), prec)
+        return total
+
+    def enclose(self) -> "LogLinear":
+        """Fill :attr:`enclosure` at 80 bits, once; returns ``self``."""
+        if self.enclosure is None:
+            self.enclosure = self._interval(_ENCLOSURE_PREC)
+        return self
+
     def evaluate(self, prec: int = 80) -> tuple["mpmath.mpf", "mpmath.mpf"]:
-        """Value and a rigorous-in-spirit rounding bound at ``prec`` bits."""
-        with mpmath.workprec(prec):
-            total = mpmath.mpf(0)
-            scale = mpmath.mpf(0)
-            for m, c in self.coeffs.items():
-                term = mpmath.mpf(c.numerator) / c.denominator * _log_at(m, prec)
-                total += term
-                scale += abs(term)
-            err = (scale + 1) * mpmath.mpf(2) ** (6 - prec) * (len(self.coeffs) + 4)
-        return total, err
+        """Midpoint and radius of an outward-rounded enclosure of the value,
+        computed from the coefficients at ``prec`` bits: the value lies in
+        ``[mid - rad, mid + rad]``."""
+        lo, hi = self._interval(prec)
+        mid = mpi_mid((lo, hi), prec)
+        make = mpmath.mp.make_mpf
+        rad = max(make(mpf_sub(hi, mid, prec, round_ceiling)),
+                  make(mpf_sub(mid, lo, prec, round_ceiling)))
+        return make(mid), rad
 
     def to_float(self) -> float:
         value, _ = self.evaluate(113)
         return float(value)
 
     def sign(self) -> int:
-        """Exact sign: -1, 0, or +1."""
+        """Exact sign: -1, 0, or +1.
+
+        Decided by the inherited enclosure when it excludes 0, else by
+        enclosures of the coefficients at increasing precision, and for a
+        candidate tie by :meth:`is_zero`.
+        """
         if not self.coeffs:
             return 0
+        if self.enclosure is not None:
+            lo, hi = self.enclosure
+            if mpf_sign(lo) > 0:
+                return 1
+            if mpf_sign(hi) < 0:
+                return -1
         for prec in _SIGN_PRECS[:3]:
             value, err = self.evaluate(prec)
             if abs(value) > err:

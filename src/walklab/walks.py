@@ -48,12 +48,10 @@ class EntropyLadder:
     """Values ``H_0 .. H_n`` of a walk's entropy along convolution powers."""
 
     def __init__(self, label: str, values: list[float],
-                 forms: list[LogLinear] | None = None,
-                 truncated: bool = False):
+                 forms: list[LogLinear] | None = None):
         self.label = label
         self.values = values
         self.forms = forms
-        self.truncated = truncated
 
     @property
     def n_max(self) -> int:
@@ -63,15 +61,9 @@ class EntropyLadder:
     def exact(self) -> bool:
         return self.forms is not None
 
-    def ratios(self) -> list[float]:
-        return [self.values[n] / n for n in range(1, len(self.values))]
-
     def diffs(self) -> list[float]:
         return [self.values[n + 1] - self.values[n]
                 for n in range(len(self.values) - 1)]
-
-    def diff_form(self, n: int) -> LogLinear:
-        return self.forms[n + 1] - self.forms[n]
 
     def to_rows(self) -> list[dict[str, Any]]:
         rows = []
@@ -99,9 +91,14 @@ class EntropyLadder:
     def verify(self) -> list[LadderCheck]:
         """Check subadditivity, nonincreasing diffs, and d_n <= H_n/n.
 
-        Exact ladders are decided exactly through the log-linear sign
-        machinery; float ladders allow ``FLOAT_SLACK`` slack.
+        Exact ladders are decided exactly: ``H_0 .. H_n`` are enclosed once
+        in outward-rounded intervals, so each check's form inherits an
+        enclosure and ``sign()`` re-evaluates only a check whose enclosure
+        contains 0.  Float ladders allow ``FLOAT_SLACK`` slack.
         """
+        if self.forms is not None:
+            for form in self.forms:
+                form.enclose()
         checks: list[LadderCheck] = []
         for name, index, expr in _ladder_checks(self.n_max):
             if self.forms is not None:
@@ -152,13 +149,11 @@ def csv_row(row: dict[str, Any]) -> str:
 
 def entropy_ladder(mu: FiniteMeasure, n_max: int,
                    cap: int = measures.DEFAULT_SUPPORT_CAP,
-                   label: str | None = None,
-                   allow_truncation: bool = False) -> EntropyLadder:
+                   label: str | None = None) -> EntropyLadder:
     """Ladder of ``mu`` up to ``n_max`` convolution powers.
 
-    If the support cap is hit and truncation is allowed, the ladder returned
-    is marked truncated at the largest completed power; otherwise the cap
-    error propagates annotated with that power.
+    If the support cap is hit, the cap error propagates annotated with the
+    largest completed power.
     """
     if n_max < 1:
         raise MeasureError("n_max must be >= 1")
@@ -166,21 +161,17 @@ def entropy_ladder(mu: FiniteMeasure, n_max: int,
     values = [0.0]
     forms: list[LogLinear] | None = [LogLinear.zero()] if mu.exact else None
     cur = mu
-    truncated = False
     for n in range(1, n_max + 1):
         if n > 1:
             try:
                 cur = measures.convolve(cur, mu, cap)
             except SupportCapError as exc:
-                if allow_truncation:
-                    truncated = True
-                    break
                 raise SupportCapError(f"{exc} (largest completed power {n - 1})",
                                       completed=n - 1) from exc
         values.append(measures.entropy(cur))
         if forms is not None:
             forms.append(measures.exact_entropy(cur))
-    return EntropyLadder(label, values, forms, truncated)
+    return EntropyLadder(label, values, forms)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +231,8 @@ def free_group_srw_ladder(rank: int, n_max: int,
     """
     values = [0.0]
     forms: list[LogLinear] | None = [LogLinear.zero()] if exact else None
+    if not exact:
+        log_spheres = [log(sphere_size(rank, k)) for k in range(n_max + 1)]
     for dist in islice(_radial_chain(rank, exact), 1, n_max + 1):
         if exact:
             form = entropy_form(q for q in dist if q)
@@ -252,7 +245,7 @@ def free_group_srw_ladder(rank: int, n_max: int,
             h = 0.0
             for k, q in enumerate(dist):
                 if q > 0:
-                    h += -q * log(q) + q * log(sphere_size(rank, k))
+                    h += -q * log(q) + q * log_spheres[k]
             values.append(h)
     return EntropyLadder(f"free({rank}) srw radial", values, forms)
 

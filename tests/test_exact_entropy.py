@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,91 @@ def test_to_float_accuracy():
     val = (LogLinear.of_log(3, F(5, 7)) - LogLinear.of_log(5, F(2, 9)))
     expected = 5 / 7 * math.log(3) - 2 / 9 * math.log(5)
     assert abs(val.to_float() - expected) < 1e-14
+
+
+def test_exact_tie_of_enclosed_operands_reaches_the_zero_test(monkeypatch):
+    zero_tests = []
+    is_zero = LogLinear.is_zero
+    monkeypatch.setattr(LogLinear, "is_zero",
+                        lambda form: zero_tests.append(form) or is_zero(form))
+    tie = LogLinear.of_log(4).enclose() - LogLinear.of_log(2, 2).enclose()
+    lo, hi = (mpmath.mp.make_mpf(x) for x in tie.enclosure)
+    assert lo < 0 < hi
+    assert tie.sign() == 0
+    assert zero_tests == [tie]
+
+
+def test_combinations_inherit_enclosures_only_from_enclosed_operands():
+    a = LogLinear.of_log(3).enclose()
+    b = LogLinear.of_log(2)
+    assert (a + b).enclosure is None and (b - a).enclosure is None
+    b.enclose()
+    for form in (a + b, a - b, -a, a.scale(F(-2, 3)), a / 5):
+        assert form.enclosure is not None
+    assert LogLinear.zero().enclose().enclosure == (mpmath.libmp.fzero,) * 2
+
+
+# ---------------------------------------------------------------------------
+# enclosures
+
+
+PRECISE = 2560
+log_args = st.integers(2, 12)
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+small_forms = st.dictionaries(log_args, coefficients, max_size=4).map(LogLinear)
+
+
+def _tie(m1: int, m2: int, c: Fraction) -> LogLinear:
+    """c log(m1 m2) - c log m1 - c log m2, from enclosed operands."""
+    return (LogLinear.of_log(m1 * m2, c).enclose()
+            - LogLinear.of_log(m1, c).enclose() - LogLinear.of_log(m2, c).enclose())
+
+
+ties = st.builds(_tie, log_args, log_args, coefficients.filter(bool))
+
+
+@functools.cache
+def precise_log(m: int) -> mpmath.mpf:
+    with mpmath.workprec(PRECISE):
+        return mpmath.log(m)
+
+
+def precise_value(form: LogLinear) -> mpmath.mpf:
+    with mpmath.workprec(PRECISE):
+        return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * precise_log(m)
+                           for m, c in form.coeffs.items())
+
+
+def assert_encloses(form: LogLinear, value: mpmath.mpf) -> None:
+    lo, hi = (mpmath.mp.make_mpf(x) for x in form.enclosure)
+    assert lo <= value <= hi
+    mid, rad = form.evaluate()  # from the coefficients, at 80 bits
+    with mpmath.workprec(PRECISE):
+        assert mid - rad <= value <= mid + rad
+
+
+def assert_sign_of(form: LogLinear, value: mpmath.mpf) -> None:
+    if form.is_zero():
+        assert form.sign() == 0
+    else:
+        assert abs(value) > mpmath.mpf(2) ** -2000
+        assert form.sign() == (1 if value > 0 else -1)
+
+
+@given(small_forms, small_forms, ties, coefficients.filter(bool),
+       st.integers(1, 9))
+@settings(max_examples=100)
+def test_enclosures_contain_the_precise_value(a, b, tie, q, n):
+    """Own and inherited enclosures contain the 2560-bit value, and sign()
+    agrees with its sign, 0 exactly on ties such as log 6 - log 2 - log 3."""
+    a.enclose()
+    b.enclose()
+    for form in (a, b, tie, a + b, a - b + tie, -a, a.scale(q), a / n,
+                 (a - b) / n - b):
+        value = precise_value(form)
+        assert_encloses(form, value)
+        assert_sign_of(form, value)
+        assert_sign_of(LogLinear(form.coeffs), value)  # no inherited enclosure
 
 
 # ---------------------------------------------------------------------------

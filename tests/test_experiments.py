@@ -365,3 +365,20 @@ def test_cli_error_exit_codes(capsys):
             assert cli.main(argv) == 2, argv
             captured = capsys.readouterr()
             assert flags[0] in captured.err and not captured.out
+    ignored = [
+        ["escape", "z_drift()", "--method", "exact", "--float"],
+        ["list", "--format", "csv"],
+        ["list", "--cap", "3"],
+        ["list", "--float"],
+        ["ladder", "dinf(p=3/4, k=2)", "--nmax", "2", "--seed", "5"],
+    ]
+    for argv in ignored:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert argv[-1 if argv[-1].startswith("--") else -2] in captured.err
+        assert not captured.out
+    # the same flags where the command honours them
+    assert cli.main(["escape", "z_drift(k=2)", "--method", "mc", "--float",
+                     "--horizon", "100", "--samples", "20"]) == 0
+    assert cli.main(["list", "--format", "json"]) == 0
+    capsys.readouterr()

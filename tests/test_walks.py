@@ -100,10 +100,40 @@ def test_ladder_summary_lists_failed_checks(exact):
         "subadditivity(1, 1)", "diff-nonincreasing(0,)", "diff-below-average(1,)"]
 
 
-def test_ladder_diff_form():
-    ladder = entropy_ladder(uniform_pm1(), 3)
-    assert ladder.diff_form(0) == LOG2
-    assert ladder.diff_form(1) == LOG2.scale(F(1, 2))
+def test_subadditivity_tie_reaches_the_zero_test(monkeypatch):
+    """H = (0, log 2, log 4): H_1 + H_1 - H_2 is 0, but not term by term, so
+    its inherited enclosure contains 0 and the decision needs ``is_zero``."""
+    zero_tests = []
+    is_zero = LogLinear.is_zero
+
+    def counting(form):
+        zero_tests.append(form)
+        return is_zero(form)
+
+    monkeypatch.setattr(LogLinear, "is_zero", counting)
+    forms = [LogLinear.zero(), LOG2, LogLinear.of_log(4)]
+    ladder = EntropyLadder("tie", [0.0, math.log(2), math.log(4)], forms)
+    checks = ladder.verify()
+    assert [(c.name, c.index, c.ok) for c in checks] == [
+        ("subadditivity", (1, 1), True),
+        ("diff-nonincreasing", (0,), True),
+        ("diff-below-average", (1,), True)]
+    assert all(f.enclosure is not None for f in forms)
+    assert len(zero_tests) == 3  # every check of this ladder is a tie
+
+
+def test_ladder_checks_settle_from_the_enclosed_values(monkeypatch):
+    """Each check inherits an enclosure from H_0..H_n that excludes 0, so no
+    check's terms are evaluated again."""
+    ladder = entropy_ladder(dinf_family(F(3, 4), 3), 7)
+
+    def evaluate(form, prec=80):
+        raise AssertionError(f"evaluated {form!r} at {prec} bits")
+
+    monkeypatch.setattr(LogLinear, "evaluate", evaluate)
+    checks = ladder.verify()
+    assert len(checks) == 7 * 6 // 2 + 2 * 6
+    assert all(c.ok for c in checks)
 
 
 def test_ladder_requires_positive_length():
@@ -125,11 +155,10 @@ def test_ladder_sum_matches_product_measure():
 def test_ladder_truncation_annotates_cap():
     mu = uniform_measure(IntegerLattice(2),
                          [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    with pytest.raises(measures.SupportCapError):
+    with pytest.raises(measures.SupportCapError) as info:
         entropy_ladder(mu, 8, cap=20)
-    ladder = entropy_ladder(mu, 8, cap=20, allow_truncation=True)
-    assert ladder.truncated
-    assert ladder.n_max < 8
+    assert info.value.completed < 8
+    assert f"largest completed power {info.value.completed}" in str(info.value)
 
 
 def test_ladder_rows_and_ratios():
@@ -138,7 +167,6 @@ def test_ladder_rows_and_ratios():
     assert [r["n"] for r in rows] == [0, 1, 2, 3]
     assert math.isnan(rows[0]["ratio"])
     assert rows[1]["ratio"] == ladder.values[1]
-    assert ladder.ratios()[0] == ladder.values[1]
     assert ladder.diffs()[0] == ladder.values[1]
 
 
@@ -177,6 +205,20 @@ def test_radial_increments_nonincreasing_to_plateau():
     diffs = ladder.diffs()
     assert all(diffs[i + 1] <= diffs[i] + 1e-9 for i in range(len(diffs) - 1))
     assert abs(diffs[-1] - 0.5 * math.log(3)) < 0.03
+
+
+def test_float_radial_ladder_matches_the_direct_loop():
+    """Bit for bit the values of the loop that recomputed log(sphere size)
+    for every k at every n."""
+    rank, n_max = 2, 300
+    expected = [0.0]
+    for n in range(1, n_max + 1):
+        h = 0.0
+        for k, q in enumerate(free_group_distance_distribution(rank, n)):
+            if q > 0:
+                h += -q * math.log(q) + q * math.log(sphere_size(rank, k))
+        expected.append(h)
+    assert free_group_srw_ladder(rank, n_max).values == expected
 
 
 # ---------------------------------------------------------------------------
