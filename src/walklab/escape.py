@@ -7,7 +7,9 @@ Three estimator families:
   tail with the exponential concentration bound
   ``mu^{*n}(e) <= 2 exp(-2 n mean^2 / (b - a)^2)`` for a drifted walk whose
   (projected) support lies in ``[a, b]``.  The result is a bracketing
-  interval, not a point guess.
+  interval, not a point guess.  On the line the series is summed exactly,
+  on integer numerators over ``D^n`` (``D`` the lcm of the step
+  denominators).
 * ``mc_escape``: Monte Carlo first-return sampling with per-sample
   counter-based streams; nested horizon checkpoints are evaluated on the
   same paths, so the reported estimates are nonincreasing by construction.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import exp, log, prod, sqrt
+from math import exp, lcm, log, prod, sqrt
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -144,26 +146,40 @@ def hoeffding_return_bound(bound: DriftBound, n: int) -> float:
 
 
 def _return_masses(values: list[int],
-                   weights: list[Fraction]) -> Iterator[Fraction]:
-    """Exact masses ``mu^{*n}(0)`` for n = 1, 2, ... of a 1-d lattice walk."""
-    dist: dict[int, Fraction] = {0: Fraction(1)}
-    while True:
-        nxt: dict[int, Fraction] = {}
-        for pos, w in dist.items():
-            for x, wx in zip(values, weights):
-                key = pos + x
-                if key in nxt:
-                    nxt[key] += w * wx
-                else:
-                    nxt[key] = w * wx
-        dist = nxt
-        yield dist.get(0, Fraction(0))
+                   weights: list[Fraction]) -> tuple[int, Iterator[int]]:
+    """``D`` and the numerators ``c_n`` of ``mu^{*n}(0) = c_n / D^n`` for
+    n = 1, 2, ... of a 1-d lattice walk, where ``D`` is the lcm of the step
+    denominators.
+
+    The law after n steps is a sparse dict of integer numerators over
+    ``D^n`` keyed by position, so a step costs multiply-adds and no gcd.
+    """
+    den = lcm(*(w.denominator for w in weights))
+    steps = [(x, w.numerator * (den // w.denominator))
+             for x, w in zip(values, weights)]
+
+    def numerators() -> Iterator[int]:
+        dist = {0: 1}
+        while True:
+            nxt: dict[int, int] = {}
+            for pos, c in dist.items():
+                for x, a in steps:
+                    key = pos + x
+                    if key in nxt:
+                        nxt[key] += c * a
+                    else:
+                        nxt[key] = c * a
+            dist = nxt
+            yield dist.get(0, 0)
+
+    return den, numerators()
 
 
 def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
     """Exact masses ``mu^{*n}(0)`` for n = 0 .. n_terms on the 1-d lattice."""
-    masses = _return_masses(*_z1_values_weights(mu))
-    return [Fraction(1), *islice(masses, n_terms)]
+    den, masses = _return_masses(*_z1_values_weights(mu))
+    return [Fraction(1), *(Fraction(c, den ** n)
+                           for n, c in enumerate(islice(masses, n_terms), 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +205,15 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
     q = exp(-bound.rate) * (1 + 1e-12)
     if q >= 1.0:
         raise EscapeError("degenerate concentration rate")
-    series = Fraction(1)
-    masses = islice(_return_masses(values, weights), max_terms)
-    for n, mass in enumerate(masses, 1):
-        series += mass
+    # the partial sum is series / scale with scale = D^n; int true division
+    # rounds correctly, as float(Fraction) does
+    den, masses = _return_masses(values, weights)
+    series = scale = 1
+    for n, c in enumerate(islice(masses, max_terms), 1):
+        series = series * den + c
+        scale *= den
         tail = 2.0 * q ** (n + 1) / (1.0 - q)
-        s_lo = float(series)
+        s_lo = series / scale
         s_hi = s_lo + tail
         lo = 1.0 / s_hi - _FLOAT_SLACK
         hi = 1.0 / s_lo + _FLOAT_SLACK

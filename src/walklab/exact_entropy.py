@@ -180,6 +180,16 @@ class LogLinear:
             self.enclosure = self._interval(_ENCLOSURE_PREC)
         return self
 
+    def enclosure_only(self) -> "LogLinear":
+        """This value known by its enclosure alone (filled by
+        :meth:`enclose`), with no coefficients carried.
+
+        Combinations of such values carry only the combined enclosure, so
+        their :meth:`sign` is the value's sign only where
+        :meth:`enclosure_sign` is nonzero.
+        """
+        return LogLinear._of({}, self.enclose().enclosure)
+
     def evaluate(self, prec: int = 80) -> tuple["mpmath.mpf", "mpmath.mpf"]:
         """Midpoint and radius of an outward-rounded enclosure of the value,
         computed from the coefficients at ``prec`` bits: the value lies in
@@ -195,6 +205,16 @@ class LogLinear:
         value, _ = self.evaluate(113)
         return float(value)
 
+    def enclosure_sign(self) -> int:
+        """+1 or -1 when :attr:`enclosure` excludes 0, else 0 (also when
+        there is no enclosure)."""
+        if self.enclosure is None:
+            return 0
+        lo, hi = self.enclosure
+        if mpf_sign(lo) > 0:
+            return 1
+        return -1 if mpf_sign(hi) < 0 else 0
+
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1.
 
@@ -202,14 +222,9 @@ class LogLinear:
         enclosures of the coefficients at increasing precision, and for a
         candidate tie by :meth:`is_zero`.
         """
-        if not self.coeffs:
-            return 0
-        if self.enclosure is not None:
-            lo, hi = self.enclosure
-            if mpf_sign(lo) > 0:
-                return 1
-            if mpf_sign(hi) < 0:
-                return -1
+        settled = self.enclosure_sign()
+        if settled or not self.coeffs:
+            return settled
         for prec in _SIGN_PRECS[:3]:
             value, err = self.evaluate(prec)
             if abs(value) > err:

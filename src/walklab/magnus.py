@@ -157,9 +157,11 @@ def generator_image(rank: int, length: int, letter: int) -> GroupElement:
 def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
     """Prefix-scan image of a reduced word at the given level."""
     spec = sdm_spec(rank, length)
+    images = {letter: generator_image(rank, length, letter)
+              for letter in dict.fromkeys(w)}
     acc = groups.identity(spec)
     for letter in w:
-        acc = groups.multiply(spec, acc, generator_image(rank, length, letter))
+        acc = groups.multiply(spec, acc, images[letter])
     return acc
 
 

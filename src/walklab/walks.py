@@ -92,17 +92,21 @@ class EntropyLadder:
         """Check subadditivity, nonincreasing diffs, and d_n <= H_n/n.
 
         Exact ladders are decided exactly: ``H_0 .. H_n`` are enclosed once
-        in outward-rounded intervals, so each check's form inherits an
-        enclosure and ``sign()`` re-evaluates only a check whose enclosure
-        contains 0.  Float ladders allow ``FLOAT_SLACK`` slack.
+        in outward-rounded intervals and each check is first evaluated on
+        those enclosures alone.  Only a check whose interval contains 0 is
+        built from the forms' coefficients, whose ``sign()`` re-evaluates
+        them and reaches the exact zero test on ties.  Float ladders allow
+        ``FLOAT_SLACK`` slack.
         """
         if self.forms is not None:
-            for form in self.forms:
-                form.enclose()
+            bounds = [form.enclosure_only() for form in self.forms]
         checks: list[LadderCheck] = []
         for name, index, expr in _ladder_checks(self.n_max):
             if self.forms is not None:
-                sign = expr(self.forms).sign()
+                probe = expr(bounds)
+                if not probe.enclosure_sign():
+                    probe = expr(self.forms)
+                sign = probe.sign()
                 ok = sign >= 0
                 detail = "" if ok else f"exact sign {sign}"
             else:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from math import exp
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walklab import escape, groups, measures, rng
 from walklab.escape import (
@@ -96,6 +100,76 @@ def test_hoeffding_dominates_exact_masses():
     masses = return_mass_series_z(mu, 40)
     for n, mass in enumerate(masses):
         assert float(mass) <= hoeffding_return_bound(b, n) + 1e-15
+
+
+def fraction_masses(mu):
+    """mu^{*n}(0) for n = 1, 2, ... by the dict-of-Fraction convolution that
+    the integer generator replaced (the reference)."""
+    dist = {0: F(1)}
+    while True:
+        nxt = {}
+        for pos, w in dist.items():
+            for (x,), wx in mu.atoms():
+                nxt[pos + x] = nxt.get(pos + x, F(0)) + w * wx
+        dist = nxt
+        yield dist.get(0, F(0))
+
+
+def z_law(steps, counts):
+    total = sum(counts)
+    return FiniteMeasure.from_pairs(
+        Z, [((x,), F(c, total)) for x, c in zip(steps, counts)])
+
+
+z_laws = st.integers(1, 5).flatmap(lambda size: st.builds(
+    z_law, st.lists(st.integers(-3, 3), min_size=size, max_size=size, unique=True),
+    st.lists(st.integers(1, 12), min_size=size, max_size=size)))
+
+
+@given(z_laws)
+@example(z_law((1, 0, -1, 2), (3, 4, 2, 3)))  # 1/4, 1/3, 1/6, 1/4: lcm 12
+@example(z_law((0,), (1,)))
+@settings(max_examples=60, deadline=None)
+def test_return_masses_match_fraction_convolution(mu):
+    assert return_mass_series_z(mu, 30) == [F(1), *islice(fraction_masses(mu), 30)]
+
+
+def test_return_masses_stay_sparse_for_wide_steps():
+    mu = FiniteMeasure.from_pairs(
+        Z, [((2 ** 40,), F(1, 4)), ((-2 ** 40,), F(1, 6)), ((1,), F(1, 3)),
+            ((-1,), F(1, 4))])
+    masses = return_mass_series_z(mu, 30)
+    assert masses == [F(1), *islice(fraction_masses(mu), 30)]
+    assert masses[2] == 2 * (F(1, 4) * F(1, 6) + F(1, 3) * F(1, 4))
+
+
+def fraction_escape_fields(mu, tol):
+    """The fields of exact_escape_drifted_z from the loop that summed the
+    visit series as a Fraction (the reference)."""
+    q = exp(-drift_bound_z(mu).rate) * (1 + 1e-12)
+    series = F(1)
+    for n, mass in enumerate(fraction_masses(mu), 1):
+        series += mass
+        tail = 2.0 * q ** (n + 1) / (1.0 - q)
+        s_lo = float(series)
+        s_hi = s_lo + tail
+        lo = 1.0 / s_hi - 1e-12
+        hi = 1.0 / s_lo + 1e-12
+        if hi - lo <= tol:
+            return (lo, hi, n, s_lo, s_hi, tail)
+
+
+@pytest.mark.parametrize("steps,counts", [
+    ((1, -1), (3, 1)),
+    ((2, -1), (1, 1)),
+    ((1, 0, -1), (6, 1, 1)),
+], ids=["3/4-1/4", "jump2-half", "identity-atom"])
+def test_exact_escape_matches_the_fraction_series(steps, counts):
+    mu = z_law(steps, counts)
+    est = exact_escape_drifted_z(mu, tol=1e-6)
+    d = est.details
+    assert ((est.lo, est.hi, est.n, d["series_lo"], d["series_hi"], d["tail_bound"])
+            == fraction_escape_fields(mu, 1e-6))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,22 @@ def test_enclosures_contain_the_precise_value(a, b, tie, q, n):
         assert_sign_of(LogLinear(form.coeffs), value)  # no inherited enclosure
 
 
+@given(small_forms, small_forms, st.integers(1, 9))
+@settings(max_examples=50)
+def test_enclosure_only_values_combine_like_their_forms(a, b, n):
+    """A check over enclosure-only values gets the enclosure that the same
+    check over the enclosed forms inherits, and the same sign wherever that
+    enclosure excludes 0."""
+    ao, bo = a.enclosure_only(), b.enclosure_only()
+    assert not ao.coeffs and ao.enclosure == a.enclosure
+    for form, only in ((a + b, ao + bo), ((a - b) / n - b, (ao - bo) / n - bo),
+                       (-a, -ao)):
+        assert only.enclosure == form.enclosure
+        assert only.enclosure_sign() == form.enclosure_sign()
+        if only.enclosure_sign():
+            assert only.sign() == form.sign() == only.enclosure_sign()
+
+
 # ---------------------------------------------------------------------------
 # entropy forms
 

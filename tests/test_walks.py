@@ -136,6 +136,28 @@ def test_ladder_checks_settle_from_the_enclosed_values(monkeypatch):
     assert all(c.ok for c in checks)
 
 
+class _NoArithmetic(LogLinear):
+    """A form whose sums, differences and multiples raise."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        raise AssertionError(f"built a check's form from {self!r}")
+
+    __sub__ = __add__
+    scale = __add__
+
+
+def test_verify_builds_no_form_for_checks_settled_by_enclosures():
+    """Every check of this ladder has an enclosure that excludes 0, so
+    ``verify`` must decide it without combining the forms' coefficients."""
+    ladder = entropy_ladder(dinf_family(F(3, 4), 3), 7)
+    forms = [_NoArithmetic(form.coeffs).enclose() for form in ladder.forms]
+    checks = EntropyLadder("no-arithmetic", ladder.values, forms).verify()
+    assert len(checks) == 7 * 6 // 2 + 2 * 6
+    assert all(c.ok for c in checks)
+
+
 def test_ladder_requires_positive_length():
     with pytest.raises(MeasureError):
         entropy_ladder(uniform_pm1(), 0)
