@@ -189,7 +189,7 @@ def _cmd_magnus(args) -> int:
             experiment="E7", samples=args.pairs), args)
     _refuse(args, f"magnus {args.magnus_command}",
             "--cap", "--float", "--format csv")
-    word = magnus.parse_word(args.word, args.d)
+    word = parsing.parse_word(args.word, args.d)
     if args.magnus_command == "check-identity":
         _emit("true" if magnus.is_identity(word, args.d, args.m) else "false",
               args.out)
@@ -208,10 +208,9 @@ def _cmd_magnus(args) -> int:
 def _run_experiment(cfg: experiments.ExperimentConfig, args) -> int:
     """Run ``cfg`` with the flags given on the command line overriding its
     fields, and write the report in the merged config's format and place."""
+    _refuse(args, "experiment (rational mode only)", "--float")
     overrides = {key: getattr(args, key) for key in ("seed", "cap", "fmt", "out")
                  if getattr(args, key) is not None}
-    if not args.exact:
-        overrides["exact"] = False
     cfg = dataclasses.replace(cfg, **overrides)
     report = experiments.run_experiment(cfg)
     _emit(report.ladder_csv() if cfg.fmt == "csv" else report.to_json(),

@@ -81,7 +81,6 @@ class ExperimentConfig:
     tol: float | None = None
     cap: int | None = None
     p: Fraction = Fraction(3, 4)
-    exact: bool = True
     out: str | None = None
     fmt: str = "json"
 
@@ -95,9 +94,6 @@ class ExperimentConfig:
             raise ConfigError("grid indices must be >= 1")
         if not 0 <= self.p <= 1:
             raise ConfigError(f"p must lie in [0, 1], got {self.p}")
-        if not self.exact:
-            raise ConfigError("experiments run in rational mode only; "
-                              "exact = false is not supported")
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -125,7 +121,6 @@ class ExperimentConfig:
             "tol": float,
             "cap": int,
             "p": Fraction,
-            "exact": lambda s: {"true": True, "false": False}[s.lower()],
             "out": str,
             "fmt": str,
         }
@@ -134,7 +129,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
                 kwargs[key] = converters[key](value)
-            except (ValueError, KeyError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
         if "experiment" not in kwargs:
             raise ConfigError("config must set 'experiment'")

@@ -1,8 +1,9 @@
 """Free words and the wreath-tower realisation of free solvable groups.
 
 A free word is a tuple of nonzero signed letters (``+i`` for the i-th
-generator, ``-i`` for its inverse), always freely reduced.  The level-``m``
-image of a word is computed by a prefix scan over generator images:
+generator, ``-i`` for its inverse), always freely reduced; word text is
+read by :func:`walklab.parsing.parse_word`.  The level-``m`` image of a word
+is computed by a prefix scan over generator images:
 
 * level 1 is abelianisation to the integer lattice;
 * at level ``m >= 2`` the generator ``x_i`` maps to the wreath element with
@@ -18,7 +19,7 @@ cross-check of the scan and is used by the tests.
 
 from __future__ import annotations
 
-import re
+from functools import lru_cache
 from random import Random
 
 from . import groups
@@ -28,7 +29,7 @@ FreeWord = tuple[int, ...]
 
 
 class WordError(ValueError):
-    """Malformed word text or out-of-range letters."""
+    """Out-of-range letters or bad word-sampling arguments."""
 
 
 # ---------------------------------------------------------------------------
@@ -38,84 +39,6 @@ class WordError(ValueError):
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     return concat_words(concat_words(u, v),
                         concat_words(invert_word(u), invert_word(v)))
-
-
-_TOKEN = re.compile(r"\s*(?:([xX])(\d+)(?:\^(-?\d+))?|(\[)|(\])|(,)|(\*)|(e))")
-_POWER = re.compile(r"\s*\^(-?\d+)")
-
-
-def parse_word(text: str, rank: int | None = None) -> FreeWord:
-    """Parse word syntax: letters ``x1..xd``, inverses ``X1`` or ``x1^-1``,
-    powers ``x2^3``, commutator brackets ``[u,v]`` (which may also carry a
-    power, as in ``[x1,x2]^-1``), optional ``*`` and whitespace, and ``e``
-    for the empty word."""
-
-    pos = 0
-    n = len(text)
-
-    def parse_seq(depth: int) -> tuple[FreeWord, str | None]:
-        nonlocal pos
-        acc: FreeWord = ()
-        while pos < n:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise WordError(f"unexpected input at {text[pos:]!r}")
-            pos = m.end()
-            if m.group(1):
-                index = int(m.group(2))
-                if index < 1 or (rank is not None and index > rank):
-                    raise WordError(f"letter index {index} out of range")
-                letter = index if m.group(1) == "x" else -index
-                power = int(m.group(3)) if m.group(3) else 1
-                if m.group(1) == "X" and m.group(3):
-                    raise WordError("write either X1 or x1^-1, not both")
-                if power < 0:
-                    letter, power = -letter, -power
-                acc = concat_words(acc, (letter,) * power)
-            elif m.group(4):  # [
-                u, stop = parse_inner()
-                power_match = _POWER.match(text, pos)
-                if power_match:
-                    pos = power_match.end()
-                    power = int(power_match.group(1))
-                    if power < 0:
-                        u, power = invert_word(u), -power
-                    repeated: FreeWord = ()
-                    for _ in range(power):
-                        repeated = concat_words(repeated, u)
-                    u = repeated
-                acc = concat_words(acc, u)
-            elif m.group(5):  # ]
-                if depth == 0:
-                    raise WordError("unbalanced ']'")
-                return acc, "]"
-            elif m.group(6):  # ,
-                if depth == 0:
-                    raise WordError("unexpected ','")
-                return acc, ","
-            elif m.group(7) or m.group(8):  # '*' or 'e'
-                continue
-        return acc, None
-
-    def parse_inner() -> tuple[FreeWord, None]:
-        nonlocal pos
-        u, stop = parse_seq(1)
-        if stop != ",":
-            raise WordError("commutator needs two parts: [u,v]")
-        v, stop = parse_seq(1)
-        if stop != "]":
-            raise WordError("unbalanced '['")
-        return commutator(u, v), None
-
-    word, stop = parse_seq(0)
-    if stop is not None:
-        raise WordError(f"unbalanced {stop!r}")
-    if pos < n and text[pos:].strip():
-        raise WordError(f"trailing input {text[pos:]!r}")
-    return word
 
 
 def word_to_text(w: FreeWord) -> str:
@@ -143,8 +66,10 @@ def abelianize_word(w: FreeWord, rank: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+@lru_cache(maxsize=None)
 def generator_image(rank: int, length: int, letter: int) -> GroupElement:
-    """Image of the single letter ``+-i`` at the given level."""
+    """Image of the single letter ``+-i`` at the given level (cached: every
+    word at that level reuses it)."""
     if letter == 0 or abs(letter) > rank:
         raise WordError(f"letter {letter} out of range for rank {rank}")
     e_i = tuple(1 if j == abs(letter) - 1 else 0 for j in range(rank))
@@ -157,11 +82,9 @@ def generator_image(rank: int, length: int, letter: int) -> GroupElement:
 def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
     """Prefix-scan image of a reduced word at the given level."""
     spec = sdm_spec(rank, length)
-    images = {letter: generator_image(rank, length, letter)
-              for letter in dict.fromkeys(w)}
     acc = groups.identity(spec)
     for letter in w:
-        acc = groups.multiply(spec, acc, images[letter])
+        acc = groups.multiply(spec, acc, generator_image(rank, length, letter))
     return acc
 
 

@@ -182,19 +182,14 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
 
 def convolution_power(mu: FiniteMeasure, n: int,
                       cap: int = DEFAULT_SUPPORT_CAP) -> FiniteMeasure:
-    """n-fold convolution power (square-and-multiply above small n)."""
+    """n-fold convolution power, one step at a time: each step costs
+    |mu^k| * |mu| products, where squaring mu^k would cost |mu^k|^2."""
     if n < 0:
         raise MeasureError("convolution power needs n >= 0")
     if n == 0:
         return point_mass(mu.spec, groups.identity(mu.spec), exact=mu.exact)
-    if n <= 16:
-        acc = mu
-        for _ in range(n - 1):
-            acc = convolve(acc, mu, cap)
-        return acc
-    half = convolution_power(mu, n // 2, cap)
-    acc = convolve(half, half, cap)
-    if n % 2:
+    acc = mu
+    for _ in range(n - 1):
         acc = convolve(acc, mu, cap)
     return acc
 

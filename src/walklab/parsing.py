@@ -14,10 +14,15 @@ Group specs::
 Elements (per spec):
 
 * lattice / cyclic: ``3``, ``(1, -2)``; ``e`` is always the identity
-* free groups and free solvable groups: words ``x1 X2 x3^-1 [x1,x2]``
-  (``X i`` is the inverse of ``x i``)
-* dihedral and Baumslag-Solitar: words in the generators ``a``, ``b`` with
-  integer powers (``a b^-2``), or the normal-form pair ``(t, f)`` / ``(m, n)``
+* words, one grammar for free, free solvable, dihedral and Baumslag-Solitar
+  groups: letters and commutators ``[u, v]``, each with an optional integer
+  power, e.g. ``x1 X2 x3^-1 [x1, x2]^2``; ``*`` and ``e`` may appear
+  anywhere and mean nothing.  The letters are ``x1..xd`` and their inverses
+  ``X1..Xd`` (which take no power) in ``Fd`` and ``S(d, m)``, and ``a``,
+  ``b`` in Dinf and BS(1,-1) (``a b^-2``).  A free solvable word is read as
+  a free word and then embedded (:func:`walklab.magnus.magnus_embed`).
+* dihedral and Baumslag-Solitar also take the normal-form pair ``(t, f)`` /
+  ``(m, n)``; level-1 free solvable groups take the lattice vector ``(2, -1)``
 * direct products: ``(left | right)``
 * wreath products: products of factors ``lamp(site: value)`` and
   ``base(position)``, e.g. ``lamp(0: 1) lamp(2: 1) base(-1)``
@@ -52,6 +57,7 @@ from .groups import (
     IntegerLattice,
     Wreath,
 )
+from .magnus import FreeWord
 # f2_uniform is unused here; it is re-exported so that all the family laws
 # stay importable from this module as well as from measures.
 from .measures import (  # noqa: F401
@@ -127,7 +133,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer")
@@ -253,29 +259,6 @@ def spec_to_text(spec: GroupSpec) -> str:
 # ---------------------------------------------------------------------------
 # elements
 
-_WORD_STOP = ':)|;},"'
-
-
-def _word_span(sc: _Scanner) -> str:
-    """Take the maximal balanced-commutator span usable as a free word."""
-    sc.skip_ws()
-    start = sc.pos
-    depth = 0
-    while sc.pos < len(sc.text):
-        c = sc.text[sc.pos]
-        if c == "[":
-            depth += 1
-        elif c == "]":
-            if depth == 0:
-                break
-            depth -= 1
-        elif depth == 0 and c in _WORD_STOP:
-            break
-        sc.pos += 1
-    if sc.pos == start:
-        raise sc.error("expected a word")
-    return sc.text[start:sc.pos]
-
 
 def _int_tuple(sc: _Scanner, dim: int) -> tuple[int, ...]:
     if sc.peek() == "(":
@@ -291,28 +274,77 @@ def _int_tuple(sc: _Scanner, dim: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _letter_word(sc: _Scanner, spec: GroupSpec,
-                 letters: dict[str, GroupElement]) -> GroupElement:
-    """Products of single-letter generators with optional integer powers."""
+_LETTERS = {Dihedral: {"a": groups.DINF_A, "b": groups.DINF_B},
+            BaumslagSolitar: {"a": groups.BS_A, "b": groups.BS_B}}
+
+
+def _power(spec: GroupSpec, g: GroupElement, n: int) -> GroupElement:
+    """g^n by square-and-multiply (linear in the result for free words)."""
+    if n < 0:
+        g, n = groups.inverse(spec, g), -n
     out = groups.identity(spec)
-    seen = False
+    while n:
+        if n & 1:
+            out = groups.multiply(spec, out, g)
+        n >>= 1
+        if n:
+            g = groups.multiply(spec, g, g)
+    return out
+
+
+def _word(sc: _Scanner, spec: GroupSpec) -> GroupElement:
+    """The product, left to right, of the factors at ``sc``: letters and
+    commutators ``[u, v]`` (= u v u^-1 v^-1), each with an optional integer
+    power ``^n``, and the no-op factors ``*`` and ``e``.  Letters are
+    ``x<i>`` and its inverse ``X<i>`` (no power) in ``FreeGroup(d)``, and
+    ``a``, ``b`` in Dinf and BS(1,-1).  Stops before the first character
+    that starts no factor; reads nothing on empty input."""
+    letters = _LETTERS.get(type(spec), {})
+    out = groups.identity(spec)
     while True:
         c = sc.peek()
-        if c == "e":
-            sc.expect("e")
-            seen = True
+        if c in ("*", "e"):
+            sc.pos += 1
             continue
-        if c not in letters:
-            break
-        sc.expect(c)
-        seen = True
-        power = sc.integer() if sc.try_lit("^") else 1
-        gen = letters[c] if power >= 0 else groups.inverse(spec, letters[c])
-        for _ in range(abs(power)):
-            out = groups.multiply(spec, out, gen)
-    if not seen:
-        raise sc.error("expected a generator word")
-    return out
+        if c == "[":
+            sc.pos += 1
+            u = _word(sc, spec)
+            sc.expect(",")
+            v = _word(sc, spec)
+            sc.expect("]")
+            g = groups.multiply(spec, groups.multiply(spec, u, v),
+                                groups.inverse(spec, groups.multiply(spec, v, u)))
+        elif c in ("x", "X") and type(spec) is FreeGroup:
+            sc.pos += 1
+            digits = sc.pos
+            while sc.pos < len(sc.text) and sc.text[sc.pos].isdecimal():
+                sc.pos += 1
+            if sc.pos == digits:
+                raise sc.error("expected a letter index")
+            index = int(sc.text[digits:sc.pos])
+            if not 1 <= index <= spec.rank:
+                raise sc.error(f"letter index {index} out of range 1..{spec.rank}")
+            g = (index,) if c == "x" else (-index,)
+        elif c in letters:
+            sc.pos += 1
+            g = letters[c]
+        else:
+            return out
+        if sc.try_lit("^"):
+            if c == "X":
+                raise sc.error("write either X1 or x1^-1, not both")
+            g = _power(spec, g, sc.integer())
+        out = groups.multiply(spec, out, g)
+
+
+def parse_word(text: str, rank: int) -> FreeWord:
+    """A word of ``FreeGroup(rank)`` as a reduced letter tuple (see
+    :func:`_word`); empty text is the empty word."""
+    sc = _Scanner(text)
+    w = _word(sc, FreeGroup(rank))
+    if not sc.eof():
+        raise sc.error("trailing input after word")
+    return w
 
 
 def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
@@ -327,30 +359,21 @@ def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
         return _int_tuple(sc, spec.dim)
     if t is Cyclic:
         return sc.integer() % spec.modulus
-    if t is FreeGroup:
-        try:
-            return magnus.parse_word(_word_span(sc), spec.rank)
-        except magnus.WordError as exc:
-            raise sc.error(str(exc)) from None
-    if t is FreeSolvable:
-        if spec.length == 1 and sc.peek() in "(+-0123456789":
-            return _int_tuple(sc, spec.rank)
-        try:
-            word = magnus.parse_word(_word_span(sc), spec.rank)
-        except magnus.WordError as exc:
-            raise sc.error(str(exc)) from None
-        return magnus.magnus_embed(word, spec.rank, spec.length)
-    if t is Dihedral:
-        if sc.peek() == "(":
-            trans, flip = _int_tuple(sc, 2)
-            if flip not in (0, 1):
-                raise sc.error("flip bit must be 0 or 1")
-            return (trans, flip)
-        return _letter_word(sc, spec, {"a": groups.DINF_A, "b": groups.DINF_B})
-    if t is BaumslagSolitar:
-        if sc.peek() == "(":
-            return _int_tuple(sc, 2)
-        return _letter_word(sc, spec, {"a": groups.BS_A, "b": groups.BS_B})
+    if t is FreeSolvable and spec.length == 1 and sc.peek() in "(+-0123456789":
+        return _int_tuple(sc, spec.rank)
+    if t in (Dihedral, BaumslagSolitar) and sc.peek() == "(":
+        pair = _int_tuple(sc, 2)
+        if t is Dihedral and pair[1] not in (0, 1):
+            raise sc.error("flip bit must be 0 or 1")
+        return pair
+    if t in (FreeGroup, FreeSolvable, Dihedral, BaumslagSolitar):
+        start = sc.pos
+        g = _word(sc, FreeGroup(spec.rank) if t is FreeSolvable else spec)
+        if sc.pos == start:
+            raise sc.error("expected a word")
+        if t is FreeSolvable:
+            return magnus.magnus_embed(g, spec.rank, spec.length)
+        return g
     if t is DirectProduct:
         sc.expect("(")
         left = _element(sc, spec.left)

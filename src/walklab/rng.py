@@ -13,6 +13,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _COUNT_ATOMS = 32  # longest table drawn by counting comparisons
+_FIRST_CHUNK, _CHUNK_FACTOR, _LARGEST_CHUNK = 512, 4, 65_536
 
 
 def cumulative(mu) -> tuple[list, np.ndarray]:
@@ -46,14 +47,13 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_schedule(horizon: int, first: int = 512, factor: int = 4,
-                   largest: int = 65_536):
-    """Deterministic chunk sizes covering ``horizon`` draws."""
+def chunk_schedule(horizon: int):
+    """Deterministic chunk sizes covering ``horizon`` draws: ``_FIRST_CHUNK``,
+    then ``_CHUNK_FACTOR`` times larger each time, up to ``_LARGEST_CHUNK``."""
     remaining = horizon
-    size = first
+    size = _FIRST_CHUNK
     while remaining > 0:
         take = min(size, remaining)
         yield take
         remaining -= take
-        if size < largest:
-            size = min(size * factor, largest)
+        size = min(size * _CHUNK_FACTOR, _LARGEST_CHUNK)

@@ -80,7 +80,7 @@ def test_criterion_04_solvable_embedding(criterion):
                         magnus.magnus_embed(v, d, m))
                     assert lhs == rhs, f"homomorphism broke at d={d}, m={m}"
 
-        comm = magnus.parse_word("[x1, x2]", 2)
+        comm = parsing.parse_word("[x1, x2]", 2)
         img = magnus.magnus_embed(comm, 2, 2)
         lamps, pos = img
         assert dict(lamps) == {(0, 0): (1, -1), (1, 0): (0, 1),

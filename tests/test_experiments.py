@@ -32,7 +32,6 @@ F = Fraction
 def test_config_defaults():
     cfg = ExperimentConfig("E6")
     assert cfg.seed == 7
-    assert cfg.exact
     assert cfg.fmt == "json"
     assert cfg.p == F(3, 4)
 
@@ -46,7 +45,6 @@ def test_config_from_text_full():
         n_max = 6
         tol = 1e-3
         p = 2/3
-        exact = true
         fmt = csv
     """)
     assert cfg.experiment == "E4"
@@ -70,6 +68,7 @@ def test_config_round_trip_through_dict():
     ("experiment = E9", "unknown experiment"),
     ("seed = 1", "must set 'experiment'"),
     ("experiment = E1\nseed = x", "bad value"),
+    ("experiment = E1\np = 1/0", "bad value"),
     ("experiment = E1\nseed = 1\nseed = 2", "duplicate"),
     ("experiment = E1\nwidth = 3", "unknown config key"),
     ("experiment E1", "expected 'key = value'"),
@@ -86,10 +85,10 @@ def test_config_validation():
         ExperimentConfig("E1", k_grid=(0,))
     with pytest.raises(ConfigError):
         ExperimentConfig("E1", p=F(5, 4))
-    with pytest.raises(ConfigError, match="rational mode only"):
-        ExperimentConfig("E6", exact=False)
-    with pytest.raises(ConfigError, match="rational mode only"):
-        ExperimentConfig.from_text("experiment = E6\nexact = false")
+    # experiments run in rational mode only, so there is no 'exact' key
+    for value in ("true", "false"):
+        with pytest.raises(ConfigError, match="unknown config key 'exact'"):
+            ExperimentConfig.from_text(f"experiment = E6\nexact = {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +180,13 @@ def test_ladder_cache_checks_the_law(monkeypatch):
 # must leave them unchanged; a deliberate change of numbers or report layout
 # updates them.
 REPLAY_SHA256 = {
-    "E1": "abd01229fe1829d2ac72b3be44afbc4268f441e5bc31214c60f3241b7928424d",
-    "E2": "d54b18ef93578d5a0d927861b3a4943b90f17aad4bf91edca8a435a2b51b878b",
-    "E3": "522c3e13d828d3e1cdc5f9f8de4fd1eee5e55bf56bcd972a892bbe05fddc2db9",
-    "E4": "8107dcac786156e47027cf8b07590c7b5e9f9806265f3bdc47b7e02e03826a93",
-    "E5": "4e8a433e683a968f0888a1c948350e5f0af597314607c2fc13e0d359262c8c1b",
-    "E6": "7568b9a52a8f173ad278e848eb63a96fe1c332b02c17543634d473d4a7cc472c",
-    "E7": "b0c1535e0ca313ffdd962f7c58086614533f6f73d72031e5027fb0b59103a5d7",
+    "E1": "b1e931d433cc65fb3f6c7318213d3340738e2dce7dd301aa00e31169f519c4d9",
+    "E2": "20f6358a3e1cdcd5f30abe73b15512a49d42dd9b8fbb1c2f7f28f3aad3843f9c",
+    "E3": "1b97890d862222bb33d146036f812659f7d0dca0bcd965157083d1e45bf8b3c6",
+    "E4": "bf7f585a8b34fe1a3c18517afe605b73ed5921bdd008321fa2dfd7046ecccdd3",
+    "E5": "b1f1a60ddcb44db2c9e7e285416b976ed0a54145f443ce37985ea6fa8e0d7872",
+    "E6": "894bb9f3f7a216d59f47793208d8107dadd0fc5358ccc536aa33f57b5b189a58",
+    "E7": "39b5f51dcd0a612c33500b32710e64ddad02d45cbb5cbc10924d8b70a5566b1f",
 }
 
 
@@ -371,6 +370,7 @@ def test_cli_error_exit_codes(capsys):
         ["list", "--cap", "3"],
         ["list", "--float"],
         ["ladder", "dinf(p=3/4, k=2)", "--nmax", "2", "--seed", "5"],
+        ["magnus", "suite", "--pairs", "2", "--float"],
     ]
     for argv in ignored:
         assert cli.main(argv) == 2, argv

@@ -18,12 +18,12 @@ from walklab.magnus import (
     is_identity,
     magnus_embed,
     matrix_embed,
-    parse_word,
     random_derived_series_word,
     random_reduced_word,
     sdm_spec,
     word_to_text,
 )
+from walklab.parsing import GrammarError, parse_word
 
 COMM = (1, 2, -1, -2)  # the commutator of the first two generators
 
@@ -61,12 +61,15 @@ def test_parse_word_examples():
 
 
 def test_parse_word_rejects_bad_input():
-    with pytest.raises(WordError):
+    with pytest.raises(GrammarError):
         parse_word("x3", 2)
-    with pytest.raises(WordError):
+    with pytest.raises(GrammarError):
         parse_word("y1", 2)
-    with pytest.raises(WordError):
+    with pytest.raises(GrammarError):
         parse_word("[x1 x2", 2)
+    for text in ("x0", "X1^-1", "x1]", "x1,", "[x1]", "[x1, x2"):
+        with pytest.raises(GrammarError):
+            parse_word(text, 2)
 
 
 def test_word_text_round_trip():

@@ -27,6 +27,7 @@ from walklab.parsing import (
     parse_group,
     parse_measure,
     parse_measure_or_family,
+    parse_word,
     spec_to_text,
 )
 
@@ -141,7 +142,7 @@ def test_wreath_over_dihedral_round_trip():
 
 def test_free_solvable_elements():
     s22 = FreeSolvable(2, 2)
-    word = magnus.parse_word("x1 [x1, x2]", 2)
+    word = parsing.parse_word("x1 [x1, x2]", 2)
     assert parse_element(s22, "x1 [x1, x2]") == magnus.magnus_embed(word, 2, 2)
     assert parse_element(s22, "e") == groups.identity(s22)
     # level 1 is the abelianization; vectors are accepted there
@@ -192,6 +193,12 @@ def test_free_solvable_round_trip_one_way():
         assert ("lamp(" in text) or text == "e"
 
 
+# texts that are no word of rank 2: index out of range, X with a power,
+# unbalanced brackets, a stray comma, a one-part commutator, a foreign letter
+BAD_FREE_WORDS = ["x3", "x0", "X1^-1", "x1]", "x1,", "[x1]", "[x1, x2",
+                  "[x1, x2, x1]", "y1", "x1^2^3"]
+
+
 @pytest.mark.parametrize("spec,text", [
     (Cyclic(5), "x1"),
     (FreeGroup(2), "x3"),
@@ -201,10 +208,129 @@ def test_free_solvable_round_trip_one_way():
     (IntegerLattice(2), "(1, 2, 3)"),
     (Wreath(Cyclic(2), IntegerLattice(1)), "lamp(0 1)"),
     (IntegerLattice(1), "4 trailing"),
+    *[(spec, text) for spec in (FreeGroup(2), FreeSolvable(2, 2))
+      for text in BAD_FREE_WORDS + ["", "  "]
+      if spec == FreeSolvable(2, 2) or text not in ("x3", "[x1, x2")],
+    *[(spec, text) for spec in (DINF, BS11)
+      for text in ["", "  ", "a]", "a,", "[a]", "[a, b", "x1", "a^\u00b2"]],
 ])
 def test_bad_element_texts(spec, text):
     with pytest.raises(GrammarError):
         parse_element(spec, text)
+
+
+# ---------------------------------------------------------------------------
+# one word grammar, against an independent fold of the word's structure
+#
+# A word is a list of factors: ("letter", (text, element, takes_power),
+# power), ("comm", u, v, power) or ("noop", "*" | "e"); power is None or an
+# integer.
+
+
+def _free_letters(rank, image):
+    return [(f"{c}{i}", image(s * i), c == "x")
+            for i in range(1, rank + 1) for c, s in (("x", 1), ("X", -1))]
+
+
+WORD_SPECS = {
+    "F2": (FreeGroup(2), _free_letters(2, lambda letter: (letter,))),
+    "F3": (FreeGroup(3), _free_letters(3, lambda letter: (letter,))),
+    "S(2,2)": (FreeSolvable(2, 2), _free_letters(
+        2, lambda letter: magnus.generator_image(2, 2, letter))),
+    "Dinf": (DINF, [("a", groups.DINF_A, True), ("b", groups.DINF_B, True)]),
+    "BS(1,-1)": (BS11, [("a", groups.BS_A, True), ("b", groups.BS_B, True)]),
+}
+
+
+def _random_word(rnd, letters, depth=2, head=True):
+    """A random word; with ``head`` it is nonempty and starts with a letter
+    or commutator (an element text starting with a lone "e" is the identity
+    alone)."""
+    word = []
+    for i in range(rnd.randint(1 if head else 0, 4)):
+        kind = rnd.random()
+        if kind < 0.2 and not (head and i == 0):
+            word.append(("noop", rnd.choice("*e")))
+            continue
+        power = rnd.choice([None, None, -3, -2, -1, 0, 1, 2, 3])
+        if depth and kind < 0.45:
+            u = _random_word(rnd, letters, depth - 1, head=False)
+            v = _random_word(rnd, letters, depth - 1, head=False)
+            word.append(("comm", u, v, power))
+        else:
+            letter = rnd.choice(letters)
+            word.append(("letter", letter, power if letter[2] else None))
+    return word
+
+
+def _render(word, rnd):
+    def gap():
+        return rnd.choice(["", " ", "  ", "\t"])
+
+    out = []
+    for f in word:
+        if f[0] == "noop":
+            out.append(gap() + f[1])
+            continue
+        if f[0] == "letter":
+            text = f[1][0]
+        else:
+            text = (f"[{gap()}{_render(f[1], rnd)}{gap()},{gap()}"
+                    f"{_render(f[2], rnd)}{gap()}]")
+        if f[-1] is not None:
+            sign = "+" if f[-1] >= 0 and rnd.random() < 0.3 else ""
+            text += f"{gap()}^{gap()}{sign}{f[-1]}"
+        out.append(gap() + text)
+    return "".join(out) + gap()
+
+
+def _fold(spec, word):
+    out = groups.identity(spec)
+    for f in word:
+        if f[0] == "noop":
+            continue
+        if f[0] == "letter":
+            g = f[1][1]
+        else:
+            u, v = _fold(spec, f[1]), _fold(spec, f[2])
+            g = groups.identity(spec)
+            for h in (u, v, groups.inverse(spec, u), groups.inverse(spec, v)):
+                g = groups.multiply(spec, g, h)
+        power = 1 if f[-1] is None else f[-1]
+        step = g if power >= 0 else groups.inverse(spec, g)
+        for _ in range(abs(power)):
+            out = groups.multiply(spec, out, step)
+    return out
+
+
+@pytest.mark.parametrize("name", list(WORD_SPECS))
+def test_words_parse_to_the_folded_structure(name):
+    spec, letters = WORD_SPECS[name]
+    rnd = random.Random(name)
+    for _ in range(300):
+        word = _random_word(rnd, letters)
+        text = _render(word, rnd)
+        expected = _fold(spec, word)
+        assert parse_element(spec, text) == expected, text
+        if type(spec) is FreeGroup:
+            assert parse_word(text, spec.rank) == expected, text
+            assert parse_word("e * " + text, spec.rank) == expected, text
+
+
+def test_word_grammar_examples():
+    assert parse_word("", 2) == parse_word(" e * ", 2) == ()
+    assert parse_word("x1 ^ -1", 2) == parse_word("x1^+1 X1 X1", 2) == (-1,)
+    assert parse_word("[x1, x2]^2", 2) == (1, 2, -1, -2) * 2
+    assert parse_word("[[x1, x2], x1]", 2) == magnus.commutator(
+        magnus.commutator((1,), (2,)), (1,))
+    assert parse_word("x1^1000", 1) == (1,) * 1000
+    # Dinf and BS(1,-1) read the same grammar over a and b
+    assert parse_element(DINF, "[a, b]") == parse_element(DINF, "a b a^-1 b^-1")
+    assert parse_element(BS11, "a * b^2 e") == (1, 2)
+    # an element text starting with a lone e is the identity alone
+    with pytest.raises(GrammarError):
+        parse_element(FreeGroup(2), "e x1")
+    assert parse_element(FreeGroup(2), "x1 e") == (1,)
 
 
 # ---------------------------------------------------------------------------
