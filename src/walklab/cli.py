@@ -188,7 +188,7 @@ def _cmd_magnus(args) -> int:
         return _run_experiment(experiments.ExperimentConfig(
             experiment="E7", samples=args.pairs), args)
     _refuse(args, f"magnus {args.magnus_command}",
-            "--cap", "--float", "--format csv")
+            "--seed", "--cap", "--float", "--format csv")
     word = parsing.parse_word(args.word, args.d)
     if args.magnus_command == "check-identity":
         _emit("true" if magnus.is_identity(word, args.d, args.m) else "false",
@@ -254,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_experiment_run(args)
         if args.command == "list":
             return _cmd_list(args)
-    except (parsing.GrammarError, measures.MeasureError, escape.EscapeError,
+    except (parsing.GrammarError, measures.MeasureError,
+            measures.SupportCapError, escape.EscapeError,
             experiments.ConfigError, magnus.WordError,
             groups.GroupError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")

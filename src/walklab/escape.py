@@ -564,6 +564,8 @@ def induced_measure_on_subgroup(mu: FiniteMeasure,
 
     Exact (rational mode).  The walk is stopped on entry; mass still outside
     after ``horizon`` steps is the tail, which must not exceed ``mass_tol``.
+    Each step is one :func:`measures.convolve` under the default support
+    cap, so mass spreading over too many sites raises ``SupportCapError``.
     """
     if not mu.exact:
         raise MeasureError("induced measures require the rational weight mode")
@@ -574,16 +576,9 @@ def induced_measure_on_subgroup(mu: FiniteMeasure,
     captured: dict[GroupElement, Fraction] = {}
     outside: dict[GroupElement, Fraction] = {ident: Fraction(1)}
     for _ in range(horizon):
-        stepped: dict[GroupElement, Fraction] = {}
-        for g, w in outside.items():
-            for h, wh in mu.atoms():
-                prod = groups.multiply(spec, g, h)
-                if prod in stepped:
-                    stepped[prod] += w * wh
-                else:
-                    stepped[prod] = w * wh
+        stepped = measures.convolve(FiniteMeasure(spec, outside, True), mu)
         outside = {}
-        for g, w in stepped.items():
+        for g, w in stepped.atoms():
             if member(g):
                 captured[g] = captured.get(g, Fraction(0)) + w
             else:

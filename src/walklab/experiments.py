@@ -227,16 +227,51 @@ def _ladder_expectation(name: str, summaries: list[dict[str, Any]]) -> dict[str,
         + (f"; failing: {', '.join(bad)}" if bad else ""))
 
 
-def _mc_checkpoint_checks(est: escape.EscapeEstimate) -> tuple[bool, bool, float]:
-    """(nonincreasing over nested horizons, final below 0.1, final value)."""
-    points = est.details["checkpoints"]
-    values = [c["value"] for c in points]
-    mono = all(values[i] >= values[i + 1] for i in range(len(values) - 1))
-    return mono, values[-1] < 0.1, values[-1]
+def _mc_estimate(cfg: ExperimentConfig, samples: int) -> Callable:
+    """Monte Carlo escape at the grid seed, checkpointed at 10^3..10^5."""
+    horizon = cfg.horizon or 100_000
+    points = sorted({min(10 ** i, horizon) for i in (3, 4, 5)} | {horizon})
+    return lambda mu, seed: escape.mc_escape(
+        mu, horizon, cfg.samples or samples, seed, checkpoints=points)
 
 
-def _checkpoints(horizon: int) -> list[int]:
-    return sorted({min(10 ** i, horizon) for i in (3, 4, 5)} | {horizon})
+def _family_rows(cfg: ExperimentConfig,
+                 laws: list[tuple[str, str, str, FiniteMeasure]],
+                 estimate: Callable, n_max: int, group: str,
+                 seed_base: int = 0) -> tuple[list[dict], list]:
+    """One row per ``(grid, ladder label, measure text, law)``: the escape
+    record of ``estimate(law, grid seed)``, its checkpoints when sampled,
+    and the summary of the law's cached exact ladder.  Returns the rows
+    and the estimates."""
+    cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
+    rows, estimates = [], []
+    for idx, (grid, label, text, mu) in enumerate(laws):
+        est = estimate(mu, _grid_seed(cfg.seed, seed_base + idx))
+        row = {"grid": grid, "escape": est.to_record(group=group, measure=text)}
+        if est.method == "monte-carlo":
+            row["checkpoints"] = est.details["checkpoints"]
+        row["ladder"] = cached_exact_ladder(mu, n_max, label, cap).summary()
+        rows.append(row)
+        estimates.append(est)
+    return rows, estimates
+
+
+def _mc_expectations(prefix: str, k_grid: tuple[int, ...],
+                     estimates: list[escape.EscapeEstimate]) -> list[dict]:
+    """Checkpoint estimates nonincreasing over nested horizons, and every
+    final-horizon estimate below 0.1 (an unprefixed name is E2's)."""
+    values = [[c["value"] for c in est.details["checkpoints"]]
+              for est in estimates]
+    mono = all(v[i] >= v[i + 1] for v in values for i in range(len(v) - 1))
+    finals = [(k, v[-1]) for k, v in zip(k_grid, values)]
+    return [
+        _expect(f"{prefix}-mc-nonincreasing" if prefix
+                else "mc-nonincreasing-in-horizon", mono,
+                "checkpoint estimates evaluated on shared sample paths"),
+        _expect(f"{prefix}-mc-final-below-0.1" if prefix
+                else "mc-final-below-0.1", all(v < 0.1 for _, v in finals),
+                f"final-horizon estimates {[(k, round(v, 5)) for k, v in finals]}"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,34 +292,24 @@ def _e1_panels() -> list[tuple[str, FiniteMeasure, FiniteMeasure, float]]:
 
 def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     k_grid = cfg.k_grid or (1, 2, 4, 8, 16, 32)
-    n_max = cfg.n_max or 16
-    cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     results: list[dict] = []
     expectations: list[dict] = []
     for panel, limit_mu, spread_mu, panel_tol in _e1_panels():
         tol = cfg.tol or panel_tol
-        limit_est = escape.auto_escape(limit_mu, tol=tol)
-        gaps: list[tuple[float, float]] = []
-        for k in k_grid:
-            mu = measures.mix(limit_mu, spread_mu, Fraction(1, k))
-            est = escape.auto_escape(mu, tol=tol)
-            ladder = cached_exact_ladder(mu, n_max, f"e1-{panel}(k={k})", cap)
-            gap = abs(est.value - limit_est.value)
-            slack = (est.hi - est.lo) + (limit_est.hi - limit_est.lo)
-            gaps.append((gap, slack))
-            results.append({
-                "grid": f"{panel} k={k}",
-                "escape": est.to_record(group=panel, measure=f"mix(1/{k})"),
-                "gap_to_limit": gap,
-                "ladder": ladder.summary(),
-            })
-        limit_ladder = cached_exact_ladder(
-            limit_mu, n_max, f"e1-{panel}(limit)", cap)
-        results.append({
-            "grid": f"{panel} limit",
-            "escape": limit_est.to_record(group=panel, measure="limit"),
-            "ladder": limit_ladder.summary(),
-        })
+        laws = [(f"{panel} k={k}", f"e1-{panel}(k={k})", f"mix(1/{k})",
+                 measures.mix(limit_mu, spread_mu, Fraction(1, k)))
+                for k in k_grid]
+        laws.append((f"{panel} limit", f"e1-{panel}(limit)", "limit", limit_mu))
+        rows, ests = _family_rows(
+            cfg, laws, lambda mu, _: escape.auto_escape(mu, tol=tol),
+            cfg.n_max or 16, panel)
+        limit_est = ests.pop()
+        gaps = [(abs(est.value - limit_est.value),
+                 (est.hi - est.lo) + (limit_est.hi - limit_est.lo))
+                for est in ests]
+        for row, (gap, _) in zip(rows, gaps):
+            row["gap_to_limit"] = gap
+        results += rows
         # the grid is ordered by increasing k, so gaps should shrink
         mono = all(gaps[i + 1][0] <= gaps[i][0] + gaps[i][1] + gaps[i + 1][1]
                    for i in range(len(gaps) - 1))
@@ -303,48 +328,25 @@ def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     k_grid = cfg.k_grid or (1, 2, 4)
-    horizon = cfg.horizon or 100_000
-    samples = cfg.samples or 10_000
     n_max = cfg.n_max or 24
     tol = cfg.tol or 1e-6
-    cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
-    results: list[dict] = []
-    means_zero: list[bool] = []
-    monos: list[bool] = []
-    finals: list[tuple[int, float, bool]] = []
-    for idx, k in enumerate(k_grid):
-        mu = measures.z_drift_family(k)
-        mean = sum(Fraction(x) * w for (x,), w in mu.atoms())
-        means_zero.append(mean == 0)
-        est = escape.mc_escape(mu, horizon, samples,
-                               _grid_seed(cfg.seed, idx),
-                               checkpoints=_checkpoints(horizon))
-        mono, below, final = _mc_checkpoint_checks(est)
-        monos.append(mono)
-        finals.append((k, final, below))
-        ladder = cached_exact_ladder(mu, n_max, f"e2-mu(k={k})", cap)
-        results.append({
-            "grid": f"k={k}",
-            "mean": str(mean),
-            "escape": est.to_record(group="Z", measure=f"z_drift(k={k})"),
-            "checkpoints": est.details["checkpoints"],
-            "ladder": ladder.summary(),
-        })
-    limit_mu = measures.z_drift_family()
-    limit_est = escape.exact_escape_drifted_z(limit_mu, tol=tol)
-    limit_ladder = cached_exact_ladder(limit_mu, n_max, "e2-mu(limit)", cap)
-    results.append({
-        "grid": "limit",
-        "escape": limit_est.to_record(group="Z", measure="z_drift(limit)"),
-        "ladder": limit_ladder.summary(),
-    })
+    laws = [(f"k={k}", f"e2-mu(k={k})", f"z_drift(k={k})",
+             measures.z_drift_family(k)) for k in k_grid]
+    means = [sum(Fraction(x) * w for (x,), w in mu.atoms())
+             for *_, mu in laws]
+    results, ests = _family_rows(cfg, laws, _mc_estimate(cfg, 10_000),
+                                 n_max, "Z")
+    for row, mean in zip(results, means):
+        row["mean"] = str(mean)
+    limit_rows, (limit_est,) = _family_rows(
+        cfg, [("limit", "e2-mu(limit)", "z_drift(limit)",
+               measures.z_drift_family())],
+        lambda mu, _: escape.exact_escape_drifted_z(mu, tol=tol), n_max, "Z")
+    results += limit_rows
     expectations = [
-        _expect("mean-zero-each-k", all(means_zero),
+        _expect("mean-zero-each-k", all(mean == 0 for mean in means),
                 f"exact step means vanish for k in {list(k_grid)}"),
-        _expect("mc-nonincreasing-in-horizon", all(monos),
-                "checkpoint estimates evaluated on shared sample paths"),
-        _expect("mc-final-below-0.1", all(b for _, _, b in finals),
-                f"final-horizon estimates {[(k, round(v, 5)) for k, v, _ in finals]}"),
+        *_mc_expectations("", k_grid, ests),
         _expect("limit-interval-above-0.45", limit_est.lo > 0.45,
                 f"rigorous interval [{limit_est.lo:.8f}, {limit_est.hi:.8f}]"),
         _ladder_expectation("ladder-invariants", _ladders(results)),
@@ -358,52 +360,24 @@ def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     k_grid = cfg.k_grid or (1, 2, 4)
-    horizon = cfg.horizon or 100_000
-    samples = cfg.samples or 3_000
     n_max = cfg.n_max or 20
-    cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     p = cfg.p
     results: list[dict] = []
     expectations: list[dict] = []
-    panels = [
-        ("dinf", "Dinf", measures.dinf_family),
-        ("bs11", "BS(1,-1)", measures.bs11_family),
-    ]
+    panels = [("dinf", "Dinf", measures.dinf_family),
+              ("bs11", "BS(1,-1)", measures.bs11_family)]
     for panel_idx, (panel, group_text, member) in enumerate(panels):
-        monos: list[bool] = []
-        finals: list[tuple[int, float, bool]] = []
-        for idx, k in enumerate(k_grid):
-            mu = member(p, k)
-            est = escape.mc_escape(mu, horizon, samples,
-                                   _grid_seed(cfg.seed, 100 * panel_idx + idx),
-                                   checkpoints=_checkpoints(horizon))
-            mono, below, final = _mc_checkpoint_checks(est)
-            monos.append(mono)
-            finals.append((k, final, below))
-            ladder = cached_exact_ladder(mu, n_max, f"e3-{panel}(k={k})", cap)
-            results.append({
-                "grid": f"{panel} k={k}",
-                "escape": est.to_record(group=group_text,
-                                        measure=f"{panel}(p={p}, k={k})"),
-                "checkpoints": est.details["checkpoints"],
-                "ladder": ladder.summary(),
-            })
-        limit_mu = member(p)
-        limit_est = escape.auto_escape(limit_mu, tol=cfg.tol or 1e-6)
-        limit_ladder = cached_exact_ladder(
-            limit_mu, n_max, f"e3-{panel}(limit)", cap)
-        results.append({
-            "grid": f"{panel} limit",
-            "escape": limit_est.to_record(group=group_text,
-                                          measure=f"{panel}(p={p}, limit)"),
-            "ladder": limit_ladder.summary(),
-        })
-        expectations.append(_expect(
-            f"{panel}-mc-nonincreasing", all(monos),
-            "checkpoint estimates evaluated on shared sample paths"))
-        expectations.append(_expect(
-            f"{panel}-mc-final-below-0.1", all(b for _, _, b in finals),
-            f"final-horizon estimates {[(k, round(v, 5)) for k, v, _ in finals]}"))
+        laws = [(f"{panel} k={k}", f"e3-{panel}(k={k})",
+                 f"{panel}(p={p}, k={k})", member(p, k)) for k in k_grid]
+        rows, ests = _family_rows(cfg, laws, _mc_estimate(cfg, 3_000), n_max,
+                                  group_text, seed_base=100 * panel_idx)
+        limit_rows, (limit_est,) = _family_rows(
+            cfg, [(f"{panel} limit", f"e3-{panel}(limit)",
+                   f"{panel}(p={p}, limit)", member(p))],
+            lambda mu, _: escape.auto_escape(mu, tol=cfg.tol or 1e-6),
+            n_max, group_text)
+        results += rows + limit_rows
+        expectations += _mc_expectations(panel, k_grid, ests)
         expectations.append(_expect(
             f"{panel}-limit-interval-above-0.45", limit_est.lo > 0.45,
             f"rigorous interval [{limit_est.lo:.8f}, {limit_est.hi:.8f}] "
@@ -585,6 +559,7 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     pairs_per = cfg.samples or 1000
     word_len = 12
     n_max = cfg.n_max or 5
+    cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     rng = Random(cfg.seed)
     results: list[dict] = []
     hom_fail = 0
@@ -643,14 +618,12 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                     "pass": tower_ok and abel_ok})
     # ladders under small pointwise perturbations, rank 3, derived length 2
     sdm = magnus.sdm_spec(3, 2)
-    gens = []
-    for i in (1, 2, 3):
-        gens.append(magnus.magnus_embed((i,), 3, 2))
-        gens.append(magnus.magnus_embed((-i,), 3, 2))
+    gens = [magnus.magnus_embed((s * i,), 3, 2)
+            for i in (1, 2, 3) for s in (1, -1)]
     base_sixth = 1.0 / 6.0
     mu0 = FiniteMeasure.from_pairs(
         sdm, [(g, base_sixth) for g in gens], exact=False)
-    ladder0 = walks.entropy_ladder(mu0, n_max, label="s32-uniform")
+    ladder0 = walks.entropy_ladder(mu0, n_max, cap=cap, label="s32-uniform")
     summaries = [ladder0.summary()]
     tables = []
     sups = []
@@ -660,7 +633,7 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         pairs.append((gens[0], base_sixth + eps))
         pairs.append((gens[1], base_sixth - eps))
         mu_eps = FiniteMeasure.from_pairs(sdm, pairs, exact=False)
-        ladder = walks.entropy_ladder(mu_eps, n_max,
+        ladder = walks.entropy_ladder(mu_eps, n_max, cap=cap,
                                       label=f"s32-perturbed(1/{eps_denom})")
         summaries.append(ladder.summary())
         gap = [abs(ladder.values[n] - ladder0.values[n])
@@ -699,45 +672,36 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # registry and runner
 
 
-@dataclass(frozen=True)
-class ExperimentDef:
-    ident: str
-    description: str
-    runner: Callable[[ExperimentConfig], tuple[list[dict], list[dict]]]
-
-
-EXPERIMENTS: dict[str, ExperimentDef] = {}
-
-
-def _register(ident: str, description: str, runner) -> None:
-    EXPERIMENTS[ident] = ExperimentDef(ident, description, runner)
-
-
-_register("E1", "escape continuity for interpolation families on the "
-               "1-d and 2-d lattices", _run_e1)
-_register("E2", "escape discontinuity: mean-zero drift family against its "
-               "drifted limit", _run_e2)
-_register("E3", "escape discontinuity on the dihedral and Baumslag-Solitar "
-               "presentations", _run_e3)
-_register("E4", "entropy ladders for lamp/base mixtures over the dihedral "
-               "base (gap reported)", _run_e4)
-_register("E5", "positive-entropy discontinuity via products with a free "
-               "factor", _run_e5)
-_register("E6", "expected visit series against escape probabilities on "
-               "transient 1-d walks", _run_e6)
-_register("E7", "wreath-embedding suite for free solvable groups with "
-               "perturbation ladders", _run_e7)
+#: experiment id -> (description, runner)
+EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig],
+                                           tuple[list[dict], list[dict]]]]] = {
+    "E1": ("escape continuity for interpolation families on the 1-d and "
+           "2-d lattices", _run_e1),
+    "E2": ("escape discontinuity: mean-zero drift family against its "
+           "drifted limit", _run_e2),
+    "E3": ("escape discontinuity on the dihedral and Baumslag-Solitar "
+           "presentations", _run_e3),
+    "E4": ("entropy ladders for lamp/base mixtures over the dihedral base "
+           "(gap reported)", _run_e4),
+    "E5": ("positive-entropy discontinuity via products with a free factor",
+           _run_e5),
+    "E6": ("expected visit series against escape probabilities on "
+           "transient 1-d walks", _run_e6),
+    "E7": ("wreath-embedding suite for free solvable groups with "
+           "perturbation ladders", _run_e7),
+}
 
 
 def list_experiments() -> list[tuple[str, str]]:
-    return [(e.ident, e.description) for e in EXPERIMENTS.values()]
+    return [(ident, description)
+            for ident, (description, _) in EXPERIMENTS.items()]
 
 
 def run_experiment(config: ExperimentConfig | str) -> ExperimentReport:
     if isinstance(config, str):
         config = ExperimentConfig(experiment=config)
     start = time.perf_counter()
-    results, expectations = EXPERIMENTS[config.experiment].runner(config)
+    results, expectations = EXPERIMENTS[config.experiment][1](config)
     elapsed = time.perf_counter() - start
     return ExperimentReport(
         experiment=config.experiment,

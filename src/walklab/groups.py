@@ -42,6 +42,11 @@ from typing import Any, Iterable, Sequence, Union
 GroupElement = Any
 
 
+#: Deepest nesting of specs and words read from text, and the largest derived
+#: length of S(d, m): recursion over either stays well inside Python's stack.
+MAX_NESTING = 100
+
+
 class GroupError(ValueError):
     """Invalid element for a spec, mismatched specs, or unsupported operation."""
 
@@ -121,8 +126,9 @@ class FreeSolvable:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise GroupError(f"free solvable rank must be >= 1, got {self.rank}")
-        if self.length < 1:
-            raise GroupError(f"derived length must be >= 1, got {self.length}")
+        if not 1 <= self.length <= MAX_NESTING:
+            raise GroupError(f"derived length must lie in 1..{MAX_NESTING}, "
+                             f"got {self.length}")
 
 
 GroupSpec = Union[

@@ -3,12 +3,19 @@
 A free word is a tuple of nonzero signed letters (``+i`` for the i-th
 generator, ``-i`` for its inverse), always freely reduced; word text is
 read by :func:`walklab.parsing.parse_word`.  The level-``m`` image of a word
-is computed by a prefix scan over generator images:
+``w = x_{i_1}^{s_1} ... x_{i_n}^{s_n}`` is computed by a Fox-derivative
+prefix scan, level by level, with ``pi_k`` the level-``k`` image:
 
-* level 1 is abelianisation to the integer lattice;
-* at level ``m >= 2`` the generator ``x_i`` maps to the wreath element with
-  a single lamp ``e_i`` at the identity site and position equal to the
-  level ``m - 1`` image of ``x_i``.
+* level 1 is abelianisation to the integer lattice: the letter-count vector;
+* level ``m >= 2`` is the wreath element ``(lamps, pi_{m-1}(w))``.  The lamp
+  at site ``s`` is ``e_i`` summed over the letters ``x_i`` at positions ``j``
+  with ``pi_{m-1}(w[:j]) = s``, less ``e_i`` summed over the letters
+  ``x_i^-1`` with ``pi_{m-1}(w[:j+1]) = s``; zero lamps are dropped.
+
+Each level below the top needs the images of every prefix; the top level
+needs only the image of the whole word.  This is the product of the
+generator images ``x_i -> (e_i at the identity site, pi_{m-1}(x_i))`` taken
+in the tower, without multiplying there.
 
 The scan realises the classical embedding of the rank-``d``, derived
 length-``m`` free solvable group into  Z^d wr (level m-1); its kernel at
@@ -19,7 +26,6 @@ cross-check of the scan and is used by the tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from random import Random
 
 from . import groups
@@ -66,26 +72,38 @@ def abelianize_word(w: FreeWord, rank: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-@lru_cache(maxsize=None)
-def generator_image(rank: int, length: int, letter: int) -> GroupElement:
-    """Image of the single letter ``+-i`` at the given level (cached: every
-    word at that level reuses it)."""
-    if letter == 0 or abs(letter) > rank:
-        raise WordError(f"letter {letter} out of range for rank {rank}")
-    e_i = tuple(1 if j == abs(letter) - 1 else 0 for j in range(rank))
-    image: GroupElement = e_i  # level 1: abelianisation
-    for level in range(1, length):
-        image = (((groups.identity(sdm_spec(rank, level)), e_i),), image)
-    return image if letter > 0 else groups.inverse(sdm_spec(rank, length), image)
+def _lamp_scan(w: FreeWord, below: list[GroupElement], rank: int,
+               every_prefix: bool) -> list[GroupElement]:
+    """Images one level up from the prefix images ``below`` one level down:
+    the images of every prefix, or of the whole word only."""
+    lamps: dict[GroupElement, tuple[int, ...]] = {}
+    out = [((), below[0])]
+    for j, letter in enumerate(w):
+        i = abs(letter) - 1
+        site, step = (below[j], 1) if letter > 0 else (below[j + 1], -1)
+        vec = lamps.pop(site, (0,) * rank)
+        vec = vec[:i] + (vec[i] + step,) + vec[i + 1:]
+        if any(vec):
+            lamps[site] = vec
+        if every_prefix:
+            out.append((tuple(sorted(lamps.items())), below[j + 1]))
+    return out if every_prefix else [(tuple(sorted(lamps.items())), below[-1])]
 
 
 def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
-    """Prefix-scan image of a reduced word at the given level."""
-    spec = sdm_spec(rank, length)
-    acc = groups.identity(spec)
+    """Image of a word (reduced or not) at the given level, by the
+    Fox-derivative prefix scan described in the module docstring."""
+    sdm_spec(rank, length)  # GroupError on a bad rank or level
+    vec = [0] * rank
+    images = [tuple(vec)]
     for letter in w:
-        acc = groups.multiply(spec, acc, generator_image(rank, length, letter))
-    return acc
+        if letter == 0 or abs(letter) > rank:
+            raise WordError(f"letter {letter} out of range for rank {rank}")
+        vec[abs(letter) - 1] += 1 if letter > 0 else -1
+        images.append(tuple(vec))
+    for level in range(2, length + 1):
+        images = _lamp_scan(w, images, rank, every_prefix=level < length)
+    return images[-1]
 
 
 def is_identity(w: FreeWord, rank: int, length: int) -> bool:

@@ -11,6 +11,9 @@ Group specs::
                                      last entry is the base
     product(F2, wreath(C2, Dinf))    direct product
 
+Specs and ``[u, v]`` nest at most ``groups.MAX_NESTING`` levels deep (a
+tower's i-th entry counts as i levels); deeper text is a GrammarError.
+
 Elements (per spec):
 
 * lattice / cyclic: ``3``, ``(1, -2)``; ``e`` is always the identity
@@ -76,6 +79,16 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # nesting levels entered and not yet left
+
+    def enter(self) -> None:
+        """Go one nesting level deeper, up to ``groups.MAX_NESTING``."""
+        self.depth += 1
+        if self.depth > groups.MAX_NESTING:
+            raise self.error(f"nesting deeper than {groups.MAX_NESTING} levels")
+
+    def leave(self, levels: int = 1) -> None:
+        self.depth -= levels
 
     def error(self, message: str) -> GrammarError:
         return GrammarError(f"{message} at offset {self.pos} in {self.text!r}")
@@ -200,30 +213,27 @@ def _group(sc: _Scanner) -> GroupSpec:
         length = sc.integer()
         sc.expect(")")
         return FreeSolvable(rank, length)
-    if word == "wreath":
+    if word in ("wreath", "product"):
         sc.expect("(")
-        lamp = _group(sc)
+        sc.enter()
+        left = _group(sc)
         sc.expect(",")
-        base = _group(sc)
+        right = _group(sc)
+        sc.leave()
         sc.expect(")")
-        return Wreath(lamp, base)
+        return (Wreath if word == "wreath" else DirectProduct)(left, right)
     if word == "tower":
         sc.expect("(")
-        parts = [_group(sc)]
-        while sc.try_lit(";"):
+        parts = []
+        while not parts or sc.try_lit(";"):
+            sc.enter()  # the i-th entry ends up i levels down in the tower
             parts.append(_group(sc))
+        sc.leave(len(parts))
         sc.expect(")")
         if len(parts) < 2:
             raise sc.error("tower needs at least one lamp and a base")
         # listed outermost-lamp first; the builder takes lamps inner-to-outer
         return groups.wreath_tower(list(reversed(parts[:-1])), parts[-1])
-    if word == "product":
-        sc.expect("(")
-        left = _group(sc)
-        sc.expect(",")
-        right = _group(sc)
-        sc.expect(")")
-        return DirectProduct(left, right)
     raise sc.error(f"unknown group {word!r}")
 
 
@@ -308,9 +318,11 @@ def _word(sc: _Scanner, spec: GroupSpec) -> GroupElement:
             continue
         if c == "[":
             sc.pos += 1
+            sc.enter()
             u = _word(sc, spec)
             sc.expect(",")
             v = _word(sc, spec)
+            sc.leave()
             sc.expect("]")
             g = groups.multiply(spec, groups.multiply(spec, u, v),
                                 groups.inverse(spec, groups.multiply(spec, v, u)))

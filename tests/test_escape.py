@@ -407,6 +407,19 @@ def test_induced_measure_tail_above_tolerance():
     assert err.value.tail_mass == F(1, 2)
 
 
+def test_induced_measure_steps_under_the_support_cap(monkeypatch):
+    convolve = measures.convolve
+    monkeypatch.setattr(measures, "convolve",
+                        lambda mu, nu: convolve(mu, nu, cap=4))
+    mu = uniform_measure(Z, [(1,), (-1,)])
+    # after three steps the walk is at one of four sites outside 4Z
+    ind = induced_measure_on_subgroup(mu, lambda g: g[0] % 4 == 0, horizon=3,
+                                      mass_tol=F(1))
+    assert ind.atoms == {(0,): F(1, 2)} and ind.tail_mass == F(1, 2)
+    with pytest.raises(measures.SupportCapError):
+        induced_measure_on_subgroup(mu, lambda g: g[0] == 0, horizon=5)
+
+
 def test_induced_measure_predicate_must_accept_identity():
     mu = uniform_measure(Z, [(1,), (-1,)])
     with pytest.raises(MeasureError):

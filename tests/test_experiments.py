@@ -347,7 +347,9 @@ def test_ladder_tables_rejects_p_for_z_drift():
     assert run.stdout.splitlines()[1].startswith("dinf(p=3/4, k=2),0,")
 
 
-def test_cli_error_exit_codes(capsys):
+def test_cli_error_exit_codes(capsys, monkeypatch):
+    # a ladder cached by an earlier test would be served without convolving
+    monkeypatch.setattr(experiments, "_LADDER_CACHE", {})
     assert cli.main(["ladder", "nosuch(k=2)"]) == 2
     assert "error" in capsys.readouterr().err.lower()
     assert cli.main(["escape", 'measure { atom "a" 1 }']) == 2
@@ -359,7 +361,8 @@ def test_cli_error_exit_codes(capsys):
     assert cli.main(["escape", "z_drift()", "--cap", "10"]) == 2
     assert "--cap" in capsys.readouterr().err
     for command in ("embed", "check-identity"):
-        for flags in (["--float"], ["--cap", "5"], ["--format", "csv"]):
+        for flags in (["--float"], ["--cap", "5"], ["--format", "csv"],
+                      ["--seed", "5"]):
             argv = ["magnus", command, "x1", "--d", "2", "--m", "2", *flags]
             assert cli.main(argv) == 2, argv
             captured = capsys.readouterr()
@@ -377,6 +380,21 @@ def test_cli_error_exit_codes(capsys):
         captured = capsys.readouterr()
         assert argv[-1 if argv[-1].startswith("--") else -2] in captured.err
         assert not captured.out
+    faults = [  # a support-cap hit, and input nested past the bound
+        ["ladder", "dinf(p=3/4, k=5)", "--nmax", "6", "--cap", "10"],
+        ["experiment", "run", "E4", "--cap", "5"],
+        ["magnus", "suite", "--pairs", "2", "--cap", "5"],
+        ["magnus", "check-identity", "[" * 3000, "--d", "2", "--m", "2"],
+        ["ladder", "--group", "wreath(C2, " * 3000, 'measure { atom "e" 1 }'],
+        ["ladder", "--group", "tower(" + "; ".join(["Z"] * 2000) + ")",
+         'measure { atom "e" 1 }'],
+        ["magnus", "check-identity", "x1", "--d", "2", "--m", "3000"],
+    ]
+    for argv in faults:
+        assert cli.main(argv) == 2, argv[:2]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and not captured.out
     # the same flags where the command honours them
     assert cli.main(["escape", "z_drift(k=2)", "--method", "mc", "--float",
                      "--horizon", "100", "--samples", "20"]) == 0

@@ -126,8 +126,9 @@ def test_is_identity_examples():
 
 
 def test_identity_requires_valid_level():
-    with pytest.raises((WordError, groups.GroupError)):
-        magnus_embed((1,), 2, 0)
+    for length in (0, groups.MAX_NESTING + 1, 3000):
+        with pytest.raises(groups.GroupError):
+            magnus_embed((1,), 2, length)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +232,58 @@ def test_derived_word_argument_validation():
 # the matrix-shaped oracle
 
 
+def _random_letters(rank, length, rng):
+    """A word of ``length`` letters drawn independently: often unreduced."""
+    return tuple(rng.choice([i for i in range(-rank, rank + 1) if i])
+                 for _ in range(length))
+
+
 def test_matrix_oracle_agrees_on_random_words():
     rng = Random(21)
-    for d, m in ((2, 2), (2, 3), (3, 2)):
+    for d, m in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)):
         for _ in range(100):
-            w = random_reduced_word(d, rng.randint(1, 10), rng)
+            w = random_reduced_word(d, rng.randint(1, 24), rng)
             assert matrix_embed(w, d, m).as_wreath() == magnus_embed(w, d, m)
+            w = _random_letters(d, rng.randint(0, 24), rng)
+            assert matrix_embed(w, d, m).as_wreath() == magnus_embed(w, d, m)
+
+
+def _folded_embed(w, rank, length):
+    """Reference embedding: the product, in the lattice tower, of one
+    generator image per letter (``x_i`` is the lamp ``e_i`` at the identity
+    site over the image of ``x_i`` one level down)."""
+    spec = sdm_spec(rank, length)
+    acc = groups.identity(spec)
+    for letter in w:
+        e_i = tuple(int(j == abs(letter) - 1) for j in range(rank))
+        image = e_i
+        for level in range(1, length):
+            image = (((groups.identity(sdm_spec(rank, level)), e_i),), image)
+        if letter < 0:
+            image = groups.inverse(spec, image)
+        acc = groups.multiply(spec, acc, image)
+    return acc
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_prefix_scan_matches_the_generator_fold(rank):
+    rng = Random(40 + rank)
+    for m in (1, 2, 3, 4):
+        for _ in range(40):
+            length = rng.randint(0, 30)
+            for w in (random_reduced_word(rank, length, rng) if length else (),
+                      _random_letters(rank, length, rng)):
+                assert magnus_embed(w, rank, m) == _folded_embed(w, rank, m), w
+
+
+def test_embedding_validates_letters_and_reaches_the_deepest_level():
+    for w in ((0,), (3,), (1, -3)):
+        with pytest.raises(WordError):
+            magnus_embed(w, 2, 2)
+    deepest = magnus_embed((2,), 2, groups.MAX_NESTING)
+    assert groups.project(groups.tower_to_level(
+        sdm_spec(2, groups.MAX_NESTING), 1), deepest) == (0, 1)
+    assert is_identity((2, -2), 2, groups.MAX_NESTING)
 
 
 def test_matrix_oracle_on_the_commutator():

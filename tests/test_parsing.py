@@ -84,6 +84,45 @@ def test_bad_spec_texts(text):
         parse_group(text)
 
 
+def test_nested_wreath_and_product_specs_are_bounded():
+    lamp = "wreath(C2, "
+    spec = parse_group(lamp * 50 + "Dinf" + ")" * 50)
+    assert groups.tower_height(spec) == 51
+    deepest = lamp * groups.MAX_NESTING + "Dinf" + ")" * groups.MAX_NESTING
+    assert groups.tower_height(parse_group(deepest)) == groups.MAX_NESTING + 1
+    for head in (lamp, "product(Z, "):
+        with pytest.raises(GrammarError, match="nesting deeper than 100"):
+            parse_group(head * 3000 + "Z" + ")" * 3000)
+    # siblings each 60 deep: depth is left again at every ')'
+    sixty = lamp * 60 + "Z" + ")" * 60
+    assert parse_group(f"product({sixty}, {sixty})") == DirectProduct(
+        parse_group(sixty), parse_group(sixty))
+
+
+def test_tower_entry_count_is_bounded():
+    spec = parse_group("tower(" + "; ".join(["Z"] * groups.MAX_NESTING) + ")")
+    assert groups.tower_height(spec) == groups.MAX_NESTING
+    sixty = "tower(" + "; ".join(["Z"] * 60) + ")"
+    assert parse_group(f"product({sixty}, {sixty})") == DirectProduct(
+        parse_group(sixty), parse_group(sixty))
+    for entries in (groups.MAX_NESTING + 1, 2000):
+        with pytest.raises(GrammarError, match="nesting deeper than 100"):
+            parse_group("tower(" + "; ".join(["Z"] * entries) + ")")
+    # the i-th entry sits i levels down, so its own nesting adds to i
+    deep_base = "wreath(C2, " * 60 + "Z" + ")" * 60
+    assert groups.tower_height(parse_group(f"tower({deep_base}; Z)")) == 2
+    with pytest.raises(GrammarError, match="nesting deeper than 100"):
+        parse_group("tower(" + "Z; " * 60 + deep_base + ")")
+
+
+def test_free_solvable_derived_length_is_bounded():
+    assert parse_group(f"S(2,{groups.MAX_NESTING})") == FreeSolvable(
+        2, groups.MAX_NESTING)
+    for length in (groups.MAX_NESTING + 1, 3000):
+        with pytest.raises(groups.GroupError, match="derived length"):
+            parse_group(f"S(2,{length})")
+
+
 # ---------------------------------------------------------------------------
 # elements
 
@@ -236,7 +275,7 @@ WORD_SPECS = {
     "F2": (FreeGroup(2), _free_letters(2, lambda letter: (letter,))),
     "F3": (FreeGroup(3), _free_letters(3, lambda letter: (letter,))),
     "S(2,2)": (FreeSolvable(2, 2), _free_letters(
-        2, lambda letter: magnus.generator_image(2, 2, letter))),
+        2, lambda letter: magnus.magnus_embed((letter,), 2, 2))),
     "Dinf": (DINF, [("a", groups.DINF_A, True), ("b", groups.DINF_B, True)]),
     "BS(1,-1)": (BS11, [("a", groups.BS_A, True), ("b", groups.BS_B, True)]),
 }
@@ -315,6 +354,27 @@ def test_words_parse_to_the_folded_structure(name):
         if type(spec) is FreeGroup:
             assert parse_word(text, spec.rank) == expected, text
             assert parse_word("e * " + text, spec.rank) == expected, text
+
+
+def test_nested_commutators_are_bounded():
+    # [a, [a, ... [a, b] ...]] in Dinf stays short, unlike free words,
+    # whose length doubles with each level
+    expected = groups.DINF_B
+    for _ in range(50):
+        a = groups.DINF_A
+        expected = groups.multiply(DINF, groups.multiply(DINF, a, expected),
+                                   groups.inverse(DINF, groups.multiply(
+                                       DINF, expected, a)))
+    assert parse_element(DINF, "[a, " * 50 + "b" + "]" * 50) == expected
+    # depth is left again at every ']', so a long run of commutators is fine
+    ab = parse_element(DINF, "[a, b]")
+    assert parse_element(DINF, "[a, b] " * 150) == parse_element(
+        DINF, f"({ab[0] * 150}, 0)")
+    for depth in (groups.MAX_NESTING + 1, 3000):
+        with pytest.raises(GrammarError, match="nesting deeper than 100"):
+            parse_word("[" * depth, 2)
+        with pytest.raises(GrammarError, match="nesting deeper than 100"):
+            parse_element(DINF, "[a, " * depth + "b" + "]" * depth)
 
 
 def test_word_grammar_examples():
