@@ -250,24 +250,32 @@ def _axis_split(mu: FiniteMeasure):
 
 def _marginal_return_series(values: list[int], probs: list[float],
                             n_terms: int) -> np.ndarray:
-    """P(1-d walk back at 0 after j steps), j = 0 .. n_terms (float)."""
+    """P(1-d walk back at 0 after j steps), j = 0 .. n_terms (float).
+
+    Two buffers take turns; step j writes only the positions
+    ``[j * lo, j * hi]`` the walk can reach, each as the atoms'
+    contributions added in atom order.
+    """
     lo = min(values)
     hi = max(values)
-    size = n_terms * (hi - lo) + 1
-    offset = -n_terms * lo
+    offset = -n_terms * min(lo, 0)  # buffer index of position 0
+    size = offset + n_terms * max(hi, 0) + 1
     cur = np.zeros(size)
+    nxt = np.zeros(size)
     cur[offset] = 1.0
-    out = np.empty(n_terms + 1)
+    out = np.zeros(n_terms + 1)
     out[0] = 1.0
     for j in range(1, n_terms + 1):
-        nxt = np.zeros_like(cur)
+        start = offset + (j - 1) * lo  # reached after j - 1 steps
+        stop = offset + (j - 1) * hi + 1
+        first = offset + j * lo  # reachable after j steps
+        last = offset + j * hi + 1
+        nxt[first:last] = 0.0
         for v, p in zip(values, probs):
-            if v >= 0:
-                nxt[v:] += p * cur[:size - v] if v else p * cur
-            else:
-                nxt[:v] += p * cur[-v:]
-        cur = nxt
-        out[j] = cur[offset]
+            nxt[start + v:stop + v] += p * cur[start:stop]
+        cur, nxt = nxt, cur
+        if first <= offset < last:
+            out[j] = cur[offset]
     return out
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Mapping
 
@@ -248,21 +248,35 @@ class LogLinear:
         return all(c == 0 for c in acc.values())
 
 
-def entropy_form(weights: Iterable[Fraction]) -> LogLinear:
-    """Entropy ``-sum w log w`` of rational weights, as a log-linear form."""
-    coeffs: dict[int, Fraction] = {}
-    for w, count in Counter(weights).items():
-        if w < 0:
+def entropy_form(weights: Iterable[Fraction] | Iterable[int],
+                 denom: int | None = None) -> LogLinear:
+    """Entropy ``-sum w log w`` as a log-linear form, of rational weights or,
+    when ``denom`` is given, of the weights ``a / denom`` for the integer
+    numerators ``a``.
+
+    Equal weights are counted once.  Each distinct ``a / denom = r / q`` in
+    lowest terms (one gcd) contributes its total mass times
+    ``log q - log r``; every coefficient is a sum of such masses over
+    ``denom``, so it is accumulated as an integer numerator.
+    """
+    if denom is None:
+        weights = list(weights)
+        denom = lcm(*(w.denominator for w in weights))
+        weights = [w.numerator * (denom // w.denominator) for w in weights]
+    sums: dict[int, int] = {}
+    for a, count in Counter(weights).items():
+        if a < 0:
             raise ValueError("weights must be nonnegative")
-        if w == 0:
+        if a == 0:
             continue
-        a, b = w.numerator, w.denominator
-        coef = count * w
-        if b > 1:
-            coeffs[b] = coeffs.get(b, Fraction(0)) + coef
-        if a > 1:
-            coeffs[a] = coeffs.get(a, Fraction(0)) - coef
-    return LogLinear(coeffs)
+        g = gcd(a, denom)
+        mass = count * a
+        q, r = denom // g, a // g
+        if q > 1:
+            sums[q] = sums.get(q, 0) + mass
+        if r > 1:
+            sums[r] = sums.get(r, 0) - mass
+    return LogLinear({m: Fraction(c, denom) for m, c in sums.items()})
 
 
 # ---------------------------------------------------------------------------

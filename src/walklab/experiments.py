@@ -184,24 +184,26 @@ class ExperimentReport:
 
 
 _LADDER_CACHE: dict[tuple[str, int], EntropyLadder] = {}
-# (step law, ladder) per key; holding the ladder too means an entry of
-# _LADDER_CACHE that was replaced from outside is never taken as checked.
-_LADDER_LAWS: dict[tuple[str, int], tuple[dict, EntropyLadder]] = {}
+# (step law, support cap, ladder) per key; holding the ladder too means an
+# entry of _LADDER_CACHE that was replaced from outside is never taken as
+# checked.
+_LADDER_LAWS: dict[tuple[str, int], tuple[dict, int, EntropyLadder]] = {}
 
 
 def cached_exact_ladder(mu: FiniteMeasure, n_max: int, label: str,
                         cap: int) -> EntropyLadder:
     """Exact ladders are the dominant cost; reuse them across experiments
     within a process (keyed by label and depth).  An entry is reused only
-    for the law it was built from, since labels do not name every
-    parameter (E3 and E4 leave out p)."""
+    for the law and the support cap it was built under, since labels do not
+    name every parameter (E3 and E4 leave out p) and a smaller cap must
+    still raise its ``SupportCapError``."""
     key = (label, n_max)
     law = dict(mu.atoms())
     found = _LADDER_CACHE.get(key)
-    if found is None or _LADDER_LAWS.get(key) != (law, found):
+    if found is None or _LADDER_LAWS.get(key) != (law, cap, found):
         found = walks.entropy_ladder(mu, n_max, cap=cap, label=label)
         _LADDER_CACHE[key] = found
-        _LADDER_LAWS[key] = (law, found)
+        _LADDER_LAWS[key] = (law, cap, found)
     return found
 
 

@@ -1,9 +1,14 @@
 """Finitely supported probability measures on group specs.
 
 A :class:`FiniteMeasure` is a sparse map from canonical elements to weights,
-in one of two weight modes: exact rationals (:class:`fractions.Fraction`,
-the default) or binary64 floats for large-support work.  Convolution walks
-the support product and enforces a hard support cap.
+in one of two weight modes: exact rationals (the default) or binary64 floats
+for large-support work.  In rational mode the map holds integer numerators
+over one denominator shared by every atom, so convolution multiplies
+numerators and multiplies denominators with no gcd: the n-th convolution
+power of a law whose weights have lcm denominator D is kept over D^n.
+Weights leave the class as reduced :class:`fractions.Fraction` values, and
+entropies are read straight off the numerators.  Convolution walks the
+support product and enforces a hard support cap.
 
 The family constructors at the bottom build every step law the experiments
 and the family grammar name: one constructor per law, whose ``k=None``
@@ -14,7 +19,7 @@ the drifted-lattice family at its first parameter collapses cleanly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log
+from math import lcm, log
 from typing import Any, Iterable, Iterator
 
 from . import groups
@@ -54,15 +59,39 @@ Weight = Any  # Fraction in exact mode, float otherwise
 
 
 class FiniteMeasure:
-    """Finitely supported probability measure on a group spec."""
+    """Finitely supported (sub-)probability measure on a group spec.
 
-    __slots__ = ("spec", "_atoms", "exact")
+    In rational mode ``denom`` is a positive integer and ``_atoms`` maps each
+    atom to the integer numerator of its weight over ``denom``; the
+    constructor brings rational weights over their lcm denominator.  In
+    float mode ``denom`` is None and ``_atoms`` holds the float weights.
+    """
+
+    __slots__ = ("spec", "_atoms", "denom")
 
     def __init__(self, spec: GroupSpec, atoms: dict[GroupElement, Weight],
                  exact: bool):
         self.spec = spec
+        if exact:
+            denom = lcm(*(w.denominator for w in atoms.values()))
+            atoms = {g: w.numerator * (denom // w.denominator)
+                     for g, w in atoms.items()}
         self._atoms = atoms
-        self.exact = exact
+        self.denom = denom if exact else None
+
+    @classmethod
+    def _over(cls, spec: GroupSpec, atoms: dict[GroupElement, Any],
+              denom: int | None) -> "FiniteMeasure":
+        """A measure from numerators over ``denom`` (float weights if None)."""
+        out = cls.__new__(cls)
+        out.spec = spec
+        out._atoms = atoms
+        out.denom = denom
+        return out
+
+    @property
+    def exact(self) -> bool:
+        return self.denom is not None
 
     # -- construction -------------------------------------------------------
 
@@ -96,24 +125,29 @@ class FiniteMeasure:
     # -- views --------------------------------------------------------------
 
     def atoms(self) -> Iterator[tuple[GroupElement, Weight]]:
-        return iter(self._atoms.items())
+        denom = self.denom
+        if denom is None:
+            return iter(self._atoms.items())
+        return ((g, Fraction(a, denom)) for g, a in self._atoms.items())
 
     def support(self) -> list[GroupElement]:
         return list(self._atoms)
 
     def weight_of(self, elem: GroupElement) -> Weight:
-        zero = Fraction(0) if self.exact else 0.0
-        return self._atoms.get(elem, zero)
+        if self.denom is None:
+            return self._atoms.get(elem, 0.0)
+        return Fraction(self._atoms.get(elem, 0), self.denom)
 
     def __len__(self) -> int:
         return len(self._atoms)
 
     def as_float(self) -> "FiniteMeasure":
-        if not self.exact:
+        denom = self.denom
+        if denom is None:
             return self
-        return FiniteMeasure(self.spec,
-                             {g: float(w) for g, w in self._atoms.items()},
-                             exact=False)
+        # int true division rounds correctly, as float(Fraction) does
+        return FiniteMeasure._over(
+            self.spec, {g: a / denom for g, a in self._atoms.items()}, None)
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
@@ -137,15 +171,24 @@ def uniform_measure(spec: GroupSpec, elems: Iterable[GroupElement],
 
 
 def entropy(mu: FiniteMeasure) -> float:
-    """Shannon entropy in nats."""
-    return -sum(float(w) * log(float(w)) for _, w in mu.atoms() if w > 0)
+    """Shannon entropy in nats, summed in atom order.
+
+    Rational weights are rounded to floats by int true division, which
+    rounds correctly, so the value is that of the reduced fractions.
+    """
+    denom = mu.denom
+    if denom is None:
+        weights = (w for w in mu._atoms.values() if w > 0)
+    else:
+        weights = (a / denom for a in mu._atoms.values())
+    return -sum(w * log(w) for w in weights)
 
 
 def exact_entropy(mu: FiniteMeasure) -> LogLinear:
     """Entropy as an exact log-linear form (rational mode only)."""
     if not mu.exact:
         raise MeasureError("exact entropy requires the rational weight mode")
-    return entropy_form(w for _, w in mu.atoms())
+    return entropy_form(mu._atoms.values(), mu.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +204,11 @@ def _check_same(mu: FiniteMeasure, nu: FiniteMeasure) -> None:
 
 def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
              cap: int = DEFAULT_SUPPORT_CAP) -> FiniteMeasure:
-    """Convolution: the law of g*h with g ~ mu and h ~ nu independently."""
+    """Convolution: the law of g*h with g ~ mu and h ~ nu independently.
+
+    Weights multiply as they are stored: rational numerators, whose
+    denominators then multiply, or floats.
+    """
     _check_same(mu, nu)
     spec = mu.spec
     multiply = groups.multiply
@@ -177,7 +224,8 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
                 if len(out) > cap:
                     raise SupportCapError(
                         f"convolution support exceeded cap {cap}")
-    return FiniteMeasure(spec, out, mu.exact)
+    return FiniteMeasure._over(
+        spec, out, None if mu.denom is None else mu.denom * nu.denom)
 
 
 def convolution_power(mu: FiniteMeasure, n: int,
@@ -224,9 +272,10 @@ def mix(mu: FiniteMeasure, nu: FiniteMeasure, weight_nu: Any) -> FiniteMeasure:
     if not 0 <= t <= 1:
         raise MeasureError(f"mixture weight must lie in [0, 1], got {t}")
     zero = Fraction(0) if mu.exact else 0.0
+    a, b = dict(mu.atoms()), dict(nu.atoms())
     out: dict[GroupElement, Weight] = {}
-    for g in set(mu._atoms) | set(nu._atoms):
-        w = (1 - t) * mu._atoms.get(g, zero) + t * nu._atoms.get(g, zero)
+    for g in set(a) | set(b):
+        w = (1 - t) * a.get(g, zero) + t * b.get(g, zero)
         if w > 0:
             out[g] = w
     return FiniteMeasure(mu.spec, out, mu.exact)
@@ -236,10 +285,10 @@ def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Weight:
     """(1/2) sum |mu - nu| over the union support."""
     _check_same(mu, nu)
     zero = Fraction(0) if mu.exact else 0.0
-    keys = set(mu._atoms) | set(nu._atoms)
+    a, b = dict(mu.atoms()), dict(nu.atoms())
     total = zero
-    for g in keys:
-        total += abs(mu._atoms.get(g, zero) - nu._atoms.get(g, zero))
+    for g in set(a) | set(b):
+        total += abs(a.get(g, zero) - b.get(g, zero))
     return total / 2
 
 
@@ -247,8 +296,8 @@ def pointwise_sup_diff(mu: FiniteMeasure, nu: FiniteMeasure) -> Weight:
     """sup_g |mu(g) - nu(g)|."""
     _check_same(mu, nu)
     zero = Fraction(0) if mu.exact else 0.0
-    keys = set(mu._atoms) | set(nu._atoms)
-    return max(abs(mu._atoms.get(g, zero) - nu._atoms.get(g, zero)) for g in keys)
+    a, b = dict(mu.atoms()), dict(nu.atoms())
+    return max(abs(a.get(g, zero) - b.get(g, zero)) for g in set(a) | set(b))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from itertools import islice, product as iter_product
 from math import log
 from typing import Any, Callable, Hashable, Iterator
 
+import numpy as np
+
 from . import groups, measures
 from .exact_entropy import LogLinear, entropy_form
 from .measures import FiniteMeasure, MeasureError, SupportCapError
@@ -182,12 +184,14 @@ def entropy_ladder(mu: FiniteMeasure, n_max: int,
 # the radial ladder of the simple walk on a free group
 
 
-def _radial_chain(rank: int, exact: bool) -> Iterator[list[Any]]:
+def _radial_chain(rank: int, exact: bool) -> Iterator[np.ndarray]:
     """Laws of the word length after n = 0, 1, 2, ... simple-walk steps.
 
     The distance process is the birth-death chain on 0, 1, 2, ... stepping
     0 -> 1 surely and k -> k+1 with probability (2d-1)/2d, k -> k-1 with
-    probability 1/2d for k >= 1.  The law after n steps has length n + 1.
+    probability 1/2d for k >= 1.  The law after n steps has length n + 1:
+    an array of Fractions (dtype object) or of floats.  Each step is
+    ``next[j] = law[j-1] * up + law[j+1] * down`` on array slices.
     """
     if rank < 1:
         raise MeasureError("rank must be >= 1")
@@ -195,29 +199,25 @@ def _radial_chain(rank: int, exact: bool) -> Iterator[list[Any]]:
     if exact:
         up = Fraction(two_d - 1, two_d)
         down = Fraction(1, two_d)
-        dist: list[Any] = [Fraction(1)]
+        dist = np.array([Fraction(1)], dtype=object)
     else:
         up = (two_d - 1) / two_d
         down = 1 / two_d
-        dist = [1.0]
+        dist = np.array([1.0])
     while True:
         yield dist
-        nxt = [dist[0] * 0] * (len(dist) + 1)
-        for k, mass in enumerate(dist):
-            if not mass:
-                continue
-            if k == 0:
-                nxt[1] += mass
-            else:
-                nxt[k + 1] += mass * up
-                nxt[k - 1] += mass * down
+        nxt = np.empty(len(dist) + 1, dtype=dist.dtype)
+        nxt[0] = dist[0] * 0
+        nxt[1:] = dist * up
+        nxt[1] = dist[0]
+        nxt[:-2] += dist[1:] * down
         dist = nxt
 
 
 def free_group_distance_distribution(rank: int, n: int,
                                      exact: bool = False) -> list[Any]:
     """Law of the word-length after ``n`` steps of the simple walk."""
-    return next(islice(_radial_chain(rank, exact), n, None))
+    return next(islice(_radial_chain(rank, exact), n, None)).tolist()
 
 
 def sphere_size(rank: int, k: int) -> int:
@@ -231,12 +231,15 @@ def free_group_srw_ladder(rank: int, n_max: int,
     """Entropy ladder of the uniform-generator walk via the radial chain.
 
     Conditioned on its distance the walk is uniform on the sphere, so
-    ``H_n = H(distance law) + sum_k P(dist = k) log(sphere size k)``.
+    ``H_n = H(distance law) + sum_k P(dist = k) log(sphere size k)``.  The
+    float value sums these terms over k in order (a sequential
+    ``np.cumsum``), with every log taken by ``math.log``.
     """
     values = [0.0]
     forms: list[LogLinear] | None = [LogLinear.zero()] if exact else None
     if not exact:
-        log_spheres = [log(sphere_size(rank, k)) for k in range(n_max + 1)]
+        log_spheres = np.array([log(sphere_size(rank, k))
+                                for k in range(n_max + 1)])
     for dist in islice(_radial_chain(rank, exact), 1, n_max + 1):
         if exact:
             form = entropy_form(q for q in dist if q)
@@ -246,11 +249,11 @@ def free_group_srw_ladder(rank: int, n_max: int,
             forms.append(form)
             values.append(form.to_float())
         else:
-            h = 0.0
-            for k, q in enumerate(dist):
-                if q > 0:
-                    h += -q * log(q) + q * log_spheres[k]
-            values.append(h)
+            ks = np.flatnonzero(dist > 0)
+            q = dist[ks]
+            log_q = np.fromiter(map(log, q.tolist()), float, len(q))
+            terms = -q * log_q + q * log_spheres[ks]
+            values.append(float(np.cumsum(terms)[-1]))
     return EntropyLadder(f"free({rank}) srw radial", values, forms)
 
 

@@ -216,6 +216,16 @@ def test_exact_escape_z2_frozen_value():
     assert (again.lo, again.hi) == (est.lo, est.hi)
 
 
+def test_exact_escape_z2_one_signed_axis():
+    # x only grows, so a return needs every step vertical: the visit series
+    # is sum_m C(2m, m) 16^-m = 2 / sqrt(3)
+    mu = FiniteMeasure.from_pairs(Z2, [((1, 0), F(1, 2)), ((0, 1), F(1, 4)),
+                                       ((0, -1), F(1, 4))])
+    est = exact_escape_drifted_z2(mu)
+    assert est.lo <= 3 ** 0.5 / 2 <= est.hi
+    assert est.hi - est.lo < 1e-4
+
+
 def test_exact_escape_z2_rejects_diagonal_and_mean_zero():
     diag = uniform_measure(Z2, [(1, 1), (-1, -1)])
     with pytest.raises(EscapeError):

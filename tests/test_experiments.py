@@ -175,6 +175,24 @@ def test_ladder_cache_checks_the_law(monkeypatch):
     assert warm == e4(F(2, 3))
 
 
+def test_ladder_cache_checks_the_support_cap(tmp_path, capsys, monkeypatch):
+    # a ladder built under the default cap must not serve a smaller --cap
+    monkeypatch.setattr(experiments, "_LADDER_CACHE", {})
+    run_experiment(ExperimentConfig("E4", k_grid=(2,), n_max=3))
+    warm = dict(experiments._LADDER_CACHE)
+    cfg = tmp_path / "e4.txt"
+    cfg.write_text("experiment = E4\nk_grid = 2\nn_max = 3\n")
+    assert cli.main(["experiment", "run", str(cfg), "--cap", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "cap 5" in captured.err
+    assert not captured.out
+    # under the cap they were built with, the same ladders are served again
+    assert cli.main(["experiment", "run", str(cfg)]) == 0
+    capsys.readouterr()
+    assert all(experiments._LADDER_CACHE[key] is ladder
+               for key, ladder in warm.items())
+
+
 # sha256 of each experiment's replay payload at the default config (seed 7),
 # recorded with Python 3.11, numpy 2.4 and mpmath 1.3 on x86-64.  A refactor
 # must leave them unchanged; a deliberate change of numbers or report layout
@@ -347,9 +365,7 @@ def test_ladder_tables_rejects_p_for_z_drift():
     assert run.stdout.splitlines()[1].startswith("dinf(p=3/4, k=2),0,")
 
 
-def test_cli_error_exit_codes(capsys, monkeypatch):
-    # a ladder cached by an earlier test would be served without convolving
-    monkeypatch.setattr(experiments, "_LADDER_CACHE", {})
+def test_cli_error_exit_codes(capsys):
     assert cli.main(["ladder", "nosuch(k=2)"]) == 2
     assert "error" in capsys.readouterr().err.lower()
     assert cli.main(["escape", 'measure { atom "a" 1 }']) == 2

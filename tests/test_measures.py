@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import groups, measures
-from walklab.exact_entropy import LogLinear
+from walklab import groups, measures, walks
+from walklab.exact_entropy import LogLinear, entropy_form
 from walklab.groups import (
     BS11,
     DINF,
@@ -441,3 +441,67 @@ def test_entropy_of_convolution_at_least_factors_max(mu, nu):
     # group: H(mu * nu) >= max(H(mu), H(nu)) there.
     h = entropy(convolve(mu, nu))
     assert h >= max(entropy(mu), entropy(nu)) - 1e-12
+
+
+def _rational_law(draw, spec, sites):
+    """A law on ``spec`` with random rational weights on distinct sites."""
+    picked = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=4,
+                           unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(picked),
+                        max_size=len(picked)))
+    total = sum(raw)
+    return FiniteMeasure.from_pairs(
+        spec, [(g, F(r, total)) for g, r in zip(picked, raw)])
+
+
+@st.composite
+def rational_laws(draw):
+    """Small rational laws on Z, Dinf or the lamplighter C2 wr Dinf."""
+    dinf_sites = [(t, f) for t in range(-2, 3) for f in (0, 1)]
+    kind = draw(st.sampled_from(["Z", "Dinf", "C2 wr Dinf"]))
+    if kind == "Z":
+        return _rational_law(draw, Z, [(s,) for s in range(-3, 4)])
+    if kind == "Dinf":
+        return _rational_law(draw, DINF, dinf_sites)
+    return lamplighter_mix(_rational_law(draw, Cyclic(2), [0, 1]),
+                           _rational_law(draw, DINF, dinf_sites))
+
+
+def _reference_powers(mu, n):
+    """mu^{*1} .. mu^{*n} as dicts of Fractions, by the plain product loop."""
+    step = dict(mu.atoms())
+    powers = [step]
+    for _ in range(n - 1):
+        nxt: dict = {}
+        for g, wg in powers[-1].items():
+            for h, wh in step.items():
+                prod = groups.multiply(mu.spec, g, h)
+                nxt[prod] = nxt.get(prod, 0) + wg * wh
+        powers.append(nxt)
+    return powers
+
+
+@given(rational_laws(), st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_exact_powers_match_the_fraction_loop(mu, cap):
+    n_max = 4
+    reference = _reference_powers(mu, n_max)
+    power = mu
+    for n, ref in enumerate(reference, start=1):
+        if n > 1:
+            power = convolve(power, mu)
+        assert list(power.atoms()) == list(ref.items())
+        assert entropy(power) == -sum(float(w) * math.log(float(w))
+                                      for w in ref.values())
+        diff = exact_entropy(power) - entropy_form(ref.values())
+        assert diff.sign() == 0
+    # the first power past the cap ends the ladder; power 1 is the law itself
+    over = [n for n, ref in enumerate(reference, start=1)
+            if n > 1 and len(ref) > cap]
+    if not over:
+        assert walks.entropy_ladder(mu, n_max, cap=cap).n_max == n_max
+        return
+    with pytest.raises(measures.SupportCapError) as info:
+        walks.entropy_ladder(mu, n_max, cap=cap)
+    assert info.value.completed == over[0] - 1
+    assert f"(largest completed power {over[0] - 1})" in str(info.value)
