@@ -8,8 +8,8 @@ Three estimator families:
   ``mu^{*n}(e) <= 2 exp(-2 n mean^2 / (b - a)^2)`` for a drifted walk whose
   (projected) support lies in ``[a, b]``.  The result is a bracketing
   interval, not a point guess.  On the line the series is summed exactly,
-  on integer numerators over ``D^n`` (``D`` the lcm of the step
-  denominators).
+  on the law's integer numerators over ``D^n`` (``D`` its shared
+  denominator).
 * ``mc_escape``: Monte Carlo first-return sampling with per-sample
   counter-based streams; nested horizon checkpoints are evaluated on the
   same paths, so the reported estimates are nonincreasing by construction.
@@ -28,14 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import exp, lcm, log, prod, sqrt
-from typing import Any, Callable, Iterable, Iterator
+from math import exp, log, prod, sqrt
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from . import groups, measures, walks
+from . import groups, walks
 from .groups import GroupElement, IntegerLattice
-from .measures import FiniteMeasure, MeasureError
+from .measures import FiniteMeasure
 from .rng import chunk_schedule, cumulative, draw, sample_stream
 
 _Z1 = IntegerLattice(1)
@@ -45,14 +45,6 @@ _FLOAT_SLACK = 1e-12
 
 class EscapeError(ValueError):
     """Estimator preconditions not met (wrong spec, zero drift, ...)."""
-
-
-class TailMassError(RuntimeError):
-    """Stopping-time tail mass above the configured tolerance."""
-
-    def __init__(self, message: str, tail_mass: Fraction):
-        super().__init__(message)
-        self.tail_mass = tail_mass
 
 
 @dataclass
@@ -119,22 +111,20 @@ class EscapeEstimate:
 # drift bounds and the concentration inequality
 
 
-def _z1_values_weights(mu: FiniteMeasure) -> tuple[list[int], list[Fraction]]:
+def _z1_steps(mu: FiniteMeasure) -> list[tuple[int, int]]:
+    """Steps ``(x, a)`` of a rational 1-d lattice law: the walk moves by
+    ``x`` with probability ``a / mu.denom``."""
     if mu.spec != _Z1:
         raise EscapeError(f"expected a measure on the 1-d lattice, got {mu.spec!r}")
     if not mu.exact:
         raise EscapeError("exact estimators require the rational weight mode")
-    values = []
-    weights = []
-    for (x,), w in mu.atoms():
-        values.append(x)
-        weights.append(w)
-    return values, weights
+    return [(x, a) for (x,), a in mu._atoms.items()]
 
 
 def drift_bound_z(mu: FiniteMeasure) -> DriftBound:
-    values, weights = _z1_values_weights(mu)
-    mean = sum(Fraction(x) * w for x, w in zip(values, weights))
+    steps = _z1_steps(mu)
+    values = [x for x, _ in steps]
+    mean = Fraction(sum(x * a for x, a in steps), mu.denom)
     return DriftBound(Fraction(min(values)), Fraction(max(values)), mean)
 
 
@@ -145,18 +135,16 @@ def hoeffding_return_bound(bound: DriftBound, n: int) -> float:
     return 2.0 * exp(-bound.rate * n)
 
 
-def _return_masses(values: list[int],
-                   weights: list[Fraction]) -> tuple[int, Iterator[int]]:
+def _return_masses(mu: FiniteMeasure) -> tuple[int, Iterator[int]]:
     """``D`` and the numerators ``c_n`` of ``mu^{*n}(0) = c_n / D^n`` for
-    n = 1, 2, ... of a 1-d lattice walk, where ``D`` is the lcm of the step
-    denominators.
+    n = 1, 2, ... of a 1-d lattice walk, where ``D`` is the shared
+    denominator ``mu.denom`` of its weights.
 
     The law after n steps is a sparse dict of integer numerators over
     ``D^n`` keyed by position, so a step costs multiply-adds and no gcd.
     """
-    den = lcm(*(w.denominator for w in weights))
-    steps = [(x, w.numerator * (den // w.denominator))
-             for x, w in zip(values, weights)]
+    den = mu.denom
+    steps = _z1_steps(mu)
 
     def numerators() -> Iterator[int]:
         dist = {0: 1}
@@ -177,7 +165,7 @@ def _return_masses(values: list[int],
 
 def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
     """Exact masses ``mu^{*n}(0)`` for n = 0 .. n_terms on the 1-d lattice."""
-    den, masses = _return_masses(*_z1_values_weights(mu))
+    den, masses = _return_masses(mu)
     return [Fraction(1), *(Fraction(c, den ** n)
                            for n, c in enumerate(islice(masses, n_terms), 1))]
 
@@ -193,7 +181,6 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
     Sums the visit series exactly and closes it with the geometric tail from
     the concentration bound; the interval has width at most ``tol``.
     """
-    values, weights = _z1_values_weights(mu)
     bound = drift_bound_z(mu)
     if bound.mean == 0:
         raise EscapeError("drifted walk required; the mean is exactly zero")
@@ -207,7 +194,7 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
         raise EscapeError("degenerate concentration rate")
     # the partial sum is series / scale with scale = D^n; int true division
     # rounds correctly, as float(Fraction) does
-    den, masses = _return_masses(values, weights)
+    den, masses = _return_masses(mu)
     series = scale = 1
     for n, c in enumerate(islice(masses, max_terms), 1):
         series = series * den + c
@@ -224,8 +211,8 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
     return EscapeEstimate(
         "exact-series", (lo + hi) / 2, lo, hi, n=n,
         details={"series_lo": s_lo, "series_hi": s_hi, "tail_bound": tail,
-                 "mean": float(bound.mean), "support_lo": min(values),
-                 "support_hi": max(values)})
+                 "mean": float(bound.mean), "support_lo": int(bound.lo),
+                 "support_hi": int(bound.hi)})
 
 
 def _axis_split(mu: FiniteMeasure):
@@ -535,70 +522,6 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
         details["bias_bound"] = bias_bound
     return EscapeEstimate("range-rate", mean, lo, hi, n=n, samples=samples,
                           seed=seed, details=details)
-
-
-# ---------------------------------------------------------------------------
-# induced (first-entry) measure on a subgroup
-
-
-@dataclass
-class InducedMeasure:
-    """Exact law of the walk at its first entry into a subgroup."""
-
-    spec: Any
-    atoms: dict[GroupElement, Fraction]
-    tail_mass: Fraction
-    horizon: int
-
-    def conditional(self) -> FiniteMeasure:
-        total = sum(self.atoms.values())
-        return FiniteMeasure.from_pairs(
-            self.spec, [(g, w / total) for g, w in self.atoms.items()])
-
-    def as_measure(self) -> FiniteMeasure:
-        if self.tail_mass != 0:
-            raise TailMassError(
-                f"tail mass {self.tail_mass} prevents an exact law",
-                self.tail_mass)
-        return FiniteMeasure.from_pairs(self.spec, list(self.atoms.items()))
-
-
-def induced_measure_on_subgroup(mu: FiniteMeasure,
-                                member: Callable[[GroupElement], bool],
-                                horizon: int,
-                                mass_tol: Fraction = Fraction(1, 1000),
-                                ) -> InducedMeasure:
-    """Law of the walk at the first step it lands in the subgroup.
-
-    Exact (rational mode).  The walk is stopped on entry; mass still outside
-    after ``horizon`` steps is the tail, which must not exceed ``mass_tol``.
-    Each step is one :func:`measures.convolve` under the default support
-    cap, so mass spreading over too many sites raises ``SupportCapError``.
-    """
-    if not mu.exact:
-        raise MeasureError("induced measures require the rational weight mode")
-    spec = mu.spec
-    ident = groups.identity(spec)
-    if not member(ident):
-        raise MeasureError("the membership predicate must accept the identity")
-    captured: dict[GroupElement, Fraction] = {}
-    outside: dict[GroupElement, Fraction] = {ident: Fraction(1)}
-    for _ in range(horizon):
-        stepped = measures.convolve(FiniteMeasure(spec, outside, True), mu)
-        outside = {}
-        for g, w in stepped.atoms():
-            if member(g):
-                captured[g] = captured.get(g, Fraction(0)) + w
-            else:
-                outside[g] = w
-        if not outside:
-            break
-    tail = sum(outside.values(), Fraction(0))
-    if tail > mass_tol:
-        raise TailMassError(
-            f"tail mass {tail} exceeds tolerance {mass_tol} "
-            f"at horizon {horizon}", tail)
-    return InducedMeasure(spec, captured, tail, horizon)
 
 
 # ---------------------------------------------------------------------------

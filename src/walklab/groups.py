@@ -51,10 +51,6 @@ class GroupError(ValueError):
     """Invalid element for a spec, mismatched specs, or unsupported operation."""
 
 
-class ClosureCapError(RuntimeError):
-    """Bounded semigroup closure exceeded its configured size cap."""
-
-
 # ---------------------------------------------------------------------------
 # specs
 
@@ -162,15 +158,6 @@ def wreath_tower(lamps: Sequence[GroupSpec], base: GroupSpec) -> GroupSpec:
     for lamp in lamps:
         spec = Wreath(lamp, spec)
     return spec
-
-
-def wreath_parts(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec]:
-    """Lamp and base specs of a wreath-shaped spec (wreath or level >= 2)."""
-    if isinstance(spec, Wreath):
-        return spec.lamp, spec.base
-    if isinstance(spec, FreeSolvable) and spec.length >= 2:
-        return IntegerLattice(spec.rank), FreeSolvable(spec.rank, spec.length - 1)
-    raise GroupError(f"{spec!r} is not wreath-shaped")
 
 
 def tower_height(spec: GroupSpec) -> int:
@@ -317,12 +304,6 @@ def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
     if t is FreeSolvable:
         return inverse(lattice_tower(spec), g)
     raise GroupError(f"unknown spec {spec!r}")
-
-
-def act_on_lamps(spec: GroupSpec, x: GroupElement, lamps: tuple) -> tuple:
-    """Left translation action of a base element on a lamp configuration."""
-    _, base_spec = wreath_parts(spec)
-    return tuple(sorted((multiply(base_spec, x, site), val) for site, val in lamps))
 
 
 # ---------------------------------------------------------------------------
@@ -484,167 +465,6 @@ def validate(spec: GroupSpec, g: GroupElement) -> None:
         validate(lattice_tower(spec), g)
         return
     raise GroupError(f"unknown spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# projections
-
-
-@dataclass(frozen=True)
-class Projection:
-    """A homomorphic coordinate/quotient map between two specs."""
-
-    source: GroupSpec
-    target: GroupSpec
-    kind: str
-    level: int | None = None
-
-
-def wreath_to_base(spec: GroupSpec) -> Projection:
-    _, base = wreath_parts(spec)
-    return Projection(spec, base, "wreath-to-base")
-
-
-def tower_to_level(spec: GroupSpec, level: int) -> Projection:
-    height = tower_height(spec)
-    if not 1 <= level <= height:
-        raise GroupError(f"level {level} out of range for height {height}")
-    target = spec
-    for _ in range(height - level):
-        target = wreath_parts(target)[1]
-    return Projection(spec, target, "tower-to-level", level)
-
-
-def product_factor(spec: DirectProduct, side: str) -> Projection:
-    if not isinstance(spec, DirectProduct):
-        raise GroupError(f"{spec!r} is not a direct product")
-    if side == "left":
-        return Projection(spec, spec.left, "product-left")
-    if side == "right":
-        return Projection(spec, spec.right, "product-right")
-    raise GroupError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def abelianization_target(spec: GroupSpec) -> GroupSpec:
-    t = type(spec)
-    if t is IntegerLattice or t is Cyclic:
-        return spec
-    if t is FreeGroup:
-        return IntegerLattice(spec.rank)
-    if t is Dihedral:
-        # coordinates: (flip bit, translation parity)
-        return DirectProduct(Cyclic(2), Cyclic(2))
-    if t is BaumslagSolitar:
-        # coordinates: (a-exponent parity, b-exponent)
-        return DirectProduct(Cyclic(2), IntegerLattice(1))
-    if t is DirectProduct:
-        return DirectProduct(abelianization_target(spec.left),
-                             abelianization_target(spec.right))
-    if t is Wreath:
-        return DirectProduct(abelianization_target(spec.lamp),
-                             abelianization_target(spec.base))
-    if t is FreeSolvable:
-        return IntegerLattice(spec.rank)
-    raise GroupError(f"unknown spec {spec!r}")
-
-
-def abelianization(spec: GroupSpec) -> Projection:
-    return Projection(spec, abelianization_target(spec), "abelianization")
-
-
-def _abelianize(spec: GroupSpec, g: GroupElement) -> GroupElement:
-    t = type(spec)
-    if t is IntegerLattice or t is Cyclic:
-        return g
-    if t is FreeGroup:
-        vec = [0] * spec.rank
-        for letter in g:
-            vec[abs(letter) - 1] += 1 if letter > 0 else -1
-        return tuple(vec)
-    if t is Dihedral:
-        return (g[1], g[0] & 1)
-    if t is BaumslagSolitar:
-        return (g[0] & 1, (g[1],))
-    if t is DirectProduct:
-        return (_abelianize(spec.left, g[0]), _abelianize(spec.right, g[1]))
-    if t is Wreath:
-        lamp_ab = abelianization_target(spec.lamp)
-        total = identity(lamp_ab)
-        for _, val in g[0]:
-            total = multiply(lamp_ab, total, _abelianize(spec.lamp, val))
-        return (total, _abelianize(spec.base, g[1]))
-    if t is FreeSolvable:
-        # the level-1 image: Z^r, not the abelianization of the tower
-        for _ in range(spec.length - 1):
-            g = g[1]
-        return g
-    raise GroupError(f"unknown spec {spec!r}")
-
-
-def project(p: Projection, g: GroupElement) -> GroupElement:
-    kind = p.kind
-    if kind == "wreath-to-base":
-        return g[1]
-    if kind == "tower-to-level":
-        steps = tower_height(p.source) - p.level
-        for _ in range(steps):
-            g = g[1]
-        return g
-    if kind == "product-left":
-        return g[0]
-    if kind == "product-right":
-        return g[1]
-    if kind == "abelianization":
-        return _abelianize(p.source, g)
-    raise GroupError(f"unknown projection kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# bounded symmetry heuristic
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of the bounded semigroup symmetry check (a heuristic)."""
-
-    symmetric_within_radius: bool
-    witness: GroupElement | None
-    radius: int
-    closure_size: int
-
-
-def semigroup_symmetric_bounded(spec: GroupSpec, support: Sequence[GroupElement],
-                                radius: int, cap: int = 250_000) -> SymmetryReport:
-    """Check whether every product of at most ``radius`` support elements has
-    its inverse reachable within the same radius.
-
-    This is a bounded heuristic, not a decision procedure: a ``True`` answer
-    only certifies symmetry of the ball explored.
-    """
-    if radius < 1:
-        raise GroupError("radius must be >= 1")
-    if not support:
-        raise GroupError("support must be nonempty")
-    reached: set[GroupElement] = set(support)
-    frontier = list(support)
-    for _ in range(radius - 1):
-        new: list[GroupElement] = []
-        for g in frontier:
-            for s in support:
-                h = multiply(spec, g, s)
-                if h not in reached:
-                    reached.add(h)
-                    new.append(h)
-                    if len(reached) > cap:
-                        raise ClosureCapError(
-                            f"closure exceeded cap {cap} at radius {radius}")
-        if not new:
-            break
-        frontier = new
-    for g in sorted(reached, key=lambda e: canonical_key(spec, e)):
-        if inverse(spec, g) not in reached:
-            return SymmetryReport(False, g, radius, len(reached))
-    return SymmetryReport(True, None, radius, len(reached))
 
 
 # ---------------------------------------------------------------------------

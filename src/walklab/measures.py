@@ -36,7 +36,6 @@ from .groups import (
     GroupElement,
     GroupSpec,
     IntegerLattice,
-    Projection,
     Wreath,
 )
 
@@ -242,17 +241,6 @@ def convolution_power(mu: FiniteMeasure, n: int,
     return acc
 
 
-def pushforward(mu: FiniteMeasure, p: Projection) -> FiniteMeasure:
-    """Image measure under a projection; colliding atoms merge."""
-    if p.source != mu.spec:
-        raise MeasureError(f"projection source {p.source!r} != {mu.spec!r}")
-    out: dict[GroupElement, Weight] = {}
-    for g, w in mu.atoms():
-        img = groups.project(p, g)
-        out[img] = out.get(img) + w if img in out else w
-    return FiniteMeasure(p.target, out, mu.exact)
-
-
 def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     """Independent product on the direct product of the two specs."""
     if mu.exact != nu.exact:
@@ -290,14 +278,6 @@ def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Weight:
     for g in set(a) | set(b):
         total += abs(a.get(g, zero) - b.get(g, zero))
     return total / 2
-
-
-def pointwise_sup_diff(mu: FiniteMeasure, nu: FiniteMeasure) -> Weight:
-    """sup_g |mu(g) - nu(g)|."""
-    _check_same(mu, nu)
-    zero = Fraction(0) if mu.exact else 0.0
-    a, b = dict(mu.atoms()), dict(nu.atoms())
-    return max(abs(a.get(g, zero) - b.get(g, zero)) for g in set(a) | set(b))
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,13 @@ def parse_word(text: str, rank: int) -> FreeWord:
     return w
 
 
+#: Specs whose elements are read as words, where ``e`` is a no-op factor.
+_WORD_SPECS = (FreeGroup, FreeSolvable, Dihedral, BaumslagSolitar)
+
+
 def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
     t = type(spec)
-    if sc.peek() == "e" and t not in (Dihedral, BaumslagSolitar):
+    if sc.peek() == "e" and t not in _WORD_SPECS:
         nxt = sc.pos + 1
         rest = sc.text[nxt:nxt + 1]
         if not (rest.isalnum() or rest == "_"):
@@ -378,7 +382,7 @@ def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
         if t is Dihedral and pair[1] not in (0, 1):
             raise sc.error("flip bit must be 0 or 1")
         return pair
-    if t in (FreeGroup, FreeSolvable, Dihedral, BaumslagSolitar):
+    if t in _WORD_SPECS:
         start = sc.pos
         g = _word(sc, FreeGroup(spec.rank) if t is FreeSolvable else spec)
         if sc.pos == start:
@@ -479,14 +483,6 @@ def parse_measure(spec: GroupSpec, text: str, exact: bool = True) -> FiniteMeasu
     if not sc.eof():
         raise sc.error("trailing input after measure literal")
     return FiniteMeasure.from_pairs(spec, pairs, exact=exact)
-
-
-def measure_to_text(mu: FiniteMeasure) -> str:
-    parts = []
-    for g, w in mu.atoms():
-        weight = str(w) if mu.exact else repr(w)
-        parts.append(f'atom "{element_to_text(mu.spec, g)}" {weight};')
-    return "measure { " + " ".join(parts) + " }"
 
 
 def _family_params(sc: _Scanner) -> dict[str, Fraction | str]:

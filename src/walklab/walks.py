@@ -274,23 +274,6 @@ class Trajectory:
             raise MeasureError("positions must be one longer than increments")
 
 
-@dataclass
-class CoarseTrajectory:
-    """Positions observed every ``t0`` steps (multiples up to n)."""
-
-    t0: int
-    n: int
-    positions: tuple[Any, ...]
-
-
-def coarse_trajectory(traj: Trajectory, t0: int) -> CoarseTrajectory:
-    if t0 < 1:
-        raise MeasureError("t0 must be >= 1")
-    n = len(traj.increments)
-    picks = tuple(traj.positions[t] for t in range(t0, n + 1, t0))
-    return CoarseTrajectory(t0, n, picks)
-
-
 def sample_walk(mu: FiniteMeasure, n: int, seed: int, index: int = 0) -> Trajectory:
     """Sample one n-step trajectory from the (seed, index) stream."""
     elems, cum = cumulative(mu)
@@ -407,22 +390,11 @@ def _label_weights(enum: TrajectoryEnumeration, view: PartitionView) -> dict:
     return out
 
 
-def view_entropy(enum: TrajectoryEnumeration, view: PartitionView) -> float:
-    ws = _label_weights(enum, view)
-    return -sum(float(w) * log(float(w)) for w in ws.values() if w > 0)
-
-
 def view_entropy_form(enum: TrajectoryEnumeration,
                       view: PartitionView) -> LogLinear:
     if not enum.mu.exact:
         raise MeasureError("exact view entropy requires rational mode")
     return entropy_form(Fraction(w) for w in _label_weights(enum, view).values())
-
-
-def conditional_entropy(enum: TrajectoryEnumeration, a: PartitionView,
-                        b: PartitionView) -> float:
-    """H(a | b) = H(a v b) - H(b)."""
-    return view_entropy(enum, joint_view(a, b)) - view_entropy(enum, b)
 
 
 def conditional_entropy_form(enum: TrajectoryEnumeration, a: PartitionView,

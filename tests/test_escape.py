@@ -1,4 +1,4 @@
-"""Escape estimators: exact series, concentration bounds, samplers, induced laws."""
+"""Escape estimators: exact series, concentration bounds, samplers, reductions."""
 
 from __future__ import annotations
 
@@ -15,14 +15,12 @@ from walklab import escape, groups, measures, rng
 from walklab.escape import (
     DriftBound,
     EscapeError,
-    TailMassError,
     auto_escape,
     drift_bound_z,
     exact_escape_drifted_z,
     exact_escape_drifted_z2,
     first_return_times,
     hoeffding_return_bound,
-    induced_measure_on_subgroup,
     mc_escape,
     range_rate,
     recurrence_zero,
@@ -31,7 +29,7 @@ from walklab.escape import (
     return_mass_series_z,
 )
 from walklab.groups import BS11, DINF, IntegerLattice
-from walklab.measures import FiniteMeasure, MeasureError, uniform_measure
+from walklab.measures import FiniteMeasure, uniform_measure
 
 F = Fraction
 Z = IntegerLattice(1)
@@ -371,75 +369,6 @@ def test_samplers_match_a_reference_walk(mu):
         rates = np.array([len({ident, *_reference_path(mu, seed, i, [n])}) / n
                           for i in range(samples)])
         assert range_rate(mu, n, samples, seed).value == float(rates.mean())
-
-
-# ---------------------------------------------------------------------------
-# induced measures on subgroups
-
-
-def even_site(g):
-    return g[0] % 2 == 0
-
-
-def test_induced_measure_on_even_sublattice():
-    mu = uniform_measure(Z, [(1,), (-1,)])
-    ind = induced_measure_on_subgroup(mu, even_site, horizon=2)
-    assert ind.atoms == {(0,): F(1, 2), (2,): F(1, 4), (-2,): F(1, 4)}
-    assert ind.tail_mass == 0
-    law = ind.as_measure()
-    assert law.weight_of((0,)) == F(1, 2)
-    assert sum(w for _, w in law.atoms()) == 1
-
-
-def test_induced_measure_dinf_translation_subgroup():
-    mu = uniform_measure(DINF, [(0, 1), (1, 1)])  # two reflections
-    ind = induced_measure_on_subgroup(mu, lambda g: g[1] == 0, horizon=2)
-    assert ind.tail_mass == 0
-    assert ind.atoms == {(0, 0): F(1, 2), (-1, 0): F(1, 4), (1, 0): F(1, 4)}
-    assert all(g[1] == 0 for g in ind.atoms)
-
-
-def test_induced_measure_positive_tail():
-    mu = FiniteMeasure.from_pairs(Z, [((1,), F(1, 2)), ((2,), F(1, 2))])
-    ind = induced_measure_on_subgroup(mu, even_site, horizon=10)
-    assert ind.tail_mass == F(1, 1024)
-    with pytest.raises(TailMassError):
-        ind.as_measure()
-    cond = ind.conditional()
-    assert cond.weight_of((2,)) == F(256, 341)
-    assert sum(w for _, w in cond.atoms()) == 1
-
-
-def test_induced_measure_tail_above_tolerance():
-    mu = uniform_measure(Z, [(1,), (-1,)])
-    with pytest.raises(TailMassError) as err:
-        induced_measure_on_subgroup(mu, lambda g: g[0] % 5 == 0, horizon=3)
-    assert err.value.tail_mass == F(1, 2)
-
-
-def test_induced_measure_steps_under_the_support_cap(monkeypatch):
-    convolve = measures.convolve
-    monkeypatch.setattr(measures, "convolve",
-                        lambda mu, nu: convolve(mu, nu, cap=4))
-    mu = uniform_measure(Z, [(1,), (-1,)])
-    # after three steps the walk is at one of four sites outside 4Z
-    ind = induced_measure_on_subgroup(mu, lambda g: g[0] % 4 == 0, horizon=3,
-                                      mass_tol=F(1))
-    assert ind.atoms == {(0,): F(1, 2)} and ind.tail_mass == F(1, 2)
-    with pytest.raises(measures.SupportCapError):
-        induced_measure_on_subgroup(mu, lambda g: g[0] == 0, horizon=5)
-
-
-def test_induced_measure_predicate_must_accept_identity():
-    mu = uniform_measure(Z, [(1,), (-1,)])
-    with pytest.raises(MeasureError):
-        induced_measure_on_subgroup(mu, lambda g: g[0] % 2 == 1, horizon=2)
-
-
-def test_induced_measure_requires_rational_mode():
-    mu = uniform_measure(Z, [(1,), (-1,)], exact=False)
-    with pytest.raises(MeasureError):
-        induced_measure_on_subgroup(mu, even_site, horizon=2)
 
 
 # ---------------------------------------------------------------------------

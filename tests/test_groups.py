@@ -1,4 +1,4 @@
-"""Group arithmetic: laws, normal forms, keys, projections, symmetry."""
+"""Group arithmetic: laws, normal forms, keys, coordinate maps."""
 
 from __future__ import annotations
 
@@ -228,28 +228,6 @@ def test_lamplighter_inverse_translates_lamp():
         identity(LAMPLIGHTER)
 
 
-def test_act_on_lamps_translation():
-    f = (((0,), 1),)
-    assert groups.act_on_lamps(LAMPLIGHTER, (0,), f) == f
-    assert groups.act_on_lamps(LAMPLIGHTER, (2,), f) == (((2,), 1),)
-
-
-def test_act_on_lamps_is_an_action():
-    rng = Random(23)
-    for _ in range(200):
-        g = sample(LAMPLIGHTER, rng)
-        x = sample(LAMPLIGHTER, rng)[1]
-        y = sample(LAMPLIGHTER, rng)[1]
-        f = g[0]
-        twice = groups.act_on_lamps(
-            LAMPLIGHTER, x, groups.act_on_lamps(LAMPLIGHTER, y, f))
-        joint = groups.act_on_lamps(LAMPLIGHTER, multiply(Z, x, y), f)
-        assert twice == joint
-        back = groups.act_on_lamps(
-            LAMPLIGHTER, inverse(Z, x), groups.act_on_lamps(LAMPLIGHTER, x, f))
-        assert back == f
-
-
 def test_wreath_identity_has_no_lamps():
     assert identity(LAMPLIGHTER) == ((), (0,))
     assert identity(WREATH_DINF) == ((), (0, 0))
@@ -306,28 +284,11 @@ def test_key_identifies_reduced_words():
 
 
 # ---------------------------------------------------------------------------
-# projections
+# coordinate maps
 
 
-def test_wreath_projection_drops_lamps():
-    p = groups.wreath_to_base(LAMPLIGHTER)
-    g = ((((0,), 1), ((3,), 1)), (5,))
-    assert groups.project(p, g) == (5,)
-    assert groups.project(p, identity(LAMPLIGHTER)) == (0,)
-
-
-def test_tower_projection_composes():
-    p1 = groups.tower_to_level(TOWER, 1)
-    p2 = groups.tower_to_level(TOWER, 2)
-    mid = groups.wreath_to_base(p2.target)
-    rng = Random(37)
-    for _ in range(200):
-        g = sample(TOWER, rng, size=2)
-        assert groups.project(p1, g) == \
-            groups.project(mid, groups.project(p2, g))
-
-
-def _projection_cases():
+def _coordinate_cases():
+    """(id, spec, i, target, draw): ``g -> g[i]`` maps spec onto target."""
     from walklab import magnus
 
     rng = Random(41)
@@ -339,75 +300,37 @@ def _projection_cases():
         w = magnus.random_reduced_word(2, rng.randint(1, 8), rng)
         return magnus.magnus_embed(w, 2, 2)
 
-    s22 = magnus.sdm_spec(2, 2)
     return [
-        ("wreath-to-base", groups.wreath_to_base(WREATH_DINF),
-         rand(WREATH_DINF)),
-        ("tower-to-level", groups.tower_to_level(TOWER, 2), rand(TOWER)),
-        ("product-left", groups.product_factor(PRODUCT, "left"),
-         rand(PRODUCT)),
-        ("product-right", groups.product_factor(PRODUCT, "right"),
-         rand(PRODUCT)),
-        ("free-solvable-to-level", groups.tower_to_level(s22, 1), rand_sdm),
-        ("abelianization-dinf", groups.abelianization(DINF), rand(DINF)),
-        ("abelianization-bs", groups.abelianization(BS11), rand(BS11)),
-        ("abelianization-free", groups.abelianization(F2), rand(F2)),
-        ("abelianization-wreath", groups.abelianization(WREATH_DINF),
-         rand(WREATH_DINF)),
+        ("wreath-to-base", WREATH_DINF, 1, DINF, rand(WREATH_DINF)),
+        ("tower-to-level", TOWER, 1, TOWER.base, rand(TOWER)),
+        ("product-left", PRODUCT, 0, PRODUCT.left, rand(PRODUCT)),
+        ("product-right", PRODUCT, 1, PRODUCT.right, rand(PRODUCT)),
+        ("free-solvable-to-level", groups.FreeSolvable(2, 2), 1,
+         groups.FreeSolvable(2, 1), rand_sdm),
     ]
 
 
-@pytest.mark.parametrize("case", _projection_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("case", _coordinate_cases(), ids=lambda c: c[0])
 def test_projections_are_homomorphisms(case):
-    _, p, draw = case
+    # the base of a wreath or tower, S(2,2) one level down, product factors
+    _, spec, i, target, draw = case
     for _ in range(10_000):
         g, h = draw(), draw()
-        image = groups.project(p, multiply(p.source, g, h))
-        split = multiply(p.target, groups.project(p, g),
-                         groups.project(p, h))
-        assert image == split
+        assert multiply(spec, g, h)[i] == multiply(target, g[i], h[i])
 
 
-@pytest.mark.parametrize("case", _projection_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("case", _coordinate_cases(), ids=lambda c: c[0])
 def test_projections_preserve_identity(case):
-    _, p, _ = case
-    assert groups.project(p, identity(p.source)) == identity(p.target)
+    _, spec, i, target, _ = case
+    assert identity(spec)[i] == identity(target)
 
 
-# ---------------------------------------------------------------------------
-# bounded semigroup symmetry
-
-
-def test_symmetry_z_symmetric_support():
-    for radius in (1, 2, 5, 8):
-        rep = groups.semigroup_symmetric_bounded(Z, [(1,), (-1,)], radius)
-        assert rep.symmetric_within_radius
-
-
-def test_symmetry_z_one_sided_support():
-    rep = groups.semigroup_symmetric_bounded(Z, [(1,)], 5)
-    assert not rep.symmetric_within_radius
-    assert rep.witness == (1,)
-
-
-def test_symmetry_dinf_translation_support():
-    ab = multiply(DINF, DINF_A, DINF_B)
-    ba = multiply(DINF, DINF_B, DINF_A)
-    rep = groups.semigroup_symmetric_bounded(DINF, [ab, ba, DINF_A], 4)
-    assert rep.symmetric_within_radius
-
-
-def test_symmetry_requires_valid_arguments():
-    with pytest.raises(GroupError):
-        groups.semigroup_symmetric_bounded(Z, [(1,)], 0)
-    with pytest.raises(GroupError):
-        groups.semigroup_symmetric_bounded(Z, [], 3)
-
-
-def test_symmetry_closure_cap():
-    with pytest.raises(groups.ClosureCapError):
-        groups.semigroup_symmetric_bounded(Z2, [(1, 0), (0, 1), (-1, -1)],
-                                           40, cap=100)
+def test_tower_projection_composes():
+    # two levels down the height-3 tower is its Z^2 base
+    rng = Random(37)
+    for _ in range(200):
+        g, h = sample(TOWER, rng, size=2), sample(TOWER, rng, size=2)
+        assert multiply(TOWER, g, h)[1][1] == multiply(Z2, g[1][1], h[1][1])
 
 
 # ---------------------------------------------------------------------------

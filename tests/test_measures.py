@@ -1,4 +1,4 @@
-"""Measures: construction, convolution, pushforward, families, distances."""
+"""Measures: construction, convolution, products, families, distances."""
 
 from __future__ import annotations
 
@@ -36,9 +36,7 @@ from walklab.measures import (
     lamplighter_mix,
     mix,
     point_mass,
-    pointwise_sup_diff,
     product_measure,
-    pushforward,
     total_variation,
     uniform_measure,
     z_drift_family,
@@ -47,7 +45,6 @@ from walklab.measures import (
 F = Fraction
 Z = IntegerLattice(1)
 F2 = FreeGroup(2)
-LAMPLIGHTER = Wreath(Cyclic(2), Z)
 WREATH_DINF = Wreath(Cyclic(2), DINF)
 
 
@@ -179,50 +176,6 @@ def test_convolution_specs_must_match():
 
 
 # ---------------------------------------------------------------------------
-# pushforward
-
-
-def test_pushforward_lamp_only_measure():
-    lamp_atom = ((((0,), 1),), (0,))
-    mu = uniform_measure(LAMPLIGHTER,
-                         [lamp_atom, groups.identity(LAMPLIGHTER)])
-    out = pushforward(mu, groups.wreath_to_base(LAMPLIGHTER))
-    assert out.support() == [(0,)]
-    assert out.weight_of((0,)) == 1
-
-
-def test_pushforward_point_mass():
-    p = groups.wreath_to_base(LAMPLIGHTER)
-    g = ((((2,), 1),), (density := (5,)))
-    out = pushforward(point_mass(LAMPLIGHTER, g), p)
-    assert out.support() == [density]
-
-
-def test_pushforward_flip_bit_mass():
-    # The flip bit of the dihedral abelianization carries exactly the mass
-    # of the reflection atom a.
-    for k in (1, 2, 5, 10):
-        mu = dinf_family(F(3, 4), k)
-        ab = pushforward(mu, groups.abelianization(DINF))
-        flip = pushforward(ab, groups.product_factor(ab.spec, "left"))
-        assert flip.weight_of(1) == mu.weight_of(DINF_A) == F(1, k)
-
-
-def test_pushforward_data_processing_inequality():
-    rng = Random(47)
-    p = groups.wreath_to_base(WREATH_DINF)
-    for _ in range(1000):
-        n_atoms = rng.randint(1, 5)
-        elems = {groups.random_element(WREATH_DINF, rng, 2)
-                 for _ in range(n_atoms)}
-        raw = [rng.randint(1, 9) for _ in elems]
-        total = sum(raw)
-        mu = FiniteMeasure.from_pairs(
-            WREATH_DINF, [(g, F(r, total)) for g, r in zip(elems, raw)])
-        assert entropy(pushforward(mu, p)) <= entropy(mu) + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # product measures
 
 
@@ -263,13 +216,6 @@ def test_total_variation_of_family_vs_limit():
     for k in (1, 2, 4, 10, 50):
         mu_k = dinf_family(1, k)
         assert total_variation(mu_k, dinf_family(1)) == F(1, k)
-
-
-def test_pointwise_sup_diff():
-    mu = uniform_pm1()
-    nu = FiniteMeasure.from_pairs(Z, [((1,), F(3, 4)), ((-1,), F(1, 4))])
-    assert pointwise_sup_diff(mu, nu) == F(1, 4)
-    assert pointwise_sup_diff(mu, mu) == 0
 
 
 def test_family_tv_nonincreasing_and_small_beyond_threshold():
