@@ -3,7 +3,7 @@ iterated wreath towers, and free solvable groups.
 
 Highlights:
 
-* exact group arithmetic with canonical byte keys (`walklab.groups`)
+* exact group arithmetic on canonical normal forms (`walklab.groups`)
 * finite step laws with rational or float weights (`walklab.measures`)
 * entropy ladders with exact comparison of log-linear forms
   (`walklab.walks`, `walklab.exact_entropy`)
@@ -28,7 +28,6 @@ from .groups import (
     FreeSolvable,
     IntegerLattice,
     Wreath,
-    canonical_key,
     identity,
     inverse,
     multiply,
@@ -42,6 +41,6 @@ __all__ = [
     "rng", "walks",
     "BaumslagSolitar", "Cyclic", "Dihedral", "DirectProduct", "FreeGroup",
     "FreeSolvable", "IntegerLattice", "Wreath",
-    "canonical_key", "identity", "inverse", "multiply", "wreath_tower",
+    "identity", "inverse", "multiply", "wreath_tower",
     "FiniteMeasure", "point_mass", "uniform_measure",
 ]

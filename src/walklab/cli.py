@@ -50,11 +50,9 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
                         default=dflt(None), help="output format (default json)")
     parser.add_argument("--out", default=dflt(None),
                         help="write output to a file")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="exact", action="store_true",
-                      default=dflt(True), help="rational weights (default)")
-    mode.add_argument("--float", dest="exact", action="store_false",
-                      default=dflt(True), help="binary64 weights")
+    parser.add_argument("--float", dest="exact", action="store_false",
+                        default=dflt(True),
+                        help="binary64 weights (default: rational)")
     parser.add_argument("--cap", type=int, default=dflt(None),
                         help="support-size cap for convolutions")
 

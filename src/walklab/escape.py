@@ -14,9 +14,10 @@ Three estimator families:
   counter-based streams; nested horizon checkpoints are evaluated on the
   same paths, so the reported estimates are nonincreasing by construction.
 * ``range_rate``: sample mean of (distinct sites visited)/n.  The finite-n
-  range overestimates the escape probability; for drifted lattice walks a
-  rigorous upper bound for that bias is computed from the visit series and
-  widens the low side of the interval.
+  range overestimates the escape probability; for drifted lattice walks an
+  upper bound for that bias (summed in binary64) is computed from the visit
+  series and its closed-form concentration tail, and widens the low side of
+  the interval.
 
 Both samplers walk Z, Dinf and BS(1,-1) a block of steps at a time, by numpy
 prefix scans over twisted-lattice states, and any other group one
@@ -28,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import exp, log, prod, sqrt
+from math import exp, fsum, log, prod, sqrt
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from . import groups, walks
+from . import groups
 from .groups import GroupElement, IntegerLattice
 from .measures import FiniteMeasure
 from .rng import chunk_schedule, cumulative, draw, sample_stream
@@ -466,7 +467,15 @@ def mc_escape(mu: FiniteMeasure, horizon: int, samples: int, seed: int,
 
 
 def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
-    """Rigorous upper bound for E[range]/n - p_escape on a drifted 1-d walk."""
+    """Upper bound for E[range]/n - p_escape on a drifted 1-d walk.
+
+    The bound is ``(1 + sum_{i>=2} (i-1) mu^{*i}(0)) / n``: exact masses for
+    ``i < c``, and from ``c`` on the concentration bound
+    ``mu^{*i}(0) <= 2 q^i``, ``q = exp(-rate)``, summed in closed form,
+    ``sum_{i>=c} (i-1) 2 q^i = 2 q^c ((c-1)(1-q) + q) / (1-q)^2``.  The
+    terms are rounded to binary64 (``q`` too, without directed rounding)
+    and summed with ``fsum``, so the bound holds up to their rounding.
+    """
     try:
         bound = drift_bound_z(mu)
     except EscapeError:
@@ -477,17 +486,12 @@ def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
         return 1.0 / n  # only the origin is ever recounted
     rate = bound.rate
     q = exp(-rate)
-    # sum_i (i-1) mu^{*i}(0): exact terms while they matter, then geometric
     cut = max(8, int(np.ceil(24.0 / rate)))
     masses = return_mass_series_z(mu, cut)
-    series = sum((i - 1) * float(masses[i]) for i in range(2, cut + 1))
-    i = cut + 1
-    term = (i - 1) * 2.0 * q ** i
-    while term > 1e-15 and i < 100_000:
-        series += term
-        i += 1
-        term = (i - 1) * 2.0 * q ** i
-    return (1.0 + series) / n
+    c = cut + 1
+    tail = 2.0 * q ** c * ((c - 1) * (1.0 - q) + q) / (1.0 - q) ** 2
+    return fsum([1.0, *((i - 1) * float(masses[i]) for i in range(2, c)),
+                 tail]) / n
 
 
 def range_rate(mu: FiniteMeasure, n: int, samples: int,
@@ -495,16 +499,22 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     """Sample mean of (distinct sites)/n over n-step paths, with 95% CI.
 
     The finite-n range is biased upward as an estimator of the escape
-    probability; when a rigorous bias bound is available (drifted 1-d
-    lattice walks) it extends the interval's low side and is reported.
+    probability; when a bias bound is available (drifted 1-d lattice walks)
+    it extends the interval's low side and is reported.
     """
     if n < 1 or samples < 1:
         raise EscapeError("n and samples must be >= 1")
     elems, cum = cumulative(mu)
     table = _twisted_table(mu.spec, elems)
     if table is None:  # one groups.multiply per step
-        sites = [len(set(walks.sample_walk(mu, n, seed, i).positions))
-                 for i in range(samples)]
+        ident = groups.identity(mu.spec)
+        sites = []
+        for i in range(samples):
+            state, seen = ident, {ident}
+            for ix in draw(cum, sample_stream(seed, i).random(n)).tolist():
+                state = groups.multiply(mu.spec, state, elems[ix])
+                seen.add(state)
+            sites.append(len(seen))
     else:
         sites = [_distinct_states(_twisted_path(
             table, draw(cum, sample_stream(seed, i).random(n)), (0, 0, 0)))

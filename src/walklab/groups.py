@@ -23,12 +23,12 @@ Conventions the rest of the package relies on:
   sites are base elements and ``pos`` is a base element.
 * ``FreeSolvable(r, m)`` is realised by its lattice tower
   ``Z^r wr ... wr Z^r`` of height ``m`` (:func:`lattice_tower`): elements,
-  canonical keys, arithmetic and validation are the tower's, so level 1 is
-  ``Z^r`` and level ``m >= 2`` holds wreath values with integer-vector lamps
-  over level ``m - 1``.  Membership in the embedded subgroup is not a local
-  property of the tuple, so ``validate`` only checks structure; the
-  arithmetic never leaves the subgroup when inputs come from the embedding
-  in :mod:`walklab.magnus`.  The step laws on these groups are built in
+  arithmetic and validation are the tower's, so level 1 is ``Z^r`` and
+  level ``m >= 2`` holds wreath values with integer-vector lamps over level
+  ``m - 1``.  Membership in the embedded subgroup is not a local property
+  of the tuple, so ``validate`` only checks structure; the arithmetic never
+  leaves the subgroup when inputs come from the embedding in
+  :mod:`walklab.magnus`.  The step laws on these groups are built in
   :mod:`walklab.measures`.
 """
 
@@ -304,97 +304,6 @@ def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
     if t is FreeSolvable:
         return inverse(lattice_tower(spec), g)
     raise GroupError(f"unknown spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# canonical keys
-
-_TAG_VECTOR = 0x56  # 'V'
-_TAG_CYCLIC = 0x43  # 'C'
-_TAG_WORD = 0x57    # 'W'
-_TAG_DIHEDRAL = 0x44  # 'D'
-_TAG_BS = 0x42      # 'B'
-_TAG_PAIR = 0x50    # 'P'
-_TAG_WREATH = 0x4C  # 'L'
-
-
-def _enc_uint(out: bytearray, n: int) -> None:
-    if n < 0:
-        raise GroupError("negative count")
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-def _enc_int(out: bytearray, n: int) -> None:
-    # zigzag then little-endian base-128
-    _enc_uint(out, n << 1 if n >= 0 else (-n << 1) - 1)
-
-
-def _encode(spec: GroupSpec, g: GroupElement, out: bytearray) -> None:
-    t = type(spec)
-    if t is IntegerLattice:
-        out.append(_TAG_VECTOR)
-        _enc_uint(out, len(g))
-        for a in g:
-            _enc_int(out, a)
-        return
-    if t is Cyclic:
-        out.append(_TAG_CYCLIC)
-        _enc_uint(out, g)
-        return
-    if t is FreeGroup:
-        out.append(_TAG_WORD)
-        _enc_uint(out, len(g))
-        for letter in g:
-            _enc_int(out, letter)
-        return
-    if t is Dihedral:
-        out.append(_TAG_DIHEDRAL)
-        _enc_int(out, g[0])
-        _enc_uint(out, g[1])
-        return
-    if t is BaumslagSolitar:
-        out.append(_TAG_BS)
-        _enc_int(out, g[0])
-        _enc_int(out, g[1])
-        return
-    if t is DirectProduct:
-        out.append(_TAG_PAIR)
-        _encode(spec.left, g[0], out)
-        _encode(spec.right, g[1], out)
-        return
-    if t is Wreath:
-        lamps, pos = g
-        out.append(_TAG_WREATH)
-        _enc_uint(out, len(lamps))
-        for site, val in lamps:
-            _encode(spec.base, site, out)
-            _encode(spec.lamp, val, out)
-        _encode(spec.base, pos, out)
-        return
-    if t is FreeSolvable:
-        _encode(lattice_tower(spec), g, out)
-        return
-    raise GroupError(f"unknown spec {spec!r}")
-
-
-def canonical_key(spec: GroupSpec, g: GroupElement) -> bytes:
-    """Injective deterministic byte encoding of a canonical form.
-
-    Each variant is tagged and every integer is self-delimiting (zigzag,
-    little-endian base-128), so nested encodings concatenate without
-    ambiguity and ``canonical_key(spec, g) == canonical_key(spec, h)``
-    exactly when ``g == h``.
-    """
-    out = bytearray()
-    _encode(spec, g, out)
-    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

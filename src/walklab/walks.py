@@ -10,9 +10,10 @@ over ``H_0 .. H_n`` that serves both modes.  ``EntropyLadder.summary`` is
 the one plain-data record of a ladder that experiment reports, the command
 line and the scripts print, and ``csv_row`` is its one CSV line.
 
-Trajectory enumerations list every length-``n`` increment sequence with its
-exact weight; partition views label trajectories, and view entropies give
-conditional-entropy identities something concrete to hold on.
+A trajectory enumeration lists every length-``n`` increment sequence with
+its exact weight; partition views are callables ``view(enum, t)`` that label
+trajectories, and view entropies give conditional-entropy identities
+something concrete to hold on.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from . import groups, measures
 from .exact_entropy import LogLinear, entropy_form
 from .measures import FiniteMeasure, MeasureError, SupportCapError
-from .rng import cumulative, draw, sample_stream
 
 FLOAT_SLACK = 1e-9
 DEFAULT_ENUM_CAP = 10_000_000
@@ -261,35 +261,6 @@ def free_group_srw_ladder(rank: int, n_max: int,
 # trajectories
 
 
-@dataclass
-class Trajectory:
-    """One walk path: the increments and the partial products."""
-
-    spec: groups.GroupSpec
-    increments: list[Any]
-    positions: list[Any]  # length n + 1, starting at the identity
-
-    def __post_init__(self) -> None:
-        if len(self.positions) != len(self.increments) + 1:
-            raise MeasureError("positions must be one longer than increments")
-
-
-def sample_walk(mu: FiniteMeasure, n: int, seed: int, index: int = 0) -> Trajectory:
-    """Sample one n-step trajectory from the (seed, index) stream."""
-    elems, cum = cumulative(mu)
-    idx = draw(cum, sample_stream(seed, index).random(n))
-    spec = mu.spec
-    pos = groups.identity(spec)
-    increments = []
-    positions = [pos]
-    for i in idx.tolist():
-        g = elems[i]
-        increments.append(g)
-        pos = groups.multiply(spec, pos, g)
-        positions.append(pos)
-    return Trajectory(spec, increments, positions)
-
-
 class TrajectoryEnumeration:
     """All length-n increment sequences of a step law with exact weights."""
 
@@ -303,29 +274,25 @@ class TrajectoryEnumeration:
                 f"enumeration of {size} trajectories exceeds cap {cap}")
         self.mu = mu
         self.n = n
-        self.atom_elems = [g for g, _ in mu.atoms()]
+        elems = [g for g, _ in mu.atoms()]
         self.atom_weights = [w for _, w in mu.atoms()]
-        self.spec = mu.spec
-        seqs = list(iter_product(range(len(self.atom_elems)), repeat=n))
-        self.seqs = seqs
+        self.seqs = list(iter_product(range(len(elems)), repeat=n))
         weights = []
         positions = []
-        spec = mu.spec
-        ident = groups.identity(spec)
+        ident = groups.identity(mu.spec)
         one = Fraction(1) if mu.exact else 1.0
-        for seq in seqs:
+        for seq in self.seqs:
             w = one
             pos = ident
             poss = []
             for idx in seq:
                 w = w * self.atom_weights[idx]
-                pos = groups.multiply(spec, pos, self.atom_elems[idx])
+                pos = groups.multiply(mu.spec, pos, elems[idx])
                 poss.append(pos)
             weights.append(w)
             positions.append(tuple(poss))
         self.weights = weights          # weight of each trajectory
         self.positions = positions      # (w_1, .., w_n) per trajectory
-        self.identity = ident
 
     def total(self):
         return sum(self.weights)
@@ -335,57 +302,45 @@ class TrajectoryEnumeration:
 # partition views
 
 
-@dataclass(frozen=True)
-class PartitionView:
-    """A labelling of trajectories; equal labels mean same partition class."""
-
-    name: str
-    fn: Callable[[TrajectoryEnumeration, int], Hashable]
-
-    def label(self, enum: TrajectoryEnumeration, idx: int) -> Hashable:
-        return self.fn(enum, idx)
+# A labelling ``view(enum, t)`` of trajectories; equal labels mean the same
+# partition class.
+PartitionView = Callable[[TrajectoryEnumeration, int], Hashable]
 
 
 def position_view(i: int) -> PartitionView:
     """The walk position after step i (i >= 1)."""
     if i < 1:
         raise MeasureError("position index must be >= 1")
-    return PartitionView(f"w{i}", lambda enum, t: enum.positions[t][i - 1])
+    return lambda enum, t: enum.positions[t][i - 1]
 
 
 def increment_view(i: int) -> PartitionView:
     """The i-th increment (i >= 1)."""
     if i < 1:
         raise MeasureError("increment index must be >= 1")
-    return PartitionView(f"g{i}", lambda enum, t: enum.seqs[t][i - 1])
+    return lambda enum, t: enum.seqs[t][i - 1]
 
 
 def endpoint_view() -> PartitionView:
-    return PartitionView("end", lambda enum, t: enum.positions[t][-1])
+    return lambda enum, t: enum.positions[t][-1]
 
 
 def coarse_view(t0: int) -> PartitionView:
     """Positions at multiples of t0."""
     if t0 < 1:
         raise MeasureError("t0 must be >= 1")
-
-    def fn(enum: TrajectoryEnumeration, t: int) -> Hashable:
-        return tuple(enum.positions[t][i - 1]
-                     for i in range(t0, enum.n + 1, t0))
-
-    return PartitionView(f"coarse{t0}", fn)
+    return lambda enum, t: tuple(enum.positions[t][i - 1]
+                                 for i in range(t0, enum.n + 1, t0))
 
 
 def joint_view(*views: PartitionView) -> PartitionView:
-    name = "&".join(v.name for v in views)
-    return PartitionView(
-        name, lambda enum, t: tuple(v.label(enum, t) for v in views))
+    return lambda enum, t: tuple(view(enum, t) for view in views)
 
 
 def _label_weights(enum: TrajectoryEnumeration, view: PartitionView) -> dict:
     out: dict[Hashable, Any] = {}
     for idx, w in enumerate(enum.weights):
-        lab = view.label(enum, idx)
+        lab = view(enum, idx)
         out[lab] = out.get(lab, 0) + w
     return out
 

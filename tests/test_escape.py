@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import exp
+from math import exp, fsum
 
 import numpy as np
 import pytest
@@ -315,6 +315,23 @@ def test_range_rate_ci_covers_known_value():
     assert est.details["bias_bound"] < 0.01
 
 
+@pytest.mark.parametrize("p", [F(3, 4), F(3, 5)])
+def test_range_bias_bound_covers_a_long_partial_sum(p):
+    """The bias bound is at least (1 + sum_i (i-1) m_i) / n summed term by
+    term: exact return masses m_i below the bound's cut, then the
+    concentration terms 2 q^i up to i = 200,000, long past the point where
+    they drop below 1e-15."""
+    mu, n = biased_pm1(p), 100
+    rate = drift_bound_z(mu).rate
+    q = exp(-rate)
+    cut = max(8, int(np.ceil(24.0 / rate)))
+    masses = return_mass_series_z(mu, cut)
+    terms = [1.0, *((i - 1) * float(masses[i]) for i in range(2, cut + 1)),
+             *((i - 1) * 2.0 * q ** i for i in range(cut + 1, 200_000))]
+    bound = range_rate(mu, n, 2, seed=0).details["bias_bound"]
+    assert bound >= fsum(terms) / n
+
+
 def test_range_rate_validation():
     with pytest.raises(EscapeError):
         range_rate(biased_pm1(F(3, 4)), 0, 10, seed=0)
@@ -346,15 +363,17 @@ def _reference_path(mu, seed, index, chunks):
     FiniteMeasure.from_pairs(DINF, [((1, 0), F(3, 4)), ((1, 1), F(1, 4))]),
     uniform_measure(BS11, [(1, 1), (-1, 0), (0, -1)]),
     uniform_measure(Z, [(1 << 62,), (-1 << 62,)]),
+    measures.lamplighter_family(F(3, 4), 2),
 ], ids=["z_drift(k=2)", "z_drift", "dinf(k=2)", "dinf", "bs11(k=2)",
         "bs11(p=1/3,k=1)", "dinf-reflection", "bs11-twisted-step",
-        "z-steps-2^62"])
+        "z-steps-2^62", "lamplighter(k=2)"])
 def test_samplers_match_a_reference_walk(mu):
     """First returns and range rates equal those of the plain group walk on
     the same streams, across at least three draw chunks.  The reflection
     and twisted-step laws move and flip in one atom, and some of their
     paths cross a chunk boundary flipped; steps too long for int64 prefix
-    sums are walked exactly too."""
+    sums are walked exactly too, and the lamplighter law over Dinf takes
+    both samplers' ``groups.multiply`` branch."""
     horizon, samples, n = 3000, 4, 3000
     assert len(list(rng.chunk_schedule(horizon))) >= 3
     ident = groups.identity(mu.spec)

@@ -346,6 +346,14 @@ def test_cli_experiment_run_rejects_float(capsys):
     assert "rational mode only" in captured.err
 
 
+def test_cli_has_no_exact_flag(capsys):
+    """Rational weights are the default; ``--float`` is the one switch."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ladder", "z_drift(k=2)", "--exact"])
+    assert exc.value.code == 2
+    assert "--exact" in capsys.readouterr().err
+
+
 def _ladder_tables(*argv):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)

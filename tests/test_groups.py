@@ -1,11 +1,11 @@
-"""Group arithmetic: laws, normal forms, keys, coordinate maps."""
+"""Group arithmetic: laws, normal forms, coordinate maps."""
 
 from __future__ import annotations
 
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from walklab import groups
@@ -24,7 +24,6 @@ from walklab.groups import (
     GroupError,
     IntegerLattice,
     Wreath,
-    canonical_key,
     identity,
     inverse,
     multiply,
@@ -84,7 +83,7 @@ def test_associativity_bulk(spec):
         k = sample(spec, rng, size=3)
         left = multiply(spec, multiply(spec, g, h), k)
         right = multiply(spec, g, multiply(spec, h, k))
-        assert canonical_key(spec, left) == canonical_key(spec, right)
+        assert left == right
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
@@ -234,56 +233,6 @@ def test_wreath_identity_has_no_lamps():
 
 
 # ---------------------------------------------------------------------------
-# canonical keys
-
-
-def test_canonical_key_frozen_encodings():
-    # Byte-for-byte stability across runs and platforms.
-    frozen = {
-        "Z": (Z, (5,), "56010a"),
-        "Z2": (Z2, (-3, 4), "56020508"),
-        "C5": (C5, 3, "4303"),
-        "F2": (F2, (1, -2, 1), "5703020302"),
-        "Dinf": (DINF, DINF_A, "440001"),
-        "BS": (BS11, (2, -1), "420401"),
-        "W": (WREATH_DINF, ((((-1, 0), 1),), (2, 1)),
-              "4c014401004301440401"),
-    }
-    for spec, g, expected in frozen.values():
-        assert canonical_key(spec, g).hex() == expected
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
-def test_canonical_key_injective_on_samples(spec):
-    rng = Random(29)
-    elems = {sample(spec, rng) for _ in range(1000)}
-    keys = {canonical_key(spec, g) for g in elems}
-    assert len(keys) == len(elems)
-    for g in list(elems)[:100]:
-        assert canonical_key(spec, g) == canonical_key(spec, g)
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
-def test_identity_key_is_minimal(spec):
-    rng = Random(31)
-    e_key = canonical_key(spec, identity(spec))
-    for _ in range(300):
-        g = sample(spec, rng)
-        assert canonical_key(spec, g) >= e_key
-
-
-def test_key_distinguishes_element_from_inverse():
-    assert canonical_key(Z, (1,)) != canonical_key(Z, (-1,))
-
-
-def test_key_identifies_reduced_words():
-    # x1 x2 x2^-1 multiplies down to x1.
-    g = multiply(F2, (1, 2), (-2,))
-    assert g == (1,)
-    assert canonical_key(F2, g) == canonical_key(F2, (1,))
-
-
-# ---------------------------------------------------------------------------
 # coordinate maps
 
 
@@ -382,12 +331,3 @@ def test_dinf_associativity_property(g, h, k):
 def test_bs_associativity_property(g, h, k):
     assert multiply(BS11, multiply(BS11, g, h), k) == \
         multiply(BS11, g, multiply(BS11, h, k))
-
-
-@given(st.integers(0, 2 ** 63), st.integers(0, 1))
-@settings(max_examples=50)
-def test_keys_handle_wide_integers(n, flip):
-    g = (n, flip)
-    h = (-n, flip)
-    keys = {canonical_key(DINF, g), canonical_key(DINF, h)}
-    assert len(keys) == (1 if n == 0 else 2)

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from walklab import escape, groups, measures, walks
+from walklab import groups, measures, walks
 from walklab.exact_entropy import LogLinear
-from walklab.groups import DINF, IntegerLattice
+from walklab.groups import IntegerLattice
 from walklab.measures import (
     MeasureError,
     convolution_power,
@@ -32,7 +32,6 @@ from walklab.walks import (
     increment_view,
     joint_view,
     position_view,
-    sample_walk,
     sphere_size,
     view_entropy_form,
 )
@@ -242,48 +241,6 @@ def test_float_radial_ladder_matches_the_direct_loop():
 
 # ---------------------------------------------------------------------------
 # trajectories
-
-
-def test_sampled_positions_recompute_from_increments():
-    mu = dinf_family(F(3, 4), 3)
-    traj = sample_walk(mu, 50, seed=5)
-    pos = groups.identity(DINF)
-    assert traj.positions[0] == pos
-    for i, g in enumerate(traj.increments):
-        pos = groups.multiply(DINF, pos, g)
-        assert traj.positions[i + 1] == pos
-
-
-@pytest.mark.parametrize("mu", [
-    measures.z_drift_family(),
-    measures.dinf_family(F(3, 4)),
-    measures.bs11_family(F(3, 4)),
-    measures.lamplighter_family(F(3, 4)),
-], ids=["Z", "Dinf", "BS11", "wreath-C2-Dinf"])
-def test_sample_walk_and_first_return_times_read_one_stream(mu):
-    """Both samplers turn the (seed, i) stream into the same steps, also
-    past the first 512-draw chunk of the first-return sampler."""
-    n, paths = 1500, 4
-    ident = groups.identity(mu.spec)
-    longest = 0
-    for seed in (3, 11, 29):
-        taus = escape.first_return_times(mu, n, paths, seed)
-        for i in range(paths):
-            positions = sample_walk(mu, n, seed, i).positions
-            first = next((t for t in range(1, n + 1) if positions[t] == ident),
-                         n + 1)
-            assert first == taus[i], (seed, i)
-            longest = max(longest, first)
-    assert longest > 512
-
-
-def test_sampling_is_deterministic_per_seed_and_index():
-    mu = uniform_pm1()
-    a = sample_walk(mu, 100, seed=9, index=3)
-    b = sample_walk(mu, 100, seed=9, index=3)
-    c = sample_walk(mu, 100, seed=9, index=4)
-    assert a.increments == b.increments
-    assert a.increments != c.increments
 
 
 def test_enumeration_exhausts_sequences():
