@@ -22,6 +22,9 @@ Three estimator families:
 Both samplers walk Z, Dinf and BS(1,-1) a block of steps at a time, by numpy
 prefix scans over twisted-lattice states, and any other group one
 ``groups.multiply`` per step; sample ``i`` reads only its (seed, i) stream.
+The exact route reads the same twisted-lattice steps: ``lattice_law``
+rewrites a law with no flipping step as a walk on Z or Z^2, the one form
+``auto_escape`` certifies or brackets.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ from .rng import chunk_schedule, cumulative, draw, sample_stream
 _Z1 = IntegerLattice(1)
 _Z2 = IntegerLattice(2)
 _FLOAT_SLACK = 1e-12
+# Most exact return masses a series sums.  The integer numerators grow with
+# n, so the cost grows about as the cube of the count; the pinned laws need
+# at most 575 terms.
+_TERM_BUDGET = 1_000
 
 
 class EscapeError(ValueError):
@@ -175,12 +182,13 @@ def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
 # exact series estimators
 
 
-def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
-                           max_terms: int = 100_000) -> EscapeEstimate:
+def exact_escape_drifted_z(mu: FiniteMeasure,
+                           tol: float = 1e-6) -> EscapeEstimate:
     """Bracket the escape probability of a drifted 1-d lattice walk.
 
     Sums the visit series exactly and closes it with the geometric tail from
-    the concentration bound; the interval has width at most ``tol``.
+    the concentration bound; the interval has width at most ``tol``.  Raises
+    if the tail needs more than ``_TERM_BUDGET`` terms to reach ``tol``.
     """
     bound = drift_bound_z(mu)
     if bound.mean == 0:
@@ -193,11 +201,16 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
     q = exp(-bound.rate) * (1 + 1e-12)
     if q >= 1.0:
         raise EscapeError("degenerate concentration rate")
+    # the width is at most tail + 2 slack, and tail = 2 q^(n+1) / (1 - q)
+    room = tol - 2 * _FLOAT_SLACK
+    if room <= 0 or log(room * (1 - q) / 2) / log(q) - 1 > _TERM_BUDGET:
+        raise EscapeError(f"tail needs more than {_TERM_BUDGET} terms "
+                          f"to reach tol {tol}")
     # the partial sum is series / scale with scale = D^n; int true division
     # rounds correctly, as float(Fraction) does
     den, masses = _return_masses(mu)
     series = scale = 1
-    for n, c in enumerate(islice(masses, max_terms), 1):
+    for n, c in enumerate(islice(masses, _TERM_BUDGET), 1):
         series = series * den + c
         scale *= den
         tail = 2.0 * q ** (n + 1) / (1.0 - q)
@@ -208,7 +221,7 @@ def exact_escape_drifted_z(mu: FiniteMeasure, tol: float = 1e-6,
         if hi - lo <= tol:
             break
     else:
-        raise EscapeError(f"series did not converge within {max_terms} terms")
+        raise EscapeError(f"series did not converge within {_TERM_BUDGET} terms")
     return EscapeEstimate(
         "exact-series", (lo + hi) / 2, lo, hi, n=n,
         details={"series_lo": s_lo, "series_hi": s_hi, "tail_bound": tail,
@@ -338,26 +351,53 @@ def recurrence_zero(mu: FiniteMeasure, reason: str) -> EscapeEstimate:
 # samplers
 
 
-def _twisted_table(spec, elems: list[GroupElement]):
+def _twisted_steps(spec, elems: list[GroupElement]):
     """Atoms of a law on Z, Dinf or BS(1,-1) as twisted-lattice steps.
 
     A state (a, b, f) moves by a step (da, db, df) to
     (a + (-1)^f da, b + db, f ^ df).  Z steps are (x, 0, 0), Dinf steps
     (t, 0, flip) and BS(1,-1) steps (m, n, n mod 2); the identity is
-    (0, 0, 0).  Returns the columns da, db, df, or None for other groups.
+    (0, 0, 0).  Returns the list of steps, or None for other groups.
     """
     if spec == _Z1:
-        steps = [(x, 0, 0) for (x,) in elems]
-    elif spec == groups.DINF:
-        steps = [(t, 0, f) for t, f in elems]
-    elif spec == groups.BS11:
-        steps = [(m, n, n & 1) for m, n in elems]
-    else:
-        return None
-    if max(abs(x) for step in steps for x in step) >= 1 << 31:
+        return [(x, 0, 0) for (x,) in elems]
+    if spec == groups.DINF:
+        return [(t, 0, f) for t, f in elems]
+    if spec == groups.BS11:
+        return [(m, n, n & 1) for m, n in elems]
+    return None
+
+
+def _twisted_table(spec, elems: list[GroupElement]):
+    """The columns da, db, df of ``_twisted_steps``, or None."""
+    steps = _twisted_steps(spec, elems)
+    if steps is None or max(abs(x) for step in steps for x in step) >= 1 << 31:
         return None  # int64 prefix sums of these steps could wrap
     da, db, df = np.array(steps, dtype=np.int64).T
     return da, db, df.astype(np.int8)
+
+
+def lattice_law(mu: FiniteMeasure) -> FiniteMeasure:
+    """The same walk as a law on Z or Z^2, with the same atom order and weights.
+
+    A Z^2 law passes through.  A law on Z, Dinf or BS(1,-1) with no flipping
+    step never leaves the states (a, b, 0): it is a walk on Z (coordinate
+    a) when no step moves b, and on Z^2 with coordinates (a, b/2) otherwise
+    (every b-step is even).  Raises for other groups and flipping steps.
+    """
+    if mu.spec == _Z2:
+        return mu
+    steps = _twisted_steps(mu.spec, mu.support())
+    if steps is None:
+        raise EscapeError(f"no lattice normal form for {mu.spec!r}")
+    if any(df for _, _, df in steps):
+        raise EscapeError("a step flips the orientation; no lattice normal form")
+    if any(db for _, db, _ in steps):
+        spec, points = _Z2, [(da, db // 2) for da, db, _ in steps]
+    else:
+        spec, points = _Z1, [(da,) for da, _, _ in steps]
+    return FiniteMeasure._over(spec, dict(zip(points, mu._atoms.values())),
+                               mu.denom)
 
 
 def _twisted_path(table, idx: np.ndarray,
@@ -472,9 +512,10 @@ def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
     The bound is ``(1 + sum_{i>=2} (i-1) mu^{*i}(0)) / n``: exact masses for
     ``i < c``, and from ``c`` on the concentration bound
     ``mu^{*i}(0) <= 2 q^i``, ``q = exp(-rate)``, summed in closed form,
-    ``sum_{i>=c} (i-1) 2 q^i = 2 q^c ((c-1)(1-q) + q) / (1-q)^2``.  The
-    terms are rounded to binary64 (``q`` too, without directed rounding)
-    and summed with ``fsum``, so the bound holds up to their rounding.
+    ``sum_{i>=c} (i-1) 2 q^i = 2 q^c ((c-1)(1-q) + q) / (1-q)^2``.  The cut
+    is ``c - 1 = ceil(24 / rate)``, at most ``_TERM_BUDGET``.  The terms are
+    rounded to binary64 (``q`` too, without directed rounding) and summed
+    with ``fsum``, so the bound holds up to their rounding.
     """
     try:
         bound = drift_bound_z(mu)
@@ -486,12 +527,16 @@ def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
         return 1.0 / n  # only the origin is ever recounted
     rate = bound.rate
     q = exp(-rate)
-    cut = max(8, int(np.ceil(24.0 / rate)))
-    masses = return_mass_series_z(mu, cut)
+    cut = min(max(8, int(np.ceil(24.0 / rate))), _TERM_BUDGET)
+    den, masses = _return_masses(mu)
+    terms = [1.0]
+    scale = 1
+    for i, num in enumerate(islice(masses, cut), 1):
+        scale *= den
+        terms.append((i - 1) * (num / scale))  # as float(Fraction(num, scale))
     c = cut + 1
-    tail = 2.0 * q ** c * ((c - 1) * (1.0 - q) + q) / (1.0 - q) ** 2
-    return fsum([1.0, *((i - 1) * float(masses[i]) for i in range(2, c)),
-                 tail]) / n
+    terms.append(2.0 * q ** c * ((c - 1) * (1.0 - q) + q) / (1.0 - q) ** 2)
+    return fsum(terms) / n
 
 
 def range_rate(mu: FiniteMeasure, n: int, samples: int,
@@ -535,71 +580,25 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
 
 
 # ---------------------------------------------------------------------------
-# subgroup reductions for limit measures
-
-
-def reduce_dinf_translations(mu: FiniteMeasure) -> FiniteMeasure:
-    """Rewrite a dihedral measure supported on translations as a 1-d walk."""
-    if mu.spec != groups.DINF:
-        raise EscapeError("expected a measure on the infinite dihedral group")
-    pairs = []
-    for (t, f), w in mu.atoms():
-        if f:
-            raise EscapeError(f"atom ({t},{f}) is not a translation")
-        pairs.append(((t,), w))
-    return FiniteMeasure.from_pairs(_Z1, pairs, exact=mu.exact)
-
-
-def reduce_bs_even(mu: FiniteMeasure) -> FiniteMeasure:
-    """Rewrite a Baumslag-Solitar measure with even b-exponents as a 2-d walk.
-
-    The subgroup of even b-exponents is free abelian on a and b^2; the
-    coordinates used are (a-exponent, half the b-exponent).
-    """
-    if mu.spec != groups.BS11:
-        raise EscapeError("expected a Baumslag-Solitar measure")
-    pairs = []
-    for (m, nn), w in mu.atoms():
-        if nn % 2:
-            raise EscapeError(f"atom ({m},{nn}) has odd b-exponent")
-        pairs.append(((m, nn // 2), w))
-    return FiniteMeasure.from_pairs(_Z2, pairs, exact=mu.exact)
+# dispatcher
 
 
 def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
                 horizon: int = 100_000, samples: int = 2000,
                 seed: int = 0) -> EscapeEstimate:
-    """Best available estimator for a step law: exact series on (reduced)
-    lattices, recurrence certificates for mean-zero low-dimension walks,
-    Monte Carlo otherwise."""
-    spec = mu.spec
-    if spec == groups.DINF:
-        try:
-            return auto_escape(reduce_dinf_translations(mu), tol, horizon,
-                               samples, seed)
-        except EscapeError:
-            return mc_escape(mu, horizon, samples, seed)
-    if spec == groups.BS11:
-        try:
-            return auto_escape(reduce_bs_even(mu), tol, horizon, samples, seed)
-        except EscapeError:
-            return mc_escape(mu, horizon, samples, seed)
-    if spec == _Z1:
-        if drift_bound_z(mu).mean == 0:
+    """Best available estimator for a step law.  On its ``lattice_law``: a
+    recurrence certificate for an exactly mean-zero walk, else the exact
+    series; where either raises, Monte Carlo on ``mu`` itself."""
+    try:
+        law = lattice_law(mu)
+        line = law.spec == _Z1
+        if law.exact and not any(sum(a * g[i] for g, a in law._atoms.items())
+                                 for i in range(law.spec.dim)):
+            where = "on the line" if line else "in the plane"
             return recurrence_zero(
-                mu, "mean-zero finite-support walk on the line is recurrent")
-        return exact_escape_drifted_z(mu, tol)
-    if spec == _Z2:
-        exact_mean_zero = False
-        if mu.exact:
-            ex = sum(Fraction(x) * w for (x, y), w in mu.atoms())
-            ey = sum(Fraction(y) * w for (x, y), w in mu.atoms())
-            exact_mean_zero = ex == 0 and ey == 0
-        if exact_mean_zero:
-            return recurrence_zero(
-                mu, "mean-zero finite-support walk in the plane is recurrent")
-        try:
-            return exact_escape_drifted_z2(mu, max(tol, 1e-4))
-        except EscapeError:
-            return mc_escape(mu, horizon, samples, seed)
-    return mc_escape(mu, horizon, samples, seed)
+                law, f"mean-zero finite-support walk {where} is recurrent")
+        if line:
+            return exact_escape_drifted_z(law, tol)
+        return exact_escape_drifted_z2(law, max(tol, 1e-4))
+    except EscapeError:
+        return mc_escape(mu, horizon, samples, seed)

@@ -10,7 +10,7 @@ behaviour of escape probabilities and entropy ladders at desk scale:
   rigorous escape interval around 1/2.
 * E3 escape-discontinuity-presentations: the dihedral and Baumslag-Solitar
   families; per-k walks are recurrent, the limit laws are transient and
-  their escape is bracketed through translation-subgroup reductions.
+  their escape is bracketed on their lattice normal form.
 * E4 entropy-discontinuity-lamplighter: exact entropy ladders for the
   half-lamp/half-base mixtures over the infinite dihedral base; the
   k-versus-limit ladder gap is reported, not asserted.
@@ -334,8 +334,7 @@ def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     tol = cfg.tol or 1e-6
     laws = [(f"k={k}", f"e2-mu(k={k})", f"z_drift(k={k})",
              measures.z_drift_family(k)) for k in k_grid]
-    means = [sum(Fraction(x) * w for (x,), w in mu.atoms())
-             for *_, mu in laws]
+    means = [escape.drift_bound_z(mu).mean for *_, mu in laws]
     results, ests = _family_rows(cfg, laws, _mc_estimate(cfg, 10_000),
                                  n_max, "Z")
     for row, mean in zip(results, means):

@@ -1,4 +1,4 @@
-"""Escape estimators: exact series, concentration bounds, samplers, reductions."""
+"""Escape estimators: exact series, concentration bounds, samplers, lattice normal form."""
 
 from __future__ import annotations
 
@@ -21,11 +21,10 @@ from walklab.escape import (
     exact_escape_drifted_z2,
     first_return_times,
     hoeffding_return_bound,
+    lattice_law,
     mc_escape,
     range_rate,
     recurrence_zero,
-    reduce_bs_even,
-    reduce_dinf_translations,
     return_mass_series_z,
 )
 from walklab.groups import BS11, DINF, IntegerLattice
@@ -391,32 +390,98 @@ def test_samplers_match_a_reference_walk(mu):
 
 
 # ---------------------------------------------------------------------------
-# subgroup reductions and the dispatcher
+# the lattice normal form and the dispatcher
 
 
-def test_reduce_dinf_translations():
+def test_lattice_law_maps_translations_to_the_line():
     mu = FiniteMeasure.from_pairs(
         DINF, [((-1, 0), F(1, 2)), ((1, 0), F(1, 2))])
-    red = reduce_dinf_translations(mu)
+    red = lattice_law(mu)
     assert red.spec == Z
     assert red.weight_of((1,)) == F(1, 2)
+    assert red.support() == [(-1,), (1,)]
     with_flip = uniform_measure(DINF, [(0, 1), (1, 0)])
     with pytest.raises(EscapeError):
-        reduce_dinf_translations(with_flip)
+        lattice_law(with_flip)
     with pytest.raises(EscapeError):
-        reduce_dinf_translations(biased_pm1(F(3, 4)))
+        lattice_law(uniform_measure(groups.FreeGroup(2), [(1,), (-1,)]))
 
 
-def test_reduce_bs_even_halves_vertical_exponent():
+def test_lattice_law_halves_vertical_exponent():
     mu = FiniteMeasure.from_pairs(
         BS11, [((1, 0), F(1, 2)), ((0, 2), F(1, 2))])
-    red = reduce_bs_even(mu)
+    red = lattice_law(mu)
     assert red.spec == Z2
     assert red.weight_of((1, 0)) == F(1, 2)
     assert red.weight_of((0, 1)) == F(1, 2)
     odd = FiniteMeasure.from_pairs(BS11, [((0, 1), F(1))])
     with pytest.raises(EscapeError):
-        reduce_bs_even(odd)
+        lattice_law(odd)
+    planar = z2_drift()
+    assert lattice_law(planar) is planar
+
+
+def flip_free_law(spec, steps, counts):
+    total = sum(counts)
+    if spec == DINF:
+        elems = [(t, 0) for t, _ in steps]
+    else:
+        elems = [(m, 2 * k) for m, k in steps]
+    return FiniteMeasure.from_pairs(
+        spec, [(g, F(c, total)) for g, c in zip(elems, counts)])
+
+
+flip_free_laws = st.tuples(st.sampled_from([DINF, BS11]), st.integers(1, 4)).flatmap(
+    lambda spec_size: st.builds(
+        flip_free_law, st.just(spec_size[0]),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+                 min_size=spec_size[1], max_size=spec_size[1], unique=True),
+        st.lists(st.integers(1, 12), min_size=spec_size[1],
+                 max_size=spec_size[1])))
+
+
+@given(flip_free_laws)
+@settings(max_examples=40, deadline=None)
+def test_lattice_law_walks_return_at_the_same_times(mu):
+    """The normal form is the same walk: on the same streams it returns at
+    the same steps, the Dinf and BS(1,-1) laws by the twisted scan and
+    their Z^2 forms by ``groups.multiply``, across a chunk boundary."""
+    law = lattice_law(mu)
+    for seed in (1, 2):
+        assert (first_return_times(law, 600, 3, seed).tolist()
+                == first_return_times(mu, 600, 3, seed).tolist())
+
+
+def test_auto_escape_reduces_a_bs11_law_without_b_steps_to_the_line():
+    drifted = auto_escape(FiniteMeasure.from_pairs(
+        BS11, [((1, 0), F(3, 4)), ((-1, 0), F(1, 4))]))
+    assert drifted.method == "exact-series"
+    assert drifted.lo <= 0.5 <= drifted.hi
+    fair = auto_escape(uniform_measure(BS11, [(1, 0), (-1, 0)]))
+    assert fair.method == "recurrence-zero"
+    assert fair.details["justification"] == (
+        "mean-zero finite-support walk on the line is recurrent")
+
+
+def test_auto_escape_falls_back_when_the_exact_route_raises():
+    # float weights: the exact series needs the rational mode
+    flt = auto_escape(biased_pm1(F(3, 4)).as_float(), horizon=50, samples=40,
+                      seed=1)
+    assert flt.method == "monte-carlo"
+    # rate 2e-4: the tail needs about 10^5 terms, past the term budget
+    weak = biased_pm1(F(51, 100))
+    with pytest.raises(EscapeError, match="terms"):
+        exact_escape_drifted_z(weak)
+    est = auto_escape(weak, horizon=50, samples=40, seed=1)
+    assert est.method == "monte-carlo"
+
+
+def test_range_bias_bound_is_finite_past_the_term_budget():
+    # cut ceil(24 / 2e-4) = 120,000: exact masses up to the budget, then
+    # the closed-form tail
+    bound = range_rate(biased_pm1(F(51, 100)), 100, 10, seed=7
+                       ).details["bias_bound"]
+    assert 1 / 100 < bound < float("inf")
 
 
 def test_auto_escape_dispatch():

@@ -424,3 +424,19 @@ def test_cli_error_exit_codes(capsys):
                      "--horizon", "100", "--samples", "20"]) == 0
     assert cli.main(["list", "--format", "json"]) == 0
     capsys.readouterr()
+
+
+def test_cli_flags_before_the_subcommand(capsys):
+    """A shared flag given before the subcommand acts, or is refused, as it
+    does after it."""
+    tail = ["z_drift(k=2)", "--method", "mc", "--horizon", "100",
+            "--samples", "20"]
+    assert cli.main(["--float", "escape", *tail]) == 0
+    capsys.readouterr()
+    assert cli.main(["--seed", "5", "escape", *tail]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    for argv in (["--float", "escape", "z_drift(k=2)", "--method", "exact"],
+                 ["--seed", "5", "ladder", "z_drift(k=2)", "--nmax", "2"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert argv[0] in captured.err and not captured.out
