@@ -115,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     er = esub.add_parser("run", help="run an experiment id or config file")
     er.add_argument("target", help="experiment id (E1..E7) or config path")
     _add_common(er, top=False)
-    el = esub.add_parser("list", help="list packaged experiments")
-    _add_common(el, top=False)
 
     p_list = sub.add_parser("list", help="list packaged experiments")
     _add_common(p_list, top=False)
@@ -149,8 +147,8 @@ def _cmd_ladder(args) -> int:
 
 def _cmd_escape(args) -> int:
     _refuse(args, "escape", "--cap")  # no estimator convolves
-    if args.method == "exact":  # the series estimators need rational weights
-        _refuse(args, "escape --method exact", "--float")
+    if args.method != "mc":  # the series and the bias bound need rationals
+        _refuse(args, f"escape --method {args.method}", "--float")
     mu = parsing.parse_measure_or_family(args.group, args.measure,
                                          exact=args.exact)
     seed = 7 if args.seed is None else args.seed
@@ -247,8 +245,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "magnus":
             return _cmd_magnus(args)
         if args.command == "experiment":
-            if args.experiment_command == "list":
-                return _cmd_list(args)
             return _cmd_experiment_run(args)
         if args.command == "list":
             return _cmd_list(args)

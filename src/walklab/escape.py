@@ -19,8 +19,8 @@ Three estimator families:
   series and its closed-form concentration tail, and widens the low side of
   the interval.
 
-Both samplers walk Z, Dinf and BS(1,-1) a block of steps at a time, by numpy
-prefix scans over twisted-lattice states, and any other group one
+Both samplers walk Z, Z^2, Dinf and BS(1,-1) a block of steps at a time, by
+numpy prefix scans over twisted-lattice states, and any other group one
 ``groups.multiply`` per step; sample ``i`` reads only its (seed, i) stream.
 The exact route reads the same twisted-lattice steps: ``lattice_law``
 rewrites a law with no flipping step as a walk on Z or Z^2, the one form
@@ -49,6 +49,8 @@ _FLOAT_SLACK = 1e-12
 # n, so the cost grows about as the cube of the count; the pinned laws need
 # at most 575 terms.
 _TERM_BUDGET = 1_000
+# Most terms of the binary64 series on Z^2 (E1's laws need at most 2,075).
+_Z2_TERM_BUDGET = 20_000
 
 
 class EscapeError(ValueError):
@@ -280,14 +282,15 @@ def _marginal_return_series(values: list[int], probs: list[float],
     return out
 
 
-def exact_escape_drifted_z2(mu: FiniteMeasure, tol: float = 1e-4,
-                            max_terms: int = 20_000) -> EscapeEstimate:
+def exact_escape_drifted_z2(mu: FiniteMeasure,
+                            tol: float = 1e-4) -> EscapeEstimate:
     """Bracket the escape probability of a drifted axis-aligned 2-d walk.
 
     Conditions on the number of steps along each axis reduce the visit
     series to binomial mixtures of two 1-d return sequences; the tail uses
     the concentration bound for the projection onto the drifted axis.  The
-    series is evaluated in binary64 with a small documented slack.
+    series is evaluated in binary64 with a small documented slack.  Raises
+    if the tail needs more than ``_Z2_TERM_BUDGET`` terms to reach ``tol``.
     """
     x_atoms, y_atoms = _axis_split(mu)
     alpha = sum(w for _, w in x_atoms)
@@ -307,7 +310,9 @@ def exact_escape_drifted_z2(mu: FiniteMeasure, tol: float = 1e-4,
     lo_s, hi_s = min(proj_vals), max(proj_vals)
     rate = 2.0 * proj_mean ** 2 / (hi_s - lo_s) ** 2
     q = exp(-rate) * (1 + 1e-12)
-    n_terms = int(min(max_terms, np.ceil(log(8.0 / (tol * (1 - q))) / rate) + 8))
+    n_terms = int(np.ceil(log(8.0 / (tol * (1 - q))) / rate) + 8)
+    if n_terms > _Z2_TERM_BUDGET:
+        raise EscapeError(f"tail needs {n_terms} > {_Z2_TERM_BUDGET} terms")
     x_vals = [v for v, _ in x_atoms]
     x_probs = [w / alpha for _, w in x_atoms]
     y_vals = [v for v, _ in y_atoms]
@@ -355,12 +360,15 @@ def _twisted_steps(spec, elems: list[GroupElement]):
     """Atoms of a law on Z, Dinf or BS(1,-1) as twisted-lattice steps.
 
     A state (a, b, f) moves by a step (da, db, df) to
-    (a + (-1)^f da, b + db, f ^ df).  Z steps are (x, 0, 0), Dinf steps
-    (t, 0, flip) and BS(1,-1) steps (m, n, n mod 2); the identity is
-    (0, 0, 0).  Returns the list of steps, or None for other groups.
+    (a + (-1)^f da, b + db, f ^ df).  Z steps are (x, 0, 0), Z^2 steps
+    (x, y, 0), Dinf steps (t, 0, flip) and BS(1,-1) steps (m, n, n mod 2);
+    the identity is (0, 0, 0).  Returns the list of steps, or None for other
+    groups.
     """
     if spec == _Z1:
         return [(x, 0, 0) for (x,) in elems]
+    if spec == _Z2:
+        return [(x, y, 0) for x, y in elems]
     if spec == groups.DINF:
         return [(t, 0, f) for t, f in elems]
     if spec == groups.BS11:

@@ -7,16 +7,17 @@ identities can be decided without rounding:
 
 * equality with zero reduces to an integer-factorisation argument (logs of
   distinct primes are linearly independent over the rationals);
-* the sign of a nonzero form is read off an interval that contains its
-  value: each log(m) is bracketed by ``_log_at`` and the terms are combined
-  with outward rounding (``mpmath.libmp.libmpi``: every endpoint is rounded
-  away from the interval), so the true value stays inside.  A form may carry
-  such an enclosure at 80 bits; sums, differences and rational multiples of
-  enclosed forms inherit the interval combination of their operands'
-  enclosures, so a ladder's values are enclosed once and every check built
-  from them is decided without evaluating its terms again.  Forms whose
-  inherited enclosure contains 0 are enclosed afresh from their own
-  coefficients at increasing precision.
+* the sign of a nonzero form is read off an outward-rounded ``Bracket``
+  (``walklab.intervals``) of its terms, each log(m) bracketed by ``_log_at``.
+  A form may carry such a bracket as its enclosure at 80 bits; sums,
+  differences and rational multiples of enclosed forms inherit the
+  combination of their operands' enclosures, so a ladder's values are
+  enclosed once and every check built from them is decided without
+  evaluating its terms again.  Forms whose inherited enclosure contains 0
+  are enclosed afresh from their own coefficients at increasing precision.
+* a value known only by its enclosure (``enclosure_only``), and any
+  combination with one, has no coefficients to fall back on: its sign is
+  decided only by an enclosure that excludes 0, else ``ArithmeticError``.
 
 Factoring only ever runs on candidate ties, whose integers are desk scale.
 """
@@ -30,22 +31,15 @@ from random import Random
 from typing import Iterable, Mapping
 
 import mpmath
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_log,
-                          mpf_sign, mpf_sub, round_ceiling, round_floor,
-                          round_nearest)
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mid, mpi_mul, mpi_sub
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_log, mpf_sub,
+                          round_ceiling, round_floor, round_nearest)
 
-Interval = tuple[tuple, tuple]   # raw mpf endpoints (lo, hi), lo <= hi
+from .intervals import Bracket, Pair
 
 _SIGN_PRECS = (80, 160, 320, 640, 1280, 2560)
 _ENCLOSURE_PREC = _SIGN_PRECS[0]
-# (m, prec) -> the lower end of the interval of log(m) at prec bits
+# (m, prec) -> the lower end of the bracket of log(m) at prec bits
 _LOG_CACHE: dict[tuple[int, int], tuple] = {}
-
-
-def _point(n: int) -> Interval:
-    x = from_int(n)
-    return x, x
 
 
 def _ulps(x: tuple, prec: int, k: int) -> tuple:
@@ -55,8 +49,8 @@ def _ulps(x: tuple, prec: int, k: int) -> tuple:
     return from_man_exp(k, exp + bc - prec)
 
 
-def _log_at(m: int, prec: int) -> Interval:
-    """An interval with ``prec``-bit endpoints that contains ``log(m)``.
+def _log_at(m: int, prec: int) -> Pair:
+    """A bracket with ``prec``-bit endpoints that contains ``log(m)``.
 
     ``mpf_log`` rounds an approximation carried with 20 guard bits, so its
     directed roundings are not proven.  Its value rounded to nearest at
@@ -75,42 +69,32 @@ def _log_at(m: int, prec: int) -> Interval:
     return lo, mpf_add(lo, _ulps(lo, prec, 2), prec, round_ceiling)
 
 
-def _scaled(iv: Interval, q: Fraction, prec: int) -> Interval:
-    """An interval containing ``q * x`` for every ``x`` in ``iv``."""
-    out = mpi_mul(iv, _point(q.numerator), prec)
-    if q.denominator != 1:
-        out = mpi_div(out, _point(q.denominator), prec)
-    return out
-
-
 class LogLinear:
     """A value ``sum c_m * log(m)`` with rational coefficients.
 
-    ``enclosure`` is None or an outward-rounded interval, as raw mpf
-    endpoints ``(lo, hi)``, that contains the value (see :meth:`enclose`).
+    ``enclosure`` is None or a :class:`Bracket` that contains the value
+    (:meth:`enclose`); ``incomplete`` is True when the value is known only
+    by its enclosure and ``coeffs`` do not sum to it (:meth:`enclosure_only`).
     """
 
-    __slots__ = ("coeffs", "enclosure")
+    __slots__ = ("coeffs", "enclosure", "incomplete")
 
     def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                if m <= 0:
-                    raise ValueError(f"log argument must be positive, got {m}")
-                if m == 1 or c == 0:
-                    continue
-                clean[m] = Fraction(c)
-        self.coeffs = clean
-        self.enclosure: Interval | None = None
+        coeffs = coeffs or {}
+        if min(coeffs, default=1) <= 0:
+            raise ValueError(f"log argument must be positive, got {min(coeffs)}")
+        self.coeffs = {m: Fraction(c) for m, c in coeffs.items() if m != 1 and c}
+        self.enclosure: Bracket | None = None
+        self.incomplete = False
 
     @classmethod
-    def _of(cls, coeffs: dict[int, Fraction],
-            enclosure: Interval | None) -> "LogLinear":
+    def _of(cls, coeffs: dict[int, Fraction], enclosure: Bracket | None,
+            incomplete: bool) -> "LogLinear":
         """A form from the coefficients of clean forms, zeros dropped."""
         out = cls.__new__(cls)
         out.coeffs = {m: c for m, c in coeffs.items() if c}
         out.enclosure = enclosure
+        out.incomplete = incomplete
         return out
 
     @classmethod
@@ -121,22 +105,22 @@ class LogLinear:
     def of_log(cls, m: int, c: Fraction | int = 1) -> "LogLinear":
         return cls({m: Fraction(c)})
 
-    def _combined(self, other: "LogLinear", op) -> Interval | None:
-        if self.enclosure is None or other.enclosure is None:
-            return None
-        return op(self.enclosure, other.enclosure, _ENCLOSURE_PREC)
+    def _combined(self, other: "LogLinear", coeffs: dict, op) -> "LogLinear":
+        a, b = self.enclosure, other.enclosure
+        enc = None if a is None or b is None else op(a, b, _ENCLOSURE_PREC)
+        return LogLinear._of(coeffs, enc, self.incomplete or other.incomplete)
 
     def __add__(self, other: "LogLinear") -> "LogLinear":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) + c
-        return LogLinear._of(out, self._combined(other, mpi_add))
+        return self._combined(other, out, Bracket.add)
 
     def __sub__(self, other: "LogLinear") -> "LogLinear":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) - c
-        return LogLinear._of(out, self._combined(other, mpi_sub))
+        return self._combined(other, out, Bracket.sub)
 
     def __neg__(self) -> "LogLinear":
         return self.scale(-1)
@@ -144,9 +128,9 @@ class LogLinear:
     def scale(self, q: Fraction | int) -> "LogLinear":
         q = Fraction(q)
         enc = self.enclosure
-        return LogLinear._of({m: c * q for m, c in self.coeffs.items()},
-                             None if enc is None
-                             else _scaled(enc, q, _ENCLOSURE_PREC))
+        enc = None if enc is None else enc.scale(q, _ENCLOSURE_PREC)
+        return LogLinear._of({m: c * q for m, c in self.coeffs.items()}, enc,
+                             self.incomplete)
 
     def __truediv__(self, n: int) -> "LogLinear":
         return self.scale(Fraction(1, n))
@@ -166,13 +150,18 @@ class LogLinear:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def _interval(self, prec: int) -> Interval:
-        """Outward-rounded interval of the value from the coefficients, with
+    def _coefficients(self) -> dict[int, Fraction]:
+        """``coeffs``; raises when they do not sum to the value."""
+        if self.incomplete:
+            raise ArithmeticError("value known only by its enclosure")
+        return self.coeffs
+
+    def _interval(self, prec: int) -> Bracket:
+        """Outward-rounded bracket of the value from the coefficients, with
         every operation at ``prec`` bits."""
-        total: Interval = (fzero, fzero)
-        for m, c in self.coeffs.items():
-            total = mpi_add(total, _scaled(_log_at(m, prec), c, prec), prec)
-        return total
+        coeffs = self._coefficients()
+        return Bracket.combination(coeffs.values(),
+                                   (_log_at(m, prec) for m in coeffs), prec)
 
     def enclose(self) -> "LogLinear":
         """Fill :attr:`enclosure` at 80 bits, once; returns ``self``."""
@@ -184,54 +173,39 @@ class LogLinear:
         """This value known by its enclosure alone (filled by
         :meth:`enclose`), with no coefficients carried.
 
-        Combinations of such values carry only the combined enclosure, so
-        their :meth:`sign` is the value's sign only where
-        :meth:`enclosure_sign` is nonzero.
+        Combinations with such values are incomplete too: their
+        :meth:`sign` is the combined enclosure's where that excludes 0, and
+        it, :meth:`is_zero` and ``==`` raise ``ArithmeticError`` otherwise.
         """
-        return LogLinear._of({}, self.enclose().enclosure)
+        return LogLinear._of({}, self.enclose().enclosure, True)
 
     def evaluate(self, prec: int = 80) -> tuple["mpmath.mpf", "mpmath.mpf"]:
-        """Midpoint and radius of an outward-rounded enclosure of the value,
-        computed from the coefficients at ``prec`` bits: the value lies in
-        ``[mid - rad, mid + rad]``."""
-        lo, hi = self._interval(prec)
-        mid = mpi_mid((lo, hi), prec)
-        make = mpmath.mp.make_mpf
-        rad = max(make(mpf_sub(hi, mid, prec, round_ceiling)),
-                  make(mpf_sub(mid, lo, prec, round_ceiling)))
-        return make(mid), rad
+        """Midpoint and radius of a bracket of the value from the coefficients
+        at ``prec`` bits: the value lies in ``[mid - rad, mid + rad]``."""
+        mid, rad = self._interval(prec).mid_rad(prec)
+        return mpmath.mp.make_mpf(mid), mpmath.mp.make_mpf(rad)
 
     def to_float(self) -> float:
-        value, _ = self.evaluate(113)
-        return float(value)
+        return float(self.evaluate(113)[0])
 
     def enclosure_sign(self) -> int:
-        """+1 or -1 when :attr:`enclosure` excludes 0, else 0 (also when
-        there is no enclosure)."""
-        if self.enclosure is None:
-            return 0
-        lo, hi = self.enclosure
-        if mpf_sign(lo) > 0:
-            return 1
-        return -1 if mpf_sign(hi) < 0 else 0
+        """The sign :attr:`enclosure` certifies; 0 also without one."""
+        return 0 if self.enclosure is None else self.enclosure.sign()
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1.
 
         Decided by the inherited enclosure when it excludes 0, else by
         enclosures of the coefficients at increasing precision, and for a
-        candidate tie by :meth:`is_zero`.
+        candidate tie by :meth:`is_zero`.  Raises ``ArithmeticError`` for an
+        incomplete form whose enclosure contains 0.
         """
         settled = self.enclosure_sign()
-        if settled or not self.coeffs:
+        if settled or not self._coefficients():
             return settled
-        for prec in _SIGN_PRECS[:3]:
-            value, err = self.evaluate(prec)
-            if abs(value) > err:
-                return 1 if value > 0 else -1
-        if self.is_zero():
-            return 0
-        for prec in _SIGN_PRECS[3:]:
+        for i, prec in enumerate(_SIGN_PRECS):
+            if i == 3 and self.is_zero():  # test for a tie before 640 bits
+                return 0
             value, err = self.evaluate(prec)
             if abs(value) > err:
                 return 1 if value > 0 else -1
@@ -239,10 +213,8 @@ class LogLinear:
 
     def is_zero(self) -> bool:
         """Exact zero test via factorisation of the log arguments."""
-        if not self.coeffs:
-            return True
         acc: dict[int, Fraction] = {}
-        for m, c in self.coeffs.items():
+        for m, c in self._coefficients().items():
             for p, e in factorize(m).items():
                 acc[p] = acc.get(p, Fraction(0)) + e * c
         return all(c == 0 for c in acc.values())

@@ -45,6 +45,13 @@ def z2_drift():
              ((0, 1), F(1, 4)), ((0, -1), F(1, 4))])
 
 
+def z2_weak_drift():
+    """Drift 1/50 along x: the Z^2 series needs about 99,000 terms."""
+    return FiniteMeasure.from_pairs(
+        Z2, [((1, 0), F(13, 50)), ((-1, 0), F(12, 50)),
+             ((0, 1), F(1, 4)), ((0, -1), F(1, 4))])
+
+
 # ---------------------------------------------------------------------------
 # drift bounds and return-mass series
 
@@ -363,9 +370,10 @@ def _reference_path(mu, seed, index, chunks):
     uniform_measure(BS11, [(1, 1), (-1, 0), (0, -1)]),
     uniform_measure(Z, [(1 << 62,), (-1 << 62,)]),
     measures.lamplighter_family(F(3, 4), 2),
+    z2_weak_drift(),
 ], ids=["z_drift(k=2)", "z_drift", "dinf(k=2)", "dinf", "bs11(k=2)",
         "bs11(p=1/3,k=1)", "dinf-reflection", "bs11-twisted-step",
-        "z-steps-2^62", "lamplighter(k=2)"])
+        "z-steps-2^62", "lamplighter(k=2)", "z2-weak-drift"])
 def test_samplers_match_a_reference_walk(mu):
     """First returns and range rates equal those of the plain group walk on
     the same streams, across at least three draw chunks.  The reflection
@@ -387,6 +395,15 @@ def test_samplers_match_a_reference_walk(mu):
         rates = np.array([len({ident, *_reference_path(mu, seed, i, [n])}) / n
                           for i in range(samples)])
         assert range_rate(mu, n, samples, seed).value == float(rates.mean())
+
+
+def test_samplers_walk_the_plane_by_prefix_scans(monkeypatch):
+    def multiply(*args):
+        raise AssertionError("stepped with groups.multiply")
+
+    monkeypatch.setattr(groups, "multiply", multiply)
+    assert first_return_times(z2_weak_drift(), 500, 4, 3).shape == (4,)
+    assert 0 < range_rate(z2_weak_drift(), 500, 4, 3).value <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +490,15 @@ def test_auto_escape_falls_back_when_the_exact_route_raises():
     with pytest.raises(EscapeError, match="terms"):
         exact_escape_drifted_z(weak)
     est = auto_escape(weak, horizon=50, samples=40, seed=1)
+    assert est.method == "monte-carlo"
+
+
+def test_exact_escape_z2_refuses_a_tail_past_its_term_budget():
+    """The Z^2 series raises instead of truncating at the budget, and the
+    dispatcher falls back to Monte Carlo."""
+    with pytest.raises(EscapeError, match="terms"):
+        exact_escape_drifted_z2(z2_weak_drift(), 1e-4)
+    est = auto_escape(z2_weak_drift(), tol=1e-4, horizon=50, samples=40, seed=1)
     assert est.method == "monte-carlo"
 
 

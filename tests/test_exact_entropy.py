@@ -188,6 +188,23 @@ def test_enclosure_only_values_combine_like_their_forms(a, b, n):
             assert only.sign() == form.sign() == only.enclosure_sign()
 
 
+def test_values_known_only_by_their_enclosure_decide_only_what_it_settles():
+    """log 2 and log 3 by their enclosures are not equal as exact forms, and
+    log 2 - log 2 with one side known only by its enclosure is not an exact
+    nonzero: each question the enclosure cannot settle raises."""
+    two = LogLinear.of_log(2).enclosure_only()
+    three = LogLinear.of_log(3).enclosure_only()
+    tie = two + LogLinear.of_log(2, -1).enclose()
+    undecidable = [lambda: two == three, lambda: two != three, tie.sign,
+                   tie.is_zero, (-tie / 3).sign, tie.to_float,
+                   (LogLinear.of_log(2).enclose() - two).sign,
+                   (LogLinear.of_log(3) + two).enclose]
+    for question in undecidable:
+        with pytest.raises(ArithmeticError, match="known only by its enclosure"):
+            question()
+    assert (three - two).sign() == 1 and (two - three).scale(2).sign() == -1
+
+
 # ---------------------------------------------------------------------------
 # entropy forms
 

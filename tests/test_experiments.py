@@ -354,6 +354,14 @@ def test_cli_has_no_exact_flag(capsys):
     assert "--exact" in capsys.readouterr().err
 
 
+def test_cli_lists_experiments_in_one_place(capsys):
+    """``walklab list`` lists the experiments; ``experiment`` only runs them."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "list"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'list'" in capsys.readouterr().err
+
+
 def _ladder_tables(*argv):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -393,6 +401,7 @@ def test_cli_error_exit_codes(capsys):
             assert flags[0] in captured.err and not captured.out
     ignored = [
         ["escape", "z_drift()", "--method", "exact", "--float"],
+        ["escape", "z_drift(k=limit)", "--method", "range", "--float"],
         ["list", "--format", "csv"],
         ["list", "--cap", "3"],
         ["list", "--float"],
