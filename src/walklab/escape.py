@@ -20,8 +20,10 @@ Three estimator families:
   the interval.
 
 Both samplers walk Z, Z^2, Dinf and BS(1,-1) a block of steps at a time, by
-numpy prefix scans over twisted-lattice states, and any other group one
-``groups.multiply`` per step; sample ``i`` reads only its (seed, i) stream.
+numpy prefix scans over twisted-lattice states on buffers allocated once per
+call, and any other group one ``groups.multiply`` per step; sample ``i``
+reads only its (seed, i) stream, and a first-return sample stops drawing
+once no return is possible in the steps left.
 The exact route reads the same twisted-lattice steps: ``lattice_law``
 rewrites a law with no flipping step as a walk on Z or Z^2, the one form
 ``auto_escape`` certifies or brackets.
@@ -31,8 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from math import exp, fsum, log, prod, sqrt
+from math import ceil, exp, fsum, inf, log, prod, sqrt
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -40,7 +41,8 @@ import numpy as np
 from . import groups
 from .groups import GroupElement, IntegerLattice
 from .measures import FiniteMeasure
-from .rng import chunk_schedule, cumulative, draw, sample_stream
+from .rng import (_FIRST_CHUNK, _LARGEST_CHUNK, DrawBuffers, chunk_schedule,
+                  cumulative, draw, sample_stream)
 
 _Z1 = IntegerLattice(1)
 _Z2 = IntegerLattice(2)
@@ -145,28 +147,34 @@ def hoeffding_return_bound(bound: DriftBound, n: int) -> float:
     return 2.0 * exp(-bound.rate * n)
 
 
-def _return_masses(mu: FiniteMeasure) -> tuple[int, Iterator[int]]:
+def _return_masses(mu: FiniteMeasure, n_terms: int) -> tuple[int, Iterator[int]]:
     """``D`` and the numerators ``c_n`` of ``mu^{*n}(0) = c_n / D^n`` for
-    n = 1, 2, ... of a 1-d lattice walk, where ``D`` is the shared
+    n = 1 .. n_terms of a 1-d lattice walk, where ``D`` is the shared
     denominator ``mu.denom`` of its weights.
 
     The law after n steps is a sparse dict of integer numerators over
-    ``D^n`` keyed by position, so a step costs multiply-adds and no gcd.
+    ``D^n`` keyed by position, so a step costs multiply-adds and no gcd.  A
+    position that cannot get back to 0 within the steps left is not
+    stepped from; it adds nothing to any c_n up to ``n_terms``.
     """
     den = mu.denom
     steps = _z1_steps(mu)
+    lo = min(x for x, _ in steps)
+    hi = max(x for x, _ in steps)
 
     def numerators() -> Iterator[int]:
         dist = {0: 1}
-        while True:
+        for left in range(n_terms, 0, -1):  # steps left, this one included
+            low, high = -left * hi, -left * lo  # 0 is within reach from here
             nxt: dict[int, int] = {}
             for pos, c in dist.items():
-                for x, a in steps:
-                    key = pos + x
-                    if key in nxt:
-                        nxt[key] += c * a
-                    else:
-                        nxt[key] = c * a
+                if low <= pos <= high:
+                    for x, a in steps:
+                        key = pos + x
+                        if key in nxt:
+                            nxt[key] += c * a
+                        else:
+                            nxt[key] = c * a
             dist = nxt
             yield dist.get(0, 0)
 
@@ -175,9 +183,9 @@ def _return_masses(mu: FiniteMeasure) -> tuple[int, Iterator[int]]:
 
 def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
     """Exact masses ``mu^{*n}(0)`` for n = 0 .. n_terms on the 1-d lattice."""
-    den, masses = _return_masses(mu)
+    den, masses = _return_masses(mu, n_terms)
     return [Fraction(1), *(Fraction(c, den ** n)
-                           for n, c in enumerate(islice(masses, n_terms), 1))]
+                           for n, c in enumerate(masses, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +213,18 @@ def exact_escape_drifted_z(mu: FiniteMeasure,
         raise EscapeError("degenerate concentration rate")
     # the width is at most tail + 2 slack, and tail = 2 q^(n+1) / (1 - q)
     room = tol - 2 * _FLOAT_SLACK
-    if room <= 0 or log(room * (1 - q) / 2) / log(q) - 1 > _TERM_BUDGET:
+    needed = log(room * (1 - q) / 2) / log(q) - 1 if room > 0 else inf
+    if needed > _TERM_BUDGET:
         raise EscapeError(f"tail needs more than {_TERM_BUDGET} terms "
                           f"to reach tol {tol}")
-    # the partial sum is series / scale with scale = D^n; int true division
-    # rounds correctly, as float(Fraction) does
-    den, masses = _return_masses(mu)
+    # by term ceil(needed) + 1 the tail is at most q room, so the loop stops
+    # there at the latest; the partial sum is series / scale with
+    # scale = D^n, and int true division rounds correctly, as
+    # float(Fraction) does
+    n_terms = min(_TERM_BUDGET, max(1, ceil(needed) + 1))
+    den, masses = _return_masses(mu, n_terms)
     series = scale = 1
-    for n, c in enumerate(islice(masses, _TERM_BUDGET), 1):
+    for n, c in enumerate(masses, 1):
         series = series * den + c
         scale *= den
         tail = 2.0 * q ** (n + 1) / (1.0 - q)
@@ -223,7 +235,7 @@ def exact_escape_drifted_z(mu: FiniteMeasure,
         if hi - lo <= tol:
             break
     else:
-        raise EscapeError(f"series did not converge within {_TERM_BUDGET} terms")
+        raise EscapeError(f"series did not converge within {n_terms} terms")
     return EscapeEstimate(
         "exact-series", (lo + hi) / 2, lo, hi, n=n,
         details={"series_lo": s_lo, "series_hi": s_hi, "tail_bound": tail,
@@ -376,15 +388,6 @@ def _twisted_steps(spec, elems: list[GroupElement]):
     return None
 
 
-def _twisted_table(spec, elems: list[GroupElement]):
-    """The columns da, db, df of ``_twisted_steps``, or None."""
-    steps = _twisted_steps(spec, elems)
-    if steps is None or max(abs(x) for step in steps for x in step) >= 1 << 31:
-        return None  # int64 prefix sums of these steps could wrap
-    da, db, df = np.array(steps, dtype=np.int64).T
-    return da, db, df.astype(np.int8)
-
-
 def lattice_law(mu: FiniteMeasure) -> FiniteMeasure:
     """The same walk as a law on Z or Z^2, with the same atom order and weights.
 
@@ -408,81 +411,169 @@ def lattice_law(mu: FiniteMeasure) -> FiniteMeasure:
                                mu.denom)
 
 
-def _twisted_path(table, idx: np.ndarray,
-                  start: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
-    """States (a, b, f) after each step of ``idx``, walking from ``start``."""
-    da, db, df = table
-    a = da[idx]
-    b = f = np.zeros(idx.shape, dtype=np.int64)  # where no atom moves them
-    if df.any():
-        f = df[idx]
-        f[0] ^= start[2]
-        np.bitwise_xor.accumulate(f, out=f)
-        a[0] *= 1 - 2 * start[2]
-        a[1:] *= 1 - 2 * f[:-1]  # the flip before step j reverses step j
-    np.cumsum(a, out=a)
-    a += start[0]
-    if db.any():
-        b = db[idx]
-        np.cumsum(b, out=b)
-        b += start[1]
-    return a, b, f
+class _TwistedWalk:
+    """Blocks of a walk on Z, Z^2, Dinf or BS(1,-1), by prefix scans over
+    the twisted-lattice states of ``_twisted_steps``, drawn and walked on
+    buffers allocated once for up to ``size`` steps.
+
+    A path holds the state before the block in slot 0 and the state after
+    step j in slot j.  The columns b and f stay 0 when no step moves them.
+    """
+
+    def __init__(self, steps: list[tuple[int, int, int]], cum: np.ndarray,
+                 size: int) -> None:
+        da, db, df = np.array(steps, dtype=np.int64).T
+        self.cum = cum
+        self.da = da
+        self.db = db if db.any() else None
+        self.df = df.astype(np.int8) if df.any() else None
+        # most a and b move in one step, whatever the flip bit
+        self.reach = (int(np.abs(da).max()), int(np.abs(db).max()))
+        self.draws = DrawBuffers(size)
+        self.a = np.empty(size + 1, dtype=np.int64)
+        self.b = np.zeros(size + 1, dtype=np.int64)
+        self.f = np.zeros(size + 1, dtype=np.int8)
+        self.sign = np.empty(size, dtype=np.int8)
+
+    @classmethod
+    def of(cls, spec, elems: list[GroupElement], cum: np.ndarray,
+           size: int) -> _TwistedWalk | None:
+        """The walk of a law's atoms, or None for other groups and for steps
+        too long for int64 prefix sums."""
+        steps = _twisted_steps(spec, elems)
+        if steps is None or max(abs(x) for step in steps for x in step) >= 1 << 31:
+            return None
+        return cls(steps, cum, size)
+
+    def path(self, gen: np.random.Generator, n: int,
+             start: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+        """States (a, b, f) of the next ``n`` steps of ``gen`` from ``start``."""
+        idx = draw(self.cum, gen.random(out=self.draws.uniforms[:n]),
+                   self.draws)
+        a, b, f = self.a[:n + 1], self.b[:n + 1], self.f[:n + 1]
+        a[0] = start[0]
+        self.da.take(idx, out=a[1:], mode="clip")  # mode "raise" would buffer
+        if self.df is not None:
+            f[0] = start[2]
+            self.df.take(idx, out=f[1:], mode="clip")
+            np.bitwise_xor.accumulate(f, out=f)
+            sign = np.multiply(f[:-1], -2, out=self.sign[:n])
+            sign += 1
+            a[1:] *= sign  # the flip before step j reverses step j
+        a.cumsum(out=a)
+        if self.db is not None:
+            b[0] = start[1]
+            self.db.take(idx, out=b[1:], mode="clip")
+            b.cumsum(out=b)
+        return a, b, f
 
 
-def _distinct_states(path: tuple[np.ndarray, ...]) -> int:
-    """Number of distinct states among the origin and those of ``path``."""
-    cols = [np.append(c, 0) for c in path]
-    spans = [int(c.max()) - int(c.min()) + 1 for c in cols]
+def _distinct_states(path: tuple[np.ndarray, ...], key: np.ndarray,
+                     mask: np.ndarray) -> int:
+    """Number of distinct states of ``path``; ``key`` (int64) and ``mask``
+    (bool) are work arrays at least as long as its columns."""
+    spans = [int(c.max()) - int(c.min()) + 1 for c in path]
     if prod(spans) >= 1 << 63:  # too wide for an int64 key
-        return len(set(zip(*(c.tolist() for c in cols))))
-    key = np.zeros(cols[0].size, dtype=np.int64)
-    for c, span in zip(cols, spans):  # one mixed-radix digit per coordinate
-        key *= span
-        key += c - c.min()
+        return len(set(zip(*(c.tolist() for c in path))))
+    size = path[0].size
+    key = key[:size]
+    key.fill(0)
+    for c, span in zip(path, spans):  # one mixed-radix digit per coordinate
+        if span > 1:
+            key *= span
+            key += c
+            key -= int(c.min())  # may wrap in between; the final key fits
     key.sort()
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    return 1 + int(np.count_nonzero(
+        np.not_equal(key[1:], key[:-1], out=mask[:size - 1])))
+
+
+def _free_steps(state: tuple[int, int, int], left: int,
+                reach: tuple[int, int]) -> int:
+    """Steps a walk at ``state`` with ``left`` steps to go can take before a
+    return could become impossible, or -1 if it already is.
+
+    One step moves a by at most ``reach[0]`` and b by at most ``reach[1]``,
+    whatever the flip bit, so no return is possible once |x| > left m for a
+    coordinate x of reach m.  After s more steps |x| is at most |x| + s m,
+    so that needs s > (left m - |x|) / (2 m).
+    """
+    free = left
+    for x, m in zip(state, reach):
+        if m:
+            room = left * m - abs(x)
+            if room < 0:
+                return -1
+            free = min(free, room // (2 * m))
+    return free
+
+
+def _first_return_on_walk(walk: _TwistedWalk, gen: np.random.Generator,
+                          chunks: list[int], horizon: int) -> int:
+    """First-return time of one stream, horizon+1 if none.
+
+    Each chunk is drawn in blocks: as many steps as ``_free_steps`` allows
+    in one, then blocks of at least ``_FIRST_CHUNK``; between blocks the
+    stream stops once no return is possible in the steps left.
+    """
+    state, done = (0, 0, 0), 0
+    for chunk in chunks:
+        end = done + chunk
+        while done < end:
+            free = _free_steps(state, horizon - done, walk.reach)
+            if free < 0:
+                return horizon + 1
+            n = min(end - done, max(free, _FIRST_CHUNK))
+            a, b, f = walk.path(gen, n, state)
+            hits = np.equal(a[1:], 0, out=walk.draws.mask[:n]).nonzero()[0] + 1
+            if hits.size:  # slots at the identity (0, 0, 0)
+                hits = hits[(b[hits] == 0) & (f[hits] == 0)]
+                if hits.size:
+                    return done + int(hits[0])
+            state = int(a[-1]), int(b[-1]), int(f[-1])
+            done += n
+    return horizon + 1
+
+
+def _first_return_by_multiply(spec, elems: list[GroupElement], cum: np.ndarray,
+                              gen: np.random.Generator, chunks: list[int],
+                              horizon: int) -> int:
+    """First-return time of one stream, one ``groups.multiply`` per step."""
+    ident = groups.identity(spec)
+    state, t = ident, 0
+    for chunk in chunks:
+        for ix in draw(cum, gen.random(chunk)).tolist():
+            t += 1
+            state = groups.multiply(spec, state, elems[ix])
+            if state == ident:
+                return t
+    return horizon + 1
 
 
 def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
                        seed: int) -> np.ndarray:
     """First return time to the identity per sample; horizon+1 if none seen.
 
-    Sample ``i`` consumes only its own (seed, i) stream, with a fixed chunk
-    schedule, so results do not depend on batching.
+    Sample ``i`` consumes only its own (seed, i) stream, chunk by chunk of
+    ``chunk_schedule``, so results do not depend on batching.  On Z, Z^2,
+    Dinf and BS(1,-1) a sample stops drawing once no return is possible in
+    the steps left, and a chunk may be drawn in several blocks; neither
+    changes a result, since a stream's uniforms do not depend on how its
+    draws are split and a sample that cannot return has time horizon+1.
     """
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
     elems, cum = cumulative(mu)
-    table = _twisted_table(mu.spec, elems)
-    if table is not None:
-        start = (0, 0, 0)
-
-        def advance(idx, state):
-            a, b, f = _twisted_path(table, idx, state)
-            hits = np.flatnonzero(a == 0)
-            hits = hits[(b[hits] == 0) & (f[hits] == 0)]
-            return (int(hits[0]) if hits.size else -1,
-                    (int(a[-1]), int(b[-1]), int(f[-1])))
-    else:
-        start = groups.identity(mu.spec)
-
-        def advance(idx, state):
-            for j, ix in enumerate(idx.tolist()):
-                state = groups.multiply(mu.spec, state, elems[ix])
-                if state == start:
-                    return j, state
-            return -1, state
-    out = np.full(samples, horizon + 1, dtype=np.int64)
+    walk = _TwistedWalk.of(mu.spec, elems, cum, min(horizon, _LARGEST_CHUNK))
+    chunks = list(chunk_schedule(horizon))
+    out = np.empty(samples, dtype=np.int64)
+    gen = None
     for i in range(samples):
-        gen = sample_stream(seed, i)
-        state = start
-        done = 0
-        for chunk in chunk_schedule(horizon):
-            hit, state = advance(draw(cum, gen.random(chunk)), state)
-            if hit >= 0:
-                out[i] = done + hit + 1
-                break
-            done += chunk
+        gen = sample_stream(seed, i, gen)
+        out[i] = (_first_return_on_walk(walk, gen, chunks, horizon)
+                  if walk is not None
+                  else _first_return_by_multiply(mu.spec, elems, cum, gen,
+                                                 chunks, horizon))
     return out
 
 
@@ -536,10 +627,10 @@ def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
     rate = bound.rate
     q = exp(-rate)
     cut = min(max(8, int(np.ceil(24.0 / rate))), _TERM_BUDGET)
-    den, masses = _return_masses(mu)
+    den, masses = _return_masses(mu, cut)
     terms = [1.0]
     scale = 1
-    for i, num in enumerate(islice(masses, cut), 1):
+    for i, num in enumerate(masses, 1):
         scale *= den
         terms.append((i - 1) * (num / scale))  # as float(Fraction(num, scale))
     c = cut + 1
@@ -558,20 +649,23 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     if n < 1 or samples < 1:
         raise EscapeError("n and samples must be >= 1")
     elems, cum = cumulative(mu)
-    table = _twisted_table(mu.spec, elems)
-    if table is None:  # one groups.multiply per step
+    walk = _TwistedWalk.of(mu.spec, elems, cum, n)
+    sites, gen = [], None
+    if walk is None:  # one groups.multiply per step
         ident = groups.identity(mu.spec)
-        sites = []
         for i in range(samples):
+            gen = sample_stream(seed, i, gen)
             state, seen = ident, {ident}
-            for ix in draw(cum, sample_stream(seed, i).random(n)).tolist():
+            for ix in draw(cum, gen.random(n)).tolist():
                 state = groups.multiply(mu.spec, state, elems[ix])
                 seen.add(state)
             sites.append(len(seen))
-    else:
-        sites = [_distinct_states(_twisted_path(
-            table, draw(cum, sample_stream(seed, i).random(n)), (0, 0, 0)))
-            for i in range(samples)]
+    else:  # every path in one block
+        key = np.empty(n + 1, dtype=np.int64)
+        for i in range(samples):
+            gen = sample_stream(seed, i, gen)
+            sites.append(_distinct_states(walk.path(gen, n, (0, 0, 0)), key,
+                                          walk.draws.mask))
     rates = np.array(sites) / n
     mean = float(rates.mean())
     sd = float(rates.std(ddof=1)) if samples > 1 else 0.0

@@ -2,9 +2,12 @@
 
 Every Monte Carlo sample draws from its own Philox stream keyed by
 ``(seed, sample_index)``, so results are bit-identical no matter how samples
-are batched or distributed across workers.  Every sampler turns its uniforms
-into atoms the same way: :func:`cumulative` once per step law, then
-:func:`draw` per block of uniforms.
+are batched or distributed across workers.  A Philox stream yields the same
+uniforms however its draws are split into blocks (``random(512)`` then
+``random(7)`` equals the first 519 of ``random(519)``), so results do not
+depend on block boundaries either, nor on a sampler stopping a stream early.
+Every sampler turns its uniforms into atoms the same way: :func:`cumulative`
+once per step law, then :func:`draw` per block of uniforms.
 """
 
 from __future__ import annotations
@@ -24,27 +27,62 @@ def cumulative(mu) -> tuple[list, np.ndarray]:
     return list(elems), cum
 
 
-def draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+class DrawBuffers:
+    """Work arrays for drawing blocks of up to ``size`` atoms without
+    allocating: the block's uniforms, the atom indices :func:`draw` writes,
+    and its comparison counts and mask (scratch once ``draw`` returns)."""
+
+    def __init__(self, size: int) -> None:
+        self.uniforms = np.empty(size)
+        self.indices = np.empty(size, dtype=np.intp)
+        self.counts = np.empty(size, dtype=np.uint8)
+        self.mask = np.empty(size, dtype=bool)
+
+
+def draw(cum: np.ndarray, u: np.ndarray,
+         out: DrawBuffers | None = None) -> np.ndarray:
     """Atom index per uniform: the first atom whose cumulative weight exceeds it.
 
     Since u < 1 = cum[-1], that index is the number of cum[:-1] at most u.
     Up to ``_COUNT_ATOMS`` atoms it is counted with one comparison per atom
     (a few ns per uniform); a binary search costs tens of ns per uniform
-    and wins only on longer tables.
+    and wins only on longer tables.  The indices are written to the first
+    ``len(u)`` slots of ``out.indices`` (fresh buffers when ``out`` is None)
+    and do not depend on how the uniforms are split into blocks.
     """
+    n = u.size
+    if out is None:
+        out = DrawBuffers(n)
+    idx = out.indices[:n]
     if len(cum) > _COUNT_ATOMS:
-        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    count = np.zeros(u.shape, dtype=np.uint8)
-    above = np.empty(u.shape, dtype=bool)
-    for c in cum[:-1]:
+        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1,
+                          out=idx)
+    count, above = out.counts[:n], out.mask[:n]
+    np.greater_equal(u, cum[0], out=count.view(bool))  # all 0 if cum[0] = 1
+    for c in cum[1:-1]:
         count += np.greater_equal(u, c, out=above).view(np.uint8)
-    return count.astype(np.intp)
+    np.copyto(idx, count)
+    return idx
 
 
-def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one (seed, sample index) pair."""
+def sample_stream(seed: int, index: int,
+                  gen: np.random.Generator | None = None) -> np.random.Generator:
+    """Independent generator for one (seed, sample index) pair.
+
+    Given ``gen``, a generator an earlier call returned, re-keys it in place
+    to (seed, index) with counter 0 and an empty buffer, and returns it: the
+    stream is then the one a fresh generator gives, at about a third of the
+    cost of building one.
+    """
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    zeros = np.zeros(4, dtype=np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def chunk_schedule(horizon: int):

@@ -544,3 +544,130 @@ def test_auto_escape_dispatch():
                                        [(1,), (-1,), (2,), (-2,)]),
                        horizon=50, samples=40, seed=1)
     assert free.method == "monte-carlo"
+
+
+# ---------------------------------------------------------------------------
+# early stop, reused buffers and pruned return masses
+
+
+def twisted_law(spec, steps, counts):
+    """A law on Z, Z^2, Dinf or BS(1,-1) from (u, v) pairs in [-3, 3]^2:
+    Z reads u, Z^2 (u, v), Dinf (u, v mod 2) and BS(1,-1) (u, v)."""
+    total = sum(counts)
+    if spec == Z:
+        elems = [(u,) for u, _ in steps]
+    elif spec == DINF:
+        elems = [(u, v & 1) for u, v in steps]
+    else:
+        elems = list(steps)
+    weights = {}
+    for g, c in zip(elems, counts):
+        weights[g] = weights.get(g, 0) + F(c, total)
+    return FiniteMeasure.from_pairs(spec, list(weights.items()))
+
+
+twisted_laws = st.tuples(st.sampled_from([Z, Z2, DINF, BS11]),
+                         st.integers(1, 5)).flatmap(
+    lambda spec_size: st.builds(
+        twisted_law, st.just(spec_size[0]),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                 min_size=spec_size[1], max_size=spec_size[1]),
+        st.lists(st.integers(1, 12), min_size=spec_size[1],
+                 max_size=spec_size[1])))
+
+
+@given(twisted_laws, st.integers(600, 2600), st.integers(0, 3))
+@example(twisted_law(Z, [(3, 0), (-1, 0)], [3, 1]), 2600, 1)
+@example(twisted_law(Z2, [(1, 0), (0, 2), (-1, -1)], [1, 4, 2]), 1500, 2)
+@example(twisted_law(BS11, [(2, 2), (0, 1), (-1, 0)], [6, 1, 1]), 2600, 3)
+@example(twisted_law(DINF, [(3, 0), (-2, 1)], [5, 1]), 900, 0)
+@settings(max_examples=40, deadline=None)
+def test_early_stop_keeps_first_returns_of_the_reference_walk(mu, horizon, seed):
+    """Random steps of size up to 3 with flips, b-moves and Z^2 steps: the
+    first returns equal those of the plain group walk on the same streams
+    whether or not a sample stops early, mid-chunk or between chunks."""
+    ident = groups.identity(mu.spec)
+    expected = []
+    for i in range(4):
+        states = _reference_path(mu, seed, i, rng.chunk_schedule(horizon))
+        expected.append(next((t for t, g in enumerate(states, 1)
+                              if g == ident), horizon + 1))
+    assert first_return_times(mu, horizon, 4, seed).tolist() == expected
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 30),
+       st.integers(0, 3), st.integers(0, 3))
+def test_free_steps_is_the_last_block_before_a_stop_can_fire(a, b, left,
+                                                               reach_a, reach_b):
+    """-1 exactly when no return is possible in ``left`` steps; otherwise
+    the most steps after which a return is still possible however the walk
+    moved, so one more could make it impossible.  A coordinate no step
+    moves stays 0."""
+    a, b = (a if reach_a else 0), (b if reach_b else 0)
+
+    def possible(a, b, left):
+        return abs(a) <= left * reach_a and abs(b) <= left * reach_b
+
+    free = escape._free_steps((a, b, 0), left, [reach_a, reach_b])
+    assert (free >= 0) == possible(a, b, left)
+    if free >= 0:
+        assert free <= left
+
+        def worst(s):  # s steps each moving both coordinates away from 0
+            return possible(abs(a) + s * reach_a, abs(b) + s * reach_b, left - s)
+
+        assert worst(free)
+        assert free == left or not worst(free + 1)
+
+
+class CountingStream:
+    """A sample stream that counts the uniforms drawn from it."""
+
+    def __init__(self, gen, drawn):
+        self.gen, self.drawn = gen, drawn
+
+    def random(self, size=None, out=None):
+        self.drawn.append(out.size if out is not None else size)
+        return self.gen.random(size, out=out)
+
+
+def test_a_sample_stops_once_a_return_is_impossible(monkeypatch):
+    """An always-+1 walk cannot return once it is past half the horizon,
+    and it stops within one ``_FIRST_CHUNK`` block of that point."""
+    drawn = []
+    stream = escape.sample_stream
+
+    def counted(seed, index, gen=None):
+        return CountingStream(
+            stream(seed, index, gen.gen if gen is not None else None), drawn)
+
+    monkeypatch.setattr(escape, "sample_stream", counted)
+    horizon = 100_000
+    taus = first_return_times(measures.point_mass(Z, (1,)), horizon, 3, seed=5)
+    assert taus.tolist() == [horizon + 1] * 3
+    per_sample = sum(drawn) / 3
+    assert horizon / 2 < per_sample <= horizon / 2 + rng._FIRST_CHUNK
+
+
+def unpruned_numerators(mu):
+    """The numerators of mu^{*n}(0) over D^n from the full sparse dict,
+    every position kept (the reference)."""
+    steps = [(x, a) for (x,), a in mu._atoms.items()]
+    dist = {0: 1}
+    while True:
+        nxt = {}
+        for pos, c in dist.items():
+            for x, a in steps:
+                nxt[pos + x] = nxt.get(pos + x, 0) + c * a
+        dist = nxt
+        yield dist.get(0, 0)
+
+
+@given(z_laws, st.integers(1, 60))
+@example(z_law((1, 2), (1, 1)), 10)  # one-way: nothing is ever kept
+@example(z_law((0, 3), (1, 1)), 10)  # 0 is the lowest step
+@settings(max_examples=60, deadline=None)
+def test_pruned_return_masses_equal_the_full_convolution(mu, n_terms):
+    den, masses = escape._return_masses(mu, n_terms)
+    assert den == mu.denom
+    assert list(masses) == list(islice(unpruned_numerators(mu), n_terms))

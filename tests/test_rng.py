@@ -34,3 +34,29 @@ def test_draw_cases_cover_both_branches():
     """The 40-atom case above takes the binary search; the escape laws
     (at most six atoms) take the comparison count."""
     assert 6 <= rng._COUNT_ATOMS < 40
+
+
+def test_a_rekeyed_stream_equals_a_fresh_one():
+    """Re-keying resets the key, the counter and the half-used buffer."""
+    gen = rng.sample_stream(3, 0)
+    for index in (0, 1, 2 ** 64 - 1, 5):
+        gen.random(7)  # an odd count leaves part of a Philox block unread
+        assert rng.sample_stream(3, index, gen) is gen
+        assert np.array_equal(gen.random(1001),
+                              rng.sample_stream(3, index).random(1001))
+
+
+@pytest.mark.parametrize("atoms", [6, 40], ids=["count", "binary-search"])
+def test_draw_into_shared_buffers_matches_a_fresh_draw(atoms):
+    """Blocks drawn into one set of buffers give the indices of one draw of
+    all the uniforms, written in place."""
+    cum = np.cumsum(np.full(atoms, 1 / atoms))
+    cum[-1] = 1.0
+    u = np.random.default_rng(9).random(1000)
+    bufs = rng.DrawBuffers(512)
+    got = []
+    for lo, hi in ((0, 512), (512, 519), (519, 1000)):
+        idx = rng.draw(cum, u[lo:hi], bufs)
+        assert np.shares_memory(idx, bufs.indices)
+        got.extend(idx.tolist())
+    assert got == reference_draw(cum, u).tolist()
