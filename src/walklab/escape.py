@@ -19,11 +19,16 @@ Three estimator families:
   series and its closed-form concentration tail, and widens the low side of
   the interval.
 
-Both samplers walk Z, Z^2, Dinf and BS(1,-1) a block of steps at a time, by
-numpy prefix scans over twisted-lattice states on buffers allocated once per
-call, and any other group one ``groups.multiply`` per step; sample ``i``
-reads only its (seed, i) stream, and a first-return sample stops drawing
-once no return is possible in the steps left.
+Both samplers walk Z, Z^2, Dinf and BS(1,-1) a block of steps at a time,
+over twisted-lattice states on buffers allocated once per call, and any
+other group one ``groups.multiply`` per step; sample ``i`` reads only its
+(seed, i) stream.  ``range_rate`` scans every state of its paths.  A
+first-return sample computes only what the identity test reads: it stops
+drawing once no return is possible in the steps left; a walk with no
+flipping step gets the end of a block too far out to return from how often
+each atom came up; a walk that moves b scans b and reads a only where b is
+0 (on BS(1,-1), f is b's parity, so it is 0 there too).  Its blocks start
+at 64 steps and grow while it may return.
 The exact route reads the same twisted-lattice steps: ``lattice_law``
 rewrites a law with no flipping step as a walk on Z or Z^2, the one form
 ``auto_escape`` certifies or brackets.
@@ -41,8 +46,7 @@ import numpy as np
 from . import groups
 from .groups import GroupElement, IntegerLattice
 from .measures import FiniteMeasure
-from .rng import (_FIRST_CHUNK, _LARGEST_CHUNK, DrawBuffers, chunk_schedule,
-                  cumulative, draw, sample_stream)
+from .rng import DrawBuffers, cumulative, draw, sample_stream, tally
 
 _Z1 = IntegerLattice(1)
 _Z2 = IntegerLattice(2)
@@ -53,6 +57,18 @@ _FLOAT_SLACK = 1e-12
 _TERM_BUDGET = 1_000
 # Most terms of the binary64 series on Z^2 (E1's laws need at most 2,075).
 _Z2_TERM_BUDGET = 20_000
+# First-return blocks: the first walks 64 steps (criterion 3's returns all
+# come by then), later ones 5 times more each, up to the buffer.  A block in
+# which a flip-free walk cannot return is summed when it is _MIN_SUMMED steps
+# or more.  The early stop cuts no summed block below _MIN_SUMMED steps and
+# no walked block below _WALKED_FLOOR, about the fixed cost of a BS(1,-1)
+# block; the blocks of a walk nearing the stop would otherwise shrink
+# geometrically.
+_FIRST_BLOCK, _BLOCK_GROWTH, _LARGEST_BLOCK = 64, 5, 65_536
+_MIN_SUMMED, _WALKED_FLOOR = 512, 2048
+# Range sites are counted in a presence array of up to this many cells per
+# state of the path, and by sorting the states' keys when the spans are wider.
+_PRESENCE_CELLS = 8
 
 
 class EscapeError(ValueError):
@@ -418,22 +434,34 @@ class _TwistedWalk:
 
     A path holds the state before the block in slot 0 and the state after
     step j in slot j.  The columns b and f stay 0 when no step moves them.
+    A walk that moves b and flips is on BS(1,-1), where every step flips
+    exactly when it moves b an odd distance: f is b mod 2 at every state,
+    and is not scanned.  A walk with no flipping step has ``moves`` and can
+    sum a block from atom counts.
     """
 
     def __init__(self, steps: list[tuple[int, int, int]], cum: np.ndarray,
                  size: int) -> None:
         da, db, df = np.array(steps, dtype=np.int64).T
         self.cum = cum
+        self.size = size
         self.da = da
         self.db = db if db.any() else None
         self.df = df.astype(np.int8) if df.any() else None
+        self.flip_is_b_parity = self.db is not None and self.df is not None
+        # the columns that tell states apart
+        self.columns = ([0, 1] if self.db is not None
+                        else [0, 2] if self.df is not None else [0])
+        # (a, b) steps of atom 0 and the rises between neighbouring atoms
+        self.moves = None if self.df is not None else (
+            steps[0][:2], [(x1 - x0, y1 - y0) for (x0, y0, _), (x1, y1, _)
+                           in zip(steps, steps[1:])])
         # most a and b move in one step, whatever the flip bit
         self.reach = (int(np.abs(da).max()), int(np.abs(db).max()))
-        self.draws = DrawBuffers(size)
+        self.draws = DrawBuffers(size + 1)
         self.a = np.empty(size + 1, dtype=np.int64)
         self.b = np.zeros(size + 1, dtype=np.int64)
         self.f = np.zeros(size + 1, dtype=np.int8)
-        self.sign = np.empty(size, dtype=np.int8)
 
     @classmethod
     def of(cls, spec, elems: list[GroupElement], cum: np.ndarray,
@@ -445,47 +473,126 @@ class _TwistedWalk:
             return None
         return cls(steps, cum, size)
 
+    def _indices(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return draw(self.cum, gen.random(out=self.draws.uniforms[:n]),
+                    self.draws)
+
+    def _b_column(self, idx: np.ndarray, b0: int) -> np.ndarray:
+        b = self.b[:idx.size + 1]
+        b[0] = b0
+        self.db.take(idx, out=b[1:], mode="clip")  # mode "raise" would buffer
+        return b.cumsum(out=b)
+
+    def _flip_moves(self, moves: np.ndarray, f: np.ndarray) -> None:
+        """Reverse each a-move taken while flipped: ``moves[j]`` is the move
+        of a step taken in state ``f[j]`` (0 or 1).  Scratch: the indices,
+        which the block has read by then."""
+        sign = np.multiply(f, -2, out=self.draws.indices[:moves.size])
+        sign += 1
+        moves *= sign
+
     def path(self, gen: np.random.Generator, n: int,
              start: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
         """States (a, b, f) of the next ``n`` steps of ``gen`` from ``start``."""
-        idx = draw(self.cum, gen.random(out=self.draws.uniforms[:n]),
-                   self.draws)
+        idx = self._indices(gen, n)
         a, b, f = self.a[:n + 1], self.b[:n + 1], self.f[:n + 1]
         a[0] = start[0]
-        self.da.take(idx, out=a[1:], mode="clip")  # mode "raise" would buffer
-        if self.df is not None:
+        self.da.take(idx, out=a[1:], mode="clip")
+        if self.db is not None:
+            self._b_column(idx, start[1])
+        if self.flip_is_b_parity:
+            np.bitwise_and(b, 1, out=f, casting="unsafe")
+        elif self.df is not None:
             f[0] = start[2]
             self.df.take(idx, out=f[1:], mode="clip")
             np.bitwise_xor.accumulate(f, out=f)
-            sign = np.multiply(f[:-1], -2, out=self.sign[:n])
-            sign += 1
-            a[1:] *= sign  # the flip before step j reverses step j
+        if self.df is not None:
+            self._flip_moves(a[1:], f[:-1])
         a.cumsum(out=a)
-        if self.db is not None:
-            b[0] = start[1]
-            self.db.take(idx, out=b[1:], mode="clip")
-            b.cumsum(out=b)
         return a, b, f
 
+    def end(self, gen: np.random.Generator, n: int,
+            start: tuple[int, int, int]) -> tuple[int, int, int]:
+        """State after the next ``n`` steps of ``gen`` from ``start``, from
+        how often each atom came up; for walks with ``moves`` only."""
+        (a, b), rises = self.moves
+        counts = tally(self.cum, gen.random(out=self.draws.uniforms[:n]),
+                       self.draws)
+        a, b = start[0] + n * a, start[1] + n * b
+        for c, (ra, rb) in zip(counts, rises):
+            a += c * ra
+            b += c * rb
+        return a, b, 0
 
-def _distinct_states(path: tuple[np.ndarray, ...], key: np.ndarray,
-                     mask: np.ndarray) -> int:
-    """Number of distinct states of ``path``; ``key`` (int64) and ``mask``
-    (bool) are work arrays at least as long as its columns."""
-    spans = [int(c.max()) - int(c.min()) + 1 for c in path]
-    if prod(spans) >= 1 << 63:  # too wide for an int64 key
-        return len(set(zip(*(c.tolist() for c in path))))
-    size = path[0].size
-    key = key[:size]
-    key.fill(0)
-    for c, span in zip(path, spans):  # one mixed-radix digit per coordinate
-        if span > 1:
-            key *= span
-            key += c
-            key -= int(c.min())  # may wrap in between; the final key fits
+    def first_hit(self, gen: np.random.Generator, n: int,
+                  start: tuple[int, int, int]
+                  ) -> tuple[int, tuple[int, int, int]]:
+        """Slot of the first identity in the next ``n`` steps of ``gen`` from
+        ``start`` (0 if none), and the state after them.
+
+        Without a b column the path is scanned for a = 0 (and f = 0).  With
+        one, f is 0 wherever b is (there is no flip, or f is b's parity), so
+        only b is scanned: a at b's zeros is ``start[0]`` plus the prefix
+        sums of one ``add.reduceat`` of the signed a-moves split there,
+        padded by one zero move so that a zero at the block's last step
+        splits too.
+        """
+        if self.db is None:
+            a, _, f = self.path(gen, n, start)
+            hits = np.equal(a[1:], 0, out=self.draws.mask[:n])
+            if self.df is not None:
+                hits &= np.equal(f[1:], 0, out=self.draws.counts[:n].view(bool))
+            first = int(hits.argmax())  # stops at the first hit
+            return (first + 1 if hits[first] else 0), (int(a[-1]), 0,
+                                                       int(f[-1]))
+        idx = self._indices(gen, n)
+        b = self._b_column(idx, start[1])
+        moves = self.a[:n + 1]
+        self.da.take(idx, out=moves[:n], mode="clip")
+        moves[n] = 0
+        if self.df is not None:
+            self._flip_moves(moves[:n], np.bitwise_and(
+                b[:n], 1, out=self.draws.indices[:n]))
+        splits = np.equal(b, 0, out=self.draws.mask[:n + 1])
+        splits[0] = True
+        splits = splits.nonzero()[0]
+        a = np.add.reduceat(moves, splits).cumsum()
+        hits = (a[:-1] == -start[0]).nonzero()[0]
+        end_b = int(b[-1])
+        end = start[0] + int(a[-1]), end_b, end_b & 1 if self.df is not None else 0
+        return (int(splits[hits[0] + 1]) if hits.size else 0), end
+
+
+def _distinct_states(columns: list[np.ndarray], key: np.ndarray,
+                     present: np.ndarray) -> int:
+    """Number of distinct rows of the equally long int64 ``columns``;
+    ``key`` (int64) is a work array at least as long as a column, and
+    ``present`` (bool) one at least as long as ``key``.
+
+    Each row gets a mixed-radix key over the columns' spans.  When the
+    spans' product fits in ``present``, the keys mark cells there and the
+    marks are counted; otherwise the keys are sorted and the changes
+    counted.
+    """
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
+    cells = prod(spans)
+    if cells >= 1 << 63:  # too wide for an int64 key
+        return len(set(zip(*(c.tolist() for c in columns))))
+    size = columns[0].size
+    key = np.subtract(columns[0], lows[0], out=key[:size])
+    for c, low, span in zip(columns[1:], lows[1:], spans[1:]):
+        key *= span  # one mixed-radix digit per column
+        key += c
+        key -= low  # may wrap in between; the final key fits
+    if cells <= present.size:
+        seen = present[:cells]
+        seen.fill(False)
+        seen[key] = True
+        return int(np.count_nonzero(seen))
     key.sort()
     return 1 + int(np.count_nonzero(
-        np.not_equal(key[1:], key[:-1], out=mask[:size - 1])))
+        np.not_equal(key[1:], key[:-1], out=present[:size - 1])))
 
 
 def _free_steps(state: tuple[int, int, int], left: int,
@@ -496,57 +603,72 @@ def _free_steps(state: tuple[int, int, int], left: int,
     One step moves a by at most ``reach[0]`` and b by at most ``reach[1]``,
     whatever the flip bit, so no return is possible once |x| > left m for a
     coordinate x of reach m.  After s more steps |x| is at most |x| + s m,
-    so that needs s > (left m - |x|) / (2 m).
+    so that needs s > (left m - |x|) / (2 m).  A coordinate of reach 0
+    stays 0.
     """
-    free = left
-    for x, m in zip(state, reach):
-        if m:
-            room = left * m - abs(x)
-            if room < 0:
-                return -1
-            free = min(free, room // (2 * m))
-    return free
+    (ma, mb), a, b = reach, abs(state[0]), abs(state[1])
+    room_a, room_b = left * ma - a, left * mb - b
+    if room_a < 0 or room_b < 0:
+        return -1
+    return min(room_a // (2 * ma) if ma else left,
+               room_b // (2 * mb) if mb else left)
+
+
+def _unreturning_steps(state: tuple[int, int, int],
+                       reach: tuple[int, int]) -> int:
+    """Steps from ``state`` none of which can end at the identity: after s
+    steps a coordinate x of reach m is still nonzero if s m < |x|, that is
+    for s up to (|x| - 1) // m.  A coordinate of reach 0 stays 0."""
+    (ma, mb), a, b = reach, abs(state[0]), abs(state[1])
+    return max((a - 1) // ma if a else 0, (b - 1) // mb if b else 0)
 
 
 def _first_return_on_walk(walk: _TwistedWalk, gen: np.random.Generator,
-                          chunks: list[int], horizon: int) -> int:
+                          horizon: int) -> int:
     """First-return time of one stream, horizon+1 if none.
 
-    Each chunk is drawn in blocks: as many steps as ``_free_steps`` allows
-    in one, then blocks of at least ``_FIRST_CHUNK``; between blocks the
-    stream stops once no return is possible in the steps left.
+    The stream stops once no return is possible in the steps left, and a
+    block stops where ``_free_steps`` says one could become impossible,
+    unless that would make it shorter than a floor.  A walk with no
+    flipping step that cannot return within ``_MIN_SUMMED`` steps sums a
+    block of as many steps (floor ``_MIN_SUMMED``).  Otherwise it walks a
+    block that starts at ``_FIRST_BLOCK`` steps and grows
+    ``_BLOCK_GROWTH`` times each time (floor ``_WALKED_FLOOR``).
     """
-    state, done = (0, 0, 0), 0
-    for chunk in chunks:
-        end = done + chunk
-        while done < end:
-            free = _free_steps(state, horizon - done, walk.reach)
-            if free < 0:
-                return horizon + 1
-            n = min(end - done, max(free, _FIRST_CHUNK))
-            a, b, f = walk.path(gen, n, state)
-            hits = np.equal(a[1:], 0, out=walk.draws.mask[:n]).nonzero()[0] + 1
-            if hits.size:  # slots at the identity (0, 0, 0)
-                hits = hits[(b[hits] == 0) & (f[hits] == 0)]
-                if hits.size:
-                    return done + int(hits[0])
-            state = int(a[-1]), int(b[-1]), int(f[-1])
-            done += n
+    state, done, size = (0, 0, 0), 0, _FIRST_BLOCK
+    while done < horizon:
+        left = horizon - done
+        free = _free_steps(state, left, walk.reach)
+        if free < 0:
+            return horizon + 1
+        away = _unreturning_steps(state, walk.reach) if walk.moves else 0
+        if away >= _MIN_SUMMED:
+            n = min(away, max(free, _MIN_SUMMED), walk.size, left)
+            state = walk.end(gen, n, state)
+        else:
+            n = min(size, max(free, _WALKED_FLOOR), left)
+            hit, state = walk.first_hit(gen, n, state)
+            if hit:
+                return done + hit
+            size = min(size * _BLOCK_GROWTH, walk.size)
+        done += n
     return horizon + 1
 
 
 def _first_return_by_multiply(spec, elems: list[GroupElement], cum: np.ndarray,
-                              gen: np.random.Generator, chunks: list[int],
-                              horizon: int) -> int:
-    """First-return time of one stream, one ``groups.multiply`` per step."""
+                              gen: np.random.Generator, horizon: int) -> int:
+    """First-return time of one stream, one ``groups.multiply`` per step,
+    drawn in blocks of ``_FIRST_BLOCK`` steps growing ``_BLOCK_GROWTH``
+    times each up to ``_LARGEST_BLOCK``."""
     ident = groups.identity(spec)
-    state, t = ident, 0
-    for chunk in chunks:
-        for ix in draw(cum, gen.random(chunk)).tolist():
+    state, t, size = ident, 0, _FIRST_BLOCK
+    while t < horizon:
+        for ix in draw(cum, gen.random(min(size, horizon - t))).tolist():
             t += 1
             state = groups.multiply(spec, state, elems[ix])
             if state == ident:
                 return t
+        size = min(size * _BLOCK_GROWTH, _LARGEST_BLOCK)
     return horizon + 1
 
 
@@ -554,26 +676,27 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
                        seed: int) -> np.ndarray:
     """First return time to the identity per sample; horizon+1 if none seen.
 
-    Sample ``i`` consumes only its own (seed, i) stream, chunk by chunk of
-    ``chunk_schedule``, so results do not depend on batching.  On Z, Z^2,
-    Dinf and BS(1,-1) a sample stops drawing once no return is possible in
-    the steps left, and a chunk may be drawn in several blocks; neither
+    Sample ``i`` consumes only its own (seed, i) stream, so results do not
+    depend on batching.  Each sample draws its stream in blocks sized by
+    the state its walk is in; on Z, Z^2, Dinf and BS(1,-1) it stops
+    drawing once no return is possible in the steps left, computes of a
+    block only what the identity test reads, and sums whole blocks in
+    which a walk with no flipping step cannot come back.  None of this
     changes a result, since a stream's uniforms do not depend on how its
     draws are split and a sample that cannot return has time horizon+1.
     """
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
     elems, cum = cumulative(mu)
-    walk = _TwistedWalk.of(mu.spec, elems, cum, min(horizon, _LARGEST_CHUNK))
-    chunks = list(chunk_schedule(horizon))
+    walk = _TwistedWalk.of(mu.spec, elems, cum, min(horizon, _LARGEST_BLOCK))
     out = np.empty(samples, dtype=np.int64)
     gen = None
     for i in range(samples):
         gen = sample_stream(seed, i, gen)
-        out[i] = (_first_return_on_walk(walk, gen, chunks, horizon)
+        out[i] = (_first_return_on_walk(walk, gen, horizon)
                   if walk is not None
                   else _first_return_by_multiply(mu.spec, elems, cum, gen,
-                                                 chunks, horizon))
+                                                 horizon))
     return out
 
 
@@ -589,10 +712,10 @@ def mc_escape(mu: FiniteMeasure, horizon: int, samples: int, seed: int,
     Checkpoints are evaluated on the same sampled paths, so the sequence of
     estimates over nested horizons is nonincreasing by construction.
     """
-    taus = first_return_times(mu, horizon, samples, seed)
     points = sorted(set(list(checkpoints or [])) | {horizon})
     if any(h < 1 or h > horizon for h in points):
         raise EscapeError("checkpoints must lie in [1, horizon]")
+    taus = first_return_times(mu, horizon, samples, seed)
     ladder = []
     for h in points:
         p_hat = float(np.mean(taus > h))
@@ -662,10 +785,12 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
             sites.append(len(seen))
     else:  # every path in one block
         key = np.empty(n + 1, dtype=np.int64)
+        present = np.empty(_PRESENCE_CELLS * (n + 1), dtype=bool)
         for i in range(samples):
             gen = sample_stream(seed, i, gen)
-            sites.append(_distinct_states(walk.path(gen, n, (0, 0, 0)), key,
-                                          walk.draws.mask))
+            path = walk.path(gen, n, (0, 0, 0))
+            sites.append(_distinct_states([path[c] for c in walk.columns],
+                                          key, present))
     rates = np.array(sites) / n
     mean = float(rates.mean())
     sd = float(rates.std(ddof=1)) if samples > 1 else 0.0

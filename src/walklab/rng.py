@@ -5,9 +5,12 @@ Every Monte Carlo sample draws from its own Philox stream keyed by
 are batched or distributed across workers.  A Philox stream yields the same
 uniforms however its draws are split into blocks (``random(512)`` then
 ``random(7)`` equals the first 519 of ``random(519)``), so results do not
-depend on block boundaries either, nor on a sampler stopping a stream early.
-Every sampler turns its uniforms into atoms the same way: :func:`cumulative`
-once per step law, then :func:`draw` per block of uniforms.
+depend on block boundaries either, nor on a sampler stopping a stream early:
+a sampler sizes its blocks by the state its walk is in, and no result
+depends on those sizes.  Every sampler turns its uniforms into atoms the
+same way: :func:`cumulative` once per step law, then :func:`draw` per block
+of uniforms, or :func:`tally` where a block needs only how often each atom
+came up.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _COUNT_ATOMS = 32  # longest table drawn by counting comparisons
-_FIRST_CHUNK, _CHUNK_FACTOR, _LARGEST_CHUNK = 512, 4, 65_536
 
 
 def cumulative(mu) -> tuple[list, np.ndarray]:
@@ -65,6 +67,24 @@ def draw(cum: np.ndarray, u: np.ndarray,
     return idx
 
 
+def tally(cum: np.ndarray, u: np.ndarray,
+          out: DrawBuffers | None = None) -> list[int]:
+    """How many uniforms reach each of ``cum[:-1]``: entry j counts
+    ``u >= cum[j]``, the uniforms :func:`draw` maps to an atom after j.
+
+    With d_i the step of atom i, the block then moves by
+    ``len(u) d_0 + sum_j tally[j] (d_{j+1} - d_j)``, with no index per
+    uniform.  ``out`` lends its mask (or, past ``_COUNT_ATOMS`` atoms, its
+    index buffer) as scratch.
+    """
+    if len(cum) > _COUNT_ATOMS:
+        per_atom = np.bincount(draw(cum, u, out), minlength=len(cum))
+        return per_atom[:0:-1].cumsum()[::-1].tolist()
+    above = (out.mask if out is not None else np.empty(u.size, bool))[:u.size]
+    return [int(np.count_nonzero(np.greater_equal(u, c, out=above)))
+            for c in cum[:-1]]
+
+
 def sample_stream(seed: int, index: int,
                   gen: np.random.Generator | None = None) -> np.random.Generator:
     """Independent generator for one (seed, sample index) pair.
@@ -84,14 +104,3 @@ def sample_stream(seed: int, index: int,
         "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
 
-
-def chunk_schedule(horizon: int):
-    """Deterministic chunk sizes covering ``horizon`` draws: ``_FIRST_CHUNK``,
-    then ``_CHUNK_FACTOR`` times larger each time, up to ``_LARGEST_CHUNK``."""
-    remaining = horizon
-    size = _FIRST_CHUNK
-    while remaining > 0:
-        take = min(size, remaining)
-        yield take
-        remaining -= take
-        size = min(size * _CHUNK_FACTOR, _LARGEST_CHUNK)

@@ -288,9 +288,15 @@ def test_mc_escape_ci_covers_known_value():
     assert all(values[i + 1] <= values[i] for i in range(len(values) - 1))
 
 
-def test_mc_escape_checkpoint_validation():
-    with pytest.raises(EscapeError):
-        mc_escape(biased_pm1(F(3, 4)), 100, 10, seed=0, checkpoints=[200])
+def test_mc_escape_checkpoint_validation(monkeypatch):
+    """Checkpoints are refused before any path is sampled."""
+    def sample(*args):
+        raise AssertionError("sampled before the checkpoints were checked")
+
+    monkeypatch.setattr(escape, "first_return_times", sample)
+    for bad in ([200], [0, 50]):
+        with pytest.raises(EscapeError, match="checkpoints"):
+            mc_escape(biased_pm1(F(3, 4)), 100, 10, seed=0, checkpoints=bad)
 
 
 def test_mc_overlaps_exact_on_multistep_walk():
@@ -343,20 +349,55 @@ def test_range_rate_validation():
         range_rate(biased_pm1(F(3, 4)), 0, 10, seed=0)
 
 
-def _reference_path(mu, seed, index, chunks):
-    """States of the (seed, index) walk built step by step with
-    ``groups.multiply``, drawing atoms by binary search in its chunks."""
+def _reference_path(mu, seed, index, n):
+    """States of the first ``n`` steps of the (seed, index) walk, built step
+    by step with ``groups.multiply`` from atoms drawn by binary search in
+    one block (a stream's uniforms do not depend on how its draws are
+    split, see ``test_draw_into_shared_buffers_matches_a_fresh_draw``)."""
     elems, cum = rng.cumulative(mu)
-    gen = rng.sample_stream(seed, index)
+    u = rng.sample_stream(seed, index).random(n)
+    idx = np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1)
     state = groups.identity(mu.spec)
     states = []
-    for chunk in chunks:
-        u = gen.random(chunk)
-        idx = np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1)
-        for i in idx.tolist():
-            state = groups.multiply(mu.spec, state, elems[i])
-            states.append(state)
+    for i in idx.tolist():
+        state = groups.multiply(mu.spec, state, elems[i])
+        states.append(state)
     return states
+
+
+def _reference_first_returns(mu, horizon, samples, seed):
+    ident = groups.identity(mu.spec)
+    return [next((t for t, g in enumerate(_reference_path(mu, seed, i,
+                                                          horizon), 1)
+                  if g == ident), horizon + 1)
+            for i in range(samples)]
+
+
+class CountingStream:
+    """A sample stream that counts the uniforms drawn from it."""
+
+    def __init__(self, gen, drawn):
+        self.gen, self.drawn = gen, drawn
+
+    def random(self, size=None, out=None):
+        self.drawn.append(out.size if out is not None else size)
+        return self.gen.random(size, out=out)
+
+
+def count_draws(monkeypatch):
+    """Patch ``escape.sample_stream``; returns the list of blocks drawn,
+    one list of sizes per stream keyed."""
+    blocks = []
+    stream = escape.sample_stream
+
+    def counted(seed, index, gen=None):
+        blocks.append([])
+        return CountingStream(
+            stream(seed, index, gen.gen if gen is not None else None),
+            blocks[-1])
+
+    monkeypatch.setattr(escape, "sample_stream", counted)
+    return blocks
 
 
 @pytest.mark.parametrize("mu", [
@@ -374,27 +415,24 @@ def _reference_path(mu, seed, index, chunks):
 ], ids=["z_drift(k=2)", "z_drift", "dinf(k=2)", "dinf", "bs11(k=2)",
         "bs11(p=1/3,k=1)", "dinf-reflection", "bs11-twisted-step",
         "z-steps-2^62", "lamplighter(k=2)", "z2-weak-drift"])
-def test_samplers_match_a_reference_walk(mu):
+def test_samplers_match_a_reference_walk(mu, monkeypatch):
     """First returns and range rates equal those of the plain group walk on
-    the same streams, across at least three draw chunks.  The reflection
-    and twisted-step laws move and flip in one atom, and some of their
-    paths cross a chunk boundary flipped; steps too long for int64 prefix
-    sums are walked exactly too, and the lamplighter law over Dinf takes
-    both samplers' ``groups.multiply`` branch."""
+    the same streams, and some sample draws at least three blocks.  The
+    reflection and twisted-step laws move and flip in one atom, and some of
+    their paths cross a block boundary flipped; steps too long for int64
+    prefix sums are walked exactly too, and the lamplighter law over Dinf
+    takes both samplers' ``groups.multiply`` branch."""
     horizon, samples, n = 3000, 4, 3000
-    assert len(list(rng.chunk_schedule(horizon))) >= 3
     ident = groups.identity(mu.spec)
+    blocks = count_draws(monkeypatch)
     for seed in (1, 7, 29):
         taus = first_return_times(mu, horizon, samples, seed)
-        expected = []
-        for i in range(samples):
-            states = _reference_path(mu, seed, i, rng.chunk_schedule(horizon))
-            expected.append(next((t for t, g in enumerate(states, 1)
-                                  if g == ident), horizon + 1))
-        assert taus.tolist() == expected, seed
-        rates = np.array([len({ident, *_reference_path(mu, seed, i, [n])}) / n
+        assert taus.tolist() == _reference_first_returns(mu, horizon, samples,
+                                                         seed), seed
+        rates = np.array([len({ident, *_reference_path(mu, seed, i, n)}) / n
                           for i in range(samples)])
         assert range_rate(mu, n, samples, seed).value == float(rates.mean())
+    assert max(map(len, blocks)) >= 3
 
 
 def test_samplers_walk_the_plane_by_prefix_scans(monkeypatch):
@@ -462,7 +500,7 @@ flip_free_laws = st.tuples(st.sampled_from([DINF, BS11]), st.integers(1, 4)).fla
 def test_lattice_law_walks_return_at_the_same_times(mu):
     """The normal form is the same walk: on the same streams it returns at
     the same steps, the Dinf and BS(1,-1) laws by the twisted scan and
-    their Z^2 forms by ``groups.multiply``, across a chunk boundary."""
+    their Z^2 forms by ``groups.multiply``, across block boundaries."""
     law = lattice_law(mu)
     for seed in (1, 2):
         assert (first_return_times(law, 600, 3, seed).tolist()
@@ -585,14 +623,9 @@ twisted_laws = st.tuples(st.sampled_from([Z, Z2, DINF, BS11]),
 def test_early_stop_keeps_first_returns_of_the_reference_walk(mu, horizon, seed):
     """Random steps of size up to 3 with flips, b-moves and Z^2 steps: the
     first returns equal those of the plain group walk on the same streams
-    whether or not a sample stops early, mid-chunk or between chunks."""
-    ident = groups.identity(mu.spec)
-    expected = []
-    for i in range(4):
-        states = _reference_path(mu, seed, i, rng.chunk_schedule(horizon))
-        expected.append(next((t for t, g in enumerate(states, 1)
-                              if g == ident), horizon + 1))
-    assert first_return_times(mu, horizon, 4, seed).tolist() == expected
+    whether or not a sample stops early, mid-block or between blocks."""
+    assert (first_return_times(mu, horizon, 4, seed).tolist()
+            == _reference_first_returns(mu, horizon, 4, seed))
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 30),
@@ -620,33 +653,129 @@ def test_free_steps_is_the_last_block_before_a_stop_can_fire(a, b, left,
         assert free == left or not worst(free + 1)
 
 
-class CountingStream:
-    """A sample stream that counts the uniforms drawn from it."""
-
-    def __init__(self, gen, drawn):
-        self.gen, self.drawn = gen, drawn
-
-    def random(self, size=None, out=None):
-        self.drawn.append(out.size if out is not None else size)
-        return self.gen.random(size, out=out)
-
-
 def test_a_sample_stops_once_a_return_is_impossible(monkeypatch):
     """An always-+1 walk cannot return once it is past half the horizon,
-    and it stops within one ``_FIRST_CHUNK`` block of that point."""
-    drawn = []
-    stream = escape.sample_stream
-
-    def counted(seed, index, gen=None):
-        return CountingStream(
-            stream(seed, index, gen.gen if gen is not None else None), drawn)
-
-    monkeypatch.setattr(escape, "sample_stream", counted)
+    and it stops within one ``_MIN_SUMMED`` block of that point (the
+    shortest block it sums once it is that far out)."""
+    blocks = count_draws(monkeypatch)
     horizon = 100_000
     taus = first_return_times(measures.point_mass(Z, (1,)), horizon, 3, seed=5)
     assert taus.tolist() == [horizon + 1] * 3
-    per_sample = sum(drawn) / 3
-    assert horizon / 2 < per_sample <= horizon / 2 + rng._FIRST_CHUNK
+    for drawn in blocks:
+        assert horizon / 2 < sum(drawn) <= horizon / 2 + escape._MIN_SUMMED
+
+
+def walk_of(mu, size):
+    elems, cum = rng.cumulative(mu)
+    return escape._TwistedWalk.of(mu.spec, elems, cum, size)
+
+
+def last_state(path):
+    return tuple(int(c[-1]) for c in path)
+
+
+flip_free_walk_laws = st.one_of(
+    flip_free_laws,
+    st.tuples(st.sampled_from([Z, Z2]), st.integers(1, 5)).flatmap(
+        lambda spec_size: st.builds(
+            twisted_law, st.just(spec_size[0]),
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                     min_size=spec_size[1], max_size=spec_size[1]),
+            st.lists(st.integers(1, 12), min_size=spec_size[1],
+                     max_size=spec_size[1]))))
+
+
+@given(flip_free_walk_laws, st.integers(-50, 50), st.integers(-25, 25),
+       st.integers(1, 3000), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_summed_block_ends_where_the_path_does(mu, a, b, n, seed):
+    """A law with no flipping step: the end state from atom counts equals
+    the last state of the scanned path on the same stream."""
+    walk = walk_of(mu, 3000)
+    assert walk.moves is not None
+    if walk.db is None:  # b stays 0
+        b = 0
+    elif mu.spec == BS11:  # every b-step is even
+        b *= 2
+    start = (a, b, 0)
+    end = walk.end(rng.sample_stream(seed, 0), n, start)
+    assert end == last_state(walk.path(rng.sample_stream(seed, 0), n, start))
+
+
+planar_laws = st.tuples(st.sampled_from([Z2, BS11]), st.integers(1, 5)).flatmap(
+    lambda spec_size: st.builds(
+        twisted_law, st.just(spec_size[0]),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                 min_size=spec_size[1], max_size=spec_size[1]),
+        st.lists(st.integers(1, 12), min_size=spec_size[1],
+                 max_size=spec_size[1])))
+
+
+@given(planar_laws, st.integers(-6, 6), st.integers(-6, 6),
+       st.integers(1, 700), st.integers(0, 3))
+@example(twisted_law(BS11, [(1, 1), (-1, 1), (0, -1)], [1, 1, 2]), 1, -1, 1, 0)
+@example(twisted_law(Z2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [1] * 4),
+         0, 0, 64, 1)
+@settings(max_examples=80, deadline=None)
+def test_a_at_the_zeros_of_b_finds_the_first_hit_of_the_path(mu, a, b, n, seed):
+    """On Z^2 and BS(1,-1), reading a only where b = 0 gives the path's
+    first visit to the identity (0 when there is none) and its last state;
+    on BS(1,-1) the f column of the path is b's parity."""
+    walk = walk_of(mu, 700)
+    start = (a, b, b & 1 if walk.df is not None else 0)
+    hit, end = walk.first_hit(rng.sample_stream(seed, 0), n, start)
+    path = walk.path(rng.sample_stream(seed, 0), n, start)
+    states = list(zip(*(c.tolist() for c in path)))
+    assert hit == next((j for j in range(1, n + 1)
+                        if states[j] == (0, 0, 0)), 0)
+    assert end == last_state(path)
+    if walk.df is not None:
+        assert np.array_equal(path[2], path[1] & 1)
+
+
+@pytest.mark.parametrize("mu", [
+    measures.z_drift_family(),
+    measures.dinf_family(F(3, 4)),
+    measures.bs11_family(F(3, 4)),
+], ids=["z_drift", "dinf", "bs11"])
+def test_summed_blocks_keep_first_returns_of_the_reference_walk(mu,
+                                                                monkeypatch):
+    """Drifted flip-free laws far enough out to sum whole blocks: the first
+    returns still equal the plain group walk's, and blocks were summed."""
+    summed = []
+    end = escape._TwistedWalk.end
+
+    def counted(self, gen, n, start):
+        summed.append(n)
+        return end(self, gen, n, start)
+
+    monkeypatch.setattr(escape._TwistedWalk, "end", counted)
+    horizon, samples, seed = 20_000, 3, 4
+    assert (first_return_times(mu, horizon, samples, seed).tolist()
+            == _reference_first_returns(mu, horizon, samples, seed))
+    assert summed
+
+
+@pytest.mark.parametrize("spans", [(1, 1, 1), (40, 1, 1), (9, 7, 2),
+                                   (200, 150, 2)],
+                         ids=["one-site", "line", "plane", "wide"])
+def test_distinct_states_count_the_set_of_states(spans):
+    """Range sites counted in the presence array, and by sorting keys when
+    the spans are wider than it (the last case), equal the size of the set
+    of states; the first state is visited once."""
+    n = 400
+    gen = np.random.default_rng(sum(spans))
+    path = [gen.integers(-(s // 2), s - s // 2, n + 1) for s in spans]
+    path[0][0] = path[0].min() - 1
+    key = np.empty(n + 1, dtype=np.int64)
+    present = np.empty(escape._PRESENCE_CELLS * (n + 1), dtype=bool)
+    cells = np.prod([int(c.max()) - int(c.min()) + 1 for c in path])
+    count = escape._distinct_states(path, key, present)
+    assert count == len(set(zip(*(c.tolist() for c in path))))
+    if spans == (200, 150, 2):
+        assert cells > present.size
+    else:  # the marks are the count
+        assert np.count_nonzero(present[:cells]) == count
 
 
 def unpruned_numerators(mu):

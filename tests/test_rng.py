@@ -60,3 +60,17 @@ def test_draw_into_shared_buffers_matches_a_fresh_draw(atoms):
         assert np.shares_memory(idx, bufs.indices)
         got.extend(idx.tolist())
     assert got == reference_draw(cum, u).tolist()
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 6, 40],
+                         ids=["one-atom", "two-atoms", "count", "binary-search"])
+def test_tally_counts_the_draws_past_each_atom(atoms):
+    """Entry j of the tally is how many drawn indices exceed j."""
+    cum = np.cumsum(np.random.default_rng(atoms).random(atoms))
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    u = np.concatenate([cum[:-1], np.random.default_rng(3).random(999)])
+    idx = reference_draw(cum, u)
+    expected = [int(np.count_nonzero(idx > j)) for j in range(atoms - 1)]
+    assert rng.tally(cum, u) == expected
+    assert rng.tally(cum, u, rng.DrawBuffers(u.size)) == expected
