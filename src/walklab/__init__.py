@@ -4,7 +4,7 @@ iterated wreath towers, and free solvable groups.
 Highlights:
 
 * exact group arithmetic on canonical normal forms (`walklab.groups`)
-* finite step laws with rational or float weights (`walklab.measures`)
+* finite step laws with rational weights (`walklab.measures`)
 * entropy ladders with exact comparison of log-linear forms
   (`walklab.walks`, `walklab.exact_entropy`)
 * the wreath embedding of free solvable groups with an independent

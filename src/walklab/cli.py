@@ -50,19 +50,16 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
                         default=dflt(None), help="output format (default json)")
     parser.add_argument("--out", default=dflt(None),
                         help="write output to a file")
-    parser.add_argument("--float", dest="exact", action="store_false",
-                        default=dflt(True),
-                        help="binary64 weights (default: rational)")
     parser.add_argument("--cap", type=int, default=dflt(None),
                         help="support-size cap for convolutions")
 
 
 def _refuse(args, command: str, *flags: str) -> None:
     """Raise :class:`UsageError` naming each of the shared ``flags``
-    (``--seed``, ``--cap``, ``--float``, ``--format csv``) that was given
-    to ``command``, which would ignore it."""
+    (``--seed``, ``--cap``, ``--format csv``) that was given to
+    ``command``, which would ignore it."""
     given = {"--seed": args.seed is not None, "--cap": args.cap is not None,
-             "--float": not args.exact, "--format csv": args.fmt == "csv"}
+             "--format csv": args.fmt == "csv"}
     named = [flag for flag in flags if given[flag]]
     if named:
         raise UsageError(f"{command} does not take {', '.join(named)}")
@@ -130,8 +127,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_ladder(args) -> int:
     _refuse(args, "ladder", "--seed")  # nothing is sampled
-    mu = parsing.parse_measure_or_family(args.group, args.measure,
-                                         exact=args.exact)
+    if args.cap is not None and args.cap < 1:
+        raise UsageError(f"--cap must be >= 1, got {args.cap}")
+    mu = parsing.parse_measure_or_family(args.group, args.measure)
     cap = args.cap or measures.DEFAULT_SUPPORT_CAP
     summary = walks.entropy_ladder(mu, args.nmax, cap=cap,
                                    label=args.measure).summary()
@@ -147,10 +145,7 @@ def _cmd_ladder(args) -> int:
 
 def _cmd_escape(args) -> int:
     _refuse(args, "escape", "--cap")  # no estimator convolves
-    if args.method != "mc":  # the series and the bias bound need rationals
-        _refuse(args, f"escape --method {args.method}", "--float")
-    mu = parsing.parse_measure_or_family(args.group, args.measure,
-                                         exact=args.exact)
+    mu = parsing.parse_measure_or_family(args.group, args.measure)
     seed = 7 if args.seed is None else args.seed
     if args.method == "exact":
         est = escape.auto_escape(mu, tol=args.tol, horizon=args.horizon,
@@ -184,7 +179,7 @@ def _cmd_magnus(args) -> int:
         return _run_experiment(experiments.ExperimentConfig(
             experiment="E7", samples=args.pairs), args)
     _refuse(args, f"magnus {args.magnus_command}",
-            "--seed", "--cap", "--float", "--format csv")
+            "--seed", "--cap", "--format csv")
     word = parsing.parse_word(args.word, args.d)
     if args.magnus_command == "check-identity":
         _emit("true" if magnus.is_identity(word, args.d, args.m) else "false",
@@ -204,7 +199,6 @@ def _cmd_magnus(args) -> int:
 def _run_experiment(cfg: experiments.ExperimentConfig, args) -> int:
     """Run ``cfg`` with the flags given on the command line overriding its
     fields, and write the report in the merged config's format and place."""
-    _refuse(args, "experiment (rational mode only)", "--float")
     overrides = {key: getattr(args, key) for key in ("seed", "cap", "fmt", "out")
                  if getattr(args, key) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
@@ -228,7 +222,7 @@ def _cmd_experiment_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    _refuse(args, "list", "--seed", "--cap", "--float", "--format csv")
+    _refuse(args, "list", "--seed", "--cap", "--format csv")
     lines = [f"{ident}  {description}"
              for ident, description in experiments.list_experiments()]
     _emit("\n".join(lines), args.out)

@@ -139,20 +139,18 @@ class EscapeEstimate:
 # drift bounds and the concentration inequality
 
 
-def _z1_steps(mu: FiniteMeasure) -> list[tuple[int, int]]:
-    """Steps ``(x, a)`` of a rational 1-d lattice law: the walk moves by
-    ``x`` with probability ``a / mu.denom``."""
+def _z1_steps(mu: FiniteMeasure) -> tuple[int, list[tuple[int, int]]]:
+    """``D`` and the steps ``(x, a)`` of a rational 1-d lattice law: the
+    walk moves by ``x`` with probability ``a / D``."""
     if mu.spec != _Z1:
         raise EscapeError(f"expected a measure on the 1-d lattice, got {mu.spec!r}")
-    if not mu.exact:
-        raise EscapeError("exact estimators require the rational weight mode")
-    return [(x, a) for (x,), a in mu._atoms.items()]
+    return mu.exact_denom(), [(x, a) for (x,), a in mu._atoms.items()]
 
 
 def drift_bound_z(mu: FiniteMeasure) -> DriftBound:
-    steps = _z1_steps(mu)
+    den, steps = _z1_steps(mu)
     values = [x for x, _ in steps]
-    mean = Fraction(sum(x * a for x, a in steps), mu.denom)
+    mean = Fraction(sum(x * a for x, a in steps), den)
     return DriftBound(Fraction(min(values)), Fraction(max(values)), mean)
 
 
@@ -173,8 +171,7 @@ def _return_masses(mu: FiniteMeasure, n_terms: int) -> tuple[int, Iterator[int]]
     position that cannot get back to 0 within the steps left is not
     stepped from; it adds nothing to any c_n up to ``n_terms``.
     """
-    den = mu.denom
-    steps = _z1_steps(mu)
+    den, steps = _z1_steps(mu)
     lo = min(x for x, _ in steps)
     hi = max(x for x, _ in steps)
 
@@ -263,9 +260,11 @@ def _axis_split(mu: FiniteMeasure):
     """Split a 2-d lattice measure into axis-conditional walks."""
     if mu.spec != _Z2:
         raise EscapeError(f"expected a measure on the 2-d lattice, got {mu.spec!r}")
+    denom = mu.exact_denom()
     x_atoms: list[tuple[int, float]] = []
     y_atoms: list[tuple[int, float]] = []
-    for (x, y), w in mu.as_float().atoms():
+    for (x, y), a in mu._atoms.items():
+        w = a / denom  # int true division rounds correctly
         if x and y:
             raise EscapeError("measure is not axis-aligned")
         if not x and not y:
@@ -410,8 +409,10 @@ def lattice_law(mu: FiniteMeasure) -> FiniteMeasure:
     A Z^2 law passes through.  A law on Z, Dinf or BS(1,-1) with no flipping
     step never leaves the states (a, b, 0): it is a walk on Z (coordinate
     a) when no step moves b, and on Z^2 with coordinates (a, b/2) otherwise
-    (every b-step is even).  Raises for other groups and flipping steps.
+    (every b-step is even).  Raises for other groups, flipping steps and
+    float weights.
     """
+    denom = mu.exact_denom()
     if mu.spec == _Z2:
         return mu
     steps = _twisted_steps(mu.spec, mu.support())
@@ -424,7 +425,7 @@ def lattice_law(mu: FiniteMeasure) -> FiniteMeasure:
     else:
         spec, points = _Z1, [(da,) for da, _, _ in steps]
     return FiniteMeasure._over(spec, dict(zip(points, mu._atoms.values())),
-                               mu.denom)
+                               denom)
 
 
 class _TwistedWalk:
@@ -819,8 +820,8 @@ def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
     try:
         law = lattice_law(mu)
         line = law.spec == _Z1
-        if law.exact and not any(sum(a * g[i] for g, a in law._atoms.items())
-                                 for i in range(law.spec.dim)):
+        if not any(sum(a * g[i] for g, a in law._atoms.items())
+                   for i in range(law.spec.dim)):
             where = "on the line" if line else "in the plane"
             return recurrence_zero(
                 law, f"mean-zero finite-support walk {where} is recurrent")

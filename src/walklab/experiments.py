@@ -69,7 +69,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one experiment run; unset numeric fields fall back to the
-    experiment's documented defaults."""
+    experiment's documented defaults, and set ones must be positive."""
 
     experiment: str
     seed: int = 7
@@ -92,6 +92,11 @@ class ExperimentConfig:
             raise ConfigError(f"format must be json or csv, got {self.fmt!r}")
         if any(k < 1 for k in self.k_grid):
             raise ConfigError("grid indices must be >= 1")
+        for name in ("n_max", "radial_n_max", "horizon", "samples", "tol",
+                     "cap"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if not 0 <= self.p <= 1:
             raise ConfigError(f"p must lie in [0, 1], got {self.p}")
 

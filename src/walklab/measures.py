@@ -1,14 +1,19 @@
 """Finitely supported probability measures on group specs.
 
-A :class:`FiniteMeasure` is a sparse map from canonical elements to weights,
-in one of two weight modes: exact rationals (the default) or binary64 floats
-for large-support work.  In rational mode the map holds integer numerators
-over one denominator shared by every atom, so convolution multiplies
-numerators and multiplies denominators with no gcd: the n-th convolution
-power of a law whose weights have lcm denominator D is kept over D^n.
-Weights leave the class as reduced :class:`fractions.Fraction` values, and
-entropies are read straight off the numerators.  Convolution walks the
-support product and enforces a hard support cap.
+A :class:`FiniteMeasure` is a sparse map from canonical elements to
+rational weights, held as integer numerators over one denominator shared
+by every atom.  Convolution multiplies numerators and multiplies
+denominators with no gcd: the n-th convolution power of a law whose
+weights have lcm denominator D is kept over D^n.  Weights leave the class as reduced
+:class:`fractions.Fraction` values, and entropies are read straight off the
+numerators.  Convolution walks the support product and enforces a hard
+support cap.
+
+``FiniteMeasure.from_pairs`` with ``exact`` false builds a measure with
+binary64 weights instead.  Such a measure is only constructed, convolved
+(``convolve``, ``convolution_power``) and measured by ``entropy``; every
+other operation needs rational weights and raises :class:`MeasureError`
+on it, through :meth:`FiniteMeasure.exact_denom`.
 
 The family constructors at the bottom build every step law the experiments
 and the family grammar name: one constructor per law, whose ``k=None``
@@ -54,29 +59,23 @@ class SupportCapError(RuntimeError):
         self.completed = completed
 
 
-Weight = Any  # Fraction in exact mode, float otherwise
-
-
 class FiniteMeasure:
     """Finitely supported (sub-)probability measure on a group spec.
 
-    In rational mode ``denom`` is a positive integer and ``_atoms`` maps each
-    atom to the integer numerator of its weight over ``denom``; the
-    constructor brings rational weights over their lcm denominator.  In
-    float mode ``denom`` is None and ``_atoms`` holds the float weights.
+    ``denom`` is a positive integer and ``_atoms`` maps each atom to the
+    integer numerator of its weight over ``denom``; the constructor brings
+    rational weights over their lcm denominator.  A float measure has
+    ``denom`` None and float weights in ``_atoms``.
     """
 
     __slots__ = ("spec", "_atoms", "denom")
 
-    def __init__(self, spec: GroupSpec, atoms: dict[GroupElement, Weight],
-                 exact: bool):
+    def __init__(self, spec: GroupSpec, atoms: dict[GroupElement, Fraction]):
         self.spec = spec
-        if exact:
-            denom = lcm(*(w.denominator for w in atoms.values()))
-            atoms = {g: w.numerator * (denom // w.denominator)
-                     for g, w in atoms.items()}
-        self._atoms = atoms
-        self.denom = denom if exact else None
+        denom = lcm(*(w.denominator for w in atoms.values()))
+        self._atoms = {g: w.numerator * (denom // w.denominator)
+                       for g, w in atoms.items()}
+        self.denom = denom
 
     @classmethod
     def _over(cls, spec: GroupSpec, atoms: dict[GroupElement, Any],
@@ -92,14 +91,23 @@ class FiniteMeasure:
     def exact(self) -> bool:
         return self.denom is not None
 
+    def exact_denom(self) -> int:
+        """The shared denominator; raises for float weights, which only
+        convolve and take entropy."""
+        if self.denom is None:
+            raise MeasureError("this operation needs rational weights; "
+                               "float measures only convolve and take entropy")
+        return self.denom
+
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_pairs(cls, spec: GroupSpec,
                    pairs: Iterable[tuple[GroupElement, Any]],
                    exact: bool = True) -> "FiniteMeasure":
-        """Build a measure, merging duplicate atoms and validating weights."""
-        atoms: dict[GroupElement, Weight] = {}
+        """Build a measure, merging duplicate atoms and validating weights;
+        ``exact`` false keeps binary64 weights (see the module docstring)."""
+        atoms: dict[GroupElement, Any] = {}
         for elem, w in pairs:
             groups.validate(spec, elem)
             w = Fraction(w) if exact else float(w)
@@ -117,52 +125,40 @@ class FiniteMeasure:
         if exact:
             if total != 1:
                 raise MeasureError(f"weights must sum to 1 exactly, got {total}")
-        elif abs(total - 1.0) > 1e-12:
+            return cls(spec, atoms)
+        if abs(total - 1.0) > 1e-12:
             raise MeasureError(f"weights must sum to 1 within 1e-12, got {total}")
-        return cls(spec, atoms, exact)
+        return cls._over(spec, atoms, None)
 
     # -- views --------------------------------------------------------------
 
-    def atoms(self) -> Iterator[tuple[GroupElement, Weight]]:
-        denom = self.denom
-        if denom is None:
-            return iter(self._atoms.items())
+    def atoms(self) -> Iterator[tuple[GroupElement, Fraction]]:
+        denom = self.exact_denom()
         return ((g, Fraction(a, denom)) for g, a in self._atoms.items())
 
     def support(self) -> list[GroupElement]:
         return list(self._atoms)
 
-    def weight_of(self, elem: GroupElement) -> Weight:
-        if self.denom is None:
-            return self._atoms.get(elem, 0.0)
-        return Fraction(self._atoms.get(elem, 0), self.denom)
+    def weight_of(self, elem: GroupElement) -> Fraction:
+        return Fraction(self._atoms.get(elem, 0), self.exact_denom())
 
     def __len__(self) -> int:
         return len(self._atoms)
-
-    def as_float(self) -> "FiniteMeasure":
-        denom = self.denom
-        if denom is None:
-            return self
-        # int true division rounds correctly, as float(Fraction) does
-        return FiniteMeasure._over(
-            self.spec, {g: a / denom for g, a in self._atoms.items()}, None)
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
         return f"<FiniteMeasure on {self.spec!r}, {len(self)} atoms, {mode}>"
 
 
-def point_mass(spec: GroupSpec, elem: GroupElement,
-               exact: bool = True) -> FiniteMeasure:
-    return FiniteMeasure.from_pairs(spec, [(elem, 1)], exact=exact)
+def point_mass(spec: GroupSpec, elem: GroupElement) -> FiniteMeasure:
+    return FiniteMeasure.from_pairs(spec, [(elem, 1)])
 
 
-def uniform_measure(spec: GroupSpec, elems: Iterable[GroupElement],
-                    exact: bool = True) -> FiniteMeasure:
+def uniform_measure(spec: GroupSpec,
+                    elems: Iterable[GroupElement]) -> FiniteMeasure:
     elems = list(elems)
-    w = Fraction(1, len(elems)) if exact else 1.0 / len(elems)
-    return FiniteMeasure.from_pairs(spec, [(g, w) for g in elems], exact=exact)
+    w = Fraction(1, len(elems))
+    return FiniteMeasure.from_pairs(spec, [(g, w) for g in elems])
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,8 @@ def entropy(mu: FiniteMeasure) -> float:
 
 
 def exact_entropy(mu: FiniteMeasure) -> LogLinear:
-    """Entropy as an exact log-linear form (rational mode only)."""
-    if not mu.exact:
-        raise MeasureError("exact entropy requires the rational weight mode")
-    return entropy_form(mu._atoms.values(), mu.denom)
+    """Entropy as an exact log-linear form."""
+    return entropy_form(mu._atoms.values(), mu.exact_denom())
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +205,7 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
     _check_same(mu, nu)
     spec = mu.spec
     multiply = groups.multiply
-    out: dict[GroupElement, Weight] = {}
+    out: dict[GroupElement, Any] = {}
     for g, wg in mu._atoms.items():
         for h, wh in nu._atoms.items():
             prod = multiply(spec, g, h)
@@ -230,11 +224,12 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
 def convolution_power(mu: FiniteMeasure, n: int,
                       cap: int = DEFAULT_SUPPORT_CAP) -> FiniteMeasure:
     """n-fold convolution power, one step at a time: each step costs
-    |mu^k| * |mu| products, where squaring mu^k would cost |mu^k|^2."""
+    |mu^k| * |mu| products, where squaring mu^k would cost |mu^k|^2.
+    The 0-th power is the rational point mass at the identity."""
     if n < 0:
         raise MeasureError("convolution power needs n >= 0")
     if n == 0:
-        return point_mass(mu.spec, groups.identity(mu.spec), exact=mu.exact)
+        return point_mass(mu.spec, groups.identity(mu.spec))
     acc = mu
     for _ in range(n - 1):
         acc = convolve(acc, mu, cap)
@@ -243,41 +238,34 @@ def convolution_power(mu: FiniteMeasure, n: int,
 
 def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     """Independent product on the direct product of the two specs."""
-    if mu.exact != nu.exact:
-        raise MeasureError("weight-mode mismatch between operands")
     spec = groups.DirectProduct(mu.spec, nu.spec)
-    out: dict[GroupElement, Weight] = {}
+    out: dict[GroupElement, Fraction] = {}
     for g, wg in mu.atoms():
         for h, wh in nu.atoms():
             out[(g, h)] = wg * wh
-    return FiniteMeasure(spec, out, mu.exact)
+    return FiniteMeasure(spec, out)
 
 
 def mix(mu: FiniteMeasure, nu: FiniteMeasure, weight_nu: Any) -> FiniteMeasure:
     """Convex combination (1 - t) mu + t nu of step laws on one spec."""
     _check_same(mu, nu)
-    t = Fraction(weight_nu) if mu.exact else float(weight_nu)
+    t = Fraction(weight_nu)
     if not 0 <= t <= 1:
         raise MeasureError(f"mixture weight must lie in [0, 1], got {t}")
-    zero = Fraction(0) if mu.exact else 0.0
     a, b = dict(mu.atoms()), dict(nu.atoms())
-    out: dict[GroupElement, Weight] = {}
+    out: dict[GroupElement, Fraction] = {}
     for g in set(a) | set(b):
-        w = (1 - t) * a.get(g, zero) + t * b.get(g, zero)
+        w = (1 - t) * a.get(g, 0) + t * b.get(g, 0)
         if w > 0:
             out[g] = w
-    return FiniteMeasure(mu.spec, out, mu.exact)
+    return FiniteMeasure(mu.spec, out)
 
 
-def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Weight:
+def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
     """(1/2) sum |mu - nu| over the union support."""
     _check_same(mu, nu)
-    zero = Fraction(0) if mu.exact else 0.0
     a, b = dict(mu.atoms()), dict(nu.atoms())
-    total = zero
-    for g in set(a) | set(b):
-        total += abs(a.get(g, zero) - b.get(g, zero))
-    return total / 2
+    return sum(abs(a.get(g, 0) - b.get(g, 0)) for g in set(a) | set(b)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +375,16 @@ def lamplighter_mix(eta: FiniteMeasure, mu: FiniteMeasure) -> FiniteMeasure:
     ``eta`` lives on the lamp group and is planted at the base identity;
     ``mu`` lives on the base group and moves the walker.
     """
-    if eta.exact != mu.exact:
-        raise MeasureError("weight-mode mismatch between operands")
     spec = Wreath(eta.spec, mu.spec)
     base_id = groups.identity(mu.spec)
     lamp_id = groups.identity(eta.spec)
-    half = Fraction(1, 2) if eta.exact else 0.5
-    zero = Fraction(0) if eta.exact else 0.0
-    out: dict[GroupElement, Weight] = {}
+    out: dict[GroupElement, Fraction] = {}
     for a, w in eta.atoms():
         lamps = () if a == lamp_id else ((base_id, a),)
         elem = (lamps, base_id)
-        out[elem] = out.get(elem, zero) + half * w
+        out[elem] = out.get(elem, 0) + w / 2
     for b, w in mu.atoms():
         elem = ((), b)
-        out[elem] = out.get(elem, zero) + half * w
-    return FiniteMeasure(spec, out, eta.exact)
+        out[elem] = out.get(elem, 0) + w / 2
+    return FiniteMeasure(spec, out)
 

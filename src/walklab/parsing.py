@@ -467,22 +467,21 @@ def element_to_text(spec: GroupSpec, g: GroupElement) -> str:
 # measures and families
 
 
-def parse_measure(spec: GroupSpec, text: str, exact: bool = True) -> FiniteMeasure:
+def parse_measure(spec: GroupSpec, text: str) -> FiniteMeasure:
     sc = _Scanner(text)
     sc.expect("measure")
     sc.expect("{")
-    pairs: list[tuple[GroupElement, Fraction | float]] = []
+    pairs: list[tuple[GroupElement, Fraction]] = []
     while not sc.try_lit("}"):
         sc.expect("atom")
         g = parse_element(spec, sc.quoted())
-        w = sc.number()
-        pairs.append((g, w if exact else float(w)))
+        pairs.append((g, sc.number()))
         if not sc.try_lit(";"):
             sc.expect("}")
             break
     if not sc.eof():
         raise sc.error("trailing input after measure literal")
-    return FiniteMeasure.from_pairs(spec, pairs, exact=exact)
+    return FiniteMeasure.from_pairs(spec, pairs)
 
 
 def _family_params(sc: _Scanner) -> dict[str, Fraction | str]:
@@ -548,16 +547,11 @@ def family_measure(text: str) -> FiniteMeasure:
     return make(*args, k)
 
 
-def parse_measure_or_family(spec_text: str | None, text: str,
-                            exact: bool = True) -> FiniteMeasure:
+def parse_measure_or_family(spec_text: str | None, text: str) -> FiniteMeasure:
     """Accept either a measure literal (needs a group) or a family reference."""
     stripped = text.strip()
-    if stripped.startswith("measure"):
-        if spec_text is None:
-            raise GrammarError("a measure literal needs a group spec")
-        mu = parse_measure(parse_group(spec_text), stripped, exact=exact)
-    else:
-        mu = family_measure(stripped)
-        if not exact:
-            mu = mu.as_float()
-    return mu
+    if not stripped.startswith("measure"):
+        return family_measure(stripped)
+    if spec_text is None:
+        raise GrammarError("a measure literal needs a group spec")
+    return parse_measure(parse_group(spec_text), stripped)

@@ -22,11 +22,13 @@ _COUNT_ATOMS = 32  # longest table drawn by counting comparisons
 
 
 def cumulative(mu) -> tuple[list, np.ndarray]:
-    """Atoms of a step law and their cumulative float weights (last = 1)."""
-    elems, weights = zip(*mu.as_float().atoms())
-    cum = np.cumsum(weights)
+    """Atoms of a rational step law and their cumulative float weights
+    (last = 1).  Each weight is its numerator over ``denom`` by int true
+    division, which rounds correctly, as ``float(Fraction)`` does."""
+    denom = mu.exact_denom()
+    cum = np.cumsum([a / denom for a in mu._atoms.values()])
     cum[-1] = 1.0
-    return list(elems), cum
+    return mu.support(), cum
 
 
 class DrawBuffers:

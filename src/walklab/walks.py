@@ -280,9 +280,8 @@ class TrajectoryEnumeration:
         weights = []
         positions = []
         ident = groups.identity(mu.spec)
-        one = Fraction(1) if mu.exact else 1.0
         for seq in self.seqs:
-            w = one
+            w = Fraction(1)
             pos = ident
             poss = []
             for idx in seq:
@@ -347,8 +346,6 @@ def _label_weights(enum: TrajectoryEnumeration, view: PartitionView) -> dict:
 
 def view_entropy_form(enum: TrajectoryEnumeration,
                       view: PartitionView) -> LogLinear:
-    if not enum.mu.exact:
-        raise MeasureError("exact view entropy requires rational mode")
     return entropy_form(Fraction(w) for w in _label_weights(enum, view).values())
 
 

@@ -28,7 +28,7 @@ from walklab.escape import (
     return_mass_series_z,
 )
 from walklab.groups import BS11, DINF, IntegerLattice
-from walklab.measures import FiniteMeasure, uniform_measure
+from walklab.measures import FiniteMeasure, MeasureError, uniform_measure
 
 F = Fraction
 Z = IntegerLattice(1)
@@ -69,11 +69,16 @@ def test_drift_bound_rejects_mean_outside_support():
         DriftBound(F(0), F(1), F(2))
 
 
+def float_pm1():
+    return FiniteMeasure.from_pairs(Z, [((1,), 0.75), ((-1,), 0.25)],
+                                    exact=False)
+
+
 def test_drift_bound_rejects_wrong_spec_and_float_mode():
     with pytest.raises(EscapeError):
         drift_bound_z(uniform_measure(Z2, [(1, 0), (-1, 0)]))
-    with pytest.raises(EscapeError):
-        drift_bound_z(biased_pm1(F(3, 4)).as_float())
+    with pytest.raises(MeasureError, match="rational weights"):
+        drift_bound_z(float_pm1())
 
 
 def test_hoeffding_bound_value():
@@ -519,10 +524,9 @@ def test_auto_escape_reduces_a_bs11_law_without_b_steps_to_the_line():
 
 
 def test_auto_escape_falls_back_when_the_exact_route_raises():
-    # float weights: the exact series needs the rational mode
-    flt = auto_escape(biased_pm1(F(3, 4)).as_float(), horizon=50, samples=40,
-                      seed=1)
-    assert flt.method == "monte-carlo"
+    # float weights are refused, not sampled: Monte Carlo needs them too
+    with pytest.raises(MeasureError, match="rational weights"):
+        auto_escape(float_pm1(), horizon=50, samples=40, seed=1)
     # rate 2e-4: the tail needs about 10^5 terms, past the term budget
     weak = biased_pm1(F(51, 100))
     with pytest.raises(EscapeError, match="terms"):

@@ -339,15 +339,23 @@ def test_cli_experiment_run_honours_config_format_and_out(tmp_path, capsys):
     assert json.loads(json_out.read_text())["config"]["fmt"] == "json"
 
 
-def test_cli_experiment_run_rejects_float(capsys):
-    assert cli.main(["experiment", "run", "E6", "--float"]) == 2
+def _assert_unrecognized(capsys, argv, flag):
+    """argparse refuses ``flag`` in ``argv``: exit 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2, argv
     captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err, argv
     assert captured.out == ""
-    assert "rational mode only" in captured.err
+
+
+def test_cli_experiment_run_rejects_float(capsys):
+    _assert_unrecognized(capsys, ["experiment", "run", "E6", "--float"],
+                         "--float")
 
 
 def test_cli_has_no_exact_flag(capsys):
-    """Rational weights are the default; ``--float`` is the one switch."""
+    """Weights are always rational; no flag selects a weight mode."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["ladder", "z_drift(k=2)", "--exact"])
     assert exc.value.code == 2
@@ -393,20 +401,28 @@ def test_cli_error_exit_codes(capsys):
     assert cli.main(["escape", "z_drift()", "--cap", "10"]) == 2
     assert "--cap" in capsys.readouterr().err
     for command in ("embed", "check-identity"):
-        for flags in (["--float"], ["--cap", "5"], ["--format", "csv"],
-                      ["--seed", "5"]):
+        for flags in (["--cap", "5"], ["--format", "csv"], ["--seed", "5"]):
             argv = ["magnus", command, "x1", "--d", "2", "--m", "2", *flags]
             assert cli.main(argv) == 2, argv
             captured = capsys.readouterr()
             assert flags[0] in captured.err and not captured.out
-    ignored = [
+    no_float_flag = [
+        ["magnus", "embed", "x1", "--d", "2", "--m", "2", "--float"],
+        ["magnus", "check-identity", "x1", "--d", "2", "--m", "2", "--float"],
         ["escape", "z_drift()", "--method", "exact", "--float"],
         ["escape", "z_drift(k=limit)", "--method", "range", "--float"],
+        ["escape", "z_drift(k=2)", "--method", "mc", "--float",
+         "--horizon", "100", "--samples", "20"],
+        ["ladder", "dinf(k=2)", "--float"],
+        ["list", "--float"],
+        ["magnus", "suite", "--pairs", "2", "--float"],
+    ]
+    for argv in no_float_flag:
+        _assert_unrecognized(capsys, argv, "--float")
+    ignored = [
         ["list", "--format", "csv"],
         ["list", "--cap", "3"],
-        ["list", "--float"],
         ["ladder", "dinf(p=3/4, k=2)", "--nmax", "2", "--seed", "5"],
-        ["magnus", "suite", "--pairs", "2", "--float"],
     ]
     for argv in ignored:
         assert cli.main(argv) == 2, argv
@@ -429,7 +445,7 @@ def test_cli_error_exit_codes(capsys):
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and not captured.out
     # the same flags where the command honours them
-    assert cli.main(["escape", "z_drift(k=2)", "--method", "mc", "--float",
+    assert cli.main(["escape", "z_drift(k=2)", "--method", "mc", "--seed", "5",
                      "--horizon", "100", "--samples", "20"]) == 0
     assert cli.main(["list", "--format", "json"]) == 0
     capsys.readouterr()
@@ -440,12 +456,30 @@ def test_cli_flags_before_the_subcommand(capsys):
     does after it."""
     tail = ["z_drift(k=2)", "--method", "mc", "--horizon", "100",
             "--samples", "20"]
-    assert cli.main(["--float", "escape", *tail]) == 0
-    capsys.readouterr()
+    _assert_unrecognized(capsys, ["--float", "escape", *tail], "--float")
     assert cli.main(["--seed", "5", "escape", *tail]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 5
-    for argv in (["--float", "escape", "z_drift(k=2)", "--method", "exact"],
+    for argv in (["--cap", "5", "escape", "z_drift(k=2)", "--method", "exact"],
                  ["--seed", "5", "ladder", "z_drift(k=2)", "--nmax", "2"]):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert argv[0] in captured.err and not captured.out
+
+
+def test_sizes_must_be_positive(tmp_path, capsys):
+    """A zero or negative size is an input error: it neither falls back to
+    the default nor runs as a negative count."""
+    for name in ("n_max", "radial_n_max", "horizon", "samples", "tol", "cap"):
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            ExperimentConfig(experiment="E1", **{name: 0})
+    cfg = tmp_path / "e7.txt"
+    cfg.write_text("experiment = E7\nsamples = 0\n")
+    for argv in (["magnus", "suite", "--pairs", "0"],
+                 ["magnus", "suite", "--pairs", "-5"],
+                 ["experiment", "run", "E6", "--cap", "0"],
+                 ["experiment", "run", str(cfg)],
+                 ["ladder", "dinf(k=2)", "--nmax", "2", "--cap", "0"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1 and captured.out == ""

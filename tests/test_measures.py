@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import groups, measures, walks
+from walklab import escape, groups, measures, walks
 from walklab.exact_entropy import LogLinear, entropy_form
 from walklab.groups import (
     BS11,
@@ -66,6 +66,47 @@ def test_weights_must_sum_to_one_in_float_mode():
                              exact=False)
     with pytest.raises(MeasureError):
         FiniteMeasure.from_pairs(Z, [((0,), 0.5), ((1,), 0.51)], exact=False)
+
+
+# What a float measure may do; every operation in _FLOAT_REFUSES needs
+# rational weights.
+_FLOAT_WORKS = {
+    "convolve": lambda mu: convolve(mu, mu),
+    "convolution_power": lambda mu: convolution_power(mu, 4),
+    "entropy": entropy,
+    "entropy_ladder": lambda mu: walks.entropy_ladder(mu, 4),
+}
+_FLOAT_REFUSES = {
+    "atoms": lambda mu: mu.atoms(),
+    "weight_of": lambda mu: mu.weight_of((1,)),
+    "mix": lambda mu: mix(mu, mu, F(1, 2)),
+    "total_variation": lambda mu: total_variation(mu, mu),
+    "product_measure": lambda mu: product_measure(mu, mu),
+    "lamplighter_mix": lambda mu: lamplighter_mix(measures.uniform_flip(), mu),
+    "exact_entropy": exact_entropy,
+    "TrajectoryEnumeration": lambda mu: walks.TrajectoryEnumeration(mu, 2),
+    "mc_escape": lambda mu: escape.mc_escape(mu, 10, 5, 0),
+    "range_rate": lambda mu: escape.range_rate(mu, 10, 5, 0),
+}
+
+
+@pytest.mark.parametrize("op", [*_FLOAT_WORKS, *_FLOAT_REFUSES])
+def test_float_measures_only_convolve_and_take_entropy(op):
+    flt = FiniteMeasure.from_pairs(Z, [((1,), 0.75), ((-1,), 0.25)],
+                                   exact=False)
+    if op in _FLOAT_REFUSES:
+        with pytest.raises(MeasureError, match="rational weights"):
+            _FLOAT_REFUSES[op](flt)
+        return
+    rational = FiniteMeasure.from_pairs(Z, [((1,), F(3, 4)), ((-1,), F(1, 4))])
+    got, want = _FLOAT_WORKS[op](flt), _FLOAT_WORKS[op](rational)
+    if isinstance(got, FiniteMeasure):
+        assert not got.exact and got.support() == want.support()
+        got, want = entropy(got), entropy(want)
+    elif isinstance(got, walks.EntropyLadder):
+        assert got.forms is None and want.forms is not None
+        got, want = got.values, want.values
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_negative_and_zero_weights():

@@ -410,10 +410,17 @@ def test_measure_literal_reads_weights_exactly():
 
 
 def test_measure_literal_float_mode():
-    mu = parse_measure(DINF, 'measure { atom "ab" 1/2; atom "ba" 1/2 }',
-                       exact=False)
-    assert not mu.exact
-    assert mu.weight_of((-1, 0)) == 0.5
+    """A literal has no float mode; its decimals are read as rationals."""
+    text = 'measure { atom "ab" 0.1; atom "ba" 0.9 }'
+    with pytest.raises(TypeError):
+        parse_measure(DINF, text, exact=False)
+    mu = parse_measure(DINF, text)
+    assert mu.exact
+    assert mu.weight_of((-1, 0)) == F(1, 10)
+    flt = measures.FiniteMeasure.from_pairs(
+        DINF, [((-1, 0), 0.1), ((1, 0), 0.9)], exact=False)
+    with pytest.raises(measures.MeasureError, match="rational weights"):
+        flt.weight_of((-1, 0))
 
 
 def test_measure_literal_errors():
@@ -470,7 +477,8 @@ def test_parse_measure_or_family_dispatch():
     assert lit.weight_of((0, 1)) == 1
     fam = parse_measure_or_family(None, "dinf(k=2)")
     assert _same_atoms(fam, measures.dinf_family(F(3, 4), 2))
-    as_float = parse_measure_or_family(None, "dinf(k=2)", exact=False)
-    assert not as_float.exact
+    assert lit.exact and fam.exact
+    with pytest.raises(TypeError):
+        parse_measure_or_family(None, "dinf(k=2)", exact=False)
     with pytest.raises(GrammarError):
         parse_measure_or_family(None, 'measure { atom "a" 1 }')
