@@ -2,14 +2,14 @@
 
 Three estimator families:
 
-* ``exact_escape_drifted_z`` / ``exact_escape_drifted_z2``: truncate the
-  expected-visits series ``sum_n mu^{*n}(e) = 1 / p_escape`` and close the
-  tail with the exponential concentration bound
-  ``mu^{*n}(e) <= 2 exp(-2 n mean^2 / (b - a)^2)`` for a drifted walk whose
-  (projected) support lies in ``[a, b]``.  The result is a bracketing
-  interval, not a point guess.  On the line the series is summed exactly,
-  on the law's integer numerators over ``D^n`` (``D`` its shared
-  denominator).
+* ``exact_escape_drifted_z`` / ``exact_escape_drifted_z2``: brackets of
+  ``1 / sum_n mu^{*n}(e)``, not point guesses.  On the line the
+  expected-visits series is summed exactly, on the law's integer numerators
+  over ``D^n`` (``D`` its shared denominator), and its tail is closed with
+  the concentration bound ``mu^{*n}(e) <= 2 exp(-2 n mean^2 / (b - a)^2)``
+  for a drifted walk with support in ``[a, b]``.  On Z^2 a drifted
+  nearest-neighbour walk gets its closed form, an arithmetic-geometric
+  mean, on outward-rounded brackets.
 * ``mc_escape``: Monte Carlo first-return sampling with per-sample
   counter-based streams; nested horizon checkpoints are evaluated on the
   same paths, so the reported estimates are nonincreasing by construction.
@@ -31,7 +31,8 @@ each atom came up; a walk that moves b scans b and reads a only where b is
 at 64 steps and grow while it may return.
 The exact route reads the same twisted-lattice steps: ``lattice_law``
 rewrites a law with no flipping step as a walk on Z or Z^2, the one form
-``auto_escape`` certifies or brackets.
+``auto_escape`` certifies or brackets; other laws, and Z^2 laws that are
+not nearest-neighbour, are sampled.
 """
 
 from __future__ import annotations
@@ -45,18 +46,21 @@ import numpy as np
 
 from . import groups
 from .groups import GroupElement, IntegerLattice
+from .intervals import Bracket
 from .measures import FiniteMeasure
 from .rng import DrawBuffers, cumulative, draw, sample_stream, tally
 
 _Z1 = IntegerLattice(1)
 _Z2 = IntegerLattice(2)
 _FLOAT_SLACK = 1e-12
+# The steps of a nearest-neighbour walk on Z^2 (E, W, N, S), and the working
+# precision of its closed form, in bits.
+_UNIT_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_AGM_BITS = 80
 # Most exact return masses a series sums.  The integer numerators grow with
 # n, so the cost grows about as the cube of the count; the pinned laws need
 # at most 575 terms.
 _TERM_BUDGET = 1_000
-# Most terms of the binary64 series on Z^2 (E1's laws need at most 2,075).
-_Z2_TERM_BUDGET = 20_000
 # First-return blocks: the first walks 64 steps (criterion 3's returns all
 # come by then), later ones 5 times more each, up to the buffer.  A block in
 # which a flip-free walk cannot return is summed when it is _MIN_SUMMED steps
@@ -256,121 +260,54 @@ def exact_escape_drifted_z(mu: FiniteMeasure,
                  "support_hi": int(bound.hi)})
 
 
-def _axis_split(mu: FiniteMeasure):
-    """Split a 2-d lattice measure into axis-conditional walks."""
+def _axis_terms(p: Fraction, q: Fraction,
+                prec: int) -> tuple[Bracket, Bracket]:
+    """Brackets of ``c = 2 sqrt(pq)`` and of ``p + q - c``, the latter as
+    ``(p - q)^2 / (p + q + c)``: no cancellation however close p is to q."""
+    c = Bracket.of(4 * p * q, prec).sqrt(prec)
+    if p + q == 0:
+        return c, c  # both are 0
+    return c, Bracket.of((p - q) ** 2, prec).div(
+        c.add(Bracket.of(p + q, prec), prec), prec)
+
+
+def exact_escape_drifted_z2(mu: FiniteMeasure) -> EscapeEstimate:
+    """Bracket the escape probability of a drifted nearest-neighbour walk
+    on Z^2 in closed form.
+
+    With ``a = 2 sqrt(p_E p_W)`` and ``b = 2 sqrt(p_N p_S)``, the walk run
+    in continuous time at rate 1 spends expected time
+    ``G = int_0^oo e^-t I_0(at) I_0(bt) dt`` at the origin, and
+    ``G = 1 / (sqrt(1 - (a-b)^2) AGM(1, sqrt(1 - k^2)))`` with
+    ``k^2 = 4ab / (1 - (a-b)^2)`` (Montroll, J. SIAM 4 (1956)).  As the
+    AGM is homogeneous, the escape probability ``1/G`` is
+    ``AGM(sqrt(1 - (a-b)^2), sqrt(1 - (a+b)^2))``.  With ``u = 1 - a - b``
+    these are ``sqrt((u + 2a)(u + 2b))`` and ``sqrt(u (u + 2a + 2b))``, and
+    u sums ``p_E + p_W - a`` and ``p_N + p_S - b`` (``_axis_terms``): sums
+    of positive terms, so a weak drift costs no bits.  All of it runs on
+    outward-rounded brackets of ``_AGM_BITS`` bits, whose ends are rounded
+    out to binary64.  Raises for a law with a step other than the four
+    unit steps (an identity atom included) and for one with no drift.
+    """
     if mu.spec != _Z2:
         raise EscapeError(f"expected a measure on the 2-d lattice, got {mu.spec!r}")
-    denom = mu.exact_denom()
-    x_atoms: list[tuple[int, float]] = []
-    y_atoms: list[tuple[int, float]] = []
-    for (x, y), a in mu._atoms.items():
-        w = a / denom  # int true division rounds correctly
-        if x and y:
-            raise EscapeError("measure is not axis-aligned")
-        if not x and not y:
-            raise EscapeError("identity atom not supported by the 2-d series")
-        if y == 0:
-            x_atoms.append((x, w))
-        else:
-            y_atoms.append((y, w))
-    if not x_atoms or not y_atoms:
-        raise EscapeError("need atoms on both axes; use the 1-d estimator")
-    return x_atoms, y_atoms
-
-
-def _marginal_return_series(values: list[int], probs: list[float],
-                            n_terms: int) -> np.ndarray:
-    """P(1-d walk back at 0 after j steps), j = 0 .. n_terms (float).
-
-    Two buffers take turns; step j writes only the positions
-    ``[j * lo, j * hi]`` the walk can reach, each as the atoms'
-    contributions added in atom order.
-    """
-    lo = min(values)
-    hi = max(values)
-    offset = -n_terms * min(lo, 0)  # buffer index of position 0
-    size = offset + n_terms * max(hi, 0) + 1
-    cur = np.zeros(size)
-    nxt = np.zeros(size)
-    cur[offset] = 1.0
-    out = np.zeros(n_terms + 1)
-    out[0] = 1.0
-    for j in range(1, n_terms + 1):
-        start = offset + (j - 1) * lo  # reached after j - 1 steps
-        stop = offset + (j - 1) * hi + 1
-        first = offset + j * lo  # reachable after j steps
-        last = offset + j * hi + 1
-        nxt[first:last] = 0.0
-        for v, p in zip(values, probs):
-            nxt[start + v:stop + v] += p * cur[start:stop]
-        cur, nxt = nxt, cur
-        if first <= offset < last:
-            out[j] = cur[offset]
-    return out
-
-
-def exact_escape_drifted_z2(mu: FiniteMeasure,
-                            tol: float = 1e-4) -> EscapeEstimate:
-    """Bracket the escape probability of a drifted axis-aligned 2-d walk.
-
-    Conditions on the number of steps along each axis reduce the visit
-    series to binomial mixtures of two 1-d return sequences; the tail uses
-    the concentration bound for the projection onto the drifted axis.  The
-    series is evaluated in binary64 with a small documented slack.  Raises
-    if the tail needs more than ``_Z2_TERM_BUDGET`` terms to reach ``tol``.
-    """
-    x_atoms, y_atoms = _axis_split(mu)
-    alpha = sum(w for _, w in x_atoms)
-    beta = sum(w for _, w in y_atoms)
-    x_mean = sum(v * w for v, w in x_atoms)
-    y_mean = sum(v * w for v, w in y_atoms)
-    if x_mean == 0 and y_mean == 0:
+    for step in mu.support():
+        if step not in _UNIT_STEPS:
+            raise EscapeError(f"step {step} is not a unit step; the closed "
+                              "form needs a nearest-neighbour walk")
+    east, west, north, south = map(mu.weight_of, _UNIT_STEPS)
+    if east == west and north == south:
         raise EscapeError("drifted walk required; both axis means vanish")
-    # project onto the drifted axis; the projection support includes 0
-    # because steps along the other axis project to 0.
-    if abs(x_mean) >= abs(y_mean) and x_mean != 0:
-        proj_vals = [v for v, _ in x_atoms] + [0]
-        proj_mean = x_mean
-    else:
-        proj_vals = [v for v, _ in y_atoms] + [0]
-        proj_mean = y_mean
-    lo_s, hi_s = min(proj_vals), max(proj_vals)
-    rate = 2.0 * proj_mean ** 2 / (hi_s - lo_s) ** 2
-    q = exp(-rate) * (1 + 1e-12)
-    n_terms = int(np.ceil(log(8.0 / (tol * (1 - q))) / rate) + 8)
-    if n_terms > _Z2_TERM_BUDGET:
-        raise EscapeError(f"tail needs {n_terms} > {_Z2_TERM_BUDGET} terms")
-    x_vals = [v for v, _ in x_atoms]
-    x_probs = [w / alpha for _, w in x_atoms]
-    y_vals = [v for v, _ in y_atoms]
-    y_probs = [w / beta for _, w in y_atoms]
-    u = _marginal_return_series(x_vals, x_probs, n_terms)
-    v = _marginal_return_series(y_vals, y_probs, n_terms)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_terms + 1)))))
-    with np.errstate(divide="ignore"):
-        log_u = np.log(u)
-        log_v = np.log(v)
-    log_alpha = log(alpha)
-    log_beta = log(beta)
-    series = 1.0
-    for n in range(1, n_terms + 1):
-        j = np.arange(n + 1)
-        terms = (log_fact[n] - log_fact[j] - log_fact[n - j]
-                 + j * log_alpha + (n - j) * log_beta
-                 + log_u[j] + log_v[n - j])
-        finite = terms[np.isfinite(terms)]
-        if finite.size:
-            series += float(np.exp(finite).sum())
-    tail = 2.0 * q ** (n_terms + 1) / (1.0 - q)
-    slack = 1e-9 * series
-    s_lo = series - slack
-    s_hi = series + tail + slack
-    lo = 1.0 / s_hi
-    hi = 1.0 / s_lo
-    return EscapeEstimate(
-        "exact-series", (lo + hi) / 2, lo, hi, n=n_terms,
-        details={"series_lo": s_lo, "series_hi": s_hi, "tail_bound": tail,
-                 "projected_mean": proj_mean, "float_slack": slack})
+    prec = _AGM_BITS
+    a, u_x = _axis_terms(east, west, prec)
+    b, u_y = _axis_terms(north, south, prec)
+    u = u_x.add(u_y, prec)
+    a2, b2 = a.add(a, prec), b.add(b, prec)
+    ua, ub = u.add(a2, prec), u.add(b2, prec)
+    gamma = ua.mul(ub, prec).sqrt(prec).agm(
+        u.mul(ua.add(b2, prec), prec).sqrt(prec), prec)
+    lo, hi = gamma.floats()
+    return EscapeEstimate("agm-closed-form", (lo + hi) / 2, lo, hi)
 
 
 def recurrence_zero(mu: FiniteMeasure, reason: str) -> EscapeEstimate:
@@ -815,8 +752,12 @@ def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
                 horizon: int = 100_000, samples: int = 2000,
                 seed: int = 0) -> EscapeEstimate:
     """Best available estimator for a step law.  On its ``lattice_law``: a
-    recurrence certificate for an exactly mean-zero walk, else the exact
-    series; where either raises, Monte Carlo on ``mu`` itself."""
+    recurrence certificate for an exactly mean-zero walk, else on Z the
+    exact series to width ``tol``, and on Z^2 the closed form of a
+    nearest-neighbour walk (``tol`` unread); where either raises, Monte
+    Carlo on ``mu`` itself.  A ``tol`` that is not positive raises."""
+    if not tol > 0:
+        raise EscapeError(f"tol must be positive, got {tol}")
     try:
         law = lattice_law(mu)
         line = law.spec == _Z1
@@ -827,6 +768,6 @@ def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
                 law, f"mean-zero finite-support walk {where} is recurrent")
         if line:
             return exact_escape_drifted_z(law, tol)
-        return exact_escape_drifted_z2(law, max(tol, 1e-4))
+        return exact_escape_drifted_z2(law)
     except EscapeError:
         return mc_escape(mu, horizon, samples, seed)

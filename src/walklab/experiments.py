@@ -286,6 +286,8 @@ def _mc_expectations(prefix: str, k_grid: tuple[int, ...],
 
 
 def _e1_panels() -> list[tuple[str, FiniteMeasure, FiniteMeasure, float]]:
+    """(panel, limit law, spreading law, tol) per panel; the closed form on
+    Z^2 reads no tol."""
     drift1 = FiniteMeasure.from_pairs(
         _Z1, [((1,), Fraction(3, 4)), ((-1,), Fraction(1, 4))])
     spread1 = measures.uniform_measure(_Z1, [(1,), (-1,)])

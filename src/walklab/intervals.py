@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from mpmath.libmp import (from_int, fzero, mpf_cmp, mpf_sign, mpf_sub,
-                          round_ceiling)
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mid, mpi_mul, mpi_sub
+from mpmath.libmp import (from_int, from_rational, fzero, mpf_cmp, mpf_sign,
+                          mpf_sub, round_ceiling, round_floor, to_float)
+from mpmath.libmp.libmpi import (mpi_add, mpi_div, mpi_mid, mpi_mul, mpi_shift,
+                                 mpi_sqrt, mpi_sub)
 
 Pair = tuple[tuple, tuple]  # the endpoints (lo, hi) of a bracket
 
@@ -31,11 +32,47 @@ class Bracket(NamedTuple):
     lo: tuple
     hi: tuple
 
+    @staticmethod
+    def of(q: Fraction, prec: int) -> "Bracket":
+        """The ``prec``-bit bracket of the rational ``q``."""
+        n, d = q.numerator, q.denominator
+        return Bracket(from_rational(n, d, prec, round_floor),
+                       from_rational(n, d, prec, round_ceiling))
+
     def add(self, other: "Bracket", prec: int) -> "Bracket":
         return Bracket(*mpi_add(self, other, prec))
 
     def sub(self, other: "Bracket", prec: int) -> "Bracket":
         return Bracket(*mpi_sub(self, other, prec))
+
+    def mul(self, other: "Bracket", prec: int) -> "Bracket":
+        return Bracket(*mpi_mul(self, other, prec))
+
+    def div(self, other: "Bracket", prec: int) -> "Bracket":
+        """A bracket of ``x / y``; ``other`` must exclude 0."""
+        return Bracket(*mpi_div(self, other, prec))
+
+    def sqrt(self, prec: int) -> "Bracket":
+        """A bracket of ``sqrt(x)``; this bracket must lie in ``[0, oo)``."""
+        return Bracket(*mpi_sqrt(self, prec))
+
+    def agm(self, other: "Bracket", prec: int) -> "Bracket":
+        """A bracket of the arithmetic-geometric mean of ``x`` and ``y``, for
+        ``x`` in this bracket and ``y`` in ``other``, both with ``lo > 0``.
+
+        The means ``A, B`` are stepped on brackets.  From the first step on,
+        the exact mean of each pair lies between its ``b_n`` and ``a_n``,
+        hence in ``[B.lo, A.hi]``; the steps stop once ``A`` and ``B``
+        overlap, when the gap ``a_n - b_n`` is down to their rounding.
+        """
+        if mpf_sign(self.lo) <= 0 or mpf_sign(other.lo) <= 0:
+            raise ValueError("agm needs brackets with positive lower ends")
+        a, b = self, other
+        while True:
+            a, b = (mpi_shift(mpi_add(a, b, prec), -1),
+                    mpi_sqrt(mpi_mul(a, b, prec), prec))
+            if mpf_cmp(a[0], b[1]) <= 0:
+                return Bracket(b[0], a[1])
 
     def scale(self, q: Fraction, prec: int) -> "Bracket":
         """A bracket of ``q * x`` for every ``x`` in this one."""
@@ -53,6 +90,11 @@ class Bracket(NamedTuple):
     def sign(self) -> int:
         """+1 or -1 when the bracket excludes 0, else 0."""
         return (mpf_sign(self.lo) > 0) - (mpf_sign(self.hi) < 0)
+
+    def floats(self) -> tuple[float, float]:
+        """The ends rounded outward to binary64."""
+        return (to_float(self.lo, rnd=round_floor),
+                to_float(self.hi, rnd=round_ceiling))
 
     def mid_rad(self, prec: int) -> Pair:
         """The midpoint, rounded to nearest, and an upward-rounded radius:

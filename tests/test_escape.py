@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import islice
 from math import exp, fsum
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -46,7 +47,7 @@ def z2_drift():
 
 
 def z2_weak_drift():
-    """Drift 1/50 along x: the Z^2 series needs about 99,000 terms."""
+    """Drift 1/50 along x: a visit series would need about 99,000 terms."""
     return FiniteMeasure.from_pairs(
         Z2, [((1, 0), F(13, 50)), ((-1, 0), F(12, 50)),
              ((0, 1), F(1, 4)), ((0, -1), F(1, 4))])
@@ -218,9 +219,10 @@ def test_exact_escape_rejects_mean_zero():
 
 def test_exact_escape_z2_frozen_value():
     est = exact_escape_drifted_z2(z2_drift())
-    assert est.method == "exact-series"
-    assert est.hi - est.lo < 1e-4
-    assert 0.63836 < est.lo <= est.hi < 0.63838
+    assert est.method == "agm-closed-form"
+    assert est.hi - est.lo <= 1e-12
+    assert est.lo == pytest.approx(0.6383764921089116, abs=1e-15)
+    assert est.hi == pytest.approx(0.6383764921089117, abs=1e-15)
     again = exact_escape_drifted_z2(z2_drift())
     assert (again.lo, again.hi) == (est.lo, est.hi)
 
@@ -231,8 +233,51 @@ def test_exact_escape_z2_one_signed_axis():
     mu = FiniteMeasure.from_pairs(Z2, [((1, 0), F(1, 2)), ((0, 1), F(1, 4)),
                                        ((0, -1), F(1, 4))])
     est = exact_escape_drifted_z2(mu)
-    assert est.lo <= 3 ** 0.5 / 2 <= est.hi
-    assert est.hi - est.lo < 1e-4
+    assert F(est.lo) ** 2 <= F(3, 4) <= F(est.hi) ** 2
+    assert est.hi - est.lo <= 1e-12
+
+
+def nearest_neighbour_law(east, west, north, south):
+    total = east + west + north + south
+    return FiniteMeasure.from_pairs(Z2, [
+        (step, F(w, total)) for step, w in
+        (((1, 0), east), ((-1, 0), west), ((0, 1), north), ((0, -1), south))
+        if w])
+
+
+def escape_by_quadrature(law: FiniteMeasure) -> mpmath.mpf:
+    """1/G at 30 digits, with G = int_0^oo e^-t I_0(at) I_0(bt) dt,
+    a = 2 sqrt(p_E p_W) and b = 2 sqrt(p_N p_S), by numerical quadrature."""
+    def twice_root(q):
+        return 2 * mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
+
+    w = law.weight_of
+    with mpmath.workdps(30):
+        a = twice_root(w((1, 0)) * w((-1, 0)))
+        b = twice_root(w((0, 1)) * w((0, -1)))
+        return 1 / mpmath.quad(lambda t: mpmath.exp(-t) * mpmath.besseli(0, a * t)
+                               * mpmath.besseli(0, b * t), [0, mpmath.inf])
+
+
+axis_weights = st.tuples(st.integers(0, 6), st.integers(0, 6))
+nearest_neighbour_laws = st.one_of(
+    st.tuples(axis_weights, st.just((0, 0))),  # one axis
+    st.tuples(axis_weights, axis_weights),
+).filter(lambda w: w[0][0] != w[0][1] or w[1][0] != w[1][1]).map(
+    lambda w: nearest_neighbour_law(*w[0], *w[1]))
+
+
+@given(nearest_neighbour_laws)
+@example(z2_weak_drift())
+@example(nearest_neighbour_law(6, 5, 6, 6))
+@settings(max_examples=15, deadline=None)
+def test_exact_escape_z2_contains_the_quadrature_of_its_green_function(mu):
+    """The closed form against an independent reference: the bracket holds
+    1/G with G integrated by ``mpmath.quad``, and is at most 1e-12 wide."""
+    est = exact_escape_drifted_z2(mu)
+    assert est.method == "agm-closed-form"
+    assert est.lo <= escape_by_quadrature(mu) <= est.hi
+    assert est.hi - est.lo <= 1e-12
 
 
 def test_exact_escape_z2_rejects_diagonal_and_mean_zero():
@@ -535,12 +580,32 @@ def test_auto_escape_falls_back_when_the_exact_route_raises():
     assert est.method == "monte-carlo"
 
 
-def test_exact_escape_z2_refuses_a_tail_past_its_term_budget():
-    """The Z^2 series raises instead of truncating at the budget, and the
-    dispatcher falls back to Monte Carlo."""
-    with pytest.raises(EscapeError, match="terms"):
-        exact_escape_drifted_z2(z2_weak_drift(), 1e-4)
-    est = auto_escape(z2_weak_drift(), tol=1e-4, horizon=50, samples=40, seed=1)
+def test_exact_escape_z2_weak_drift_is_in_closed_form(monkeypatch):
+    """Drift 1/50 along x, which a series would need about 99,000 terms
+    for, gets the closed form and samples nothing."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("fell back to Monte Carlo")
+
+    monkeypatch.setattr(escape, "mc_escape", no_sampling)
+    est = auto_escape(z2_weak_drift(), horizon=50, samples=40, seed=1)
+    assert est.method == "agm-closed-form"
+    assert est.lo <= 0.3171765755957115 <= est.hi
+    assert est.hi - est.lo <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [
+    [((2, 0), F(1, 4)), ((-1, 0), F(1, 4)), ((0, 1), F(1, 4)),
+     ((0, -1), F(1, 4))],
+    [((0, 0), F(1, 4)), ((1, 0), F(3, 8)), ((-1, 0), F(1, 8)),
+     ((0, 1), F(1, 8)), ((0, -1), F(1, 8))],
+], ids=["long-step", "identity-atom"])
+def test_exact_escape_z2_needs_a_nearest_neighbour_walk(steps):
+    """The closed form is for the four unit steps alone: other drifted laws
+    on Z^2 raise, and the dispatcher samples them."""
+    mu = FiniteMeasure.from_pairs(Z2, steps)
+    with pytest.raises(EscapeError, match="not a unit step"):
+        exact_escape_drifted_z2(mu)
+    est = auto_escape(mu, horizon=50, samples=40, seed=1)
     assert est.method == "monte-carlo"
 
 
@@ -565,7 +630,7 @@ def test_auto_escape_dispatch():
     assert planar_fair.method == "recurrence-zero"
 
     planar_drift = auto_escape(z2_drift())
-    assert planar_drift.method == "exact-series"
+    assert planar_drift.method == "agm-closed-form"
 
     dinf_translations = auto_escape(FiniteMeasure.from_pairs(
         DINF, [((1, 0), F(3, 4)), ((-1, 0), F(1, 4))]))
@@ -579,8 +644,8 @@ def test_auto_escape_dispatch():
     bs_even = auto_escape(FiniteMeasure.from_pairs(
         BS11, [((1, 0), F(3, 8)), ((-1, 0), F(1, 8)),
                ((0, 2), F(1, 4)), ((0, -2), F(1, 4))]))
-    assert bs_even.method == "exact-series"
-    assert 0.63836 < bs_even.lo <= bs_even.hi < 0.63838
+    assert (bs_even.method, bs_even.lo, bs_even.hi) == (
+        planar_drift.method, planar_drift.lo, planar_drift.hi)
 
     free = auto_escape(uniform_measure(groups.FreeGroup(2),
                                        [(1,), (-1,), (2,), (-2,)]),

@@ -198,9 +198,9 @@ def test_ladder_cache_checks_the_support_cap(tmp_path, capsys, monkeypatch):
 # must leave them unchanged; a deliberate change of numbers or report layout
 # updates them.
 REPLAY_SHA256 = {
-    "E1": "b1e931d433cc65fb3f6c7318213d3340738e2dce7dd301aa00e31169f519c4d9",
+    "E1": "ad20eaa1eced886c11e1faaa8958ce67797d34f269c5370a9cb7845d9866d0a7",
     "E2": "20f6358a3e1cdcd5f30abe73b15512a49d42dd9b8fbb1c2f7f28f3aad3843f9c",
-    "E3": "1b97890d862222bb33d146036f812659f7d0dca0bcd965157083d1e45bf8b3c6",
+    "E3": "1478b7d27887914a93a0965f3c607ecbe37f4fac02831b301530429128b10910",
     "E4": "bf7f585a8b34fe1a3c18517afe605b73ed5921bdd008321fa2dfd7046ecccdd3",
     "E5": "b1f1a60ddcb44db2c9e7e285416b976ed0a54145f443ce37985ea6fa8e0d7872",
     "E6": "894bb9f3f7a216d59f47793208d8107dadd0fc5358ccc536aa33f57b5b189a58",
@@ -478,7 +478,9 @@ def test_sizes_must_be_positive(tmp_path, capsys):
                  ["magnus", "suite", "--pairs", "-5"],
                  ["experiment", "run", "E6", "--cap", "0"],
                  ["experiment", "run", str(cfg)],
-                 ["ladder", "dinf(k=2)", "--nmax", "2", "--cap", "0"]):
+                 ["ladder", "dinf(k=2)", "--nmax", "2", "--cap", "0"],
+                 ["escape", "z_drift()", "--tol", "0"],
+                 ["escape", "z_drift()", "--tol", "-1"]):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
