@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from walklab import parsing, walks
 
-FAMILIES = ("dinf", "bs11", "z_drift", "lamplighter", "f2product")
-
 
 def family_text(name: str, p: Fraction | None, k: int | None) -> str:
     index = "k=limit" if k is None else f"k={k}"
@@ -29,19 +27,20 @@ def family_text(name: str, p: Fraction | None, k: int | None) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("family", choices=FAMILIES)
+    parser.add_argument("family", choices=parsing.FAMILIES)
     parser.add_argument("--k", type=int, nargs="+", default=[1, 2, 4],
                         help="family depths (default 1 2 4)")
     parser.add_argument("--limit", action="store_true",
                         help="include the limit measure")
     parser.add_argument("--p", type=Fraction, default=None,
-                        help="family parameter (default 3/4; not for z_drift)")
+                        help="family parameter (default 3/4; not for "
+                             "families without one, such as z_drift)")
     parser.add_argument("--nmax", type=int, default=8)
     parser.add_argument("--format", choices=("table", "csv"), default="table")
     args = parser.parse_args(argv)
-    if args.family == "z_drift":
+    if not parsing.FAMILIES[args.family][1]:  # the family takes no p
         if args.p is not None:
-            parser.error("z_drift takes no --p")
+            parser.error(f"{args.family} takes no --p")
     elif args.p is None:
         args.p = Fraction(3, 4)
 

@@ -209,14 +209,21 @@ def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
 # exact series estimators
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < inf:
+        raise EscapeError(f"tol must be positive and finite, got {tol}")
+
+
 def exact_escape_drifted_z(mu: FiniteMeasure,
                            tol: float = 1e-6) -> EscapeEstimate:
     """Bracket the escape probability of a drifted 1-d lattice walk.
 
     Sums the visit series exactly and closes it with the geometric tail from
     the concentration bound; the interval has width at most ``tol``.  Raises
-    if the tail needs more than ``_TERM_BUDGET`` terms to reach ``tol``.
+    if the tail needs more than ``_TERM_BUDGET`` terms to reach ``tol``, or
+    unless ``0 < tol < inf``.
     """
+    _check_tol(tol)
     bound = drift_bound_z(mu)
     if bound.mean == 0:
         raise EscapeError("drifted walk required; the mean is exactly zero")
@@ -755,9 +762,11 @@ def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
     recurrence certificate for an exactly mean-zero walk, else on Z the
     exact series to width ``tol``, and on Z^2 the closed form of a
     nearest-neighbour walk (``tol`` unread); where either raises, Monte
-    Carlo on ``mu`` itself.  A ``tol`` that is not positive raises."""
-    if not tol > 0:
-        raise EscapeError(f"tol must be positive, got {tol}")
+    Carlo on ``mu`` itself.  Unless ``0 < tol < inf``, and unless
+    ``horizon`` and ``samples`` are at least 1, it raises before any route."""
+    _check_tol(tol)
+    if horizon < 1 or samples < 1:
+        raise EscapeError("horizon and samples must be >= 1")
     try:
         law = lattice_law(mu)
         line = law.spec == _Z1

@@ -15,7 +15,9 @@ prefix scan, level by level, with ``pi_k`` the level-``k`` image:
 Each level below the top needs the images of every prefix; the top level
 needs only the image of the whole word.  This is the product of the
 generator images ``x_i -> (e_i at the identity site, pi_{m-1}(x_i))`` taken
-in the tower, without multiplying there.
+in the tower, without multiplying there.  The images nest, so their size
+multiplies with each level; :func:`is_identity` runs the same scan on
+integer prefix-class ids instead, at the same cost per level at any depth.
 
 The scan realises the classical embedding of the rank-``d``, derived
 length-``m`` free solvable group into  Z^d wr (level m-1); its kernel at
@@ -72,10 +74,23 @@ def abelianize_word(w: FreeWord, rank: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _prefix_counts(w: FreeWord, rank: int) -> list[tuple[int, ...]]:
+    """Level-1 images of every prefix of a word: its letter-count vectors."""
+    vec = [0] * rank
+    counts = [tuple(vec)]
+    for letter in w:
+        if letter == 0 or abs(letter) > rank:
+            raise WordError(f"letter {letter} out of range for rank {rank}")
+        vec[abs(letter) - 1] += 1 if letter > 0 else -1
+        counts.append(tuple(vec))
+    return counts
+
+
 def _lamp_scan(w: FreeWord, below: list[GroupElement], rank: int,
                every_prefix: bool) -> list[GroupElement]:
-    """Images one level up from the prefix images ``below`` one level down:
-    the images of every prefix, or of the whole word only."""
+    """Images one level up from the prefix images ``below`` one level down
+    (or from any keys that are equal exactly where those images are): the
+    images of every prefix, or of the whole word only."""
     lamps: dict[GroupElement, tuple[int, ...]] = {}
     out = [((), below[0])]
     for j, letter in enumerate(w):
@@ -94,21 +109,28 @@ def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
     """Image of a word (reduced or not) at the given level, by the
     Fox-derivative prefix scan described in the module docstring."""
     sdm_spec(rank, length)  # GroupError on a bad rank or level
-    vec = [0] * rank
-    images = [tuple(vec)]
-    for letter in w:
-        if letter == 0 or abs(letter) > rank:
-            raise WordError(f"letter {letter} out of range for rank {rank}")
-        vec[abs(letter) - 1] += 1 if letter > 0 else -1
-        images.append(tuple(vec))
+    images = _prefix_counts(w, rank)
     for level in range(2, length + 1):
         images = _lamp_scan(w, images, rank, every_prefix=level < length)
     return images[-1]
 
 
 def is_identity(w: FreeWord, rank: int, length: int) -> bool:
-    """Whether the word maps to the identity at the given level."""
-    return magnus_embed(w, rank, length) == groups.identity(sdm_spec(rank, length))
+    """Whether the word maps to the identity at the given level.
+
+    Scans the levels as :func:`magnus_embed` does, but on prefix classes:
+    each level's prefix images are replaced by integer ids, equal exactly
+    where the images are, before the scan one level up.  The lamps are then
+    keyed by ids instead of nested images, so a level costs the same at any
+    depth.  The empty prefix gets id 0; the word is trivial iff its key is
+    the empty prefix's."""
+    sdm_spec(rank, length)  # GroupError on a bad rank or level
+    keys = _prefix_counts(w, rank)
+    for level in range(2, length + 1):
+        table: dict[GroupElement, int] = {}
+        ids = [table.setdefault(key, len(table)) for key in keys]
+        keys = _lamp_scan(w, ids, rank, every_prefix=level < length)
+    return keys[-1] == (keys[0] if length == 1 else ((), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,9 @@ takes no ``p``.  The laws themselves are built in :mod:`walklab.measures`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable
 
 from . import groups, magnus, measures
 from .groups import (
@@ -75,6 +76,31 @@ class GrammarError(ValueError):
     """Malformed group, element, measure, or family text."""
 
 
+# Tokens.  A compiled pattern is matched at the cursor; where ``re`` has no
+# class for a token's characters, a test ``(char, index in the token)`` reads
+# it character by character.  In str patterns ``\s`` is exactly isspace(),
+# ``\w`` is isalnum() or "_", and ``\d`` is isdecimal(); no class equals
+# isalpha() (names) or isdigit() (numbers).
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"[+-]?\d+")
+_LETTER = re.compile(r"[xX]\d+")  # a free-group letter and its index
+_LONE_E = re.compile(r"e(?!\w)")  # the identity, not the start of a name
+_QUOTED = re.compile(r'"[^"]*"')
+
+
+def _name_char(c: str, i: int) -> bool:
+    return c.isalpha() or c == "_"
+
+
+def _ident_char(c: str, i: int) -> bool:
+    """Like a name, but digits may follow the first character."""
+    return c == "_" or (c.isalnum() if i else c.isalpha())
+
+
+def _number_char(c: str, i: int) -> bool:
+    return c.isdigit() or c in "./" or (i == 0 and c in "+-")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -93,20 +119,29 @@ class _Scanner:
     def error(self, message: str) -> GrammarError:
         return GrammarError(f"{message} at offset {self.pos} in {self.text!r}")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def take(self, token: re.Pattern | Callable[[str, int], bool],
+             what: str = "") -> str:
+        """Skip whitespace, then read and return the longest ``token`` at the
+        cursor.  If there is none, raise "expected <what>", or return ""
+        when no ``what`` is given."""
+        text = self.text
+        start = self.pos = _SPACE.match(text, self.pos).end()
+        if isinstance(token, re.Pattern):
+            found = token.match(text, start)
+            self.pos = found.end() if found else start
+        else:
+            while self.pos < len(text) and token(text[self.pos], self.pos - start):
+                self.pos += 1
+        if self.pos == start and what:
+            raise self.error(f"expected {what}")
+        return text[start:self.pos]
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.take(_SPACE)
+        return self.text[self.pos:self.pos + 1]
 
     def try_lit(self, lit: str) -> bool:
-        self.skip_ws()
+        self.take(_SPACE)
         if self.text.startswith(lit, self.pos):
             self.pos += len(lit)
             return True
@@ -116,68 +151,27 @@ class _Scanner:
         if not self.try_lit(lit):
             raise self.error(f"expected {lit!r}")
 
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalpha()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        return self.text[start:self.pos]
 
-    def ident(self) -> str:
-        """Like ``name`` but digits are allowed after the first letter."""
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (self.text[self.pos].isalpha()
-                                          or self.text[self.pos] == "_"):
-            self.pos += 1
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                                 or self.text[self.pos] == "_"):
-                self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        return self.text[start:self.pos]
+def _integer(sc: _Scanner) -> int:
+    return int(sc.take(_INTEGER, "an integer"))
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
 
-    def number(self) -> Fraction:
-        """Integer, fraction a/b, or decimal — read exactly."""
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit()
-                                             or self.text[self.pos] in "./"):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        try:
-            return Fraction(self.text[start:self.pos])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise self.error(f"bad number ({exc})") from None
+def _number(sc: _Scanner) -> Fraction:
+    """Integer, fraction a/b, or decimal — read exactly."""
+    text = sc.take(_number_char, "a number")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise sc.error(f"bad number ({exc})") from None
 
-    def quoted(self) -> str:
-        self.skip_ws()
-        if self.peek() != '"':
-            raise self.error("expected a quoted string")
-        end = self.text.find('"', self.pos + 1)
-        if end < 0:
-            raise self.error("unterminated quoted string")
-        out = self.text[self.pos + 1:end]
-        self.pos = end + 1
-        return out
+
+def _read_all(what: str, text: str, read: Callable[..., Any], *args) -> Any:
+    """``read(scanner, *args)`` over the whole of ``text``."""
+    sc = _Scanner(text)
+    out = read(sc, *args)
+    if sc.peek():
+        raise sc.error(f"trailing input after {what}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +179,23 @@ class _Scanner:
 
 
 def _group(sc: _Scanner) -> GroupSpec:
-    sc.skip_ws()
-    word = sc.name()
+    word = sc.take(_name_char, "a name")
     if word == "Z":
         if sc.try_lit("^"):
-            return IntegerLattice(sc.integer())
+            return IntegerLattice(_integer(sc))
         return IntegerLattice(1)
     if word == "C":
-        return Cyclic(sc.integer())
+        return Cyclic(_integer(sc))
     if word == "F":
-        return FreeGroup(sc.integer())
+        return FreeGroup(_integer(sc))
     if word in ("Dinf", "dinf"):
         return Dihedral()
     if word == "BS":
-        sc.expect("(")
-        if sc.integer() != 1:
+        if _int_tuple(sc, 2) != (1, -1):
             raise sc.error("only BS(1,-1) is supported")
-        sc.expect(",")
-        if sc.integer() != -1:
-            raise sc.error("only BS(1,-1) is supported")
-        sc.expect(")")
         return BaumslagSolitar()
     if word == "S":
-        sc.expect("(")
-        rank = sc.integer()
-        sc.expect(",")
-        length = sc.integer()
-        sc.expect(")")
-        return FreeSolvable(rank, length)
+        return FreeSolvable(*_int_tuple(sc, 2))
     if word in ("wreath", "product"):
         sc.expect("(")
         sc.enter()
@@ -238,11 +221,7 @@ def _group(sc: _Scanner) -> GroupSpec:
 
 
 def parse_group(text: str) -> GroupSpec:
-    sc = _Scanner(text)
-    spec = _group(sc)
-    if not sc.eof():
-        raise sc.error("trailing input after group spec")
-    return spec
+    return _read_all("group spec", text, _group)
 
 
 def spec_to_text(spec: GroupSpec) -> str:
@@ -271,14 +250,13 @@ def spec_to_text(spec: GroupSpec) -> str:
 
 
 def _int_tuple(sc: _Scanner, dim: int) -> tuple[int, ...]:
-    if sc.peek() == "(":
-        sc.expect("(")
-        out = [sc.integer()]
+    if sc.try_lit("("):
+        out = [_integer(sc)]
         while sc.try_lit(","):
-            out.append(sc.integer())
+            out.append(_integer(sc))
         sc.expect(")")
     else:
-        out = [sc.integer()]
+        out = [_integer(sc)]
     if len(out) != dim:
         raise sc.error(f"expected {dim} coordinates, got {len(out)}")
     return tuple(out)
@@ -327,13 +305,7 @@ def _word(sc: _Scanner, spec: GroupSpec) -> GroupElement:
             g = groups.multiply(spec, groups.multiply(spec, u, v),
                                 groups.inverse(spec, groups.multiply(spec, v, u)))
         elif c in ("x", "X") and type(spec) is FreeGroup:
-            sc.pos += 1
-            digits = sc.pos
-            while sc.pos < len(sc.text) and sc.text[sc.pos].isdecimal():
-                sc.pos += 1
-            if sc.pos == digits:
-                raise sc.error("expected a letter index")
-            index = int(sc.text[digits:sc.pos])
+            index = int(sc.take(_LETTER, "a letter index")[1:])
             if not 1 <= index <= spec.rank:
                 raise sc.error(f"letter index {index} out of range 1..{spec.rank}")
             g = (index,) if c == "x" else (-index,)
@@ -345,18 +317,14 @@ def _word(sc: _Scanner, spec: GroupSpec) -> GroupElement:
         if sc.try_lit("^"):
             if c == "X":
                 raise sc.error("write either X1 or x1^-1, not both")
-            g = _power(spec, g, sc.integer())
+            g = _power(spec, g, _integer(sc))
         out = groups.multiply(spec, out, g)
 
 
 def parse_word(text: str, rank: int) -> FreeWord:
     """A word of ``FreeGroup(rank)`` as a reduced letter tuple (see
     :func:`_word`); empty text is the empty word."""
-    sc = _Scanner(text)
-    w = _word(sc, FreeGroup(rank))
-    if not sc.eof():
-        raise sc.error("trailing input after word")
-    return w
+    return _read_all("word", text, _word, FreeGroup(rank))
 
 
 #: Specs whose elements are read as words, where ``e`` is a no-op factor.
@@ -365,19 +333,16 @@ _WORD_SPECS = (FreeGroup, FreeSolvable, Dihedral, BaumslagSolitar)
 
 def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
     t = type(spec)
-    if sc.peek() == "e" and t not in _WORD_SPECS:
-        nxt = sc.pos + 1
-        rest = sc.text[nxt:nxt + 1]
-        if not (rest.isalnum() or rest == "_"):
-            sc.expect("e")
-            return groups.identity(spec)
+    c = sc.peek()
+    if t not in _WORD_SPECS and sc.take(_LONE_E):
+        return groups.identity(spec)
     if t is IntegerLattice:
         return _int_tuple(sc, spec.dim)
     if t is Cyclic:
-        return sc.integer() % spec.modulus
-    if t is FreeSolvable and spec.length == 1 and sc.peek() in "(+-0123456789":
+        return _integer(sc) % spec.modulus
+    if t is FreeSolvable and spec.length == 1 and c in "(+-0123456789":
         return _int_tuple(sc, spec.rank)
-    if t in (Dihedral, BaumslagSolitar) and sc.peek() == "(":
+    if t in (Dihedral, BaumslagSolitar) and c == "(":
         pair = _int_tuple(sc, 2)
         if t is Dihedral and pair[1] not in (0, 1):
             raise sc.error("flip bit must be 0 or 1")
@@ -427,10 +392,7 @@ def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
 
 
 def parse_element(spec: GroupSpec, text: str) -> GroupElement:
-    sc = _Scanner(text)
-    g = _element(sc, spec)
-    if not sc.eof():
-        raise sc.error("trailing input after element")
+    g = _read_all("element", text, _element, spec)
     groups.validate(spec, g)
     return g
 
@@ -467,39 +429,37 @@ def element_to_text(spec: GroupSpec, g: GroupElement) -> str:
 # measures and families
 
 
-def parse_measure(spec: GroupSpec, text: str) -> FiniteMeasure:
-    sc = _Scanner(text)
+def _atoms(sc: _Scanner, spec: GroupSpec) -> list[tuple[GroupElement, Fraction]]:
     sc.expect("measure")
     sc.expect("{")
     pairs: list[tuple[GroupElement, Fraction]] = []
     while not sc.try_lit("}"):
         sc.expect("atom")
-        g = parse_element(spec, sc.quoted())
-        pairs.append((g, sc.number()))
+        g = parse_element(spec, sc.take(_QUOTED, "a quoted string")[1:-1])
+        pairs.append((g, _number(sc)))
         if not sc.try_lit(";"):
             sc.expect("}")
             break
-    if not sc.eof():
-        raise sc.error("trailing input after measure literal")
-    return FiniteMeasure.from_pairs(spec, pairs)
+    return pairs
 
 
-def _family_params(sc: _Scanner) -> dict[str, Fraction | str]:
+def parse_measure(spec: GroupSpec, text: str) -> FiniteMeasure:
+    return FiniteMeasure.from_pairs(
+        spec, _read_all("measure literal", text, _atoms, spec))
+
+
+def _family(sc: _Scanner) -> tuple[str, dict[str, Fraction | str]]:
+    """A family name and its ``(key=value, ...)`` parameters, if any."""
+    sc.try_lit("family")
+    name = sc.take(_ident_char, "a name")
     params: dict[str, Fraction | str] = {}
-    if not sc.try_lit("("):
-        return params
-    if sc.try_lit(")"):
-        return params
-    while True:
-        key = sc.name()
-        sc.expect("=")
-        if sc.peek().isalpha():
-            params[key] = sc.name()
-        else:
-            params[key] = sc.number()
-        if sc.try_lit(")"):
-            return params
-        sc.expect(",")
+    if sc.try_lit("(") and not sc.try_lit(")"):
+        while not params or sc.try_lit(","):
+            key = sc.take(_name_char, "a name")
+            sc.expect("=")
+            params[key] = sc.take(_name_char) or _number(sc)
+        sc.expect(")")
+    return name, params
 
 
 def _family_k(params: dict) -> int | None:
@@ -513,8 +473,8 @@ def _family_k(params: dict) -> int | None:
     return int(k)
 
 
-# family name -> (constructor, whether the family takes the parameter p)
-_FAMILIES: dict[str, tuple[Callable[..., FiniteMeasure], bool]] = {
+#: family name -> (constructor, whether the family takes the parameter p)
+FAMILIES: dict[str, tuple[Callable[..., FiniteMeasure], bool]] = {
     "dinf": (measures.dinf_family, True),
     "bs11": (measures.bs11_family, True),
     "z_drift": (measures.z_drift_family, False),
@@ -525,15 +485,10 @@ _FAMILIES: dict[str, tuple[Callable[..., FiniteMeasure], bool]] = {
 
 def family_measure(text: str) -> FiniteMeasure:
     """Resolve a family reference like ``dinf(p=3/4, k=5)`` to a measure."""
-    sc = _Scanner(text)
-    sc.try_lit("family")
-    name = sc.ident()
-    params = _family_params(sc)
-    if not sc.eof():
-        raise sc.error("trailing input after family reference")
-    if name not in _FAMILIES:
+    name, params = _read_all("family reference", text, _family)
+    if name not in FAMILIES:
         raise GrammarError(f"unknown family {name!r}")
-    make, takes_p = _FAMILIES[name]
+    make, takes_p = FAMILIES[name]
     args: list[Fraction] = []
     if takes_p:
         p = params.pop("p", Fraction(3, 4))

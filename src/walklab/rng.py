@@ -1,16 +1,15 @@
 """Deterministic counter-based sample streams and the inverse-CDF draw.
 
 Every Monte Carlo sample draws from its own Philox stream keyed by
-``(seed, sample_index)``, so results are bit-identical no matter how samples
-are batched or distributed across workers.  A Philox stream yields the same
-uniforms however its draws are split into blocks (``random(512)`` then
-``random(7)`` equals the first 519 of ``random(519)``), so results do not
-depend on block boundaries either, nor on a sampler stopping a stream early:
-a sampler sizes its blocks by the state its walk is in, and no result
-depends on those sizes.  Every sampler turns its uniforms into atoms the
-same way: :func:`cumulative` once per step law, then :func:`draw` per block
-of uniforms, or :func:`tally` where a block needs only how often each atom
-came up.
+``(seed, sample_index)``, so results are bit-identical however samples are
+batched.  A Philox stream yields the same uniforms however its draws are
+split into blocks (``random(512)`` then ``random(7)`` equals the first 519
+of ``random(519)``), so results do not depend on block boundaries either,
+nor on a sampler stopping a stream early: a sampler sizes its blocks by the
+state its walk is in, and no result depends on those sizes.  Every sampler
+turns its uniforms into atoms the same way: :func:`cumulative` once per
+step law, then :func:`draw` per block of uniforms, or :func:`tally` where a
+block needs only how often each atom came up.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from walklab import cli, experiments
+from walklab import cli, experiments, magnus
 from walklab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -217,6 +219,26 @@ def test_replay_payloads_match_pinned_hashes(experiment_reports):
     assert digests == REPLAY_SHA256
 
 
+def test_e7_kernel_rows_report_their_own_level(monkeypatch):
+    """A failing level-2 kernel word marks the level-2 row only; the
+    expectation is the conjunction over levels."""
+    real = magnus.is_identity
+    calls = []
+
+    def first_call_fails(w, rank, length):
+        calls.append(length)  # E7's first call checks a level-2 kernel word
+        return real(w, rank, length) and len(calls) > 1
+
+    monkeypatch.setattr(magnus, "is_identity", first_call_fails)
+    report = run_experiment(ExperimentConfig("E7", samples=2, n_max=2))
+    assert calls[0] == 2
+    rows = {row["check"]: row["all_identity"] for row in report.results
+            if row["check"].startswith("kernel level")}
+    assert rows == {"kernel level 2": False, "kernel level 3": True}
+    verdicts = {e["name"]: e["passed"] for e in report.expectations}
+    assert verdicts["kernel-words-identity"] is False
+
+
 def test_seed_changes_monte_carlo_results():
     a = run_experiment(ExperimentConfig("E6", seed=1))
     b = run_experiment(ExperimentConfig("E6", seed=2))
@@ -295,6 +317,20 @@ def test_cli_magnus_check_identity(capsys):
                      "--d", "2", "--m", "2"])
     assert code == 0
     assert json.loads(capsys.readouterr().out) is False
+
+
+def test_cli_check_identity_at_depth_100(capsys):
+    """A 92-letter word of the third derived subgroup at m = 100: each level
+    keys its lamps by prefix-class ids, so no level costs more than the
+    first, where nested images would double in size with each level."""
+    w = magnus.random_derived_series_word(2, 3, 2, Random(1))
+    assert len(w) == 92
+    start = time.perf_counter()
+    code = cli.main(["magnus", "check-identity", magnus.word_to_text(w),
+                     "--d", "2", "--m", "100"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert capsys.readouterr().out == "false\n"
 
 
 def test_cli_magnus_embed(capsys):
@@ -472,15 +508,27 @@ def test_sizes_must_be_positive(tmp_path, capsys):
     for name in ("n_max", "radial_n_max", "horizon", "samples", "tol", "cap"):
         with pytest.raises(ConfigError, match=f"{name} must be positive"):
             ExperimentConfig(experiment="E1", **{name: 0})
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            ExperimentConfig(experiment="E2", tol=tol)
     cfg = tmp_path / "e7.txt"
     cfg.write_text("experiment = E7\nsamples = 0\n")
+    configs = []
+    for tol in ("nan", "inf"):
+        configs.append(tmp_path / f"e2-{tol}.txt")
+        configs[-1].write_text(f"experiment = E2\ntol = {tol}\n")
     for argv in (["magnus", "suite", "--pairs", "0"],
                  ["magnus", "suite", "--pairs", "-5"],
                  ["experiment", "run", "E6", "--cap", "0"],
                  ["experiment", "run", str(cfg)],
                  ["ladder", "dinf(k=2)", "--nmax", "2", "--cap", "0"],
                  ["escape", "z_drift()", "--tol", "0"],
-                 ["escape", "z_drift()", "--tol", "-1"]):
+                 ["escape", "z_drift()", "--tol", "-1"],
+                 ["escape", "z_drift()", "--tol", "inf"],
+                 ["escape", "z_drift()", "--tol", "nan"],
+                 ["escape", "z_drift()", "--method", "exact", "--horizon", "-5"],
+                 ["escape", "z_drift(k=2)", "--method", "exact", "--samples", "-1"],
+                 *(["experiment", "run", str(path)] for path in configs)):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv

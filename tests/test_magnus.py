@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -208,6 +209,44 @@ def test_derived_words_witness_strictness():
             if not is_identity(w, 2, m):
                 witnesses += 1
         assert witnesses >= 1
+
+
+def _embed_and_compare(w, rank, length):
+    """The identity test on whole images: level-1 letter counts, then one
+    lamp scan per level keyed by the nested images of the level below."""
+    vec = [0] * rank
+    images = [tuple(vec)]
+    for letter in w:
+        vec[abs(letter) - 1] += 1 if letter > 0 else -1
+        images.append(tuple(vec))
+    for level in range(2, length + 1):
+        lamps = {}
+        out = [((), images[0])]
+        for j, letter in enumerate(w):
+            i = abs(letter) - 1
+            site, step = (images[j], 1) if letter > 0 else (images[j + 1], -1)
+            vec = lamps.pop(site, (0,) * rank)
+            vec = vec[:i] + (vec[i] + step,) + vec[i + 1:]
+            if any(vec):
+                lamps[site] = vec
+            if level < length:
+                out.append((tuple(sorted(lamps.items())), images[j + 1]))
+        images = out if level < length else [(tuple(sorted(lamps.items())),
+                                              images[-1])]
+    return images[-1] == groups.identity(sdm_spec(rank, length))
+
+
+def test_identity_on_prefix_classes_matches_whole_images():
+    rng = Random(23)
+    verdicts = Counter()
+    for _ in range(3000):
+        d, m = rng.choice((2, 3)), rng.randint(1, 4)
+        w = (random_derived_series_word(d, rng.randint(1, 3), 2, rng)
+             if rng.random() < 0.5 else _random_letters(d, rng.randint(0, 16), rng))
+        verdict = is_identity(w, d, m)
+        assert verdict == _embed_and_compare(w, d, m), (w, d, m)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 500, verdicts
 
 
 def test_derived_word_level_zero_is_plain():
