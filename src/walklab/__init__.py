@@ -9,7 +9,7 @@ Highlights:
   (`walklab.walks`, `walklab.exact_entropy`)
 * the wreath embedding of free solvable groups with an independent
   matrix-form cross-check (`walklab.magnus`)
-* escape-probability estimators: exact bracketing series, Monte Carlo with
+* escape-probability estimators: closed-form brackets, Monte Carlo with
   counter-based streams, range-based rates (`walklab.escape`)
 * a small text grammar for groups, elements, and step laws
   (`walklab.parsing`) and reproducible experiment runners

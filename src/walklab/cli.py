@@ -4,7 +4,7 @@ Subcommands::
 
     walklab ladder "dinf(p=3/4, k=5)" --nmax 8
     walklab ladder --group Z 'measure { atom "1" 3/4; atom "-1" 1/4 }' --nmax 10
-    walklab escape "z_drift(k=limit)" --method exact --tol 1e-6
+    walklab escape "z_drift(k=limit)" --method exact
     walklab escape "dinf(p=3/4, k=2)" --method mc --horizon 100000 --samples 2000
     walklab magnus embed "x1 x2" --d 2 --m 2
     walklab magnus check-identity "[x1,x2]" --d 2 --m 1
@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           default="exact")
     p_escape.add_argument("--horizon", type=int, default=10_000)
     p_escape.add_argument("--samples", type=int, default=2_000)
-    p_escape.add_argument("--tol", type=float, default=1e-6)
     _add_common(p_escape, top=False)
 
     p_magnus = sub.add_parser("magnus", help="wreath embedding of free "
@@ -148,7 +147,7 @@ def _cmd_escape(args) -> int:
     mu = parsing.parse_measure_or_family(args.group, args.measure)
     seed = 7 if args.seed is None else args.seed
     if args.method == "exact":
-        est = escape.auto_escape(mu, tol=args.tol, horizon=args.horizon,
+        est = escape.auto_escape(mu, horizon=args.horizon,
                                  samples=args.samples, seed=seed)
         if est.method == "monte-carlo":
             sys.stderr.write("note: no rigorous estimator applies to this "
@@ -185,7 +184,7 @@ def _cmd_magnus(args) -> int:
         _emit("true" if magnus.is_identity(word, args.d, args.m) else "false",
               args.out)
         return 0
-    image = magnus.magnus_embed(word, args.d, args.m)
+    image = magnus.capped_embed(word, args.d, args.m)
     spec = magnus.sdm_spec(args.d, args.m)
     _emit(json.dumps({
         "word": magnus.word_to_text(word),

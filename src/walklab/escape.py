@@ -2,45 +2,35 @@
 
 Three estimator families:
 
-* ``exact_escape_drifted_z`` / ``exact_escape_drifted_z2``: brackets of
-  ``1 / sum_n mu^{*n}(e)``, not point guesses.  On the line the
-  expected-visits series is summed exactly, on the law's integer numerators
-  over ``D^n`` (``D`` its shared denominator), and its tail is closed with
-  the concentration bound ``mu^{*n}(e) <= 2 exp(-2 n mean^2 / (b - a)^2)``
-  for a drifted walk with support in ``[a, b]``.  On Z^2 a drifted
-  nearest-neighbour walk gets its closed form, an arithmetic-geometric
-  mean, on outward-rounded brackets.
+* ``exact_escape_drifted_z`` / ``exact_escape_drifted_z2``: closed forms of
+  ``1 / sum_n mu^{*n}(e)`` for drifted walks, bracketed with binary64 ends
+  rounded outward.  On the line a skip-free law (reflected to a positive
+  mean, no step below -1) gets one root of its step polynomial, by exact
+  rational bisection; on Z^2 a nearest-neighbour law gets an
+  arithmetic-geometric mean on outward-rounded brackets.
 * ``mc_escape``: Monte Carlo first-return sampling with per-sample
   counter-based streams; nested horizon checkpoints are evaluated on the
   same paths, so the reported estimates are nonincreasing by construction.
 * ``range_rate``: sample mean of (distinct sites visited)/n.  The finite-n
-  range overestimates the escape probability; for drifted lattice walks an
-  upper bound for that bias (summed in binary64) is computed from the visit
-  series and its closed-form concentration tail, and widens the low side of
-  the interval.
+  range overestimates the escape probability; for drifted walks on the
+  line an upper bound for that bias (from the same root, or from the
+  concentration bound ``mu^{*n}(0) <= 2 exp(-2 n mean^2 / (b - a)^2)`` for
+  support in ``[a, b]``) widens the low side of the interval.
 
-Both samplers walk Z, Z^2, Dinf and BS(1,-1) a block of steps at a time,
-over twisted-lattice states on buffers allocated once per call, and any
-other group one ``groups.multiply`` per step; sample ``i`` reads only its
-(seed, i) stream.  ``range_rate`` scans every state of its paths.  A
-first-return sample computes only what the identity test reads: it stops
-drawing once no return is possible in the steps left; a walk with no
-flipping step gets the end of a block too far out to return from how often
-each atom came up; a walk that moves b scans b and reads a only where b is
-0 (on BS(1,-1), f is b's parity, so it is 0 there too).  Its blocks start
-at 64 steps and grow while it may return.
-The exact route reads the same twisted-lattice steps: ``lattice_law``
-rewrites a law with no flipping step as a walk on Z or Z^2, the one form
-``auto_escape`` certifies or brackets; other laws, and Z^2 laws that are
-not nearest-neighbour, are sampled.
+Both samplers walk Z, Z^2, Dinf and BS(1,-1) a block of steps at a time
+over twisted-lattice states (``_TwistedWalk``), and any other group one
+``groups.multiply`` per step; sample ``i`` reads only its (seed, i) stream.
+``lattice_law`` rewrites a law with no flipping step as a walk on Z or
+Z^2, the one form ``auto_escape`` certifies or brackets; other laws, and
+drifted laws with no closed form, are sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, exp, fsum, inf, log, prod, sqrt
-from typing import Any, Iterable, Iterator
+from math import exp, expm1, prod, sqrt
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -52,15 +42,13 @@ from .rng import DrawBuffers, cumulative, draw, sample_stream, tally
 
 _Z1 = IntegerLattice(1)
 _Z2 = IntegerLattice(2)
-_FLOAT_SLACK = 1e-12
 # The steps of a nearest-neighbour walk on Z^2 (E, W, N, S), and the working
 # precision of its closed form, in bits.
 _UNIT_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _AGM_BITS = 80
-# Most exact return masses a series sums.  The integer numerators grow with
-# n, so the cost grows about as the cube of the count; the pinned laws need
-# at most 575 terms.
-_TERM_BUDGET = 1_000
+# Root brackets are bisected until their escape probability is finer than
+# binary64 resolves.
+_ROOT_WIDTH = Fraction(1, 2 ** 60)
 # First-return blocks: the first walks 64 steps (criterion 3's returns all
 # come by then), later ones 5 times more each, up to the buffer.  A block in
 # which a flip-free walk cannot return is summed when it is _MIN_SUMMED steps
@@ -96,11 +84,6 @@ class DriftBound:
     def rate(self) -> float:
         """Exponent 2 mean^2 / (hi - lo)^2 of the concentration bound."""
         return float(2 * self.mean ** 2 / (self.hi - self.lo) ** 2)
-
-    @property
-    def one_way(self) -> bool:
-        """Every step moves strictly one way, so zero is never revisited."""
-        return self.lo > 0 or self.hi < 0
 
 
 @dataclass
@@ -165,7 +148,7 @@ def hoeffding_return_bound(bound: DriftBound, n: int) -> float:
     return 2.0 * exp(-bound.rate * n)
 
 
-def _return_masses(mu: FiniteMeasure, n_terms: int) -> tuple[int, Iterator[int]]:
+def _return_masses(mu: FiniteMeasure, n_terms: int) -> tuple[int, list[int]]:
     """``D`` and the numerators ``c_n`` of ``mu^{*n}(0) = c_n / D^n`` for
     n = 1 .. n_terms of a 1-d lattice walk, where ``D`` is the shared
     denominator ``mu.denom`` of its weights.
@@ -178,24 +161,21 @@ def _return_masses(mu: FiniteMeasure, n_terms: int) -> tuple[int, Iterator[int]]
     den, steps = _z1_steps(mu)
     lo = min(x for x, _ in steps)
     hi = max(x for x, _ in steps)
-
-    def numerators() -> Iterator[int]:
-        dist = {0: 1}
-        for left in range(n_terms, 0, -1):  # steps left, this one included
-            low, high = -left * hi, -left * lo  # 0 is within reach from here
-            nxt: dict[int, int] = {}
-            for pos, c in dist.items():
-                if low <= pos <= high:
-                    for x, a in steps:
-                        key = pos + x
-                        if key in nxt:
-                            nxt[key] += c * a
-                        else:
-                            nxt[key] = c * a
-            dist = nxt
-            yield dist.get(0, 0)
-
-    return den, numerators()
+    dist, numerators = {0: 1}, []
+    for left in range(n_terms, 0, -1):  # steps left, this one included
+        low, high = -left * hi, -left * lo  # 0 is within reach from here
+        nxt: dict[int, int] = {}
+        for pos, c in dist.items():
+            if low <= pos <= high:
+                for x, a in steps:
+                    key = pos + x
+                    if key in nxt:
+                        nxt[key] += c * a
+                    else:
+                        nxt[key] = c * a
+        dist = nxt
+        numerators.append(dist.get(0, 0))
+    return den, numerators
 
 
 def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
@@ -206,65 +186,81 @@ def return_mass_series_z(mu: FiniteMeasure, n_terms: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# exact series estimators
+# closed forms
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < inf:
-        raise EscapeError(f"tol must be positive and finite, got {tol}")
+def _horner(coeffs: list[int], z: Fraction) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * z + c
+    return value
 
 
-def exact_escape_drifted_z(mu: FiniteMeasure,
-                           tol: float = 1e-6) -> EscapeEstimate:
-    """Bracket the escape probability of a drifted 1-d lattice walk.
+def _derivative(coeffs: list[int]) -> list[int]:
+    return [j * c for j, c in enumerate(coeffs)][1:]
 
-    Sums the visit series exactly and closes it with the geometric tail from
-    the concentration bound; the interval has width at most ``tol``.  Raises
-    if the tail needs more than ``_TERM_BUDGET`` terms to reach ``tol``, or
-    unless ``0 < tol < inf``.
-    """
-    _check_tol(tol)
-    bound = drift_bound_z(mu)
-    if bound.mean == 0:
+
+def _step_root(mu: FiniteMeasure
+               ) -> tuple[int, list[int], Fraction, Fraction, int]:
+    """``D``, the coefficients of ``P'``, a bracket ``[l, h]`` of the root
+    ``z_1`` in [0, 1) of ``P(z) = D z - sum_x a_x z^(x+1)`` (``D = mu.denom``,
+    ``a_x`` the integer numerators) and the bisection steps taken.
+
+    The law is reflected to a positive mean and must then be skip-free (no
+    step below -1).  P is concave on [0, 1], ``P(0) = -a_{-1} <= 0``,
+    ``P(1) = 0`` and ``P'(1) = -D mean < 0``, so P is negative below
+    ``z_1`` and positive above it up to 1.  Bisection stops at a zero of P,
+    or once ``P'(h) > 0`` and ``(h - l) max(-P'') <= _ROOT_WIDTH D``."""
+    den, steps = _z1_steps(mu)
+    drift = sum(x * a for x, a in steps)
+    if drift == 0:
         raise EscapeError("drifted walk required; the mean is exactly zero")
-    if bound.one_way:
-        return EscapeEstimate("exact-series", 1.0, 1.0, 1.0, n=0,
-                              details={"series_lo": 1.0, "series_hi": 1.0,
-                                       "tail_bound": 0.0,
-                                       "mean": float(bound.mean)})
-    q = exp(-bound.rate) * (1 + 1e-12)
-    if q >= 1.0:
-        raise EscapeError("degenerate concentration rate")
-    # the width is at most tail + 2 slack, and tail = 2 q^(n+1) / (1 - q)
-    room = tol - 2 * _FLOAT_SLACK
-    needed = log(room * (1 - q) / 2) / log(q) - 1 if room > 0 else inf
-    if needed > _TERM_BUDGET:
-        raise EscapeError(f"tail needs more than {_TERM_BUDGET} terms "
-                          f"to reach tol {tol}")
-    # by term ceil(needed) + 1 the tail is at most q room, so the loop stops
-    # there at the latest; the partial sum is series / scale with
-    # scale = D^n, and int true division rounds correctly, as
-    # float(Fraction) does
-    n_terms = min(_TERM_BUDGET, max(1, ceil(needed) + 1))
-    den, masses = _return_masses(mu, n_terms)
-    series = scale = 1
-    for n, c in enumerate(masses, 1):
-        series = series * den + c
-        scale *= den
-        tail = 2.0 * q ** (n + 1) / (1.0 - q)
-        s_lo = series / scale
-        s_hi = s_lo + tail
-        lo = 1.0 / s_hi - _FLOAT_SLACK
-        hi = 1.0 / s_lo + _FLOAT_SLACK
-        if hi - lo <= tol:
-            break
-    else:
-        raise EscapeError(f"series did not converge within {n_terms} terms")
+    if drift < 0:
+        steps = [(-x, a) for x, a in steps]
+    low = min(x for x, _ in steps)
+    if low < -1:
+        raise EscapeError(f"step {low} against the drift: the walk is not "
+                          "skip-free, so the root has no closed form")
+    coeffs = [0] * (max(1, max(x for x, _ in steps) + 1) + 1)
+    coeffs[1] = den
+    for x, a in steps:
+        coeffs[x + 1] -= a
+    slope = _derivative(coeffs)
+    bend = -sum(_derivative(slope))  # -P''(1), the most -P'' reaches
+    # with no step against the drift, P(0) = 0: z_1 = 0
+    lo, hi, n = Fraction(0), Fraction(1 if coeffs[0] else 0), 0
+    while ((hi - lo) * bend > _ROOT_WIDTH * den
+           or _horner(slope, hi) <= 0):
+        mid, n = (lo + hi) / 2, n + 1
+        sign = _horner(coeffs, mid)
+        lo = mid if sign <= 0 else lo
+        hi = mid if sign >= 0 else hi
+    return den, slope, lo, hi, n
+
+
+def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """``[lo, hi]`` with its ends rounded out to binary64."""
+    return Bracket(Bracket.of(lo, 53).lo, Bracket.of(hi, 53).hi).floats()
+
+
+def exact_escape_drifted_z(mu: FiniteMeasure) -> EscapeEstimate:
+    """Bracket the escape probability of a drifted skip-free walk on the
+    line in closed form.
+
+    ``sum_n s^n mu^{*n}(0)`` is the residue of ``1 / (z - s z phi(z))``,
+    ``phi(z) = sum_x mu(x) z^x``, at its one pole inside the unit circle
+    (Feller, vol. I, ch. XIV; Spitzer, *Principles of Random Walk*, 1964),
+    which at s = 1 is the root ``z_1`` of ``_step_root``.  So the visits to
+    0 number ``G = D / P'(z_1)`` (the details bracket it), and the escape
+    probability ``P'(z_1) / D`` lies in ``[P'(h), P'(l)] / D``, rounded out
+    to binary64.  ``n`` counts the bisection steps."""
+    den, slope, lo, hi, n = _step_root(mu)
+    low, high = _horner(slope, hi), _horner(slope, lo)
+    g_lo, g_hi = _outward(low / den, high / den)
+    s_lo, s_hi = _outward(den / high, den / low)
     return EscapeEstimate(
-        "exact-series", (lo + hi) / 2, lo, hi, n=n,
-        details={"series_lo": s_lo, "series_hi": s_hi, "tail_bound": tail,
-                 "mean": float(bound.mean), "support_lo": int(bound.lo),
-                 "support_hi": int(bound.hi)})
+        "root-closed-form", (g_lo + g_hi) / 2, g_lo, g_hi, n=n,
+        details={"series_lo": s_lo, "series_hi": s_hi})
 
 
 def _axis_terms(p: Fraction, q: Fraction,
@@ -676,34 +672,29 @@ def mc_escape(mu: FiniteMeasure, horizon: int, samples: int, seed: int,
 def _range_bias_bound_z(mu: FiniteMeasure, n: int) -> float | None:
     """Upper bound for E[range]/n - p_escape on a drifted 1-d walk.
 
-    The bound is ``(1 + sum_{i>=2} (i-1) mu^{*i}(0)) / n``: exact masses for
-    ``i < c``, and from ``c`` on the concentration bound
-    ``mu^{*i}(0) <= 2 q^i``, ``q = exp(-rate)``, summed in closed form,
-    ``sum_{i>=c} (i-1) 2 q^i = 2 q^c ((c-1)(1-q) + q) / (1-q)^2``.  The cut
-    is ``c - 1 = ceil(24 / rate)``, at most ``_TERM_BUDGET``.  The terms are
-    rounded to binary64 (``q`` too, without directed rounding) and summed
-    with ``fsum``, so the bound holds up to their rounding.
+    The bound is ``(1 + sum_{i>=2} (i-1) m_i) / n``, ``m_i = mu^{*i}(0)``.
+    For a skip-free law it is ``(1 + (1/g - 1)^2 + k/g^3) / n`` with
+    ``g = P'(z_1)/D``, the escape probability, and ``k = -z_1 P''(z_1)/D``
+    at the root of ``_step_root`` (the sum is ``1 + U'(1) - U(1)`` for
+    ``U(s) = sum_i m_i s^i``, differentiated through the root).  It grows
+    with k and falls with g, so it is evaluated exactly at the bracket's
+    upper end h and rounded up.  Other laws get ``m_i <= 2 q^i``,
+    ``q = exp(-rate)``, summed as ``2 q^2 / (1-q)^2`` in binary64.
     """
-    try:
-        bound = drift_bound_z(mu)
-    except EscapeError:
+    if mu.spec != _Z1:
         return None
+    bound = drift_bound_z(mu)
     if bound.mean == 0:
         return None
-    if bound.one_way:
-        return 1.0 / n  # only the origin is ever recounted
-    rate = bound.rate
-    q = exp(-rate)
-    cut = min(max(8, int(np.ceil(24.0 / rate))), _TERM_BUDGET)
-    den, masses = _return_masses(mu, cut)
-    terms = [1.0]
-    scale = 1
-    for i, num in enumerate(masses, 1):
-        scale *= den
-        terms.append((i - 1) * (num / scale))  # as float(Fraction(num, scale))
-    c = cut + 1
-    terms.append(2.0 * q ** c * ((c - 1) * (1.0 - q) + q) / (1.0 - q) ** 2)
-    return fsum(terms) / n
+    try:
+        den, slope, _, hi, _ = _step_root(mu)
+    except EscapeError:  # not skip-free
+        q, gap = exp(-bound.rate), -expm1(-bound.rate)
+        return (1.0 + 2.0 * q * q / (gap * gap)) / n
+    g = _horner(slope, hi) / den
+    k = -hi * _horner(_derivative(slope), hi) / den
+    total = 1 + (1 / g - 1) ** 2 + k / g ** 3
+    return Bracket.of(total / n, 53).floats()[1]
 
 
 def range_rate(mu: FiniteMeasure, n: int, samples: int,
@@ -755,16 +746,14 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
 # dispatcher
 
 
-def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
-                horizon: int = 100_000, samples: int = 2000,
-                seed: int = 0) -> EscapeEstimate:
+def auto_escape(mu: FiniteMeasure, horizon: int = 100_000,
+                samples: int = 2000, seed: int = 0) -> EscapeEstimate:
     """Best available estimator for a step law.  On its ``lattice_law``: a
-    recurrence certificate for an exactly mean-zero walk, else on Z the
-    exact series to width ``tol``, and on Z^2 the closed form of a
-    nearest-neighbour walk (``tol`` unread); where either raises, Monte
-    Carlo on ``mu`` itself.  Unless ``0 < tol < inf``, and unless
-    ``horizon`` and ``samples`` are at least 1, it raises before any route."""
-    _check_tol(tol)
+    recurrence certificate for an exactly mean-zero walk, else the closed
+    form of a skip-free walk on Z or of a nearest-neighbour walk on Z^2;
+    where the lattice law or its closed form raises, Monte Carlo on ``mu``
+    itself.  Unless ``horizon`` and ``samples`` are at least 1, it raises
+    before any route."""
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
     try:
@@ -776,7 +765,7 @@ def auto_escape(mu: FiniteMeasure, tol: float = 1e-6,
             return recurrence_zero(
                 law, f"mean-zero finite-support walk {where} is recurrent")
         if line:
-            return exact_escape_drifted_z(law, tol)
+            return exact_escape_drifted_z(law)
         return exact_escape_drifted_z2(law)
     except EscapeError:
         return mc_escape(mu, horizon, samples, seed)

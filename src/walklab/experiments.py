@@ -36,7 +36,7 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import inf, isfinite, log
+from math import exp, inf, isfinite, log
 from random import Random
 from typing import Any, Callable
 
@@ -79,7 +79,6 @@ class ExperimentConfig:
     radial_n_max: int | None = None
     horizon: int | None = None
     samples: int | None = None
-    tol: float | None = None
     cap: int | None = None
     p: Fraction = Fraction(3, 4)
     out: str | None = None
@@ -93,8 +92,7 @@ class ExperimentConfig:
             raise ConfigError(f"format must be json or csv, got {self.fmt!r}")
         if any(k < 1 for k in self.k_grid):
             raise ConfigError("grid indices must be >= 1")
-        for name in ("n_max", "radial_n_max", "horizon", "samples", "tol",
-                     "cap"):
+        for name in ("n_max", "radial_n_max", "horizon", "samples", "cap"):
             value = getattr(self, name)
             if value is not None and not 0 < value < inf:
                 raise ConfigError(f"{name} must be positive and finite, "
@@ -125,7 +123,6 @@ class ExperimentConfig:
             "radial_n_max": int,
             "horizon": int,
             "samples": int,
-            "tol": float,
             "cap": int,
             "p": Fraction,
             "out": str,
@@ -287,9 +284,8 @@ def _mc_expectations(prefix: str, k_grid: tuple[int, ...],
 # E1: escape continuity on the 1-d and 2-d lattices
 
 
-def _e1_panels() -> list[tuple[str, FiniteMeasure, FiniteMeasure, float]]:
-    """(panel, limit law, spreading law, tol) per panel; the closed form on
-    Z^2 reads no tol."""
+def _e1_panels() -> list[tuple[str, FiniteMeasure, FiniteMeasure, int]]:
+    """(panel, limit law, spreading law, default ladder depth) per panel."""
     drift1 = FiniteMeasure.from_pairs(
         _Z1, [((1,), Fraction(3, 4)), ((-1,), Fraction(1, 4))])
     spread1 = measures.uniform_measure(_Z1, [(1,), (-1,)])
@@ -298,22 +294,21 @@ def _e1_panels() -> list[tuple[str, FiniteMeasure, FiniteMeasure, float]]:
               ((0, 1), Fraction(1, 4)), ((0, -1), Fraction(1, 4))])
     spread2 = measures.uniform_measure(
         _Z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    return [("Z", drift1, spread1, 1e-6), ("Z2", drift2, spread2, 1e-4)]
+    return [("Z", drift1, spread1, 16), ("Z2", drift2, spread2, 16)]
 
 
 def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     k_grid = cfg.k_grid or (1, 2, 4, 8, 16, 32)
     results: list[dict] = []
     expectations: list[dict] = []
-    for panel, limit_mu, spread_mu, panel_tol in _e1_panels():
-        tol = cfg.tol or panel_tol
+    for panel, limit_mu, spread_mu, depth in _e1_panels():
         laws = [(f"{panel} k={k}", f"e1-{panel}(k={k})", f"mix(1/{k})",
                  measures.mix(limit_mu, spread_mu, Fraction(1, k)))
                 for k in k_grid]
         laws.append((f"{panel} limit", f"e1-{panel}(limit)", "limit", limit_mu))
         rows, ests = _family_rows(
-            cfg, laws, lambda mu, _: escape.auto_escape(mu, tol=tol),
-            cfg.n_max or 16, panel)
+            cfg, laws, lambda mu, _: escape.auto_escape(mu),
+            cfg.n_max or depth, panel)
         limit_est = ests.pop()
         gaps = [(abs(est.value - limit_est.value),
                  (est.hi - est.lo) + (limit_est.hi - limit_est.lo))
@@ -340,7 +335,6 @@ def _run_e1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     k_grid = cfg.k_grid or (1, 2, 4)
     n_max = cfg.n_max or 24
-    tol = cfg.tol or 1e-6
     laws = [(f"k={k}", f"e2-mu(k={k})", f"z_drift(k={k})",
              measures.z_drift_family(k)) for k in k_grid]
     means = [escape.drift_bound_z(mu).mean for *_, mu in laws]
@@ -351,7 +345,7 @@ def _run_e2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     limit_rows, (limit_est,) = _family_rows(
         cfg, [("limit", "e2-mu(limit)", "z_drift(limit)",
                measures.z_drift_family())],
-        lambda mu, _: escape.exact_escape_drifted_z(mu, tol=tol), n_max, "Z")
+        lambda mu, _: escape.exact_escape_drifted_z(mu), n_max, "Z")
     results += limit_rows
     expectations = [
         _expect("mean-zero-each-k", all(mean == 0 for mean in means),
@@ -384,8 +378,7 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         limit_rows, (limit_est,) = _family_rows(
             cfg, [(f"{panel} limit", f"e3-{panel}(limit)",
                    f"{panel}(p={p}, limit)", member(p))],
-            lambda mu, _: escape.auto_escape(mu, tol=cfg.tol or 1e-6),
-            n_max, group_text)
+            lambda mu, _: escape.auto_escape(mu), n_max, group_text)
         results += rows + limit_rows
         expectations += _mc_expectations(panel, k_grid, ests)
         expectations.append(_expect(
@@ -478,7 +471,7 @@ def _run_e5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     diffs = radial.diffs()
     mono = all(diffs[i] >= diffs[i + 1] - walks.FLOAT_SLACK
                for i in range(len(diffs) - 1))
-    probe = min(1000, radial_n - 1)
+    probe = min(1000, radial_n)
     plateau_gap = abs(diffs[probe - 1] - HALF_LOG_3)
     results.append({
         "grid": "radial-free-ladder",
@@ -515,48 +508,39 @@ def _e6_walks() -> list[tuple[str, FiniteMeasure]]:
 
 
 def _run_e6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
-    tol = cfg.tol or 1e-6
     hoeff_n = cfg.n_max or 40
     results: list[dict] = []
     hoeff_ok: list[bool] = []
     inverse_ok: list[bool] = []
-    anchor: dict[str, Any] = {}
     for name, mu in _e6_walks():
-        est = escape.exact_escape_drifted_z(mu, tol=tol)
+        est = escape.exact_escape_drifted_z(mu)
         bound = escape.drift_bound_z(mu)
         masses = escape.return_mass_series_z(mu, hoeff_n)
-        dominated = all(
+        hoeff_ok.append(all(
             masses[n] <= escape.hoeffding_return_bound(bound, n)
-            for n in range(1, hoeff_n + 1))
-        hoeff_ok.append(dominated)
-        s_lo = est.details["series_lo"]
-        s_hi = est.details["series_hi"]
-        consistent = (est.lo <= 1.0 / s_lo + 1e-9
-                      and est.hi >= 1.0 / s_hi - 1e-9)
-        inverse_ok.append(consistent)
-        row = {
-            "walk": name,
-            "escape": est.to_record(group="Z", measure=name),
-            "series_lo": s_lo,
-            "series_hi": s_hi,
-            "hoeffding_dominated_to_n": hoeff_n,
-        }
-        results.append(row)
-        if name == "3/4-1/4":
-            anchor = row
-    s_lo, s_hi = anchor["series_lo"], anchor["series_hi"]
+            for n in range(1, hoeff_n + 1)))
+        s_lo, s_hi = est.details["series_lo"], est.details["series_hi"]
+        partial, q = sum(masses), exp(-bound.rate)
+        inverse_ok.append(partial <= s_lo and s_hi <= float(partial)
+                          + 2 * q ** (hoeff_n + 1) / (1 - q))
+        results.append({"walk": name,
+                        "escape": est.to_record(group="Z", measure=name),
+                        "hoeffding_dominated_to_n": hoeff_n})
+    anchor = results[0]["escape"]  # the 3/4-1/4 walk
+    s_lo, s_hi = anchor["detail_series_lo"], anchor["detail_series_hi"]
     expectations = [
         _expect("gambler-ruin-series-near-2",
                 2 - 1e-5 <= s_lo and s_hi <= 2 + 1e-5,
                 f"visit-series bracket [{s_lo:.8f}, {s_hi:.8f}]"),
         _expect("interval-contains-half",
-                anchor["escape"]["lo"] <= 0.5 <= anchor["escape"]["hi"]
-                and anchor["escape"]["hi"] - anchor["escape"]["lo"] <= 1e-6,
+                anchor["lo"] <= 0.5 <= anchor["hi"]
+                and anchor["hi"] - anchor["lo"] <= 1e-6,
                 "3/4-1/4 walk, rigorous interval of width <= 1e-6"),
         _expect("hoeffding-dominance", all(hoeff_ok),
                 f"exact return mass <= concentration bound, n <= {hoeff_n}"),
         _expect("series-inverse-consistency", all(inverse_ok),
-                "interval endpoints match reciprocal series bracket"),
+                f"S_{hoeff_n} <= G <= S_{hoeff_n} + concentration tail, for the "
+                "visit-series partial sum S and G from the closed form"),
     ]
     return results, expectations
 

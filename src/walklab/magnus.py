@@ -16,8 +16,8 @@ Each level below the top needs the images of every prefix; the top level
 needs only the image of the whole word.  This is the product of the
 generator images ``x_i -> (e_i at the identity site, pi_{m-1}(x_i))`` taken
 in the tower, without multiplying there.  The images nest, so their size
-multiplies with each level; :func:`is_identity` runs the same scan on
-integer prefix-class ids instead, at the same cost per level at any depth.
+multiplies with each level; :func:`is_identity` and the size check of
+:func:`capped_embed` run the same scan on integer prefix-class ids.
 
 The scan realises the classical embedding of the rank-``d``, derived
 length-``m`` free solvable group into  Z^d wr (level m-1); its kernel at
@@ -34,6 +34,12 @@ from . import groups
 from .groups import FreeSolvable, GroupElement, concat_words, invert_word
 
 FreeWord = tuple[int, ...]
+
+#: Most lamps, at every depth, in an image :func:`capped_embed` builds.  A
+#: printed lamp takes about 22 characters, so the cap is about 2.2 MB of
+#: text, written in under a second; the tests' largest printed image has
+#: 8,885 lamps, and E7 embeds words of 12 letters at m <= 3.
+MAX_IMAGE_LAMPS = 100_000
 
 
 class WordError(ValueError):
@@ -115,22 +121,43 @@ def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
     return images[-1]
 
 
-def is_identity(w: FreeWord, rank: int, length: int) -> bool:
-    """Whether the word maps to the identity at the given level.
-
-    Scans the levels as :func:`magnus_embed` does, but on prefix classes:
-    each level's prefix images are replaced by integer ids, equal exactly
-    where the images are, before the scan one level up.  The lamps are then
-    keyed by ids instead of nested images, so a level costs the same at any
-    depth.  The empty prefix gets id 0; the word is trivial iff its key is
-    the empty prefix's."""
+def _class_scan(w: FreeWord, rank: int, length: int
+                ) -> tuple[list[GroupElement], list[int]]:
+    """The scan of :func:`magnus_embed` on prefix classes: each level's
+    prefix images are replaced by integer ids, equal exactly where the
+    images are (the empty prefix's is 0), before the scan one level up, so
+    a level costs the same at any depth.  Returns the top level's keys and
+    the lamps, at every depth, of their images: 1 plus the lamps of the
+    site's image per lamp, plus those of the position's image."""
     sdm_spec(rank, length)  # GroupError on a bad rank or level
     keys = _prefix_counts(w, rank)
+    sizes = [0] * len(keys)
     for level in range(2, length + 1):
         table: dict[GroupElement, int] = {}
         ids = [table.setdefault(key, len(table)) for key in keys]
+        below = dict(zip(ids, sizes))
         keys = _lamp_scan(w, ids, rank, every_prefix=level < length)
+        sizes = [sum(1 + below[site] for site, _ in lamps) + below[position]
+                 for lamps, position in keys]
+    return keys, sizes
+
+
+def is_identity(w: FreeWord, rank: int, length: int) -> bool:
+    """Whether the word maps to the identity at the given level: whether
+    its key in :func:`_class_scan` is the empty prefix's."""
+    keys, _ = _class_scan(w, rank, length)
     return keys[-1] == (keys[0] if length == 1 else ((), 0))
+
+
+def capped_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
+    """:func:`magnus_embed`, refused with :class:`WordError` when the image
+    would hold more than ``MAX_IMAGE_LAMPS`` lamps, counted first on prefix
+    classes by :func:`_class_scan`."""
+    lamps = _class_scan(w, rank, length)[1][-1]
+    if lamps > MAX_IMAGE_LAMPS:
+        raise WordError(f"the level-{length} image has {lamps} lamps, above "
+                        f"the cap of {MAX_IMAGE_LAMPS}")
+    return magnus_embed(w, rank, length)
 
 
 # ---------------------------------------------------------------------------

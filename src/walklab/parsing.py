@@ -353,7 +353,7 @@ def _element(sc: _Scanner, spec: GroupSpec) -> GroupElement:
         if sc.pos == start:
             raise sc.error("expected a word")
         if t is FreeSolvable:
-            return magnus.magnus_embed(g, spec.rank, spec.length)
+            return magnus.capped_embed(g, spec.rank, spec.length)
         return g
     if t is DirectProduct:
         sc.expect("(")

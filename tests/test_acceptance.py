@@ -23,7 +23,7 @@ def drifted_walk():
 
 def test_criterion_01_exact_escape_interval(criterion):
     def run():
-        est = escape.exact_escape_drifted_z(drifted_walk(), tol=1e-6)
+        est = escape.exact_escape_drifted_z(drifted_walk())
         assert est.hi - est.lo <= 1e-6, f"width {est.hi - est.lo:.2e}"
         assert est.lo <= 0.5 <= est.hi, f"[{est.lo}, {est.hi}] misses 0.5"
         s_lo, s_hi = est.details["series_lo"], est.details["series_hi"]

@@ -1,15 +1,17 @@
-"""Escape estimators: exact series, concentration bounds, samplers, lattice normal form."""
+"""Escape estimators: closed forms, exact visit series, concentration bounds,
+samplers, lattice normal form."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import islice
-from math import exp, fsum
+from math import exp, nextafter
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from walklab import escape, groups, measures, rng
@@ -60,9 +62,7 @@ def z2_weak_drift():
 def test_drift_bound_fields():
     b = drift_bound_z(biased_pm1(F(3, 4)))
     assert (b.lo, b.hi, b.mean) == (F(-1), F(1), F(1, 2))
-    assert b.rate == 0.125 and not b.one_way
-    assert DriftBound(F(1), F(2), F(3, 2)).one_way
-    assert DriftBound(F(-2), F(-1), F(-3, 2)).one_way
+    assert b.rate == 0.125
 
 
 def test_drift_bound_rejects_mean_outside_support():
@@ -153,20 +153,23 @@ def test_return_masses_stay_sparse_for_wide_steps():
     assert masses[2] == 2 * (F(1, 4) * F(1, 6) + F(1, 3) * F(1, 4))
 
 
-def fraction_escape_fields(mu, tol):
-    """The fields of exact_escape_drifted_z from the loop that summed the
-    visit series as a Fraction (the reference)."""
-    q = exp(-drift_bound_z(mu).rate) * (1 + 1e-12)
-    series = F(1)
-    for n, mass in enumerate(fraction_masses(mu), 1):
-        series += mass
-        tail = 2.0 * q ** (n + 1) / (1.0 - q)
-        s_lo = float(series)
-        s_hi = s_lo + tail
-        lo = 1.0 / s_hi - 1e-12
-        hi = 1.0 / s_lo + 1e-12
-        if hi - lo <= tol:
-            return (lo, hi, n, s_lo, s_hi, tail)
+def concentration_q(mu):
+    """``exp(-rate)`` rounded up, exactly: ``mu^{*n}(0) <= 2 q^n``."""
+    return F(nextafter(exp(-drift_bound_z(mu).rate), 1.0))
+
+
+def series_window(mu, n_terms):
+    """``[1/(S + t), 1/S]``, which holds the escape probability: S sums the
+    exact masses mu^{*n}(0) for n <= n_terms and t bounds the rest by the
+    concentration tail ``sum_{n > n_terms} 2 q^n``."""
+    partial = sum(return_mass_series_z(mu, n_terms))
+    q = concentration_q(mu)
+    return 1 / (partial + 2 * q ** (n_terms + 1) / (1 - q)), 1 / partial
+
+
+def meets(est, window):
+    """The estimate's bracket meets the exact window ``(lo, hi)``."""
+    return F(est.lo) <= window[1] and window[0] <= F(est.hi)
 
 
 @pytest.mark.parametrize("steps,counts", [
@@ -175,35 +178,69 @@ def fraction_escape_fields(mu, tol):
     ((1, 0, -1), (6, 1, 1)),
 ], ids=["3/4-1/4", "jump2-half", "identity-atom"])
 def test_exact_escape_matches_the_fraction_series(steps, counts):
+    """The root bracket meets the window of 500 exact masses, which is
+    under 1e-9 wide for these laws: the closed form and the visit series
+    agree to that width."""
     mu = z_law(steps, counts)
-    est = exact_escape_drifted_z(mu, tol=1e-6)
-    d = est.details
-    assert ((est.lo, est.hi, est.n, d["series_lo"], d["series_hi"], d["tail_bound"])
-            == fraction_escape_fields(mu, 1e-6))
+    est = exact_escape_drifted_z(mu)
+    window = series_window(mu, 500)
+    assert window[1] - window[0] < F(1, 10 ** 9)
+    assert meets(est, window)
+    assert est.method == "root-closed-form" and est.hi - est.lo <= 1e-12
+
+
+@st.composite
+def skip_free_laws(draw):
+    """Drifted laws with a step -1, steps up to 3 and perhaps an identity
+    atom, over a denominator up to 1000, reflected or not; the drift points
+    away from the -1 step, so the law is skip-free either way."""
+    steps = [-1, *draw(st.lists(st.integers(1, 3), min_size=1, max_size=3,
+                                unique=True))]
+    if draw(st.booleans()):
+        steps.append(0)
+    den = draw(st.integers(len(steps), 1000))
+    cuts = sorted(draw(st.lists(st.integers(1, den - 1),
+                                min_size=len(steps) - 1,
+                                max_size=len(steps) - 1, unique=True)))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    assume(sum(x * c for x, c in zip(steps, counts)) > 0)
+    sign = draw(st.sampled_from((1, -1)))
+    return FiniteMeasure.from_pairs(
+        Z, [((sign * x,), F(c, den)) for x, c in zip(steps, counts)])
+
+
+@given(skip_free_laws())
+@example(z_law((1, -1), (51, 49)))
+@example(z_law((-3, 0, 1), (7, 2, 1)))  # drift -2, reflected
+@settings(max_examples=30, deadline=None)
+def test_root_bracket_meets_the_visit_series_of_random_skip_free_laws(mu):
+    """Drifts of both signs and sizes: the root bracket meets the window of
+    200 exact masses closed by their concentration tail, and is at most
+    1e-12 wide."""
+    est = exact_escape_drifted_z(mu)
+    assert meets(est, series_window(mu, 200))
+    assert est.hi - est.lo <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# exact series estimators
+# closed forms
 
 
 def test_exact_escape_frozen_interval():
-    est = exact_escape_drifted_z(biased_pm1(F(3, 4)), tol=1e-6)
-    assert est.method == "exact-series"
-    assert est.hi - est.lo <= 1e-6
-    assert est.lo <= 0.5 <= est.hi
-    assert est.lo == pytest.approx(0.499999106625646, abs=1e-12)
-    assert est.hi == pytest.approx(0.5000000012551697, abs=1e-12)
-    assert est.n == 122
-    assert est.details["series_lo"] >= 2 - 1e-5
-    assert est.details["series_hi"] <= 2 + 1e-5
+    est = exact_escape_drifted_z(biased_pm1(F(3, 4)))
+    assert est.method == "root-closed-form"
+    assert (est.lo, est.hi) == (0.49999999999999994, 0.5000000000000001)
+    assert est.n == 61
+    assert (est.details["series_lo"], est.details["series_hi"]) == (
+        1.9999999999999998, 2.0000000000000004)
 
 
-@pytest.mark.parametrize("p", [F(2, 3), F(3, 4), F(7, 8)])
+@pytest.mark.parametrize("p", [F(2, 3), F(3, 4), F(7, 8), F(1, 3)])
 def test_exact_escape_matches_gamblers_ruin(p):
     # For the +1/-1 walk the escape probability is |p - q| in closed form.
-    est = exact_escape_drifted_z(biased_pm1(p), tol=1e-8)
-    assert est.hi - est.lo <= 1e-8
-    assert est.lo <= float(2 * p - 1) <= est.hi
+    est = exact_escape_drifted_z(biased_pm1(p))
+    assert est.hi - est.lo <= 1e-12
+    assert F(est.lo) <= abs(2 * p - 1) <= F(est.hi)
 
 
 def test_exact_escape_transient_support_is_one():
@@ -352,7 +389,7 @@ def test_mc_escape_checkpoint_validation(monkeypatch):
 def test_mc_overlaps_exact_on_multistep_walk():
     # Steps +2 / -1: no simple closed form, so cross-check the two estimators.
     mu = FiniteMeasure.from_pairs(Z, [((2,), F(1, 2)), ((-1,), F(1, 2))])
-    series = exact_escape_drifted_z(mu, tol=1e-6)
+    series = exact_escape_drifted_z(mu)
     mc = mc_escape(mu, 3000, 3000, seed=17)
     assert mc.lo <= series.value <= mc.hi
 
@@ -379,19 +416,33 @@ def test_range_rate_ci_covers_known_value():
 
 @pytest.mark.parametrize("p", [F(3, 4), F(3, 5)])
 def test_range_bias_bound_covers_a_long_partial_sum(p):
-    """The bias bound is at least (1 + sum_i (i-1) m_i) / n summed term by
-    term: exact return masses m_i below the bound's cut, then the
-    concentration terms 2 q^i up to i = 200,000, long past the point where
-    they drop below 1e-15."""
-    mu, n = biased_pm1(p), 100
-    rate = drift_bound_z(mu).rate
-    q = exp(-rate)
-    cut = max(8, int(np.ceil(24.0 / rate)))
-    masses = return_mass_series_z(mu, cut)
-    terms = [1.0, *((i - 1) * float(masses[i]) for i in range(2, cut + 1)),
-             *((i - 1) * 2.0 * q ** i for i in range(cut + 1, 200_000))]
-    bound = range_rate(mu, n, 2, seed=0).details["bias_bound"]
-    assert bound >= fsum(terms) / n
+    """Two-sided: the bias bound is at least (1 + sum_{2<=i<=N} (i-1) m_i)/n
+    with the exact return masses m_i, N = 2,000, and at most that plus the
+    concentration tail sum_{i>N} (i-1) 2 q^i, up to the rounding of its
+    binary64 end (a relative 1e-12)."""
+    mu, n, big_n = biased_pm1(p), 100, 2000
+    masses = return_mass_series_z(mu, big_n)
+    partial = 1 + sum((i - 1) * masses[i] for i in range(2, big_n + 1))
+    q, c = concentration_q(mu), big_n + 1
+    tail = 2 * q ** c * ((c - 1) * (1 - q) + q) / (1 - q) ** 2
+    bound = F(range_rate(mu, n, 2, seed=0).details["bias_bound"])
+    assert partial / n <= bound <= (partial + tail) * (1 + F(1, 10 ** 12)) / n
+
+
+def test_range_bias_bound_of_a_law_that_is_not_skip_free():
+    """Steps +2, -2, -1 have no root closed form: the bound is the
+    concentration sum (1 + 2 q^2 / (1-q)^2) / n, above a long partial sum,
+    and costs no series."""
+    mu, n = uniform_measure(Z, [(2,), (-2,), (-1,)]), 100
+    start = time.perf_counter()
+    bound = escape._range_bias_bound_z(mu, n)
+    assert time.perf_counter() - start < 0.1
+    q = exp(-drift_bound_z(mu).rate)
+    assert bound == pytest.approx((1 + 2 * q * q / (1 - q) ** 2) / n,
+                                  rel=1e-12)
+    masses = return_mass_series_z(mu, 300)
+    assert 1 + sum((i - 1) * masses[i] for i in range(2, 301)) <= n * F(bound)
+    assert range_rate(mu, n, 2, seed=0).details["bias_bound"] == bound
 
 
 def test_range_rate_validation():
@@ -560,7 +611,7 @@ def test_lattice_law_walks_return_at_the_same_times(mu):
 def test_auto_escape_reduces_a_bs11_law_without_b_steps_to_the_line():
     drifted = auto_escape(FiniteMeasure.from_pairs(
         BS11, [((1, 0), F(3, 4)), ((-1, 0), F(1, 4))]))
-    assert drifted.method == "exact-series"
+    assert drifted.method == "root-closed-form"
     assert drifted.lo <= 0.5 <= drifted.hi
     fair = auto_escape(uniform_measure(BS11, [(1, 0), (-1, 0)]))
     assert fair.method == "recurrence-zero"
@@ -572,12 +623,31 @@ def test_auto_escape_falls_back_when_the_exact_route_raises():
     # float weights are refused, not sampled: Monte Carlo needs them too
     with pytest.raises(MeasureError, match="rational weights"):
         auto_escape(float_pm1(), horizon=50, samples=40, seed=1)
-    # rate 2e-4: the tail needs about 10^5 terms, past the term budget
-    weak = biased_pm1(F(51, 100))
-    with pytest.raises(EscapeError, match="terms"):
-        exact_escape_drifted_z(weak)
-    est = auto_escape(weak, horizon=50, samples=40, seed=1)
+    # steps +2, -2, -1 with drift -1/3: the -2 step against the drift
+    # leaves the walk without a root closed form
+    skipping = uniform_measure(Z, [(2,), (-2,), (-1,)])
+    with pytest.raises(EscapeError, match="skip-free"):
+        exact_escape_drifted_z(skipping)
+    est = auto_escape(skipping, horizon=50, samples=40, seed=1)
     assert est.method == "monte-carlo"
+
+
+def test_exact_escape_weak_drift_on_the_line_is_in_closed_form(monkeypatch):
+    """Drift 1/50, which a visit series would need about 10^5 terms for,
+    gets the closed form 1/50 and samples nothing."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("fell back to Monte Carlo")
+
+    monkeypatch.setattr(escape, "mc_escape", no_sampling)
+    weak = biased_pm1(F(51, 100))
+    est = auto_escape(weak, horizon=50, samples=40, seed=1)
+    assert est.method == "root-closed-form"
+    assert F(est.lo) <= F(1, 50) <= F(est.hi)
+    assert est.hi - est.lo <= 1e-12
+    # for the +1/-1 walk z_1 = q/p, so the bias bound's n-multiple
+    # 1 + (1/g - 1)^2 + 2q/g^3 is 1 + 49^2 + 0.98 * 50^3 at g = 1/50
+    assert escape._range_bias_bound_z(weak, 1) == pytest.approx(124_902,
+                                                                rel=1e-12)
 
 
 def test_exact_escape_z2_weak_drift_is_in_closed_form(monkeypatch):
@@ -609,17 +679,9 @@ def test_exact_escape_z2_needs_a_nearest_neighbour_walk(steps):
     assert est.method == "monte-carlo"
 
 
-def test_range_bias_bound_is_finite_past_the_term_budget():
-    # cut ceil(24 / 2e-4) = 120,000: exact masses up to the budget, then
-    # the closed-form tail
-    bound = range_rate(biased_pm1(F(51, 100)), 100, 10, seed=7
-                       ).details["bias_bound"]
-    assert 1 / 100 < bound < float("inf")
-
-
 def test_auto_escape_dispatch():
     drifted = auto_escape(biased_pm1(F(3, 4)))
-    assert drifted.method == "exact-series"
+    assert drifted.method == "root-closed-form"
     assert drifted.lo <= 0.5 <= drifted.hi
 
     fair = auto_escape(uniform_measure(Z, [(1,), (-1,)]))
@@ -634,7 +696,7 @@ def test_auto_escape_dispatch():
 
     dinf_translations = auto_escape(FiniteMeasure.from_pairs(
         DINF, [((1, 0), F(3, 4)), ((-1, 0), F(1, 4))]))
-    assert dinf_translations.method == "exact-series"
+    assert dinf_translations.method == "root-closed-form"
     assert dinf_translations.lo <= 0.5 <= dinf_translations.hi
 
     dinf_flips = auto_escape(uniform_measure(DINF, [(0, 1), (1, 1)]),

@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from walklab import cli, experiments, magnus
+from walklab import cli, experiments, magnus, parsing, walks
 from walklab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -45,7 +45,6 @@ def test_config_from_text_full():
         seed = 11
         k_grid = 2, 8, 32
         n_max = 6
-        tol = 1e-3
         p = 2/3
         fmt = csv
     """)
@@ -53,7 +52,6 @@ def test_config_from_text_full():
     assert cfg.seed == 11
     assert cfg.k_grid == (2, 8, 32)
     assert cfg.n_max == 6
-    assert cfg.tol == 1e-3
     assert cfg.p == F(2, 3)
     assert cfg.fmt == "csv"
 
@@ -73,6 +71,7 @@ def test_config_round_trip_through_dict():
     ("experiment = E1\np = 1/0", "bad value"),
     ("experiment = E1\nseed = 1\nseed = 2", "duplicate"),
     ("experiment = E1\nwidth = 3", "unknown config key"),
+    ("experiment = E6\ntol = 1e-3", "unknown config key 'tol'"),
     ("experiment E1", "expected 'key = value'"),
 ])
 def test_config_from_text_errors(text, message):
@@ -200,13 +199,13 @@ def test_ladder_cache_checks_the_support_cap(tmp_path, capsys, monkeypatch):
 # must leave them unchanged; a deliberate change of numbers or report layout
 # updates them.
 REPLAY_SHA256 = {
-    "E1": "ad20eaa1eced886c11e1faaa8958ce67797d34f269c5370a9cb7845d9866d0a7",
-    "E2": "20f6358a3e1cdcd5f30abe73b15512a49d42dd9b8fbb1c2f7f28f3aad3843f9c",
-    "E3": "1478b7d27887914a93a0965f3c607ecbe37f4fac02831b301530429128b10910",
-    "E4": "bf7f585a8b34fe1a3c18517afe605b73ed5921bdd008321fa2dfd7046ecccdd3",
-    "E5": "b1f1a60ddcb44db2c9e7e285416b976ed0a54145f443ce37985ea6fa8e0d7872",
-    "E6": "894bb9f3f7a216d59f47793208d8107dadd0fc5358ccc536aa33f57b5b189a58",
-    "E7": "39b5f51dcd0a612c33500b32710e64ddad02d45cbb5cbc10924d8b70a5566b1f",
+    "E1": "ecbb5f9c4561f56f90556004f1f9f1fbb52d2cd73a2b74a618ec3416a4c3b433",
+    "E2": "db94deb61f4bcfff747e5bd60b773e5c117b878f120e141ae0f7faf4a4ee4430",
+    "E3": "6e6af19381be83e73c2eb3c598b45d788aef88d42ee766e2b31ed5faeb39953c",
+    "E4": "c57c39497581f8062089ff71e689e18223d041c94f94e5823c1ee9e2677e6d99",
+    "E5": "522e55cffa32c6c35c8eb38f763960f66733da6ea412e3a52a0fb4c8c27fca5d",
+    "E6": "a468af05cf3abea6418c64908e712bfb51ef1c6abbb141503ecfac81a56f24e7",
+    "E7": "b5a34c8f9f539180f163f9ab8559e9b8d3b14c3b354f3075f4dfc23d3be0338a",
 }
 
 
@@ -217,6 +216,20 @@ def test_replay_payloads_match_pinned_hashes(experiment_reports):
     digests = {ident: hashlib.sha256(r.replay_payload().encode()).hexdigest()
                for ident, r in reports.items()}
     assert digests == REPLAY_SHA256
+
+
+@pytest.mark.parametrize("radial_n", [1, 2])
+def test_e5_plateau_probe_reads_the_last_increment(radial_n):
+    """Below 1,000 steps the plateau probe reads the radial ladder's last
+    increment d_n, and names it."""
+    report = run_experiment(ExperimentConfig(
+        "E5", n_max=3, radial_n_max=radial_n, k_grid=(2,)))
+    diffs = walks.free_group_srw_ladder(2, radial_n, exact=False).diffs()
+    row = next(r for r in report.results if r["grid"] == "radial-free-ladder")
+    assert row["diff_at_1000"] == diffs[-1]
+    detail = next(e["detail"] for e in report.expectations
+                  if e["name"] == "radial-plateau-near-half-log3")
+    assert detail.startswith(f"|d_{radial_n} - ")
 
 
 def test_e7_kernel_rows_report_their_own_level(monkeypatch):
@@ -283,8 +296,20 @@ def test_cli_global_flags_after_subcommand(capsys):
 def test_cli_escape_exact(capsys):
     assert cli.main(["escape", "z_drift()", "--method", "exact"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["method"] == "exact-series"
+    assert doc["method"] == "root-closed-form"
     assert doc["lo"] <= 0.5 <= doc["hi"]
+
+
+def test_cli_escape_weak_drift_in_closed_form(capsys):
+    """Drift 1/50 on the line: the closed form, no fallback note, fast."""
+    start = time.perf_counter()
+    assert cli.main(["escape", "--group", "Z", 'measure { atom "1" 51/100; '
+                     'atom "-1" 49/100 }', "--method", "exact"]) == 0
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["method"] == "root-closed-form" and captured.err == ""
+    assert doc["lo"] <= 0.02 <= doc["hi"] and doc["hi"] - doc["lo"] <= 1e-12
 
 
 def test_cli_escape_recurrence_certificate(capsys):
@@ -340,6 +365,23 @@ def test_cli_magnus_embed(capsys):
     assert doc["group"] == "S(2,2)"
     assert "lamp" in doc["image"]
     assert doc["is_identity"] is False
+
+
+def test_cli_magnus_embed_caps_the_image(capsys):
+    """The 92-letter level-3 word: at m = 8 its image would hold 2.5e9
+    lamps and is refused at once; at m = 4 it prints in full."""
+    w = magnus.random_derived_series_word(2, 3, 2, Random(1))
+    text = magnus.word_to_text(w)
+    start = time.perf_counter()
+    assert cli.main(["magnus", "embed", text, "--d", "2", "--m", "8"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert cli.main(["magnus", "embed", text, "--d", "2", "--m", "4"]) == 0
+    spec = magnus.sdm_spec(2, 4)
+    assert json.loads(capsys.readouterr().out)["image"] == (
+        parsing.element_to_text(spec, magnus.magnus_embed(w, 2, 4)))
 
 
 def test_cli_experiment_run(capsys):
@@ -505,31 +547,29 @@ def test_cli_flags_before_the_subcommand(capsys):
 def test_sizes_must_be_positive(tmp_path, capsys):
     """A zero or negative size is an input error: it neither falls back to
     the default nor runs as a negative count."""
-    for name in ("n_max", "radial_n_max", "horizon", "samples", "tol", "cap"):
+    for name in ("n_max", "radial_n_max", "horizon", "samples", "cap"):
         with pytest.raises(ConfigError, match=f"{name} must be positive"):
             ExperimentConfig(experiment="E1", **{name: 0})
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="tol must be positive and finite"):
-            ExperimentConfig(experiment="E2", tol=tol)
     cfg = tmp_path / "e7.txt"
     cfg.write_text("experiment = E7\nsamples = 0\n")
-    configs = []
-    for tol in ("nan", "inf"):
-        configs.append(tmp_path / f"e2-{tol}.txt")
-        configs[-1].write_text(f"experiment = E2\ntol = {tol}\n")
+    # no estimator reads a tolerance: the key and the flag are refused
+    with_tol = tmp_path / "e2-tol.txt"
+    with_tol.write_text("experiment = E2\ntol = 1e-3\n")
     for argv in (["magnus", "suite", "--pairs", "0"],
                  ["magnus", "suite", "--pairs", "-5"],
                  ["experiment", "run", "E6", "--cap", "0"],
                  ["experiment", "run", str(cfg)],
                  ["ladder", "dinf(k=2)", "--nmax", "2", "--cap", "0"],
-                 ["escape", "z_drift()", "--tol", "0"],
-                 ["escape", "z_drift()", "--tol", "-1"],
-                 ["escape", "z_drift()", "--tol", "inf"],
-                 ["escape", "z_drift()", "--tol", "nan"],
                  ["escape", "z_drift()", "--method", "exact", "--horizon", "-5"],
-                 ["escape", "z_drift(k=2)", "--method", "exact", "--samples", "-1"],
-                 *(["experiment", "run", str(path)] for path in configs)):
+                 ["escape", "z_drift(k=2)", "--method", "exact", "--samples", "-1"]):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
         assert captured.err.count("\n") == 1 and captured.out == ""
+    assert cli.main(["experiment", "run", str(with_tol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown config key 'tol'\n"
+    assert captured.out == ""
+    for value in ("1e-6", "0", "nan"):
+        _assert_unrecognized(capsys, ["escape", "z_drift()", "--tol", value],
+                             "--tol")

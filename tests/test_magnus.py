@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from random import Random
 
@@ -13,6 +14,7 @@ from walklab import groups, magnus
 from walklab.magnus import (
     WordError,
     abelianize_word,
+    capped_embed,
     commutator,
     concat_words,
     invert_word,
@@ -24,7 +26,7 @@ from walklab.magnus import (
     sdm_spec,
     word_to_text,
 )
-from walklab.parsing import GrammarError, parse_word
+from walklab.parsing import GrammarError, parse_element, parse_word
 
 COMM = (1, 2, -1, -2)  # the commutator of the first two generators
 
@@ -247,6 +249,48 @@ def test_identity_on_prefix_classes_matches_whole_images():
         assert verdict == _embed_and_compare(w, d, m), (w, d, m)
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 500, verdicts
+
+
+def _lamps(image, length):
+    """Lamps of a level-``length`` image at every depth, counted on the
+    nested image itself."""
+    if length == 1:
+        return 0
+    lamps, position = image
+    return (sum(1 + _lamps(site, length - 1) for site, _ in lamps)
+            + _lamps(position, length - 1))
+
+
+def image_size(w, rank, length):
+    """Lamps of the image as ``capped_embed`` counts them on prefix classes."""
+    return magnus._class_scan(w, rank, length)[1][-1]
+
+
+def test_image_size_counts_the_lamps_of_the_image():
+    rng = Random(29)
+    for _ in range(300):
+        d, m = rng.choice((2, 3)), rng.randint(1, 4)
+        w = (random_derived_series_word(d, rng.randint(1, 2), 2, rng)
+             if rng.random() < 0.5 else _random_letters(d, rng.randint(0, 16), rng))
+        assert image_size(w, d, m) == _lamps(magnus_embed(w, d, m), m), (w, d, m)
+    w = random_derived_series_word(2, 3, 2, Random(1))
+    assert [image_size(w, 2, m) for m in (3, 4, 5, 6)] == [
+        0, 8_885, 361_132, 8_862_286]
+
+
+def test_capped_embed_refuses_an_image_past_the_cap():
+    """The 92-letter level-3 word: its m = 4 image is built as by
+    ``magnus_embed``; at m = 5 (361,132 lamps) and m = 8 (2.5e9) the
+    image, and an S(2, 8) element read from the word, are refused at once."""
+    w = random_derived_series_word(2, 3, 2, Random(1))
+    assert capped_embed(w, 2, 4) == magnus_embed(w, 2, 4)
+    start = time.perf_counter()
+    for m in (5, 8):
+        with pytest.raises(WordError, match="lamps"):
+            capped_embed(w, 2, m)
+    with pytest.raises(WordError, match="lamps"):
+        parse_element(groups.FreeSolvable(2, 8), word_to_text(w))
+    assert time.perf_counter() - start < 1
 
 
 def test_derived_word_level_zero_is_plain():
