@@ -36,12 +36,15 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import exp, inf, isfinite, log
+from math import exp, fsum, inf, isfinite, log
 from random import Random
 from typing import Any, Callable
 
+from mpmath.libmp import to_rational
+
 from . import __version__
 from . import escape, groups, magnus, measures, walks
+from .exact_entropy import _log_at
 from .measures import FiniteMeasure
 from .walks import EntropyLadder
 
@@ -384,7 +387,7 @@ def _run_e3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         expectations.append(_expect(
             f"{panel}-limit-interval-above-0.45", limit_est.lo > 0.45,
             f"rigorous interval [{limit_est.lo:.8f}, {limit_est.hi:.8f}] "
-            "via the translation-subgroup reduction"))
+            "via escape.lattice_law (the lattice normal form)"))
         if panel == "dinf":
             target = float(abs(1 - 2 * p))
             expectations.append(_expect(
@@ -469,10 +472,17 @@ def _run_e5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         f"direct convolution against factor-ladder sum, exact, n <= {check_n}"))
     radial = walks.free_group_srw_ladder(2, radial_n, exact=False)
     diffs = radial.diffs()
-    mono = all(diffs[i] >= diffs[i + 1] - walks.FLOAT_SLACK
-               for i in range(len(diffs) - 1))
+    # d_i - d_(i+1) = 2 H_(i+1) - H_i - H_(i+2), bounded below from the
+    # binary64 ends; fsum rounds that bound once, so its sign is exact
+    lo, hi = zip(*radial.bounds)
+    undecided = [i for i in range(radial_n - 1)
+                 if fsum((2 * lo[i + 1], -hi[i], -hi[i + 2])) <= 0]
     probe = min(1000, radial_n)
-    plateau_gap = abs(diffs[probe - 1] - HALF_LOG_3)
+    # d_(probe-1) - (1/2) log 3 over the ends of H and of log 3, exactly
+    log3_lo, log3_hi = (Fraction(*to_rational(x)) for x in _log_at(3, 80))
+    plateau_gap = max(
+        Fraction(hi[probe]) - Fraction(lo[probe - 1]) - log3_lo / 2,
+        log3_hi / 2 - Fraction(lo[probe]) + Fraction(hi[probe - 1]))
     results.append({
         "grid": "radial-free-ladder",
         "n_max": radial_n,
@@ -481,11 +491,14 @@ def _run_e5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         "ratio_at_end": radial.values[-1] / radial_n,
     })
     expectations.append(_expect(
-        "radial-increments-nonincreasing", mono,
-        f"float ladder to n = {radial_n}, slack {walks.FLOAT_SLACK}"))
+        "radial-increments-nonincreasing", not undecided,
+        f"enclosed ladder to n = {radial_n}: "
+        + (f"d_i > d_(i+1) not certified at i = {undecided[0]}" if undecided
+           else "every d_i > d_(i+1) certified")))
     expectations.append(_expect(
-        "radial-plateau-near-half-log3", plateau_gap <= 0.02,
-        f"|d_{probe} - {HALF_LOG_3:.6f}| = {plateau_gap:.6f}"))
+        "radial-plateau-near-half-log3", plateau_gap <= Fraction(1, 50),
+        f"|d_{probe} - {HALF_LOG_3:.6f}| <= {float(plateau_gap):.6f} "
+        "on the enclosure"))
     expectations.append(_ladder_expectation("ladder-invariants",
                                             _ladders(results)))
     return results, expectations

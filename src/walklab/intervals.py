@@ -10,10 +10,12 @@ global mpmath state is read or set.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple
 
-from mpmath.libmp import (from_int, from_rational, fzero, mpf_cmp, mpf_sign,
-                          mpf_sub, round_ceiling, round_floor, to_float)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_cmp,
+                          mpf_div, mpf_sign, mpf_sub, round_ceiling,
+                          round_floor, to_float)
 from mpmath.libmp.libmpi import (mpi_add, mpi_div, mpi_mid, mpi_mul, mpi_shift,
                                  mpi_sqrt, mpi_sub)
 
@@ -81,11 +83,29 @@ class Bracket(NamedTuple):
     @staticmethod
     def combination(coeffs: Iterable[Fraction], xs: Iterable[Pair],
                     prec: int) -> "Bracket":
-        """A bracket of ``sum q_i x_i``; the terms stay plain pairs."""
-        total = (fzero, fzero)
-        for q, x in zip(coeffs, xs):
-            total = mpi_add(total, _scaled(x, q, prec), prec)
-        return Bracket(*total)
+        """A bracket of ``sum q_i x_i`` for every ``x_i`` in the bracket
+        ``xs[i]`` (finite ends): the tightest one with ``prec``-bit ends.
+
+        Over the lcm ``D`` of the denominators, ``q_i = a_i / D``.  The lower
+        end takes each ``x_i`` at its lower end where ``a_i > 0`` and at its
+        upper end otherwise, the upper end the reverse; every end is an
+        integer times ``2^e`` at the smallest exponent ``e`` present, so both
+        numerators are exact integer sums.  Each is divided by ``D`` and
+        rounded once, down or up.
+        """
+        terms = [(q, (lo, hi) if q > 0 else (hi, lo))
+                 for q, (lo, hi) in zip(coeffs, xs) if q]
+        denom = lcm(*(q.denominator for q, _ in terms))
+        exp = min((x[2] for _, ends in terms for x in ends if x[1]), default=0)
+        sums = [0, 0]
+        for q, ends in terms:
+            a = q.numerator * (denom // q.denominator)
+            for side, (sign, man, e, _) in enumerate(ends):
+                if man:
+                    sums[side] += (-a if sign else a) * (man << (e - exp))
+        d = from_int(denom)
+        return Bracket(mpf_div(from_man_exp(sums[0], exp), d, prec, round_floor),
+                       mpf_div(from_man_exp(sums[1], exp), d, prec, round_ceiling))
 
     def sign(self) -> int:
         """+1 or -1 when the bracket excludes 0, else 0."""

@@ -4,11 +4,14 @@ The entropy ladder of a step law is the sequence ``H(mu^{*n})`` together
 with the ratios ``H_n / n`` and increments ``d_n = H_{n+1} - H_n``.  In
 rational mode every ladder value is carried as an exact log-linear form, so
 the ladder invariants (subadditivity, nonincreasing increments, and
-``d_n <= H_n / n``) are decided exactly; in float mode they are checked to a
-small documented slack.  Each invariant is written once, as an expression
-over ``H_0 .. H_n`` that serves both modes.  ``EntropyLadder.summary`` is
-the one plain-data record of a ladder that experiment reports, the command
-line and the scripts print, and ``csv_row`` is its one CSV line.
+``d_n <= H_n / n``) are decided exactly; the float ladders of perturbed step
+laws (E7) are checked to the slack ``FLOAT_SLACK``.  Each invariant is
+written once, as an expression over ``H_0 .. H_n`` that serves both modes.
+The float radial ladder of the free group carries outward-rounded binary64
+ends around each value instead, from which its checks are decided.
+``EntropyLadder.summary`` is the one plain-data record of a ladder that
+experiment reports, the command line and the scripts print, and ``csv_row``
+is its one CSV line.
 
 A trajectory enumeration lists every length-``n`` increment sequence with
 its exact weight; partition views are callables ``view(enum, t)`` that label
@@ -21,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product as iter_product
-from math import log
 from typing import Any, Callable, Hashable, Iterator
 
 import numpy as np
+from mpmath.libmp import to_float
 
 from . import groups, measures
-from .exact_entropy import LogLinear, entropy_form
+from .exact_entropy import LogLinear, _log_at, entropy_form
 from .measures import FiniteMeasure, MeasureError, SupportCapError
 
 FLOAT_SLACK = 1e-9
@@ -47,13 +50,17 @@ class LadderCheck:
 
 
 class EntropyLadder:
-    """Values ``H_0 .. H_n`` of a walk's entropy along convolution powers."""
+    """Values ``H_0 .. H_n`` of a walk's entropy along convolution powers,
+    with their exact forms or, for an enclosed float ladder, binary64
+    ``(lo, hi)`` ends around each value."""
 
     def __init__(self, label: str, values: list[float],
-                 forms: list[LogLinear] | None = None):
+                 forms: list[LogLinear] | None = None,
+                 bounds: list[tuple[float, float]] | None = None):
         self.label = label
         self.values = values
         self.forms = forms
+        self.bounds = bounds
 
     @property
     def n_max(self) -> int:
@@ -231,30 +238,147 @@ def free_group_srw_ladder(rank: int, n_max: int,
     """Entropy ladder of the uniform-generator walk via the radial chain.
 
     Conditioned on its distance the walk is uniform on the sphere, so
-    ``H_n = H(distance law) + sum_k P(dist = k) log(sphere size k)``.  The
-    float value sums these terms over k in order (a sequential
-    ``np.cumsum``), with every log taken by ``math.log``.
+    ``H_n = sum_k q_k (log S_k - log q_k)`` over the distance law ``q`` and
+    the sphere sizes ``S_k``.  Exact ladders carry these as forms; float
+    ladders carry binary64 ends ``lo_n <= H_n <= hi_n`` in ``bounds``
+    (:func:`_radial_brackets`) and their midpoints as values.
     """
-    values = [0.0]
-    forms: list[LogLinear] | None = [LogLinear.zero()] if exact else None
+    label = f"free({rank}) srw radial"
     if not exact:
-        log_spheres = np.array([log(sphere_size(rank, k))
-                                for k in range(n_max + 1)])
-    for dist in islice(_radial_chain(rank, exact), 1, n_max + 1):
-        if exact:
-            form = entropy_form(q for q in dist if q)
-            for k, q in enumerate(dist):
-                if q and k:
-                    form = form + LogLinear.of_log(sphere_size(rank, k), q)
-            forms.append(form)
-            values.append(form.to_float())
-        else:
-            ks = np.flatnonzero(dist > 0)
-            q = dist[ks]
-            log_q = np.fromiter(map(log, q.tolist()), float, len(q))
-            terms = -q * log_q + q * log_spheres[ks]
-            values.append(float(np.cumsum(terms)[-1]))
-    return EntropyLadder(f"free({rank}) srw radial", values, forms)
+        lo, hi = _radial_brackets(rank, n_max)
+        return EntropyLadder(label, ((lo + hi) / 2).tolist(),
+                             bounds=list(zip(lo.tolist(), hi.tolist())))
+    values = [0.0]
+    forms = [LogLinear.zero()]
+    for dist in islice(_radial_chain(rank, True), 1, n_max + 1):
+        form = entropy_form(q for q in dist if q)
+        for k, q in enumerate(dist):
+            if q and k:
+                form = form + LogLinear.of_log(sphere_size(rank, k), q)
+        forms.append(form)
+        values.append(form.to_float())
+    return EntropyLadder(label, values, forms)
+
+
+_U = 2.0 ** -53             # binary64 unit roundoff
+_TINY = 2.0 ** -1000        # chain entries below this are left out of H_n
+_BATCH = 8192               # chain entries per vector batch
+_SQRT_HALF = 0.5 ** 0.5
+# log m = 2 atanh t = 2t sum_i t^(2i) / (2i + 1), t = (m - 1) / (m + 1)
+_ATANH = tuple(1 / (2 * i + 1) for i in range(12))
+# roundings behind one term q (log S_k - log q); see _radial_brackets
+_TERM_ROUNDINGS = 21 * len(_ATANH) + 19
+
+
+def _gamma(k):
+    """Higham's ``gamma_k = k u / (1 - k u)``: ``k`` roundings of a value
+    leave it within a factor ``1 +- gamma_k``."""
+    return k * _U / (1 - k * _U)
+
+
+def _radial_batches(rank: int, n_max: int) -> Iterator[tuple[int, list]]:
+    """``(n0, slices)``: the positive-parity slices ``dist_n[n % 2::2]`` of
+    the binary64 chain for ``n = n0, n0 + 1, ...``, at most ``_BATCH``
+    entries a batch unless one slice alone is longer."""
+    batch: list[np.ndarray] = []
+    size = 0
+    for n, dist in enumerate(islice(_radial_chain(rank, False), 1, n_max + 1), 1):
+        q = dist[n % 2::2]
+        if batch and size + len(q) > _BATCH:
+            yield n - len(batch), batch
+            batch, size = [], 0
+        batch.append(q)
+        size += len(q)
+    if batch:
+        yield n_max + 1 - len(batch), batch
+
+
+def _radial_terms(q: np.ndarray, log_s: np.ndarray, log_2: float) -> np.ndarray:
+    """Binary64 terms ``q (log S - log q)``, with ``log q`` from
+    ``q = m 2^e``, ``m`` in ``[sqrt(1/2), sqrt(2))`` and a fixed series."""
+    m, e = np.frexp(q)
+    low = m < _SQRT_HALF
+    m[low] *= 2
+    e -= low
+    t = (m - 1) / (m + 1)
+    s = t * t
+    p = s * _ATANH[-1]
+    for c in _ATANH[-2:0:-1]:
+        p += c
+        p *= s
+    p += 1
+    return q * ((log_s - e * log_2) - 2 * t * p)
+
+
+def _radial_brackets(rank: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binary64 ends ``lo_n <= H_n <= hi_n`` for ``n = 0 .. n_max``.
+
+    ``S_n`` is the binary64 sum of ``_radial_terms`` over the chain's
+    positive entries ``q^_k >= 2^-1000`` at depth ``n``, and the ends are
+    ``S_n -+ R_n`` rounded outward.  With ``u = 2^-53`` and ``gamma_k`` as
+    in :func:`_gamma` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, ch. 3 and 5), ``R_n`` bounds three errors.
+
+    * The chain.  A step rounds each product and each sum once; ``up`` and
+      ``down`` are exact when ``2d`` is a power of two and carry one more
+      rounding otherwise, so ``c = 2`` or ``3`` roundings a step.  The
+      exact step has nonnegative coefficients and keeps the mass, so by
+      induction ``q^_k = q_k (1 + theta_k) + eps_k`` with
+      ``|theta_k| <= g = gamma_{cn}``, where ``eps`` collects underflow:
+      each product loses at most ``2^-1074`` and a step does not grow the
+      1-norm, so ``sum |eps_k| <= (n + 2)^2 2^-1072``.  With
+      ``L = log S_k`` and ``f(x) = x (L - log x) >= 0`` on ``[0, 1]``,
+      ``f(q (1 + theta)) - f(q) = theta f(q) - q (1 + theta) log(1 + theta)``,
+      and ``sum q_k = 1``, ``sum f(q_k) = H_n <= n log 2d``: together at
+      most ``g (n log 2d + (1 + g) / (1 - g))``.  Where ``q^_k >= 2^-1000``,
+      ``|f'| <= n log 2d + 695`` on the segment ``eps_k`` spans; the
+      entries left out have ``q_k < 2^-999`` and ``f(q_k) <= 2^-999
+      (n log 2d + 693)``.  Both underflow parts lie below
+      ``(n + 2)^2 (n log 2d + 700) 2^-998``.
+    * The terms.  ``q^ = m 2^e`` with ``frexp`` and the doubling of ``m``
+      exact; ``q^ < sqrt(2)``, so ``e <= 0``.  ``m - 1`` is exact
+      (Sterbenz), so ``t`` carries 2 roundings and ``s = t^2`` 5.  Horner
+      on positive data with rounded coefficients keeps ``sum_i c_i s^i``
+      within ``gamma_{7N}`` relative (``N = 12`` terms), and
+      ``|t| < 0.1716`` puts the series' tail below ``2^-65`` of it, so
+      ``M = log m`` is within ``gamma_{7N+4}``.  ``L`` and ``E = e log 2``
+      are within ``gamma_4`` and ``gamma_3``, and ``L - E = L + |E|`` adds
+      nonnegative values.  ``V = L + |E| - M`` is at least
+      ``(L + |E| + |M|) / 3``: ``|M| < (log 2) / 2 <= |E| / 2`` when
+      ``e < 0``; when ``e = 0``, ``M <= 0``, or ``q^`` exceeds 1 by at most
+      ``g``, so ``k >= 1``, ``L >= log 2`` and ``M <= g``.  So each computed
+      term is within ``eps_t = gamma_{21N+19}`` of ``q^_k V`` relative, and
+      nonnegative; the zeros put in for left-out entries stay exact zeros.
+    * The sum.  Any order of summing ``N_n = n // 2 + 1`` nonnegative terms
+      is within ``gamma_{N_n - 1}`` of their sum; with ``e_n`` the two
+      relative bounds added, that part is at most ``e_n S_n / (1 - e_n)``.
+
+    ``R_n`` is evaluated in binary64 from a few roundings of positive
+    values (and ``log 2d`` within ``2u``), so a factor ``1 + 2^-20``
+    covers its own rounding.
+    """
+    two_d = 2 * rank
+    # to nearest from the 80-bit brackets: within a factor 1 +- 2u
+    log_2d, log_odd, log_2 = (0.0 if m == 1 else to_float(_log_at(m, 80)[0])
+                              for m in (two_d, two_d - 1, 2))
+    log_sphere = log_2d + np.arange(-1, n_max) * log_odd
+    log_sphere[0] = 0.0
+    sums = np.zeros(n_max + 1)
+    for n0, slices in _radial_batches(rank, n_max):
+        q = np.concatenate(slices)
+        q[q < _TINY] = 0.0
+        log_s = np.concatenate([log_sphere[n % 2:n + 1:2]
+                                for n in range(n0, n0 + len(slices))])
+        starts = np.cumsum([0] + [len(x) for x in slices[:-1]])
+        sums[n0:n0 + len(slices)] = np.add.reduceat(
+            _radial_terms(q, log_s, log_2), starts)
+    n = np.arange(n_max + 1, dtype=float)
+    g = _gamma((2 if two_d & (two_d - 1) == 0 else 3) * n)
+    e_n = _gamma(n // 2) + _gamma(_TERM_ROUNDINGS)
+    cap = n * log_2d
+    rad = (g * (cap + (1 + g) / (1 - g)) + e_n * sums / (1 - e_n)
+           + (n + 2) ** 2 * (cap + 700) * 2.0 ** -998) * (1 + 2.0 ** -20)
+    return np.nextafter(sums - rad, -np.inf), np.nextafter(sums + rad, np.inf)
 
 
 # ---------------------------------------------------------------------------

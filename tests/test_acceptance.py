@@ -29,7 +29,7 @@ def test_criterion_01_exact_escape_interval(criterion):
         s_lo, s_hi = est.details["series_lo"], est.details["series_hi"]
         assert 2 - 1e-5 <= s_lo <= s_hi <= 2 + 1e-5, \
             f"visit series [{s_lo}, {s_hi}]"
-        return (f"interval [{est.lo:.9f}, {est.hi:.9f}] after {est.n} terms; "
+        return (f"interval [{est.lo:.9f}, {est.hi:.9f}] after {est.n} bisection steps; "
                 f"visit series in [2 - 1e-5, 2 + 1e-5]")
 
     criterion(1, "exact escape interval brackets 1/2", run, budget=5)

@@ -201,9 +201,9 @@ def test_ladder_cache_checks_the_support_cap(tmp_path, capsys, monkeypatch):
 REPLAY_SHA256 = {
     "E1": "ecbb5f9c4561f56f90556004f1f9f1fbb52d2cd73a2b74a618ec3416a4c3b433",
     "E2": "db94deb61f4bcfff747e5bd60b773e5c117b878f120e141ae0f7faf4a4ee4430",
-    "E3": "6e6af19381be83e73c2eb3c598b45d788aef88d42ee766e2b31ed5faeb39953c",
+    "E3": "bee7ba3de541ce258b58cd5d738f888e8b78480e1b326ea5036ab1581a54f26c",
     "E4": "c57c39497581f8062089ff71e689e18223d041c94f94e5823c1ee9e2677e6d99",
-    "E5": "522e55cffa32c6c35c8eb38f763960f66733da6ea412e3a52a0fb4c8c27fca5d",
+    "E5": "d7e7be253204cf912acb64b7b5489c7a1b4cd9528625051359b75952ac7be1f8",
     "E6": "a468af05cf3abea6418c64908e712bfb51ef1c6abbb141503ecfac81a56f24e7",
     "E7": "b5a34c8f9f539180f163f9ab8559e9b8d3b14c3b354f3075f4dfc23d3be0338a",
 }

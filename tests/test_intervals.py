@@ -8,7 +8,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, fzero, to_rational
+from mpmath.libmp import (from_int, from_rational, fzero, round_ceiling,
+                          round_floor, to_rational)
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul
 
 from walklab.intervals import Bracket
 
@@ -49,6 +51,38 @@ def test_operations_contain_the_exact_result(x, y, q, prec):
     sign = bx.sign()
     assert sign == 0 or sign * x > 0
     assert sign != 0 or exact(bx.lo) <= 0 <= exact(bx.hi)
+
+
+def stepwise_combination(coeffs, xs, prec):
+    """The reference: one outward-rounded product, quotient and sum a term."""
+    total = (fzero, fzero)
+    for q, x in zip(coeffs, xs):
+        n, d = from_int(q.numerator), from_int(q.denominator)
+        term = mpi_div(mpi_mul(x, (n, n), prec), (d, d), prec)
+        total = mpi_add(total, term, prec)
+    return total
+
+
+coefficients = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                         st.integers(1, 10 ** 6))
+ends = st.tuples(rationals, rationals, st.sampled_from([4, 12, 53, 80]))
+
+
+@given(st.lists(st.tuples(coefficients, ends), max_size=8), precs)
+@settings(max_examples=100)
+def test_combination_is_the_rounded_exact_sum_inside_the_stepwise_one(terms, prec):
+    coeffs = [q for q, _ in terms]
+    xs = [Bracket(from_rational(min(a, b).numerator, min(a, b).denominator,
+                                bits, round_floor),
+                  from_rational(max(a, b).numerator, max(a, b).denominator,
+                                bits, round_ceiling))
+          for _, (a, b, bits) in terms]
+    low = sum((q * exact(x.lo if q > 0 else x.hi) for q, x in zip(coeffs, xs)), F(0))
+    high = sum((q * exact(x.hi if q > 0 else x.lo) for q, x in zip(coeffs, xs)), F(0))
+    out = Bracket.combination(coeffs, xs, prec)
+    assert exact(out.lo) <= low <= high <= exact(out.hi)
+    ref_lo, ref_hi = stepwise_combination(coeffs, xs, prec)
+    assert exact(ref_lo) <= exact(out.lo) and exact(out.hi) <= exact(ref_hi)
 
 
 @given(rationals, positives, precs)

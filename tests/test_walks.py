@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
+import mpmath
+import numpy as np
 import pytest
 
 from walklab import groups, measures, walks
@@ -225,18 +228,47 @@ def test_radial_increments_nonincreasing_to_plateau():
     assert abs(diffs[-1] - 0.5 * math.log(3)) < 0.03
 
 
-def test_float_radial_ladder_matches_the_direct_loop():
-    """Bit for bit the values of the loop that recomputed log(sphere size)
-    for every k at every n."""
-    rank, n_max = 2, 300
+@pytest.mark.parametrize("rank", [2, 3])
+def test_float_radial_brackets_contain_the_entropy(rank):
+    """Each binary64 bracket holds H_n of the exact distance law, with its
+    logs taken at 200 bits."""
+    ladder = free_group_srw_ladder(rank, 300)
+    with mpmath.workprec(200):
+        for n in (1, 2, 3, 50, 300):
+            dist = free_group_distance_distribution(rank, n, exact=True)
+            h = mpmath.fsum(
+                mpmath.mpf(q.numerator) / q.denominator
+                * (mpmath.log(sphere_size(rank, k) * q.denominator)
+                   - mpmath.log(q.numerator))
+                for k, q in enumerate(dist) if q)
+            lo, hi = ladder.bounds[n]
+            assert lo <= h <= hi, (n, lo, h, hi)
+            assert ladder.values[n] == (lo + hi) / 2
+
+
+def test_float_radial_bracket_at_2000_steps_decides_the_increments():
+    lo, hi = free_group_srw_ladder(2, 2000).bounds[2000]
+    assert 0 < hi - lo <= 1e-8
+
+
+def test_float_radial_ladder_past_underflow_matches_the_math_log_loop():
+    """Past n = 2,400 chain entries fall below 2^-1000 and then underflow;
+    the brackets stay finite and their midpoints agree with the loop that
+    took every log with math.log (the reference)."""
+    rank, n_max = 2, 2600
+    log_spheres = np.array([math.log(sphere_size(rank, k))
+                            for k in range(n_max + 1)])
     expected = [0.0]
-    for n in range(1, n_max + 1):
-        h = 0.0
-        for k, q in enumerate(free_group_distance_distribution(rank, n)):
-            if q > 0:
-                h += -q * math.log(q) + q * math.log(sphere_size(rank, k))
-        expected.append(h)
-    assert free_group_srw_ladder(rank, n_max).values == expected
+    for dist in islice(walks._radial_chain(rank, False), 1, n_max + 1):
+        ks = np.flatnonzero(dist > 0)
+        q = dist[ks]
+        log_q = np.fromiter(map(math.log, q.tolist()), float, len(q))
+        expected.append(float(np.cumsum(-q * log_q + q * log_spheres[ks])[-1]))
+    ladder = free_group_srw_ladder(rank, n_max)
+    lo, hi = (np.array(side) for side in zip(*ladder.bounds))
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert (lo <= hi).all()
+    np.testing.assert_allclose(ladder.values, expected, rtol=1e-9, atol=0)
 
 
 # ---------------------------------------------------------------------------
