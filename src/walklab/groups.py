@@ -34,8 +34,10 @@ Conventions the rest of the package relies on:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from random import Random
 from typing import Any, Iterable, Sequence, Union
 
@@ -169,11 +171,17 @@ def tower_height(spec: GroupSpec) -> int:
     return 1
 
 
-@lru_cache(maxsize=None)
 def lattice_tower(spec: FreeSolvable) -> GroupSpec:
     """The tower ``Z^r wr ... wr Z^r`` of height ``m`` realising S(r, m)."""
-    lattice = IntegerLattice(spec.rank)
-    return wreath_tower([lattice] * (spec.length - 1), lattice)
+    return _lattice_tower(spec.rank, spec.length)
+
+
+@lru_cache(maxsize=None)
+def _lattice_tower(rank: int, length: int) -> GroupSpec:
+    # Keyed on ints, not on the spec: the spec's dataclass ``__hash__`` is
+    # Python code, and S(d, m) products look their tower up on every call.
+    lattice = IntegerLattice(rank)
+    return wreath_tower([lattice] * (length - 1), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +240,31 @@ def invert_word(w: tuple[int, ...]) -> tuple[int, ...]:
 
 def _wreath_multiply(lamp_spec: GroupSpec, base_spec: GroupSpec,
                      g: GroupElement, h: GroupElement) -> GroupElement:
+    """Product of two wreath elements: each lamp of ``h``, moved by ``g``'s
+    position, is placed into ``g``'s sorted lamp list by bisection."""
     lamps_g, x = g
     lamps_h, y = h
-    if lamps_h:
-        lamp_id = identity(lamp_spec)
-        merged = dict(lamps_g)
-        for site, val in lamps_h:
-            moved = multiply(base_spec, x, site)
-            cur = merged.get(moved)
-            if cur is None:
-                merged[moved] = val
+    if not lamps_h:
+        return (lamps_g, multiply(base_spec, x, y))
+    lamps = list(lamps_g)
+    for site, val in lamps_h:
+        moved = multiply(base_spec, x, site)
+        k = bisect_left(lamps, (moved,))   # (moved,) sorts before (moved, v)
+        if k < len(lamps) and lamps[k][0] == moved:
+            prod = multiply(lamp_spec, lamps[k][1], val)
+            if prod == identity(lamp_spec):
+                del lamps[k]
             else:
-                prod = multiply(lamp_spec, cur, val)
-                if prod == lamp_id:
-                    del merged[moved]
-                else:
-                    merged[moved] = prod
-        lamps = tuple(sorted(merged.items()))
-    else:
-        lamps = lamps_g
-    return (lamps, multiply(base_spec, x, y))
+                lamps[k] = (moved, prod)
+        else:
+            lamps.insert(k, (moved, val))
+    return (tuple(lamps), multiply(base_spec, x, y))
 
 
 def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     t = type(spec)
     if t is IntegerLattice:
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
     if t is Cyclic:
         return (g + h) % spec.modulus
     if t is FreeGroup:
@@ -275,7 +282,7 @@ def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     if t is Wreath:
         return _wreath_multiply(spec.lamp, spec.base, g, h)
     if t is FreeSolvable:
-        return multiply(lattice_tower(spec), g, h)
+        return multiply(_lattice_tower(spec.rank, spec.length), g, h)
     raise GroupError(f"unknown spec {spec!r}")
 
 

@@ -28,7 +28,12 @@ cross-check of the scan and is used by the tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
+from operator import add
 from random import Random
+from types import MappingProxyType
+from typing import Mapping
 
 from . import groups
 from .groups import FreeSolvable, GroupElement, concat_words, invert_word
@@ -80,15 +85,29 @@ def abelianize_word(w: FreeWord, rank: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+@lru_cache(maxsize=None)
+def _units(rank: int) -> Mapping[int, tuple[int, ...]]:
+    """The signed unit vector of Z^rank for each letter: ``e_i`` for ``i``,
+    ``-e_i`` for ``-i``.  Letter 0 and letters beyond the rank are absent."""
+    units = {}
+    for i in range(1, rank + 1):
+        e_i = (0,) * (i - 1) + (1,) + (0,) * (rank - i)
+        units[i] = e_i
+        units[-i] = tuple(-c for c in e_i)
+    return MappingProxyType(units)
+
+
 def _prefix_counts(w: FreeWord, rank: int) -> list[tuple[int, ...]]:
     """Level-1 images of every prefix of a word: its letter-count vectors."""
-    vec = [0] * rank
-    counts = [tuple(vec)]
+    units = _units(rank)
+    vec = (0,) * rank
+    counts = [vec]
     for letter in w:
-        if letter == 0 or abs(letter) > rank:
+        unit = units.get(letter)
+        if unit is None:
             raise WordError(f"letter {letter} out of range for rank {rank}")
-        vec[abs(letter) - 1] += 1 if letter > 0 else -1
-        counts.append(tuple(vec))
+        vec = tuple(map(add, vec, unit))
+        counts.append(vec)
     return counts
 
 
@@ -96,19 +115,28 @@ def _lamp_scan(w: FreeWord, below: list[GroupElement], rank: int,
                every_prefix: bool) -> list[GroupElement]:
     """Images one level up from the prefix images ``below`` one level down
     (or from any keys that are equal exactly where those images are): the
-    images of every prefix, or of the whole word only."""
-    lamps: dict[GroupElement, tuple[int, ...]] = {}
+    images of every prefix, or of the whole word only.  The lamps stay
+    sorted by site: each letter updates its site's lamp in place, or
+    inserts it at the place ``bisect_left`` finds in the parallel sites."""
+    units = _units(rank)
+    sites: list[GroupElement] = []
+    lamps: list[tuple[GroupElement, tuple[int, ...]]] = []
     out = [((), below[0])]
     for j, letter in enumerate(w):
-        i = abs(letter) - 1
-        site, step = (below[j], 1) if letter > 0 else (below[j + 1], -1)
-        vec = lamps.pop(site, (0,) * rank)
-        vec = vec[:i] + (vec[i] + step,) + vec[i + 1:]
-        if any(vec):
-            lamps[site] = vec
+        site = below[j] if letter > 0 else below[j + 1]
+        k = bisect_left(sites, site)
+        if k < len(sites) and sites[k] == site:
+            vec = tuple(map(add, lamps[k][1], units[letter]))
+            if any(vec):
+                lamps[k] = (site, vec)
+            else:
+                del sites[k], lamps[k]
+        else:
+            sites.insert(k, site)
+            lamps.insert(k, (site, units[letter]))
         if every_prefix:
-            out.append((tuple(sorted(lamps.items())), below[j + 1]))
-    return out if every_prefix else [(tuple(sorted(lamps.items())), below[-1])]
+            out.append((tuple(lamps), below[j + 1]))
+    return out if every_prefix else [(tuple(lamps), below[-1])]
 
 
 def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:

@@ -206,12 +206,14 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
     spec = mu.spec
     multiply = groups.multiply
     out: dict[GroupElement, Any] = {}
+    get = out.get
     for g, wg in mu._atoms.items():
         for h, wh in nu._atoms.items():
             prod = multiply(spec, g, h)
             w = wg * wh
-            if prod in out:
-                out[prod] += w
+            cur = get(prod)
+            if cur is not None:
+                out[prod] = cur + w
             else:
                 out[prod] = w
                 if len(out) > cap:

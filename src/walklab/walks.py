@@ -243,6 +243,10 @@ def free_group_srw_ladder(rank: int, n_max: int,
     ladders carry binary64 ends ``lo_n <= H_n <= hi_n`` in ``bounds``
     (:func:`_radial_brackets`) and their midpoints as values.
     """
+    if rank < 1:
+        raise MeasureError("rank must be >= 1")
+    if n_max < 0:
+        raise MeasureError("n_max must be >= 0")
     label = f"free({rank}) srw radial"
     if not exact:
         lo, hi = _radial_brackets(rank, n_max)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from walklab import groups
+from walklab import groups, magnus
 from walklab.groups import (
     BS11,
     BS_A,
@@ -238,8 +238,6 @@ def test_wreath_identity_has_no_lamps():
 
 def _coordinate_cases():
     """(id, spec, i, target, draw): ``g -> g[i]`` maps spec onto target."""
-    from walklab import magnus
-
     rng = Random(41)
 
     def rand(spec):
@@ -331,3 +329,70 @@ def test_dinf_associativity_property(g, h, k):
 def test_bs_associativity_property(g, h, k):
     assert multiply(BS11, multiply(BS11, g, h), k) == \
         multiply(BS11, g, multiply(BS11, h, k))
+
+
+# ---------------------------------------------------------------------------
+# the wreath product against a dict-and-sort reference
+
+
+def _dict_sorted_multiply(spec, g, h):
+    """Reference product: on a wreath spec, the lamps of ``g`` and the moved
+    lamps of ``h`` are merged in a dict and the result sorted by site."""
+    if type(spec) is groups.FreeSolvable:
+        spec = groups.lattice_tower(spec)
+    if type(spec) is not Wreath:
+        return multiply(spec, g, h)
+    (lamps_g, x), (lamps_h, y) = g, h
+    merged = dict(lamps_g)
+    for site, val in lamps_h:
+        moved = _dict_sorted_multiply(spec.base, x, site)
+        cur = merged.get(moved)
+        if cur is None:
+            merged[moved] = val
+        else:
+            prod = _dict_sorted_multiply(spec.lamp, cur, val)
+            if prod == identity(spec.lamp):
+                del merged[moved]
+            else:
+                merged[moved] = prod
+    return (tuple(sorted(merged.items())), _dict_sorted_multiply(spec.base, x, y))
+
+
+WREATH_SPECS = [WREATH_DINF, Wreath(Z2, Z), Wreath(Cyclic(3), F2)]
+
+
+@given(st.sampled_from(WREATH_SPECS), st.randoms(use_true_random=False),
+       st.integers(1, 40))
+def test_wreath_product_matches_the_dict_and_sort_reference(spec, rng, size):
+    """``h`` is random (up to ``size // 2`` lamps), a product of several
+    random elements (many lamps), or ``g^-1 k`` and ``g^-1``, whose lamps
+    cancel lamps of ``g`` to the identity."""
+    g = sample(spec, rng, size)
+    k = sample(spec, rng, size)
+    many = identity(spec)
+    for _ in range(6):
+        many = multiply(spec, many, sample(spec, rng, size))
+    for h in (k, many, multiply(spec, inverse(spec, g), k), inverse(spec, g)):
+        prod = multiply(spec, g, h)
+        assert prod == _dict_sorted_multiply(spec, g, h)
+        groups.validate(spec, prod)
+    assert multiply(spec, g, multiply(spec, inverse(spec, g), k)) == k
+
+
+S33 = groups.FreeSolvable(3, 3)
+s33_letters = st.integers(-3, 3).filter(bool)
+
+
+@given(st.lists(s33_letters, max_size=12), st.lists(s33_letters, max_size=12),
+       st.integers(0, 12))
+def test_sdm_product_matches_the_dict_and_sort_reference(u, v, cut):
+    """Magnus images in S(3, 3); ``h`` also undoes a suffix of ``u``."""
+    u, v = tuple(u), tuple(v)
+    undo = tuple(-a for a in reversed(u[cut:])) + v
+    g = magnus.magnus_embed(u, 3, 3)
+    for word in (v, undo):
+        h = magnus.magnus_embed(word, 3, 3)
+        prod = multiply(S33, g, h)
+        assert prod == _dict_sorted_multiply(S33, g, h)
+        assert prod == magnus.magnus_embed(u + word, 3, 3)
+        groups.validate(S33, prod)

@@ -213,9 +213,10 @@ def test_derived_words_witness_strictness():
         assert witnesses >= 1
 
 
-def _embed_and_compare(w, rank, length):
-    """The identity test on whole images: level-1 letter counts, then one
-    lamp scan per level keyed by the nested images of the level below."""
+def _scan_reference(w, rank, length):
+    """The level-``length`` image by a reference scan: level-1 letter
+    counts, then one lamp scan per level keyed by the nested images of the
+    level below, its lamps kept in a dict and sorted for every image."""
     vec = [0] * rank
     images = [tuple(vec)]
     for letter in w:
@@ -235,7 +236,13 @@ def _embed_and_compare(w, rank, length):
                 out.append((tuple(sorted(lamps.items())), images[j + 1]))
         images = out if level < length else [(tuple(sorted(lamps.items())),
                                               images[-1])]
-    return images[-1] == groups.identity(sdm_spec(rank, length))
+    return images[-1]
+
+
+def _embed_and_compare(w, rank, length):
+    """The identity test on whole images."""
+    return _scan_reference(w, rank, length) == groups.identity(
+        sdm_spec(rank, length))
 
 
 def test_identity_on_prefix_classes_matches_whole_images():
@@ -398,3 +405,30 @@ def test_word_inverse_involution(raw):
     w = groups.reduce_letters(raw)
     assert invert_word(invert_word(w)) == w
     assert concat_words(w, invert_word(w)) == ()
+
+
+@st.composite
+def revisiting_words(draw):
+    """A rank and a word, reduced or not, that often revisits a prefix
+    image: ``u v u^-1`` with ``v`` drawn again, or a commutator of two."""
+    rank = draw(st.sampled_from((2, 3)))
+    letter = st.integers(-rank, rank).filter(bool)
+    u = tuple(draw(st.lists(letter, max_size=8)))
+    v = tuple(draw(st.lists(letter, max_size=8)))
+    shape = draw(st.sampled_from(("plain", "conjugate", "commutator")))
+    if shape == "conjugate":
+        return rank, u + v + invert_word(u)
+    if shape == "commutator":
+        return rank, u + v + invert_word(u) + invert_word(v)
+    return rank, u + v
+
+
+@given(revisiting_words())
+@settings(max_examples=150, deadline=None)
+def test_lamp_scan_matches_the_dict_and_sort_reference(case):
+    rank, w = case
+    for m in (2, 3, 4):
+        expected = _scan_reference(w, rank, m)
+        assert magnus_embed(w, rank, m) == expected, (w, m)
+        assert is_identity(w, rank, m) == (
+            expected == groups.identity(sdm_spec(rank, m))), (w, m)

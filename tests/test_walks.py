@@ -271,6 +271,15 @@ def test_float_radial_ladder_past_underflow_matches_the_math_log_loop():
     np.testing.assert_allclose(ladder.values, expected, rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_radial_ladder_refuses_bad_arguments_before_any_arithmetic(exact):
+    with pytest.raises(MeasureError, match="rank must be >= 1"):
+        free_group_srw_ladder(0, 3, exact=exact)
+    with pytest.raises(MeasureError, match="n_max must be >= 0"):
+        free_group_srw_ladder(2, -1, exact=exact)
+    assert free_group_srw_ladder(2, 0, exact=exact).values == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
