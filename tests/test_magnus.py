@@ -239,12 +239,6 @@ def _scan_reference(w, rank, length):
     return images[-1]
 
 
-def _embed_and_compare(w, rank, length):
-    """The identity test on whole images."""
-    return _scan_reference(w, rank, length) == groups.identity(
-        sdm_spec(rank, length))
-
-
 def test_identity_on_prefix_classes_matches_whole_images():
     rng = Random(23)
     verdicts = Counter()
@@ -253,7 +247,8 @@ def test_identity_on_prefix_classes_matches_whole_images():
         w = (random_derived_series_word(d, rng.randint(1, 3), 2, rng)
              if rng.random() < 0.5 else _random_letters(d, rng.randint(0, 16), rng))
         verdict = is_identity(w, d, m)
-        assert verdict == _embed_and_compare(w, d, m), (w, d, m)
+        assert verdict == (_scan_reference(w, d, m)
+                           == groups.identity(sdm_spec(d, m))), (w, d, m)
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 500, verdicts
 
@@ -410,7 +405,8 @@ def test_word_inverse_involution(raw):
 @st.composite
 def revisiting_words(draw):
     """A rank and a word, reduced or not, that often revisits a prefix
-    image: ``u v u^-1`` with ``v`` drawn again, or a commutator of two."""
+    image: ``u v``, the conjugate ``u v u^-1`` or the commutator
+    ``u v u^-1 v^-1``."""
     rank = draw(st.sampled_from((2, 3)))
     letter = st.integers(-rank, rank).filter(bool)
     u = tuple(draw(st.lists(letter, max_size=8)))
