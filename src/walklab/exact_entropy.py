@@ -9,12 +9,15 @@ identities can be decided without rounding:
   distinct primes are linearly independent over the rationals);
 * the sign of a nonzero form is read off an outward-rounded ``Bracket``
   (``walklab.intervals``) of its terms, each log(m) bracketed by ``_log_at``.
-  A form may carry such a bracket as its enclosure at 80 bits; sums,
-  differences and rational multiples of enclosed forms inherit the
-  combination of their operands' enclosures, so a ladder's values are
-  enclosed once and every check built from them is decided without
-  evaluating its terms again.  Forms whose inherited enclosure contains 0
-  are enclosed afresh from their own coefficients at increasing precision.
+  A form may carry a bracket of its value as its enclosure: one its maker
+  attached (the exact entropy ladders attach binary64 brackets computed
+  from their weight vectors, ``walklab.walks``), or else its terms' bracket
+  at 80 bits (:meth:`LogLinear.enclose`).  Sums, differences and rational
+  multiples of enclosed forms inherit the combination of their operands'
+  enclosures, so a ladder's values are enclosed once and every check built
+  from them is decided without evaluating its terms.  Forms whose
+  inherited enclosure contains 0 are enclosed afresh from their own
+  coefficients at increasing precision.
 * a value known only by its enclosure (``enclosure_only``), and any
   combination with one, has no coefficients to fall back on: its sign is
   decided only by an enclosure that excludes 0, else ``ArithmeticError``.
@@ -248,7 +251,8 @@ def entropy_form(weights: Iterable[Fraction] | Iterable[int],
             sums[q] = sums.get(q, 0) + mass
         if r > 1:
             sums[r] = sums.get(r, 0) - mass
-    return LogLinear({m: Fraction(c, denom) for m, c in sums.items()})
+    return LogLinear._of({m: Fraction(c, denom) for m, c in sums.items()},
+                         None, False)
 
 
 # ---------------------------------------------------------------------------

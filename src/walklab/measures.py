@@ -64,13 +64,18 @@ class FiniteMeasure:
 
     ``denom`` is a positive integer and ``_atoms`` maps each atom to the
     integer numerator of its weight over ``denom``; the constructor brings
-    rational weights over their lcm denominator.  A float measure has
-    ``denom`` None and float weights in ``_atoms``.
+    rational weights over their lcm denominator, drops zero weights and
+    refuses negative ones.  A float measure has ``denom`` None and float
+    weights in ``_atoms``.
     """
 
     __slots__ = ("spec", "_atoms", "denom")
 
     def __init__(self, spec: GroupSpec, atoms: dict[GroupElement, Fraction]):
+        for g, w in atoms.items():
+            if w < 0:
+                raise MeasureError(f"negative weight {w} at {g!r}")
+        atoms = {g: w for g, w in atoms.items() if w}
         self.spec = spec
         denom = lcm(*(w.denominator for w in atoms.values()))
         self._atoms = {g: w.numerator * (denom // w.denominator)
@@ -169,14 +174,13 @@ def entropy(mu: FiniteMeasure) -> float:
     """Shannon entropy in nats, summed in atom order.
 
     Rational weights are rounded to floats by int true division, which
-    rounds correctly, so the value is that of the reduced fractions.
+    rounds correctly, so the value is that of the reduced fractions.  A
+    weight that rounds to 0 in binary64 adds 0.
     """
     denom = mu.denom
-    if denom is None:
-        weights = (w for w in mu._atoms.values() if w > 0)
-    else:
-        weights = (a / denom for a in mu._atoms.values())
-    return -sum(w * log(w) for w in weights)
+    weights = (mu._atoms.values() if denom is None
+               else (a / denom for a in mu._atoms.values()))
+    return -sum(w * log(w) for w in weights if w > 0)
 
 
 def exact_entropy(mu: FiniteMeasure) -> LogLinear:

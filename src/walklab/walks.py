@@ -8,7 +8,10 @@ the ladder invariants (subadditivity, nonincreasing increments, and
 laws (E7) are checked to the slack ``FLOAT_SLACK``.  Each invariant is
 written once, as an expression over ``H_0 .. H_n`` that serves both modes.
 The float radial ladder of the free group carries outward-rounded binary64
-ends around each value instead, from which its checks are decided.
+ends around each value instead, from which its checks are decided.  One
+binary64 kernel (``_entropy_ends``) computes those ends and also encloses
+each exact ladder value from its weight vector, so a check is settled
+without a multi-precision log unless its bracket contains 0.
 ``EntropyLadder.summary`` is the one plain-data record of a ladder that
 experiment reports, the command line and the scripts print, and ``csv_row``
 is its one CSV line.
@@ -27,10 +30,11 @@ from itertools import islice, product as iter_product
 from typing import Any, Callable, Hashable, Iterator
 
 import numpy as np
-from mpmath.libmp import to_float
+from mpmath.libmp import from_float, to_float
 
 from . import groups, measures
 from .exact_entropy import LogLinear, _log_at, entropy_form
+from .intervals import Bracket
 from .measures import FiniteMeasure, MeasureError, SupportCapError
 
 FLOAT_SLACK = 1e-9
@@ -100,11 +104,14 @@ class EntropyLadder:
     def verify(self) -> list[LadderCheck]:
         """Check subadditivity, nonincreasing diffs, and d_n <= H_n/n.
 
-        Exact ladders are decided exactly: ``H_0 .. H_n`` are enclosed once
-        in outward-rounded intervals and each check is first evaluated on
-        those enclosures alone.  Only a check whose interval contains 0 is
-        built from the forms' coefficients, whose ``sign()`` re-evaluates
-        them and reaches the exact zero test on ties.  Float ladders allow
+        Exact ladders are decided exactly: each check is first evaluated on
+        the enclosures of ``H_0 .. H_n`` alone.  A form built by
+        :func:`entropy_ladder` or :func:`free_group_srw_ladder` carries the
+        binary64 bracket of its weight vector (:func:`_entropy_ends`); any
+        other is enclosed once from its coefficients at 80 bits.  Only a
+        check whose interval contains 0 is built from the forms'
+        coefficients, whose ``sign()`` evaluates them at 80 to 2560 bits
+        and reaches the exact zero test on ties.  Float ladders allow
         ``FLOAT_SLACK`` slack.
         """
         if self.forms is not None:
@@ -165,14 +172,18 @@ def entropy_ladder(mu: FiniteMeasure, n_max: int,
                    label: str | None = None) -> EntropyLadder:
     """Ladder of ``mu`` up to ``n_max`` convolution powers.
 
-    If the support cap is hit, the cap error propagates annotated with the
-    largest completed power.
+    Each exact power's form is enclosed from its binary64 weights ``a / D``
+    (:func:`_weight_bracket`; int true division rounds correctly) when
+    ``mu`` has mass at most 1, as every power then has.  If the support cap
+    is hit, the cap error propagates annotated with the largest completed
+    power.
     """
     if n_max < 1:
         raise MeasureError("n_max must be >= 1")
     label = label or f"ladder({len(mu)} atoms)"
     values = [0.0]
     forms: list[LogLinear] | None = [LogLinear.zero()] if mu.exact else None
+    enclose = mu.exact and sum(mu._atoms.values()) <= mu.denom
     cur = mu
     for n in range(1, n_max + 1):
         if n > 1:
@@ -183,7 +194,15 @@ def entropy_ladder(mu: FiniteMeasure, n_max: int,
                                       completed=n - 1) from exc
         values.append(measures.entropy(cur))
         if forms is not None:
-            forms.append(measures.exact_entropy(cur))
+            form = measures.exact_entropy(cur)
+            if enclose:
+                denom = cur.denom
+                q = np.fromiter((a / denom for a in cur._atoms.values()),
+                                float, len(cur))
+                # H <= log N + 1/e for mass at most 1 over N atoms
+                form.enclosure = _weight_bracket(q, 0.0,
+                                                 len(q).bit_length() + 1)
+            forms.append(form)
     return EntropyLadder(label, values, forms)
 
 
@@ -239,9 +258,11 @@ def free_group_srw_ladder(rank: int, n_max: int,
 
     Conditioned on its distance the walk is uniform on the sphere, so
     ``H_n = sum_k q_k (log S_k - log q_k)`` over the distance law ``q`` and
-    the sphere sizes ``S_k``.  Exact ladders carry these as forms; float
-    ladders carry binary64 ends ``lo_n <= H_n <= hi_n`` in ``bounds``
-    (:func:`_radial_brackets`) and their midpoints as values.
+    the sphere sizes ``S_k``.  Exact ladders carry these as forms, each
+    built in one pass and enclosed from its binary64 weights
+    (:func:`_entropy_ends`); float ladders carry binary64 ends
+    ``lo_n <= H_n <= hi_n`` in ``bounds`` (:func:`_radial_brackets`) and
+    their midpoints as values.
     """
     if rank < 1:
         raise MeasureError("rank must be >= 1")
@@ -252,25 +273,33 @@ def free_group_srw_ladder(rank: int, n_max: int,
         lo, hi = _radial_brackets(rank, n_max)
         return EntropyLadder(label, ((lo + hi) / 2).tolist(),
                              bounds=list(zip(lo.tolist(), hi.tolist())))
+    log_2d, log_sphere = _log_spheres(rank, n_max)
     values = [0.0]
     forms = [LogLinear.zero()]
-    for dist in islice(_radial_chain(rank, True), 1, n_max + 1):
-        form = entropy_form(q for q in dist if q)
-        for k, q in enumerate(dist):
-            if q and k:
-                form = form + LogLinear.of_log(sphere_size(rank, k), q)
+    for n, dist in enumerate(islice(_radial_chain(rank, True), 1, n_max + 1), 1):
+        coeffs = entropy_form(q for q in dist if q).coeffs
+        for k, q in enumerate(dist[1:].tolist(), 1):
+            if q:
+                s = sphere_size(rank, k)
+                coeffs[s] = coeffs.get(s, 0) + q
+        form = LogLinear._of(coeffs, None, False)
+        # the positive entries, each rounded once from its Fraction
+        q = np.array(dist[n % 2::2].tolist(), dtype=float)
+        form.enclosure = _weight_bracket(q, log_sphere[n % 2:n + 1:2],
+                                         n * log_2d)
         forms.append(form)
         values.append(form.to_float())
     return EntropyLadder(label, values, forms)
 
 
 _U = 2.0 ** -53             # binary64 unit roundoff
-_TINY = 2.0 ** -1000        # chain entries below this are left out of H_n
+_TINY = 2.0 ** -1000        # weights below this are left out of H_n
 _BATCH = 8192               # chain entries per vector batch
+_ONE_SEGMENT = np.zeros(1, dtype=int)
 _SQRT_HALF = 0.5 ** 0.5
 # log m = 2 atanh t = 2t sum_i t^(2i) / (2i + 1), t = (m - 1) / (m + 1)
 _ATANH = tuple(1 / (2 * i + 1) for i in range(12))
-# roundings behind one term q (log S_k - log q); see _radial_brackets
+# roundings behind one term q (L - log q); see _entropy_ends
 _TERM_ROUNDINGS = 21 * len(_ATANH) + 19
 
 
@@ -280,26 +309,73 @@ def _gamma(k):
     return k * _U / (1 - k * _U)
 
 
-def _radial_batches(rank: int, n_max: int) -> Iterator[tuple[int, list]]:
-    """``(n0, slices)``: the positive-parity slices ``dist_n[n % 2::2]`` of
-    the binary64 chain for ``n = n0, n0 + 1, ...``, at most ``_BATCH``
-    entries a batch unless one slice alone is longer."""
-    batch: list[np.ndarray] = []
-    size = 0
-    for n, dist in enumerate(islice(_radial_chain(rank, False), 1, n_max + 1), 1):
-        q = dist[n % 2::2]
-        if batch and size + len(q) > _BATCH:
-            yield n - len(batch), batch
-            batch, size = [], 0
-        batch.append(q)
-        size += len(q)
-    if batch:
-        yield n_max + 1 - len(batch), batch
+def _log_float(m: int) -> float:
+    """``log m`` to nearest from its 80-bit bracket: within a factor
+    ``1 +- 2u``."""
+    return 0.0 if m == 1 else to_float(_log_at(m, 80)[0])
 
 
-def _radial_terms(q: np.ndarray, log_s: np.ndarray, log_2: float) -> np.ndarray:
-    """Binary64 terms ``q (log S - log q)``, with ``log q`` from
-    ``q = m 2^e``, ``m`` in ``[sqrt(1/2), sqrt(2))`` and a fixed series."""
+def _log_spheres(rank: int, n_max: int) -> tuple[float, np.ndarray]:
+    """``log 2d`` and ``L_k = log S_k`` for ``k = 0 .. n_max`` in binary64,
+    ``L_k`` within ``gamma_4`` of its value."""
+    log_2d, log_odd = _log_float(2 * rank), _log_float(2 * rank - 1)
+    log_sphere = log_2d + np.arange(-1, n_max) * log_odd
+    log_sphere[0] = 0.0
+    return log_2d, log_sphere
+
+
+def _entropy_ends(q: np.ndarray, log_s, starts: np.ndarray, g, cap,
+                  extra=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Binary64 ends ``lo_i <= H_i <= hi_i`` of the sums
+    ``H_i = sum_k q_k (L_k - log q_k)``, one over each segment
+    ``starts[i]:starts[i + 1]`` of the weight vector ``q^``.
+
+    The caller vouches for four facts about segment ``i``, with ``u =
+    2^-53`` and ``gamma_k`` as in :func:`_gamma` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3 and 5):
+
+    * every ``q^_k`` is within a factor ``1 +- g_i`` of the exact weight
+      ``q_k``, except for errors of the weights that move ``H_i`` by at most
+      ``extra_i`` in all (underflow, or weights left out as ``q^_k = 0``);
+    * ``sum q_k <= 1`` and ``0 <= H_i <= cap_i``, and ``f(x) = x (L_k -
+      log x) >= 0`` at ``q_k``;
+    * ``L_k = log S_k >= 0`` (``log_s``, an array or ``0``) is within
+      ``gamma_4`` of its binary64 value;
+    * ``q^_k < sqrt(2)``, and ``L_k >= log 2`` wherever ``q^_k > 1``.
+
+    ``S_i``, the binary64 sum of the computed terms, then lies within
+    ``R_i`` of ``H_i``, and the ends are ``S_i -+ R_i`` rounded outward.
+    ``R_i`` bounds three errors.
+
+    * The weights.  With ``f(q (1 + theta)) - f(q) = theta f(q) - q (1 +
+      theta) log(1 + theta)``, ``sum f(q_k) = H_i <= cap_i`` and ``sum q_k
+      <= 1``, rounded weights move the sum by at most ``g_i (cap_i + (1 +
+      g_i) / (1 - g_i))``.
+    * The terms.  ``q^ = m 2^e`` with ``frexp`` and the doubling of ``m``
+      exact, ``m`` in ``[sqrt(1/2), sqrt(2))``; ``q^ < sqrt(2)``, so ``e <=
+      0``.  ``m - 1`` is exact (Sterbenz), so ``t = (m - 1) / (m + 1)``
+      carries 2 roundings and ``s = t^2`` 5.  Horner on positive data with
+      rounded coefficients keeps ``sum_i c_i s^i`` within ``gamma_{7N}``
+      relative (``N = 12`` terms), and ``|t| < 0.1716`` puts the series'
+      tail below ``2^-65`` of it, so ``M = log m = 2 t sum_i c_i s^i`` is
+      within ``gamma_{7N+4}``.  ``L`` and ``E = e log 2`` (``log 2`` within
+      ``2u``) are within ``gamma_4`` and ``gamma_3``, and ``L - E = L +
+      |E|`` adds nonnegative values.  ``V = L + |E| - M`` is at least ``(L
+      + |E| + |M|) / 3``: ``|M| < (log 2) / 2 <= |E| / 2`` when ``e < 0``;
+      when ``e = 0``, either ``q^ <= 1``, so ``M <= 0`` and ``V = L + |M|``
+      (``V = |M|`` where ``L = 0``), or ``0 < M < (log 2) / 2 <= L / 2``.
+      So each computed term is within ``eps_t = gamma_{21N+19}`` of ``q^_k
+      V`` relative, and nonnegative; a zero weight gives an exact zero
+      term.
+    * The sum.  Any order of summing ``n_i`` nonnegative terms is within
+      ``gamma_{n_i - 1}`` of their sum; with ``e_i`` the two relative bounds
+      added, that part is at most ``e_i S_i / (1 - e_i)``.
+
+    ``R_i = g_i (cap_i + (1 + g_i) / (1 - g_i)) + e_i S_i / (1 - e_i) +
+    extra_i`` is evaluated in binary64 from a few roundings of positive
+    values, so a factor ``1 + 2^-20`` covers its own rounding, that of
+    ``cap_i``, and the product of the two relative bounds in ``e_i``.
+    """
     m, e = np.frexp(q)
     low = m < _SQRT_HALF
     m[low] *= 2
@@ -311,78 +387,87 @@ def _radial_terms(q: np.ndarray, log_s: np.ndarray, log_2: float) -> np.ndarray:
         p += c
         p *= s
     p += 1
-    return q * ((log_s - e * log_2) - 2 * t * p)
+    terms = q * ((log_s - e * _log_float(2)) - 2 * t * p)
+    sums = np.add.reduceat(terms, starts)
+    e_i = _gamma(np.diff(starts, append=len(q)) - 1) + _gamma(_TERM_ROUNDINGS)
+    rad = (g * (cap + (1 + g) / (1 - g)) + e_i * sums / (1 - e_i)
+           + extra) * (1 + 2.0 ** -20)
+    return np.nextafter(sums - rad, -np.inf), np.nextafter(sums + rad, np.inf)
+
+
+def _weight_bracket(q: np.ndarray, log_s, cap) -> Bracket | None:
+    """The bracket of ``H = sum_k q_k (L_k - log q_k)`` from the binary64
+    weights ``q^_k``, each the correct rounding of its exact ``q_k``, with
+    ``sum q_k <= 1`` and ``H <= cap``; None if a weight lies below
+    ``2^-1000``.
+
+    Every ``q^_k`` is then a normal number, so ``|theta_k| <= u <=
+    gamma_1``; ``q_k <= 1`` rounds to ``q^_k <= 1``, and ``L_k >= 0`` makes
+    ``f >= 0`` on ``[0, 1]``: with ``log_s`` (``L_k``) within ``gamma_4``,
+    the facts :func:`_entropy_ends` asks for.
+    """
+    if q.min() < _TINY:
+        return None
+    lo, hi = _entropy_ends(q, log_s, _ONE_SEGMENT, _gamma(1), cap)
+    return Bracket(from_float(lo[0]), from_float(hi[0]))
+
+
+def _radial_batches(rank: int, n_max: int) -> Iterator[tuple[int, list]]:
+    """``(n0, slices)``: the positive-parity slices ``dist_n[n % 2::2]`` of
+    the binary64 chain for ``n = n0, n0 + 1, ...``, at most ``_BATCH``
+    entries a batch unless one slice alone is longer."""
+    batch: list[np.ndarray] = []
+    size = 0
+    for n, dist in enumerate(islice(_radial_chain(rank, False), n_max + 1)):
+        q = dist[n % 2::2]
+        if batch and size + len(q) > _BATCH:
+            yield n - len(batch), batch
+            batch, size = [], 0
+        batch.append(q)
+        size += len(q)
+    yield n_max + 1 - len(batch), batch
 
 
 def _radial_brackets(rank: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Binary64 ends ``lo_n <= H_n <= hi_n`` for ``n = 0 .. n_max``.
 
-    ``S_n`` is the binary64 sum of ``_radial_terms`` over the chain's
-    positive entries ``q^_k >= 2^-1000`` at depth ``n``, and the ends are
-    ``S_n -+ R_n`` rounded outward.  With ``u = 2^-53`` and ``gamma_k`` as
-    in :func:`_gamma` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, ch. 3 and 5), ``R_n`` bounds three errors.
-
-    * The chain.  A step rounds each product and each sum once; ``up`` and
-      ``down`` are exact when ``2d`` is a power of two and carry one more
-      rounding otherwise, so ``c = 2`` or ``3`` roundings a step.  The
-      exact step has nonnegative coefficients and keeps the mass, so by
-      induction ``q^_k = q_k (1 + theta_k) + eps_k`` with
-      ``|theta_k| <= g = gamma_{cn}``, where ``eps`` collects underflow:
-      each product loses at most ``2^-1074`` and a step does not grow the
-      1-norm, so ``sum |eps_k| <= (n + 2)^2 2^-1072``.  With
-      ``L = log S_k`` and ``f(x) = x (L - log x) >= 0`` on ``[0, 1]``,
-      ``f(q (1 + theta)) - f(q) = theta f(q) - q (1 + theta) log(1 + theta)``,
-      and ``sum q_k = 1``, ``sum f(q_k) = H_n <= n log 2d``: together at
-      most ``g (n log 2d + (1 + g) / (1 - g))``.  Where ``q^_k >= 2^-1000``,
-      ``|f'| <= n log 2d + 695`` on the segment ``eps_k`` spans; the
-      entries left out have ``q_k < 2^-999`` and ``f(q_k) <= 2^-999
-      (n log 2d + 693)``.  Both underflow parts lie below
-      ``(n + 2)^2 (n log 2d + 700) 2^-998``.
-    * The terms.  ``q^ = m 2^e`` with ``frexp`` and the doubling of ``m``
-      exact; ``q^ < sqrt(2)``, so ``e <= 0``.  ``m - 1`` is exact
-      (Sterbenz), so ``t`` carries 2 roundings and ``s = t^2`` 5.  Horner
-      on positive data with rounded coefficients keeps ``sum_i c_i s^i``
-      within ``gamma_{7N}`` relative (``N = 12`` terms), and
-      ``|t| < 0.1716`` puts the series' tail below ``2^-65`` of it, so
-      ``M = log m`` is within ``gamma_{7N+4}``.  ``L`` and ``E = e log 2``
-      are within ``gamma_4`` and ``gamma_3``, and ``L - E = L + |E|`` adds
-      nonnegative values.  ``V = L + |E| - M`` is at least
-      ``(L + |E| + |M|) / 3``: ``|M| < (log 2) / 2 <= |E| / 2`` when
-      ``e < 0``; when ``e = 0``, ``M <= 0``, or ``q^`` exceeds 1 by at most
-      ``g``, so ``k >= 1``, ``L >= log 2`` and ``M <= g``.  So each computed
-      term is within ``eps_t = gamma_{21N+19}`` of ``q^_k V`` relative, and
-      nonnegative; the zeros put in for left-out entries stay exact zeros.
-    * The sum.  Any order of summing ``N_n = n // 2 + 1`` nonnegative terms
-      is within ``gamma_{N_n - 1}`` of their sum; with ``e_n`` the two
-      relative bounds added, that part is at most ``e_n S_n / (1 - e_n)``.
-
-    ``R_n`` is evaluated in binary64 from a few roundings of positive
-    values (and ``log 2d`` within ``2u``), so a factor ``1 + 2^-20``
-    covers its own rounding.
+    :func:`_entropy_ends` encloses each ``H_n`` from the chain's positive
+    entries ``q^_k >= 2^-1000`` at depth ``n``, with ``L_k = log S_k``,
+    ``cap_n = n log 2d`` (``H_n`` is at most the log of the ``(2d)^n``
+    paths), and ``g_n`` and ``extra_n`` from the chain.  A step rounds each
+    product and each sum once; ``up`` and ``down`` are exact when ``2d`` is
+    a power of two and carry one more rounding otherwise, so ``c = 2`` or
+    ``3`` roundings a step.  The exact step has nonnegative coefficients
+    and keeps the mass, so by induction ``q^_k = q_k (1 + theta_k) +
+    eps_k`` with ``|theta_k| <= g_n = gamma_{cn}``, where ``eps`` collects
+    underflow: each product loses at most ``2^-1074`` and a step does not
+    grow the 1-norm, so ``sum |eps_k| <= (n + 2)^2 2^-1072``.  Hence
+    ``q^_k < sqrt(2)``; ``L_k >= log 2d >= log 2`` for ``k >= 1``, and
+    ``q^_0`` is 1 at ``n = 0`` and below ``(1 + g_n) / 2d + 2^-1000 < 1``
+    later, since distance 0 is entered from 1 with probability ``1/2d``.
+    Where ``q^_k >= 2^-1000``,
+    ``|f'| <= n log 2d + 695`` on the segment ``eps_k`` spans; the entries
+    left out have ``q_k < 2^-999`` and ``f(q_k) <= 2^-999 (n log 2d +
+    693)``.  Both underflow parts lie below ``extra_n = (n + 2)^2 (n log 2d
+    + 700) 2^-998``.
     """
     two_d = 2 * rank
-    # to nearest from the 80-bit brackets: within a factor 1 +- 2u
-    log_2d, log_odd, log_2 = (0.0 if m == 1 else to_float(_log_at(m, 80)[0])
-                              for m in (two_d, two_d - 1, 2))
-    log_sphere = log_2d + np.arange(-1, n_max) * log_odd
-    log_sphere[0] = 0.0
-    sums = np.zeros(n_max + 1)
+    log_2d, log_sphere = _log_spheres(rank, n_max)
+    steps = 2 if two_d & (two_d - 1) == 0 else 3
+    lo, hi = np.empty(n_max + 1), np.empty(n_max + 1)
     for n0, slices in _radial_batches(rank, n_max):
         q = np.concatenate(slices)
         q[q < _TINY] = 0.0
         log_s = np.concatenate([log_sphere[n % 2:n + 1:2]
                                 for n in range(n0, n0 + len(slices))])
         starts = np.cumsum([0] + [len(x) for x in slices[:-1]])
-        sums[n0:n0 + len(slices)] = np.add.reduceat(
-            _radial_terms(q, log_s, log_2), starts)
-    n = np.arange(n_max + 1, dtype=float)
-    g = _gamma((2 if two_d & (two_d - 1) == 0 else 3) * n)
-    e_n = _gamma(n // 2) + _gamma(_TERM_ROUNDINGS)
-    cap = n * log_2d
-    rad = (g * (cap + (1 + g) / (1 - g)) + e_n * sums / (1 - e_n)
-           + (n + 2) ** 2 * (cap + 700) * 2.0 ** -998) * (1 + 2.0 ** -20)
-    return np.nextafter(sums - rad, -np.inf), np.nextafter(sums + rad, np.inf)
+        n = np.arange(n0, n0 + len(slices), dtype=float)
+        g = _gamma(steps * n)
+        cap = n * log_2d
+        extra = (n + 2) ** 2 * (cap + 700) * 2.0 ** -998
+        lo[n0:n0 + len(slices)], hi[n0:n0 + len(slices)] = _entropy_ends(
+            q, log_s, starts, g, cap, extra)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

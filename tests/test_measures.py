@@ -61,6 +61,16 @@ def test_weights_must_sum_to_one_exactly():
         FiniteMeasure.from_pairs(Z, [((0,), F(1, 2)), ((1,), F(1, 3))])
 
 
+def test_constructor_drops_zero_weights_and_refuses_negative_ones():
+    mu = FiniteMeasure(Z, {(0,): F(0), (1,): F(1)})
+    assert len(mu) == 1 and mu.support() == [(1,)]
+    assert entropy(mu) == 0
+    assert exact_entropy(mu).is_zero()
+    assert walks.entropy_ladder(mu, 3).values == [0.0] * 4
+    with pytest.raises(MeasureError, match="negative weight"):
+        FiniteMeasure(Z, {(0,): F(-1, 2), (1,): F(3, 2)})
+
+
 def test_weights_must_sum_to_one_in_float_mode():
     FiniteMeasure.from_pairs(Z, [((0,), 0.5), ((1,), 0.5 + 1e-13)],
                              exact=False)

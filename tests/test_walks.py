@@ -9,11 +9,14 @@ from itertools import islice
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab import groups, measures, walks
 from walklab.exact_entropy import LogLinear
 from walklab.groups import IntegerLattice
 from walklab.measures import (
+    FiniteMeasure,
     MeasureError,
     convolution_power,
     dinf_family,
@@ -189,6 +192,76 @@ def test_ladder_rows_and_ratios():
     assert math.isnan(rows[0]["ratio"])
     assert rows[1]["ratio"] == ladder.values[1]
     assert ladder.diffs()[0] == ladder.values[1]
+
+
+# ---------------------------------------------------------------------------
+# enclosures of exact ladders from their binary64 weights
+
+
+@st.composite
+def many_atom_laws(draw):
+    """Numerators over their sum: a point mass, a weight near 1 beside unit
+    weights, or a few distinct values each repeated up to a few thousand
+    times (few distinct logs keep the 2560-bit reference cheap)."""
+    shape = draw(st.sampled_from(["point", "near-one", "repeated"]))
+    if shape == "point":
+        return [draw(st.integers(1, 10 ** 6))]
+    if shape == "near-one":
+        return [draw(st.integers(10 ** 5, 10 ** 6))] + [1] * draw(
+            st.integers(1, 3000))
+    values = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6))
+    counts = draw(st.lists(st.integers(1, 1000), min_size=len(values),
+                           max_size=len(values)))
+    return [v for v, c in zip(values, counts) for _ in range(c)]
+
+
+@given(many_atom_laws())
+@settings(max_examples=60, deadline=None)
+def test_weight_brackets_contain_the_entropy_and_are_tight(nums):
+    denom = sum(nums)
+    mu = FiniteMeasure(Z, {(i,): F(a, denom) for i, a in enumerate(nums)})
+    form = entropy_ladder(mu, 1).forms[1]
+    lo, hi = (mpmath.mp.make_mpf(x) for x in form.enclosure)
+    with mpmath.workprec(2560):
+        mid, rad = form.evaluate(2560)
+        assert lo <= mid - rad and mid + rad <= hi
+    assert hi - lo <= (len(nums) + 300) * 2.0 ** -52 * (float(mid) + 1)
+
+
+def test_weights_below_2_to_the_minus_1000_fall_back_to_the_coefficients():
+    tiny = F(1, 2 ** 1001)
+    mu = FiniteMeasure(Z, {(0,): F(1, 2), (1,): F(1, 2) - tiny, (2,): tiny})
+    ladder = entropy_ladder(mu, 3)  # tiny^2 underflows: its term adds 0
+    assert [f.enclosure for f in ladder.forms[1:]] == [None] * 3
+    assert all(c.ok for c in ladder.verify())
+    assert ladder.values == pytest.approx([f.to_float() for f in ladder.forms],
+                                          rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [2, 8, 32, None])
+def test_weight_brackets_settle_the_checks_80_bit_enclosures_settle(k):
+    """E4's lamplighter ladder at n = 9: each check's sign on the binary64
+    weight brackets is the sign on the 80-bit coefficient enclosures."""
+    ladder = entropy_ladder(measures.lamplighter_family(F(3, 4), k), 9)
+    assert all(f.enclosure is not None for f in ladder.forms[1:])
+    weights = [f.enclosure_only() for f in ladder.forms]
+    coefficients = [LogLinear(f.coeffs).enclosure_only() for f in ladder.forms]
+    signs = [(expr(weights).enclosure_sign(),
+              expr(coefficients).enclosure_sign())
+             for _, _, expr in walks._ladder_checks(ladder.n_max)]
+    assert all(a == b for a, b in signs)
+    assert any(a for a, _ in signs)
+
+
+def test_exact_radial_brackets_contain_the_entropy():
+    ladder = free_group_srw_ladder(3, 40, exact=True)
+    for n in (1, 2, 3, 39, 40):
+        form = ladder.forms[n]
+        lo, hi = (mpmath.mp.make_mpf(x) for x in form.enclosure)
+        with mpmath.workprec(2560):
+            mid, rad = form.evaluate(2560)
+            assert lo <= mid - rad and mid + rad <= hi
+        assert hi - lo <= (n + 300) * 2.0 ** -52 * (float(mid) + 1)
 
 
 # ---------------------------------------------------------------------------
