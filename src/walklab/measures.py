@@ -65,8 +65,8 @@ class FiniteMeasure:
     ``denom`` is a positive integer and ``_atoms`` maps each atom to the
     integer numerator of its weight over ``denom``; the constructor brings
     rational weights over their lcm denominator, drops zero weights and
-    refuses negative ones.  A float measure has ``denom`` None and float
-    weights in ``_atoms``.
+    refuses negative ones and an empty support.  A float measure has
+    ``denom`` None and float weights in ``_atoms``.
     """
 
     __slots__ = ("spec", "_atoms", "denom")
@@ -76,6 +76,8 @@ class FiniteMeasure:
             if w < 0:
                 raise MeasureError(f"negative weight {w} at {g!r}")
         atoms = {g: w for g, w in atoms.items() if w}
+        if not atoms:
+            raise MeasureError("measure must have nonempty support")
         self.spec = spec
         denom = lcm(*(w.denominator for w in atoms.values()))
         self._atoms = {g: w.numerator * (denom // w.denominator)

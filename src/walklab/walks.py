@@ -276,7 +276,8 @@ def free_group_srw_ladder(rank: int, n_max: int,
     log_2d, log_sphere = _log_spheres(rank, n_max)
     values = [0.0]
     forms = [LogLinear.zero()]
-    for n, dist in enumerate(islice(_radial_chain(rank, True), 1, n_max + 1), 1):
+    chain = islice(_radial_chain(rank, True), 1, n_max + 1)
+    for n, dist in enumerate(chain, 1):
         coeffs = entropy_form(q for q in dist if q).coeffs
         for k, q in enumerate(dist[1:].tolist(), 1):
             if q:
@@ -295,7 +296,6 @@ def free_group_srw_ladder(rank: int, n_max: int,
 _U = 2.0 ** -53             # binary64 unit roundoff
 _TINY = 2.0 ** -1000        # weights below this are left out of H_n
 _BATCH = 8192               # chain entries per vector batch
-_ONE_SEGMENT = np.zeros(1, dtype=int)
 _SQRT_HALF = 0.5 ** 0.5
 # log m = 2 atanh t = 2t sum_i t^(2i) / (2i + 1), t = (m - 1) / (m + 1)
 _ATANH = tuple(1 / (2 * i + 1) for i in range(12))
@@ -324,11 +324,12 @@ def _log_spheres(rank: int, n_max: int) -> tuple[float, np.ndarray]:
     return log_2d, log_sphere
 
 
-def _entropy_ends(q: np.ndarray, log_s, starts: np.ndarray, g, cap,
+def _entropy_ends(q: np.ndarray, log_s, sizes, g, cap,
                   extra=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Binary64 ends ``lo_i <= H_i <= hi_i`` of the sums
-    ``H_i = sum_k q_k (L_k - log q_k)``, one over each segment
-    ``starts[i]:starts[i + 1]`` of the weight vector ``q^``.
+    ``H_i = sum_k q_k (L_k - log q_k)``, one over each of the consecutive
+    segments of the weight vector ``q^`` whose lengths ``n_i`` are
+    ``sizes``.
 
     The caller vouches for four facts about segment ``i``, with ``u =
     2^-53`` and ``gamma_k`` as in :func:`_gamma` (Higham, *Accuracy and
@@ -388,8 +389,8 @@ def _entropy_ends(q: np.ndarray, log_s, starts: np.ndarray, g, cap,
         p *= s
     p += 1
     terms = q * ((log_s - e * _log_float(2)) - 2 * t * p)
-    sums = np.add.reduceat(terms, starts)
-    e_i = _gamma(np.diff(starts, append=len(q)) - 1) + _gamma(_TERM_ROUNDINGS)
+    sums = np.add.reduceat(terms, np.cumsum(sizes) - sizes)
+    e_i = _gamma(sizes - 1) + _gamma(_TERM_ROUNDINGS)
     rad = (g * (cap + (1 + g) / (1 - g)) + e_i * sums / (1 - e_i)
            + extra) * (1 + 2.0 ** -20)
     return np.nextafter(sums - rad, -np.inf), np.nextafter(sums + rad, np.inf)
@@ -408,7 +409,7 @@ def _weight_bracket(q: np.ndarray, log_s, cap) -> Bracket | None:
     """
     if q.min() < _TINY:
         return None
-    lo, hi = _entropy_ends(q, log_s, _ONE_SEGMENT, _gamma(1), cap)
+    lo, hi = _entropy_ends(q, log_s, len(q), _gamma(1), cap)
     return Bracket(from_float(lo[0]), from_float(hi[0]))
 
 
@@ -453,20 +454,19 @@ def _radial_brackets(rank: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """
     two_d = 2 * rank
     log_2d, log_sphere = _log_spheres(rank, n_max)
-    steps = 2 if two_d & (two_d - 1) == 0 else 3
+    n = np.arange(n_max + 1, dtype=float)
+    g = _gamma((2 if two_d & (two_d - 1) == 0 else 3) * n)
+    cap = n * log_2d
+    extra = (n + 2) ** 2 * (cap + 700) * 2.0 ** -998
     lo, hi = np.empty(n_max + 1), np.empty(n_max + 1)
     for n0, slices in _radial_batches(rank, n_max):
         q = np.concatenate(slices)
         q[q < _TINY] = 0.0
         log_s = np.concatenate([log_sphere[n % 2:n + 1:2]
                                 for n in range(n0, n0 + len(slices))])
-        starts = np.cumsum([0] + [len(x) for x in slices[:-1]])
-        n = np.arange(n0, n0 + len(slices), dtype=float)
-        g = _gamma(steps * n)
-        cap = n * log_2d
-        extra = (n + 2) ** 2 * (cap + 700) * 2.0 ** -998
-        lo[n0:n0 + len(slices)], hi[n0:n0 + len(slices)] = _entropy_ends(
-            q, log_s, starts, g, cap, extra)
+        sizes = np.array([len(x) for x in slices])
+        b = slice(n0, n0 + len(slices))
+        lo[b], hi[b] = _entropy_ends(q, log_s, sizes, g[b], cap[b], extra[b])
     return lo, hi
 
 

@@ -69,6 +69,8 @@ def test_constructor_drops_zero_weights_and_refuses_negative_ones():
     assert walks.entropy_ladder(mu, 3).values == [0.0] * 4
     with pytest.raises(MeasureError, match="negative weight"):
         FiniteMeasure(Z, {(0,): F(-1, 2), (1,): F(3, 2)})
+    with pytest.raises(MeasureError, match="nonempty support"):
+        FiniteMeasure(Z, {(0,): F(0)})
 
 
 def test_weights_must_sum_to_one_in_float_mode():
