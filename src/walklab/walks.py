@@ -446,11 +446,10 @@ def _radial_brackets(rank: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     ``q^_k < sqrt(2)``; ``L_k >= log 2d >= log 2`` for ``k >= 1``, and
     ``q^_0`` is 1 at ``n = 0`` and below ``(1 + g_n) / 2d + 2^-1000 < 1``
     later, since distance 0 is entered from 1 with probability ``1/2d``.
-    Where ``q^_k >= 2^-1000``,
-    ``|f'| <= n log 2d + 695`` on the segment ``eps_k`` spans; the entries
-    left out have ``q_k < 2^-999`` and ``f(q_k) <= 2^-999 (n log 2d +
-    693)``.  Both underflow parts lie below ``extra_n = (n + 2)^2 (n log 2d
-    + 700) 2^-998``.
+    Where ``q^_k >= 2^-1000``, ``|f'| <= n log 2d + 695`` on the segment
+    ``eps_k`` spans; the entries left out have ``q_k < 2^-999`` and
+    ``f(q_k) <= 2^-999 (n log 2d + 693)``.  Both underflow parts lie below
+    ``extra_n = (n + 2)^2 (n log 2d + 700) 2^-998``.
     """
     two_d = 2 * rank
     log_2d, log_sphere = _log_spheres(rank, n_max)
