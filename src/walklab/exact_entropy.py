@@ -5,8 +5,9 @@ The entropy of a finitely supported rational distribution is a finite sum
 (natural logarithm).  :class:`LogLinear` stores that form so that entropy
 identities can be decided without rounding:
 
-* equality with zero reduces to an integer-factorisation argument (logs of
-  distinct primes are linearly independent over the rationals);
+* equality with zero is decided on a coprime base of the log arguments,
+  built with gcds alone (logs of pairwise coprime integers above 1 are
+  linearly independent over the rationals);
 * the sign of a nonzero form is read off an outward-rounded ``Bracket``
   (``walklab.intervals``) of its terms, each log(m) bracketed by ``_log_at``.
   A form may carry a bracket of its value as its enclosure: one its maker
@@ -22,7 +23,9 @@ identities can be decided without rounding:
   combination with one, has no coefficients to fall back on: its sign is
   decided only by an enclosure that excludes 0, else ``ArithmeticError``.
 
-Factoring only ever runs on candidate ties, whose integers are desk scale.
+The zero test runs only on candidate ties; it factors nothing, so it ends
+on arguments of any size.  ``factorize`` stays for perfbench, whose tracer
+and cache check name it and ``_FACTOR_CACHE``.
 """
 
 from __future__ import annotations
@@ -215,12 +218,25 @@ class LogLinear:
         raise ArithmeticError(f"sign undecided for {self!r}")
 
     def is_zero(self) -> bool:
-        """Exact zero test via factorisation of the log arguments."""
+        """Exact zero test on a coprime base of the log arguments.
+
+        Each argument is a product of powers of the pairwise coprime
+        integers :func:`coprime_base` returns, and logs of pairwise coprime
+        integers above 1 are linearly independent over the rationals (no
+        prime divides two of them), so the form is zero exactly when its
+        coefficient on each base element vanishes.
+        """
+        coeffs = self._coefficients()
         acc: dict[int, Fraction] = {}
-        for m, c in self._coefficients().items():
-            for p, e in factorize(m).items():
-                acc[p] = acc.get(p, Fraction(0)) + e * c
-        return all(c == 0 for c in acc.values())
+        for b in coprime_base(coeffs):
+            for m, c in coeffs.items():
+                e = 0
+                while m % b == 0:
+                    m //= b
+                    e += 1
+                if e:
+                    acc[b] = acc.get(b, 0) + e * c
+        return not any(acc.values())
 
 
 def entropy_form(weights: Iterable[Fraction] | Iterable[int],
@@ -253,6 +269,36 @@ def entropy_form(weights: Iterable[Fraction] | Iterable[int],
             sums[r] = sums.get(r, 0) - mass
     return LogLinear._of({m: Fraction(c, denom) for m, c in sums.items()},
                          None, False)
+
+
+def coprime_base(ms: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers above 1 of which each of the positive
+    integers ``ms`` is a product of powers, found with gcds alone (Bach,
+    Driscoll & Shallit, J. Algorithms 15 (1993); Bernstein, J. Algorithms
+    54 (2005)).
+
+    Each integer joins the base in turn: where it shares a factor ``g > 1``
+    with a base element ``b``, ``b`` leaves and ``g``, ``b / g`` and the
+    integer over ``g`` join in its place.  Every split divides the product
+    of all pending and base integers by ``g``, so the refinement ends, and
+    each integer seen stays a product of the integers that replace it.
+    """
+    base: list[int] = []
+    for m in ms:
+        pending = [m]
+        while pending:
+            x = pending.pop()
+            if x == 1:
+                continue
+            for i, b in enumerate(base):
+                g = gcd(x, b)
+                if g > 1:
+                    del base[i]
+                    pending += (g, b // g, x // g)
+                    break
+            else:
+                base.append(x)
+    return base
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,19 @@ _LADDER_CACHE: dict[tuple[str, int], EntropyLadder] = {}
 _LADDER_LAWS: dict[tuple[str, int], tuple[dict, int, EntropyLadder]] = {}
 
 
+def _stale(key: tuple[str, int], law: dict, cap: int) -> bool:
+    """Whether the cache lacks a ladder for ``key`` built from ``law``
+    under ``cap``."""
+    found = _LADDER_CACHE.get(key)
+    return found is None or _LADDER_LAWS.get(key) != (law, cap, found)
+
+
+def _store(key: tuple[str, int], law: dict, cap: int,
+           ladder: EntropyLadder) -> None:
+    _LADDER_CACHE[key] = ladder
+    _LADDER_LAWS[key] = (law, cap, ladder)
+
+
 def cached_exact_ladder(mu: FiniteMeasure, n_max: int, label: str,
                         cap: int) -> EntropyLadder:
     """Exact ladders are the dominant cost; reuse them across experiments
@@ -206,12 +219,28 @@ def cached_exact_ladder(mu: FiniteMeasure, n_max: int, label: str,
     still raise its ``SupportCapError``."""
     key = (label, n_max)
     law = dict(mu.atoms())
-    found = _LADDER_CACHE.get(key)
-    if found is None or _LADDER_LAWS.get(key) != (law, cap, found):
-        found = walks.entropy_ladder(mu, n_max, cap=cap, label=label)
-        _LADDER_CACHE[key] = found
-        _LADDER_LAWS[key] = (law, cap, found)
-    return found
+    if _stale(key, law, cap):
+        _store(key, law, cap,
+               walks.entropy_ladder(mu, n_max, cap=cap, label=label))
+    return _LADDER_CACHE[key]
+
+
+def _cache_exact_ladders(laws: list[tuple[str, FiniteMeasure]], n_max: int,
+                         cap: int) -> None:
+    """Put in the cache every ``(label, law)`` ladder that
+    :func:`cached_exact_ladder` would build, building the missing ones as
+    families (:func:`walks.entropy_ladders`)."""
+    missing = []
+    for label, mu in laws:
+        law = dict(mu.atoms())
+        if _stale((label, n_max), law, cap):
+            missing.append((label, mu, law))
+    if not missing:
+        return
+    ladders = walks.entropy_ladders([mu for _, mu, _ in missing], n_max, cap,
+                                    [label for label, _, _ in missing])
+    for (label, _, law), ladder in zip(missing, ladders):
+        _store((label, n_max), law, cap, ladder)
 
 
 def _grid_seed(seed: int, index: int) -> int:
@@ -253,6 +282,7 @@ def _family_rows(cfg: ExperimentConfig,
     and the summary of the law's cached exact ladder.  Returns the rows
     and the estimates."""
     cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
+    _cache_exact_ladders([(label, mu) for _, label, _, mu in laws], n_max, cap)
     rows, estimates = [], []
     for idx, (grid, label, text, mu) in enumerate(laws):
         est = estimate(mu, _grid_seed(cfg.seed, seed_base + idx))
@@ -626,21 +656,24 @@ def _run_e7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     gens = [magnus.magnus_embed((s * i,), 3, 2)
             for i in (1, 2, 3) for s in (1, -1)]
     base_sixth = 1.0 / 6.0
-    mu0 = FiniteMeasure.from_pairs(
-        sdm, [(g, base_sixth) for g in gens], exact=False)
-    ladder0 = walks.entropy_ladder(mu0, n_max, cap=cap, label="s32-uniform")
-    summaries = [ladder0.summary()]
-    tables = []
-    sups = []
-    for eps_denom in (12, 24, 48):
+    eps_denoms = (12, 24, 48)
+    laws = [FiniteMeasure.from_pairs(
+        sdm, [(g, base_sixth) for g in gens], exact=False)]
+    labels = ["s32-uniform"]
+    for eps_denom in eps_denoms:
         eps = 1.0 / eps_denom
         pairs = [(g, base_sixth) for g in gens[2:]]
         pairs.append((gens[0], base_sixth + eps))
         pairs.append((gens[1], base_sixth - eps))
-        mu_eps = FiniteMeasure.from_pairs(sdm, pairs, exact=False)
-        ladder = walks.entropy_ladder(mu_eps, n_max, cap=cap,
-                                      label=f"s32-perturbed(1/{eps_denom})")
-        summaries.append(ladder.summary())
+        laws.append(FiniteMeasure.from_pairs(sdm, pairs, exact=False))
+        labels.append(f"s32-perturbed(1/{eps_denom})")
+    # one family: the laws share their support
+    ladder0, *perturbed = walks.entropy_ladders(laws, n_max, cap, labels)
+    summaries = [ladder.summary() for ladder in (ladder0, *perturbed)]
+    tables = []
+    sups = []
+    for eps_denom, ladder in zip(eps_denoms, perturbed):
+        eps = 1.0 / eps_denom
         gap = [abs(ladder.values[n] - ladder0.values[n])
                for n in range(n_max + 1)]
         tables.append({"epsilon": eps, "ladder_gap": gap,

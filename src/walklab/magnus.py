@@ -70,6 +70,7 @@ def word_to_text(w: FreeWord) -> str:
 # the level embedding
 
 
+@lru_cache(maxsize=None)
 def sdm_spec(rank: int, length: int) -> FreeSolvable:
     return FreeSolvable(rank, length)
 
@@ -99,15 +100,16 @@ def _units(rank: int) -> Mapping[int, tuple[int, ...]]:
 
 def _prefix_counts(w: FreeWord, rank: int) -> list[tuple[int, ...]]:
     """Level-1 images of every prefix of a word: its letter-count vectors."""
-    units = _units(rank)
-    vec = (0,) * rank
-    counts = [vec]
+    vec = [0] * rank
+    counts = [tuple(vec)]
     for letter in w:
-        unit = units.get(letter)
-        if unit is None:
+        if 0 < letter <= rank:
+            vec[letter - 1] += 1
+        elif 0 < -letter <= rank:
+            vec[-letter - 1] -= 1
+        else:
             raise WordError(f"letter {letter} out of range for rank {rank}")
-        vec = tuple(map(add, vec, unit))
-        counts.append(vec)
+        counts.append(tuple(vec))
     return counts
 
 

@@ -7,7 +7,8 @@ denominators with no gcd: the n-th convolution power of a law whose
 weights have lcm denominator D is kept over D^n.  Weights leave the class as reduced
 :class:`fractions.Fraction` values, and entropies are read straight off the
 numerators.  Convolution walks the support product and enforces a hard
-support cap.
+support cap.  ``convolve_family`` convolves several laws whose supports are
+the same set through one table of products, so each product is taken once.
 
 ``FiniteMeasure.from_pairs`` with ``exact`` false builds a measure with
 binary64 weights instead.  Such a measure is only constructed, convolved
@@ -227,6 +228,77 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
                         f"convolution support exceeded cap {cap}")
     return FiniteMeasure._over(
         spec, out, None if mu.denom is None else mu.denom * nu.denom)
+
+
+def convolve_family(mus: list[FiniteMeasure], nus: list[FiniteMeasure],
+                    cap: int = DEFAULT_SUPPORT_CAP) -> list[FiniteMeasure]:
+    """``[convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]`` for pairs
+    that share a spec, a weight mode and, as sets, the support of ``mu``
+    and that of ``nu``: every product then recurs in every pair.
+
+    The first pair walks its atoms as :func:`convolve` does and keeps, per
+    ``(atom, step atom)``, the index of the product among its distinct
+    products.  Every other pair sums its own weights over those indices in
+    its own atom order, with no multiply, so each result equals its own
+    ``convolve`` in atoms, their order, weights and denominator.  A family
+    of one is plain :func:`convolve`.
+    """
+    mu0, nu0 = mus[0], nus[0]
+    if len(mus) == 1:
+        return [convolve(mu0, nu0, cap)]
+    for mu, nu in zip(mus, nus, strict=True):
+        _check_same(mu0, mu)
+        _check_same(mu, nu)
+    spec = mu0.spec
+    multiply = groups.multiply
+    index: dict[GroupElement, int] = {}
+    prods: list[GroupElement] = []
+    weights: list[Any] = []
+    rows: dict[GroupElement, list[int]] = {}
+    steps = list(nu0._atoms.items())
+    for g, wg in mu0._atoms.items():
+        row = rows[g] = []
+        for h, wh in steps:
+            prod = multiply(spec, g, h)
+            i = index.get(prod)
+            if i is not None:
+                weights[i] += wg * wh
+            else:
+                i = index[prod] = len(prods)
+                prods.append(prod)
+                weights.append(wg * wh)
+                if i >= cap:
+                    raise SupportCapError(
+                        f"convolution support exceeded cap {cap}")
+            row.append(i)
+    out = [FiniteMeasure._over(spec, dict(zip(prods, weights)),
+                               None if mu0.denom is None
+                               else mu0.denom * nu0.denom)]
+    column = {h: k for k, h in enumerate(nu0._atoms)}
+    for mu, nu in zip(mus[1:], nus[1:]):
+        if len(mu) != len(rows) or len(nu) != len(column):
+            raise MeasureError("family members differ in support")
+        try:
+            order = [column[h] for h in nu._atoms]
+            atoms = [(rows[g], wg) for g, wg in mu._atoms.items()]
+        except KeyError as exc:
+            raise MeasureError("family members differ in support") from exc
+        if order == sorted(order):   # the first pair's step order
+            order = None
+        step_weights = list(nu._atoms.values())
+        acc: dict[int, Any] = {}
+        get = acc.get
+        for row, wg in atoms:
+            if order is not None:
+                row = [row[k] for k in order]
+            for i, wh in zip(row, step_weights):
+                w = wg * wh
+                cur = get(i)
+                acc[i] = w if cur is None else cur + w
+        out.append(FiniteMeasure._over(
+            spec, {prods[i]: w for i, w in acc.items()},
+            None if mu.denom is None else mu.denom * nu.denom))
+    return out
 
 
 def convolution_power(mu: FiniteMeasure, n: int,

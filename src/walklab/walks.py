@@ -5,7 +5,9 @@ with the ratios ``H_n / n`` and increments ``d_n = H_{n+1} - H_n``.  In
 rational mode every ladder value is carried as an exact log-linear form, so
 the ladder invariants (subadditivity, nonincreasing increments, and
 ``d_n <= H_n / n``) are decided exactly; the float ladders of perturbed step
-laws (E7) are checked to the slack ``FLOAT_SLACK``.  Each invariant is
+laws (E7) are checked to the slack ``FLOAT_SLACK``.  ``entropy_ladders``
+builds the ladders of laws that share a support together, one power at a
+time, multiplying each pair of atoms once for all of them.  Each invariant is
 written once, as an expression over ``H_0 .. H_n`` that serves both modes.
 The float radial ladder of the free group carries outward-rounded binary64
 ends around each value instead, from which its checks are decided.  One
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product as iter_product
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 from mpmath.libmp import from_float, to_float
@@ -170,40 +172,78 @@ def csv_row(row: dict[str, Any]) -> str:
 def entropy_ladder(mu: FiniteMeasure, n_max: int,
                    cap: int = measures.DEFAULT_SUPPORT_CAP,
                    label: str | None = None) -> EntropyLadder:
-    """Ladder of ``mu`` up to ``n_max`` convolution powers.
+    """Ladder of ``mu`` up to ``n_max`` convolution powers: the family of
+    one of :func:`entropy_ladders`."""
+    return entropy_ladders([mu], n_max, cap, [label])[0]
 
-    Each exact power's form is enclosed from its binary64 weights ``a / D``
-    (:func:`_weight_bracket`; int true division rounds correctly) when
-    ``mu`` has mass at most 1, as every power then has.  If the support cap
-    is hit, the cap error propagates annotated with the largest completed
-    power.
+
+def entropy_ladders(laws: Sequence[FiniteMeasure], n_max: int,
+                    cap: int = measures.DEFAULT_SUPPORT_CAP,
+                    labels: Sequence[str | None] | None = None
+                    ) -> list[EntropyLadder]:
+    """Ladders of ``laws`` up to ``n_max`` convolution powers, in order,
+    each equal to its law's own ladder.
+
+    Laws on one spec, in one weight mode and with one support set form a
+    family, whose powers share their support: the family's ladders are
+    built in lockstep, one power at a time, by
+    :func:`measures.convolve_family`, which multiplies each pair of atoms
+    once for the whole family.  Each exact power's form is enclosed from its
+    binary64 weights ``a / D`` (:func:`_weight_brackets`; int true division
+    rounds correctly) when its law has mass at most 1, as every power then
+    has.  If the support cap is hit, the cap error propagates annotated with
+    the largest completed power, which is the same for every member of the
+    family.
     """
     if n_max < 1:
         raise MeasureError("n_max must be >= 1")
-    label = label or f"ladder({len(mu)} atoms)"
-    values = [0.0]
-    forms: list[LogLinear] | None = [LogLinear.zero()] if mu.exact else None
-    enclose = mu.exact and sum(mu._atoms.values()) <= mu.denom
-    cur = mu
+    labels = list(labels or [None] * len(laws))
+    families: dict[tuple, list[int]] = {}
+    for i, mu in enumerate(laws):
+        key = (mu.spec, mu.exact, frozenset(mu._atoms))
+        families.setdefault(key, []).append(i)
+    built: dict[int, EntropyLadder] = {}
+    for members in families.values():
+        rows = _family_ladders([laws[i] for i in members], n_max, cap)
+        for i, (values, forms) in zip(members, rows):
+            label = labels[i] or f"ladder({len(laws[i])} atoms)"
+            built[i] = EntropyLadder(label, values, forms)
+    return [built[i] for i in range(len(laws))]
+
+
+def _family_ladders(family: list[FiniteMeasure], n_max: int, cap: int
+                    ) -> list[tuple[list[float], list[LogLinear] | None]]:
+    """Values and, for exact laws, enclosed forms of the ladders of a
+    family of :func:`entropy_ladders`."""
+    exact = family[0].exact
+    values: list[list[float]] = [[0.0] for _ in family]
+    forms: list[list[LogLinear]] = [[LogLinear.zero()] for _ in family]
+    enclosed = [exact and sum(mu._atoms.values()) <= mu.denom
+                for mu in family]
+    powers = family
     for n in range(1, n_max + 1):
         if n > 1:
             try:
-                cur = measures.convolve(cur, mu, cap)
+                powers = measures.convolve_family(powers, family, cap)
             except SupportCapError as exc:
                 raise SupportCapError(f"{exc} (largest completed power {n - 1})",
                                       completed=n - 1) from exc
-        values.append(measures.entropy(cur))
-        if forms is not None:
-            form = measures.exact_entropy(cur)
+        for vals, cur in zip(values, powers):
+            vals.append(measures.entropy(cur))
+        if not exact:
+            continue
+        new = [measures.exact_entropy(cur) for cur in powers]
+        weights = [np.fromiter((a / cur.denom for a in cur._atoms.values()),
+                               float, len(cur))
+                   for cur, enclose in zip(powers, enclosed) if enclose]
+        # H <= log N + 1/e for mass at most 1 over N atoms
+        brackets = iter(_weight_brackets(
+            weights, [len(q).bit_length() + 1 for q in weights]))
+        for fs, form, enclose in zip(forms, new, enclosed):
             if enclose:
-                denom = cur.denom
-                q = np.fromiter((a / denom for a in cur._atoms.values()),
-                                float, len(cur))
-                # H <= log N + 1/e for mass at most 1 over N atoms
-                form.enclosure = _weight_bracket(q, 0.0,
-                                                 len(q).bit_length() + 1)
-            forms.append(form)
-    return EntropyLadder(label, values, forms)
+                form.enclosure = next(brackets)
+            fs.append(form)
+    return [(vals, fs if exact else None) for vals, fs in zip(values, forms)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +326,8 @@ def free_group_srw_ladder(rank: int, n_max: int,
         form = LogLinear._of(coeffs, None, False)
         # the positive entries, each rounded once from its Fraction
         q = np.array(dist[n % 2::2].tolist(), dtype=float)
-        form.enclosure = _weight_bracket(q, log_sphere[n % 2:n + 1:2],
-                                         n * log_2d)
+        form.enclosure, = _weight_brackets([q], [n * log_2d],
+                                           [log_sphere[n % 2:n + 1:2]])
         forms.append(form)
         values.append(form.to_float())
     return EntropyLadder(label, values, forms)
@@ -396,21 +436,32 @@ def _entropy_ends(q: np.ndarray, log_s, sizes, g, cap,
     return np.nextafter(sums - rad, -np.inf), np.nextafter(sums + rad, np.inf)
 
 
-def _weight_bracket(q: np.ndarray, log_s, cap) -> Bracket | None:
-    """The bracket of ``H = sum_k q_k (L_k - log q_k)`` from the binary64
-    weights ``q^_k``, each the correct rounding of its exact ``q_k``, with
-    ``sum q_k <= 1`` and ``H <= cap``; None if a weight lies below
-    ``2^-1000``.
+def _weight_brackets(qs: list[np.ndarray], caps: list,
+                     log_s: list | None = None) -> list[Bracket | None]:
+    """Per weight vector ``q^``, the bracket of ``H = sum_k q_k (L_k - log
+    q_k)`` with ``L = 0`` or the matching entry of ``log_s``, from the
+    binary64 weights ``q^_k``, each the correct rounding of its exact
+    ``q_k``, with ``sum q_k <= 1`` and ``H <= cap``; None if a weight lies
+    below ``2^-1000``.  The vectors kept are enclosed in one segmented call
+    of :func:`_entropy_ends`.
 
     Every ``q^_k`` is then a normal number, so ``|theta_k| <= u <=
     gamma_1``; ``q_k <= 1`` rounds to ``q^_k <= 1``, and ``L_k >= 0`` makes
     ``f >= 0`` on ``[0, 1]``: with ``log_s`` (``L_k``) within ``gamma_4``,
     the facts :func:`_entropy_ends` asks for.
     """
-    if q.min() < _TINY:
-        return None
-    lo, hi = _entropy_ends(q, log_s, len(q), _gamma(1), cap)
-    return Bracket(from_float(lo[0]), from_float(hi[0]))
+    kept = [i for i, q in enumerate(qs) if q.min() >= _TINY]
+    out: list[Bracket | None] = [None] * len(qs)
+    if not kept:
+        return out
+    lo, hi = _entropy_ends(
+        np.concatenate([qs[i] for i in kept]),
+        0.0 if log_s is None else np.concatenate([log_s[i] for i in kept]),
+        np.array([len(qs[i]) for i in kept]), _gamma(1),
+        np.array([caps[i] for i in kept], dtype=float))
+    for i, a, b in zip(kept, lo.tolist(), hi.tolist()):
+        out[i] = Bracket(from_float(a), from_float(b))
+    return out
 
 
 def _radial_batches(rank: int, n_max: int) -> Iterator[tuple[int, list]]:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.exact_entropy import LogLinear, entropy_form, factorize
+from walklab.exact_entropy import (LogLinear, coprime_base, entropy_form,
+                                  factorize)
 
 F = Fraction
 
@@ -238,6 +242,86 @@ def test_entropy_form_matches_float_entropy():
     weights = [F(3, 8), F(1, 8), F(1, 4), F(1, 4)]
     direct = -sum(float(w) * math.log(float(w)) for w in weights)
     assert abs(entropy_form(weights).to_float() - direct) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the zero test on a coprime base
+
+
+def _factorised_is_zero(form):
+    """The zero test as it stood on prime factorisations."""
+    acc = {}
+    for m, c in form.coeffs.items():
+        for p, e in factorize(m).items():
+            acc[p] = acc.get(p, Fraction(0)) + e * c
+    return all(c == 0 for c in acc.values())
+
+
+@st.composite
+def tie_prone_forms(draw):
+    """Forms over products of a few primes, often with a rewritten copy of
+    one term subtracted so that the form is exactly zero."""
+    primes = (2, 3, 5, 7, 1_000_003)
+    args = st.builds(
+        lambda es: math.prod(p ** e for p, e in zip(primes, es)),
+        st.lists(st.integers(0, 3), min_size=5, max_size=5))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    form = LogLinear(draw(st.dictionaries(args.filter(lambda m: m > 1),
+                                          coeffs, max_size=5)))
+    if draw(st.booleans()):
+        a, b = draw(args), draw(args)
+        c = draw(coeffs)
+        form = form + LogLinear({a * b: c}) - LogLinear({a: c, b: c})
+    return form
+
+
+@given(tie_prone_forms())
+@settings(max_examples=300)
+def test_coprime_base_zero_test_agrees_with_factorisation(form):
+    assert form.is_zero() == _factorised_is_zero(form)
+
+
+@given(st.lists(st.integers(1, 10 ** 12), max_size=8))
+@settings(max_examples=200)
+def test_coprime_base_is_pairwise_coprime_and_spans_its_inputs(ms):
+    base = coprime_base(ms)
+    assert all(b > 1 for b in base)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base)
+               for b in base[i + 1:])
+    for m in ms:
+        for b in base:
+            while m % b == 0:
+                m //= b
+        assert m == 1
+
+
+def test_zero_test_needs_no_factor_of_huge_arguments():
+    """Neither 2^1001 - 1 nor 2^2002 - 2^1002 + 1 is factored; the form is
+    decided from gcds alone."""
+    big = 2 ** 1001 - 1
+    tie = LogLinear({big ** 2: 1, big: -2})
+    assert tie.is_zero()
+    assert not (tie + LogLinear({big: F(1, 3)})).is_zero()
+
+
+def test_ladder_with_a_weight_below_2_to_the_minus_1000_verifies():
+    """Its enclosures are left unset, so its ties reach the zero test on
+    arguments near 2^1001; the subprocess must finish well inside 60 s."""
+    code = (
+        "from fractions import Fraction\n"
+        "from walklab import walks\n"
+        "from walklab.groups import IntegerLattice\n"
+        "from walklab.measures import FiniteMeasure\n"
+        "tiny = Fraction(1, 2 ** 1001)\n"
+        "mu = FiniteMeasure(IntegerLattice(1),"
+        " {(0,): 1 - tiny, (1,): tiny})\n"
+        "print(all(c.ok for c in walks.entropy_ladder(mu, 2).verify()))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
 
 
 # ---------------------------------------------------------------------------

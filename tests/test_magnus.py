@@ -370,6 +370,22 @@ def test_embedding_validates_letters_and_reaches_the_deepest_level():
     assert is_identity((2, -2), 2, groups.MAX_NESTING)
 
 
+def test_prefix_counts_refuse_letter_zero_and_out_of_range_letters():
+    for level in (1, 2, 3):
+        for w in ((0,), (1, 0), (4,), (-4,), (2, -4, 1)):
+            for scan in (magnus_embed, is_identity, capped_embed):
+                with pytest.raises(WordError, match="out of range"):
+                    scan(w, 3, level)
+
+
+def test_sdm_spec_is_built_once_per_rank_and_length():
+    assert sdm_spec(3, 2) is sdm_spec(3, 2)
+    assert sdm_spec(3, 2) == groups.FreeSolvable(3, 2)
+    assert sdm_spec(3, 3) != sdm_spec(3, 2)
+    with pytest.raises(groups.GroupError):
+        sdm_spec(0, 2)
+
+
 def test_matrix_oracle_on_the_commutator():
     assert matrix_embed(COMM, 2, 2).as_wreath() == magnus_embed(COMM, 2, 2)
 

@@ -504,3 +504,76 @@ def test_exact_powers_match_the_fraction_loop(mu, cap):
         walks.entropy_ladder(mu, n_max, cap=cap)
     assert info.value.completed == over[0] - 1
     assert f"(largest completed power {over[0] - 1})" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# families: laws that share a support, convolved through one product table
+
+
+def _family_supports():
+    """Supports on Z^2, C2 wr Dinf and S(3, 2)."""
+    from walklab import magnus
+    lamplighter = measures.lamplighter_family(F(3, 4), 2).support()
+    s32 = [magnus.magnus_embed((s * i,), 3, 2) for i in (1, 2, 3)
+           for s in (1, -1)]
+    return {
+        "Z2": (IntegerLattice(2),
+               [(x, y) for x in range(-1, 2) for y in range(-1, 2)]),
+        "C2 wr Dinf": (WREATH_DINF, lamplighter),
+        "S(3,2)": (magnus.sdm_spec(3, 2), s32),
+    }
+
+
+@st.composite
+def law_families(draw):
+    """Two to four laws on one support, each with its own atom order and
+    weights, all exact or all float."""
+    spec, sites = _family_supports()[draw(st.sampled_from(
+        ["Z2", "C2 wr Dinf", "S(3,2)"]))]
+    support = draw(st.lists(st.sampled_from(sites), min_size=1,
+                            max_size=min(len(sites), 5), unique=True))
+    exact = draw(st.booleans())
+    laws = []
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.permutations(support))
+        raw = draw(st.lists(st.integers(1, 9), min_size=len(order),
+                            max_size=len(order)))
+        total = sum(raw)
+        weights = [F(r, total) if exact else r / total for r in raw]
+        laws.append(FiniteMeasure.from_pairs(spec, zip(order, weights),
+                                             exact=exact))
+    return laws
+
+
+@given(law_families())
+@settings(max_examples=40, deadline=None)
+def test_family_powers_equal_each_members_own_convolution(laws):
+    """Atoms in order, weights bit for bit, and the denominator."""
+    powers = own = laws
+    for _ in range(3):
+        powers = measures.convolve_family(powers, laws)
+        own = [convolve(p, mu) for p, mu in zip(own, laws)]
+        for got, ref in zip(powers, own):
+            assert list(got._atoms.items()) == list(ref._atoms.items())
+            assert got.denom == ref.denom
+
+
+def test_family_members_must_share_their_support():
+    a = uniform_measure(Z, [(1,), (-1,)])
+    b = uniform_measure(Z, [(1,), (2,)])
+    c = uniform_measure(Z, [(1,), (-1,), (2,)])
+    for other in (b, c):
+        with pytest.raises(MeasureError, match="support"):
+            measures.convolve_family([a, other], [a, other])
+    floats = FiniteMeasure.from_pairs(Z, [((1,), 0.5), ((-1,), 0.5)],
+                                      exact=False)
+    with pytest.raises(MeasureError, match="weight-mode"):
+        measures.convolve_family([a, floats], [a, floats])
+
+
+def test_family_convolution_keeps_the_support_cap():
+    laws = [uniform_measure(Z, [(1,), (-1,)]), mix(
+        uniform_measure(Z, [(1,), (-1,)]), point_mass(Z, (1,)), F(1, 3))]
+    assert [len(p) for p in measures.convolve_family(laws, laws, cap=3)] == [3, 3]
+    with pytest.raises(measures.SupportCapError):
+        measures.convolve_family(laws, laws, cap=2)

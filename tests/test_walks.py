@@ -185,6 +185,78 @@ def test_ladder_truncation_annotates_cap():
     assert f"largest completed power {info.value.completed}" in str(info.value)
 
 
+@st.composite
+def mixed_families(draw):
+    """Laws on Z^2 over one or two supports, all exact or all float, each
+    with its own atom order and weights."""
+    sites = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
+    exact = draw(st.booleans())
+    laws = []
+    for _ in range(draw(st.integers(1, 2))):
+        support = draw(st.lists(st.sampled_from(sites), min_size=1,
+                                max_size=4, unique=True))
+        for _ in range(draw(st.integers(1, 3))):
+            order = draw(st.permutations(support))
+            raw = draw(st.lists(st.integers(1, 9), min_size=len(order),
+                                max_size=len(order)))
+            weights = [F(r, sum(raw)) if exact else r / sum(raw) for r in raw]
+            laws.append(FiniteMeasure.from_pairs(
+                IntegerLattice(2), zip(order, weights), exact=exact))
+    return draw(st.permutations(laws))
+
+
+@given(mixed_families())
+@settings(max_examples=30, deadline=None)
+def test_family_ladders_equal_each_laws_own_ladder(laws):
+    """Values bit for bit; forms and their enclosures equal."""
+    ladders = walks.entropy_ladders(laws, 4, labels=[f"law {i}"
+                                                     for i in range(len(laws))])
+    for i, (mu, ladder) in enumerate(zip(laws, ladders)):
+        own = entropy_ladder(mu, 4, label=f"law {i}")
+        assert ladder.label == own.label
+        assert ladder.values == own.values
+        if own.forms is None:
+            assert ladder.forms is None
+            continue
+        assert [f.coeffs for f in ladder.forms] == [f.coeffs for f in own.forms]
+        assert ([f.enclosure for f in ladder.forms]
+                == [f.enclosure for f in own.forms])
+
+
+def test_laws_with_different_supports_form_separate_families(monkeypatch):
+    sizes = []
+    convolve_family = measures.convolve_family
+
+    def recorded(mus, nus, cap):
+        sizes.append(len(mus))
+        return convolve_family(mus, nus, cap)
+
+    monkeypatch.setattr(measures, "convolve_family", recorded)
+    a = uniform_pm1()
+    b = FiniteMeasure.from_pairs(Z, [((1,), F(1, 3)), ((-1,), F(2, 3))])
+    c = uniform_measure(Z, [(1,), (-2,)])
+    ladders = walks.entropy_ladders([a, c, b], 3)
+    assert sorted(sizes) == [1, 1, 2, 2]
+    assert ([ladder.values for ladder in ladders]
+            == [entropy_ladder(mu, 3).values for mu in (a, c, b)])
+
+
+def test_family_truncation_annotates_every_member():
+    z2 = IntegerLattice(2)
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    laws = [uniform_measure(z2, steps),
+            FiniteMeasure.from_pairs(z2, zip(steps[::-1], [F(1, 8), F(1, 8),
+                                                           F(1, 4), F(1, 2)]))]
+    with pytest.raises(measures.SupportCapError) as info:
+        walks.entropy_ladders(laws, 8, cap=20)
+    completed = info.value.completed
+    assert f"largest completed power {completed}" in str(info.value)
+    for mu in laws:
+        with pytest.raises(measures.SupportCapError) as own:
+            entropy_ladder(mu, 8, cap=20)
+        assert own.value.completed == completed
+
+
 def test_ladder_rows_and_ratios():
     ladder = entropy_ladder(uniform_pm1(), 3)
     rows = ladder.to_rows()
