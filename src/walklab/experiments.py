@@ -279,8 +279,8 @@ def _family_rows(cfg: ExperimentConfig,
                  seed_base: int = 0) -> tuple[list[dict], list]:
     """One row per ``(grid, ladder label, measure text, law)``: the escape
     record of ``estimate(law, grid seed)``, its checkpoints when sampled,
-    and the summary of the law's cached exact ladder.  Returns the rows
-    and the estimates."""
+    and the summary of the law's cached exact ladder, the missing ladders
+    being built first as families.  Returns the rows and the estimates."""
     cap = cfg.cap or measures.DEFAULT_SUPPORT_CAP
     _cache_exact_ladders([(label, mu) for _, label, _, mu in laws], n_max, cap)
     rows, estimates = [], []
