@@ -196,6 +196,16 @@ def _horner(coeffs: list[int], z: Fraction) -> Fraction:
     return value
 
 
+def _dyadic_horner(coeffs: list[int], num: int, k: int) -> int:
+    """``P(num / 2^k) 2^(k deg P)``: the sign of P at a dyadic point, in
+    integers."""
+    value, shift = 0, 0
+    for c in reversed(coeffs):
+        value = value * num + (c << shift)
+        shift += k
+    return value
+
+
 def _derivative(coeffs: list[int]) -> list[int]:
     return [j * c for j, c in enumerate(coeffs)][1:]
 
@@ -227,15 +237,17 @@ def _step_root(mu: FiniteMeasure
         coeffs[x + 1] -= a
     slope = _derivative(coeffs)
     bend = -sum(_derivative(slope))  # -P''(1), the most -P'' reaches
-    # with no step against the drift, P(0) = 0: z_1 = 0
-    lo, hi, n = Fraction(0), Fraction(1 if coeffs[0] else 0), 0
-    while ((hi - lo) * bend > _ROOT_WIDTH * den
-           or _horner(slope, hi) <= 0):
-        mid, n = (lo + hi) / 2, n + 1
-        sign = _horner(coeffs, mid)
+    # the bracket is [lo, hi] / 2^n; with no step against the drift,
+    # P(0) = 0: z_1 = 0
+    lo, hi, n = 0, 1 if coeffs[0] else 0, 0
+    width_num, width_den = _ROOT_WIDTH.numerator, _ROOT_WIDTH.denominator
+    while ((hi - lo) * bend * width_den > (width_num * den) << n
+           or _dyadic_horner(slope, hi, n) <= 0):
+        mid, lo, hi, n = lo + hi, 2 * lo, 2 * hi, n + 1
+        sign = _dyadic_horner(coeffs, mid, n)
         lo = mid if sign <= 0 else lo
         hi = mid if sign >= 0 else hi
-    return den, slope, lo, hi, n
+    return den, slope, Fraction(lo, 1 << n), Fraction(hi, 1 << n), n
 
 
 def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:

@@ -3,7 +3,9 @@
 Every group is described by a small immutable spec value; elements are plain
 hashable Python values (ints and nested tuples), so equality of elements is
 structural equality of canonical forms.  All operations are pure functions
-dispatching on the spec.
+dispatching on the spec.  Each spec builds its product once, as a function
+of two elements made from its parts' products (:func:`multiply` looks it up
+and calls it), so a nested product never dispatches again.
 
 Conventions the rest of the package relies on:
 
@@ -36,12 +38,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 from random import Random
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 GroupElement = Any
+Product = Callable[[GroupElement, GroupElement], GroupElement]
 
 
 #: Deepest nesting of specs and words read from text, and the largest derived
@@ -67,6 +70,10 @@ class IntegerLattice:
         if self.dim < 1:
             raise GroupError(f"lattice dimension must be >= 1, got {self.dim}")
 
+    @cached_property
+    def _product(self) -> Product:
+        return lattice_add(self.dim)
+
 
 @dataclass(frozen=True)
 class Cyclic:
@@ -77,6 +84,11 @@ class Cyclic:
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise GroupError(f"cyclic modulus must be >= 2, got {self.modulus}")
+
+    @cached_property
+    def _product(self) -> Product:
+        q = self.modulus
+        return lambda g, h: (g + h) % q
 
 
 @dataclass(frozen=True)
@@ -89,21 +101,38 @@ class FreeGroup:
         if self.rank < 1:
             raise GroupError(f"free rank must be >= 1, got {self.rank}")
 
+    @cached_property
+    def _product(self) -> Product:
+        return concat_words
+
 
 @dataclass(frozen=True)
 class Dihedral:
     """The infinite dihedral group, generated by two involutions a, b."""
+
+    @cached_property
+    def _product(self) -> Product:
+        return _dihedral_product
 
 
 @dataclass(frozen=True)
 class BaumslagSolitar:
     """The soluble Baumslag-Solitar group with relation b a b^-1 = a^-1."""
 
+    @cached_property
+    def _product(self) -> Product:
+        return _bs11_product
+
 
 @dataclass(frozen=True)
 class DirectProduct:
     left: "GroupSpec"
     right: "GroupSpec"
+
+    @cached_property
+    def _product(self) -> Product:
+        left, right = self.left._product, self.right._product
+        return lambda g, h: (left(g[0], h[0]), right(g[1], h[1]))
 
 
 @dataclass(frozen=True)
@@ -112,6 +141,11 @@ class Wreath:
 
     lamp: "GroupSpec"
     base: "GroupSpec"
+
+    @cached_property
+    def _product(self) -> Product:
+        return _wreath_product(self.lamp._product, identity(self.lamp),
+                               self.base._product)
 
 
 @dataclass(frozen=True)
@@ -127,6 +161,10 @@ class FreeSolvable:
         if not 1 <= self.length <= MAX_NESTING:
             raise GroupError(f"derived length must lie in 1..{MAX_NESTING}, "
                              f"got {self.length}")
+
+    @cached_property
+    def _product(self) -> Product:
+        return _lattice_tower(self.rank, self.length)._product
 
 
 GroupSpec = Union[
@@ -179,7 +217,7 @@ def lattice_tower(spec: FreeSolvable) -> GroupSpec:
 @lru_cache(maxsize=None)
 def _lattice_tower(rank: int, length: int) -> GroupSpec:
     # Keyed on ints, not on the spec: the spec's dataclass ``__hash__`` is
-    # Python code, and S(d, m) products look their tower up on every call.
+    # Python code, and S(d, m) inverses look their tower up on every call.
     lattice = IntegerLattice(rank)
     return wreath_tower([lattice] * (length - 1), lattice)
 
@@ -238,52 +276,69 @@ def invert_word(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-letter for letter in reversed(w))
 
 
-def _wreath_multiply(lamp_spec: GroupSpec, base_spec: GroupSpec,
-                     g: GroupElement, h: GroupElement) -> GroupElement:
-    """Product of two wreath elements: each lamp of ``h``, moved by ``g``'s
-    position, is placed into ``g``'s sorted lamp list by bisection."""
-    lamps_g, x = g
-    lamps_h, y = h
-    if not lamps_h:
-        return (lamps_g, multiply(base_spec, x, y))
-    lamps = list(lamps_g)
-    for site, val in lamps_h:
-        moved = multiply(base_spec, x, site)
-        k = bisect_left(lamps, (moved,))   # (moved,) sorts before (moved, v)
-        if k < len(lamps) and lamps[k][0] == moved:
-            prod = multiply(lamp_spec, lamps[k][1], val)
-            if prod == identity(lamp_spec):
-                del lamps[k]
+# ---------------------------------------------------------------------------
+# products
+
+
+@lru_cache(maxsize=None)
+def lattice_add(dim: int) -> Product:
+    """The sum of two Z^dim vectors, written out for dim <= 3."""
+    if dim == 1:
+        return lambda g, h: (g[0] + h[0],)
+    if dim == 2:
+        return lambda g, h: (g[0] + h[0], g[1] + h[1])
+    if dim == 3:
+        return lambda g, h: (g[0] + h[0], g[1] + h[1], g[2] + h[2])
+    return lambda g, h: tuple(map(add, g, h))
+
+
+def _dihedral_product(g: GroupElement, h: GroupElement) -> GroupElement:
+    tg, fg = g
+    th, fh = h
+    return (tg - th if fg else tg + th, fg ^ fh)
+
+
+def _bs11_product(g: GroupElement, h: GroupElement) -> GroupElement:
+    mg, ng = g
+    mh, nh = h
+    return (mg - mh if ng & 1 else mg + mh, ng + nh)
+
+
+def _wreath_product(lamp_mul: Product, lamp_id: GroupElement,
+                    base_mul: Product) -> Product:
+    """The product of a wreath over its lamp's and base's products: each
+    lamp of ``h``, moved by ``g``'s position, is placed into ``g``'s sorted
+    lamp list by bisection."""
+
+    def product(g: GroupElement, h: GroupElement) -> GroupElement:
+        lamps_g, x = g
+        lamps_h, y = h
+        if not lamps_h:
+            return (lamps_g, base_mul(x, y))
+        lamps = list(lamps_g)
+        for site, val in lamps_h:
+            moved = base_mul(x, site)
+            k = bisect_left(lamps, (moved,))   # (moved,) sorts before (moved, v)
+            if k < len(lamps) and lamps[k][0] == moved:
+                prod = lamp_mul(lamps[k][1], val)
+                if prod == lamp_id:
+                    del lamps[k]
+                else:
+                    lamps[k] = (moved, prod)
             else:
-                lamps[k] = (moved, prod)
-        else:
-            lamps.insert(k, (moved, val))
-    return (tuple(lamps), multiply(base_spec, x, y))
+                lamps.insert(k, (moved, val))
+        return (tuple(lamps), base_mul(x, y))
+
+    return product
 
 
 def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
-    t = type(spec)
-    if t is IntegerLattice:
-        return tuple(map(add, g, h))
-    if t is Cyclic:
-        return (g + h) % spec.modulus
-    if t is FreeGroup:
-        return concat_words(g, h)
-    if t is Dihedral:
-        tg, fg = g
-        th, fh = h
-        return (tg - th if fg else tg + th, fg ^ fh)
-    if t is BaumslagSolitar:
-        mg, ng = g
-        mh, nh = h
-        return (mg - mh if ng & 1 else mg + mh, ng + nh)
-    if t is DirectProduct:
-        return (multiply(spec.left, g[0], h[0]), multiply(spec.right, g[1], h[1]))
-    if t is Wreath:
-        return _wreath_multiply(spec.lamp, spec.base, g, h)
-    if t is FreeSolvable:
-        return multiply(_lattice_tower(spec.rank, spec.length), g, h)
-    raise GroupError(f"unknown spec {spec!r}")
+    """The product ``g h``, by the function the spec built once."""
+    try:
+        product = spec._product
+    except AttributeError:
+        raise GroupError(f"unknown spec {spec!r}") from None
+    return product(g, h)
 
 
 def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from operator import add
 from random import Random
 from types import MappingProxyType
 from typing import Mapping
@@ -121,6 +120,8 @@ def _lamp_scan(w: FreeWord, below: list[GroupElement], rank: int,
     sorted by site: each letter updates its site's lamp in place, or
     inserts it at the place ``bisect_left`` finds in the parallel sites."""
     units = _units(rank)
+    plus = groups.lattice_add(rank)
+    zero = (0,) * rank
     sites: list[GroupElement] = []
     lamps: list[tuple[GroupElement, tuple[int, ...]]] = []
     out = [((), below[0])]
@@ -128,8 +129,8 @@ def _lamp_scan(w: FreeWord, below: list[GroupElement], rank: int,
         site = below[j] if letter > 0 else below[j + 1]
         k = bisect_left(sites, site)
         if k < len(sites) and sites[k] == site:
-            vec = tuple(map(add, lamps[k][1], units[letter]))
-            if any(vec):
+            vec = plus(lamps[k][1], units[letter])
+            if vec != zero:
                 lamps[k] = (site, vec)
             else:
                 del sites[k], lamps[k]
@@ -151,31 +152,33 @@ def magnus_embed(w: FreeWord, rank: int, length: int) -> GroupElement:
     return images[-1]
 
 
-def _class_scan(w: FreeWord, rank: int, length: int
-                ) -> tuple[list[GroupElement], list[int]]:
+def _class_scan(w: FreeWord, rank: int, length: int, count_lamps: bool = True
+                ) -> tuple[list[GroupElement], list[int] | None]:
     """The scan of :func:`magnus_embed` on prefix classes: each level's
     prefix images are replaced by integer ids, equal exactly where the
     images are (the empty prefix's is 0), before the scan one level up, so
-    a level costs the same at any depth.  Returns the top level's keys and
-    the lamps, at every depth, of their images: 1 plus the lamps of the
-    site's image per lamp, plus those of the position's image."""
+    a level costs the same at any depth.  Returns the top level's keys and,
+    with ``count_lamps``, the lamps, at every depth, of their images: 1 plus
+    the lamps of the site's image per lamp, plus those of the position's
+    image (``None`` without)."""
     sdm_spec(rank, length)  # GroupError on a bad rank or level
     keys = _prefix_counts(w, rank)
-    sizes = [0] * len(keys)
+    sizes = [0] * len(keys) if count_lamps else None
     for level in range(2, length + 1):
         table: dict[GroupElement, int] = {}
         ids = [table.setdefault(key, len(table)) for key in keys]
-        below = dict(zip(ids, sizes))
         keys = _lamp_scan(w, ids, rank, every_prefix=level < length)
-        sizes = [sum(1 + below[site] for site, _ in lamps) + below[position]
-                 for lamps, position in keys]
+        if sizes is not None:
+            below = dict(zip(ids, sizes))
+            sizes = [sum(1 + below[site] for site, _ in lamps) + below[position]
+                     for lamps, position in keys]
     return keys, sizes
 
 
 def is_identity(w: FreeWord, rank: int, length: int) -> bool:
     """Whether the word maps to the identity at the given level: whether
     its key in :func:`_class_scan` is the empty prefix's."""
-    keys, _ = _class_scan(w, rank, length)
+    keys, _ = _class_scan(w, rank, length, count_lamps=False)
     return keys[-1] == (keys[0] if length == 1 else ((), 0))
 
 

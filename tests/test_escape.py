@@ -222,6 +222,37 @@ def test_root_bracket_meets_the_visit_series_of_random_skip_free_laws(mu):
     assert est.hi - est.lo <= 1e-12
 
 
+def _fraction_step_root(mu):
+    """The root bracket by bisection on Fractions: ``(lo, hi, n)``."""
+    den, steps = escape._z1_steps(mu)
+    if sum(x * a for x, a in steps) < 0:
+        steps = [(-x, a) for x, a in steps]
+    coeffs = [0] * (max(1, max(x for x, _ in steps) + 1) + 1)
+    coeffs[1] = den
+    for x, a in steps:
+        coeffs[x + 1] -= a
+    slope = escape._derivative(coeffs)
+    bend = -sum(escape._derivative(slope))
+    lo, hi, n = F(0), F(1 if coeffs[0] else 0), 0
+    while ((hi - lo) * bend > escape._ROOT_WIDTH * den
+           or escape._horner(slope, hi) <= 0):
+        mid, n = (lo + hi) / 2, n + 1
+        sign = escape._horner(coeffs, mid)
+        lo = mid if sign <= 0 else lo
+        hi = mid if sign >= 0 else hi
+    return lo, hi, n
+
+
+@given(skip_free_laws())
+@example(z_law((1, -1), (51, 49)))
+@example(z_law((1, -1), (3, 1)))      # the root 1/3 is not dyadic
+@example(z_law((1, -1), (2, 1)))      # the root 1/2 is hit exactly
+@example(z_law((1, 0), (1, 1)))       # no step against the drift: z_1 = 0
+@settings(max_examples=60, deadline=None)
+def test_dyadic_root_bisection_equals_the_fraction_bisection(mu):
+    assert escape._step_root(mu)[2:] == _fraction_step_root(mu)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from bisect import bisect_left
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import groups, magnus
@@ -29,6 +32,7 @@ from walklab.groups import (
     multiply,
     wreath_tower,
 )
+from walklab.parsing import parse_group
 
 Z = IntegerLattice(1)
 Z2 = IntegerLattice(2)
@@ -396,3 +400,112 @@ def test_sdm_product_matches_the_dict_and_sort_reference(u, v, cut):
         assert prod == _dict_sorted_multiply(S33, g, h)
         assert prod == magnus.magnus_embed(u + word, 3, 3)
         groups.validate(S33, prod)
+
+
+# ---------------------------------------------------------------------------
+# each spec's product against a dispatch on the spec's type
+
+
+def _reference_multiply(spec, g, h):
+    """The product by dispatch on the spec's type; every nested product
+    dispatches again."""
+    t = type(spec)
+    if t is IntegerLattice:
+        return tuple(a + b for a, b in zip(g, h))
+    if t is Cyclic:
+        return (g + h) % spec.modulus
+    if t is FreeGroup:
+        return groups.reduce_letters(g + h)
+    if t is Dihedral:
+        return (g[0] + (-1) ** g[1] * h[0], g[1] ^ h[1])
+    if t is BaumslagSolitar:
+        return (g[0] + (-1) ** g[1] * h[0], g[1] + h[1])
+    if t is DirectProduct:
+        return (_reference_multiply(spec.left, g[0], h[0]),
+                _reference_multiply(spec.right, g[1], h[1]))
+    if t is groups.FreeSolvable:
+        return _reference_multiply(groups.lattice_tower(spec), g, h)
+    assert t is Wreath
+    (lamps_g, x), (lamps_h, y) = g, h
+    lamps = list(lamps_g)
+    for site, val in lamps_h:
+        moved = _reference_multiply(spec.base, x, site)
+        k = bisect_left(lamps, (moved,))
+        if k < len(lamps) and lamps[k][0] == moved:
+            prod = _reference_multiply(spec.lamp, lamps[k][1], val)
+            if prod == identity(spec.lamp):
+                del lamps[k]
+            else:
+                lamps[k] = (moved, prod)
+        else:
+            lamps.insert(k, (moved, val))
+    return (tuple(lamps), _reference_multiply(spec.base, x, y))
+
+
+REFERENCE_SPECS = [
+    *(IntegerLattice(d) for d in (1, 2, 3, 4)), Cyclic(2), C5,
+    FreeGroup(1), F2, FreeGroup(3), DINF, BS11, PRODUCT,
+    DirectProduct(IntegerLattice(4), Cyclic(3)), WREATH_DINF, TOWER,
+    *(groups.FreeSolvable(d, m) for d in (2, 3) for m in (2, 3))]
+
+
+def _element(spec, rng, size):
+    """A random element; in S(d, m), the Magnus image of a random word."""
+    if type(spec) is not groups.FreeSolvable:
+        return sample(spec, rng, size)
+    letters = [rng.choice([a for a in range(-spec.rank, spec.rank + 1) if a])
+               for _ in range(rng.randint(0, size))]
+    return magnus.magnus_embed(tuple(letters), spec.rank, spec.length)
+
+
+@given(st.sampled_from(REFERENCE_SPECS), st.randoms(use_true_random=False),
+       st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_multiply_matches_the_reference_dispatch(spec, rng, size):
+    """``h`` is random, ``g^-1`` or ``g^-1 k``, so lamps also cancel."""
+    g, k = _element(spec, rng, size), _element(spec, rng, size)
+    for h in (k, inverse(spec, g), multiply(spec, inverse(spec, g), k)):
+        assert multiply(spec, g, h) == _reference_multiply(spec, g, h)
+
+
+def test_a_spec_builds_its_product_once(monkeypatch):
+    built = []
+    real = groups._wreath_product
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_wreath_product", counting)
+    spec = Wreath(Cyclic(2), Wreath(Z2, Z))
+    rng = Random(5)
+    for _ in range(100):
+        multiply(spec, sample(spec, rng), sample(spec, rng))
+    assert len(built) == 2   # one per wreath level
+    assert spec._product is spec._product
+    sdm = groups.FreeSolvable(2, 3)
+    assert sdm._product is groups.lattice_tower(sdm)._product
+
+
+def test_parsing_a_group_text_again_leaves_no_growing_table():
+    """A thousand parses of one text, each multiplied in: no cache gains an
+    entry after the first, and the specs are freed but for the one that
+    keys ``identity``'s cache."""
+    def parse_and_multiply():
+        spec = parse_group("wreath(C2, wreath(Z^2, Dinf))")
+        multiply(spec, identity(spec), identity(spec))
+        return weakref.ref(spec)
+
+    first = parse_and_multiply()
+    sizes = groups.identity.cache_info().currsize
+    refs = [parse_and_multiply() for _ in range(1000)]
+    gc.collect()
+    assert groups.identity.cache_info().currsize == sizes
+    assert sum(ref() is not None for ref in [first, *refs]) <= 1
+
+
+@pytest.mark.parametrize("spec", [object(), "Z", Wreath(object(), Z),
+                                  DirectProduct(Z, None)], ids=repr)
+def test_multiply_refuses_an_unknown_spec(spec):
+    with pytest.raises(GroupError, match="unknown spec"):
+        multiply(spec, (0,), (0,))
