@@ -32,6 +32,11 @@ Conventions the rest of the package relies on:
   leaves the subgroup when inputs come from the embedding in
   :mod:`walklab.magnus`.  The step laws on these groups are built in
   :mod:`walklab.measures`.
+
+Lattices, Dinf, BS(1,-1) and ``Z^d wr Z^d`` (so S(d, 2)) also write their
+elements as int64 rows (:func:`row_code`), with a product of every row by
+one element in a few array operations; the family convolutions of
+:mod:`walklab.measures` run on them.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from functools import cached_property, lru_cache
 from operator import add
 from random import Random
 from typing import Any, Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 GroupElement = Any
 Product = Callable[[GroupElement, GroupElement], GroupElement]
@@ -73,6 +80,10 @@ class IntegerLattice:
     @cached_property
     def _product(self) -> Product:
         return lattice_add(self.dim)
+
+    @cached_property
+    def _rows(self) -> "RowCode":
+        return _TupleRows(self.dim, _lattice_rows)
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,10 @@ class Dihedral:
     def _product(self) -> Product:
         return _dihedral_product
 
+    @cached_property
+    def _rows(self) -> "RowCode":
+        return _TupleRows(2, _dihedral_rows)
+
 
 @dataclass(frozen=True)
 class BaumslagSolitar:
@@ -122,6 +137,10 @@ class BaumslagSolitar:
     @cached_property
     def _product(self) -> Product:
         return _bs11_product
+
+    @cached_property
+    def _rows(self) -> "RowCode":
+        return _TupleRows(2, _bs11_rows)
 
 
 @dataclass(frozen=True)
@@ -147,6 +166,14 @@ class Wreath:
         return _wreath_product(self.lamp._product, identity(self.lamp),
                                self.base._product)
 
+    @cached_property
+    def _rows(self) -> "RowCode | None":
+        lamp = self.lamp
+        # a lamp's 2d fields get at least 4 of 62 bits each up to d = 7
+        if type(lamp) is IntegerLattice and lamp == self.base and lamp.dim <= 7:
+            return _LatticeWreathRows(lamp.dim)
+        return None
+
 
 @dataclass(frozen=True)
 class FreeSolvable:
@@ -165,6 +192,10 @@ class FreeSolvable:
     @cached_property
     def _product(self) -> Product:
         return _lattice_tower(self.rank, self.length)._product
+
+    @cached_property
+    def _rows(self) -> "RowCode | None":
+        return row_code(_lattice_tower(self.rank, self.length))
 
 
 GroupSpec = Union[
@@ -339,6 +370,150 @@ def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     except AttributeError:
         raise GroupError(f"unknown spec {spec!r}") from None
     return product(g, h)
+
+
+# ---------------------------------------------------------------------------
+# integer rows
+
+#: Pads a row of lamp codes; above every lamp code, so it sorts last.
+SENTINEL = np.iinfo(np.int64).max
+
+
+class RowCode:
+    """An int64 row encoding of a spec's elements, for products in bulk.
+
+    ``encode`` makes one row per element (a 2-d array), ``decode`` gives the
+    elements back, and ``product(rows, step)`` holds the row of ``g h`` for
+    every row ``g`` and one encoded element ``h``.  Equal elements of equal
+    row width have equal rows.  The fields hold coordinates up to ``limit``
+    in absolute value, ``bound(g)`` is the largest of ``g``'s, and the
+    caller keeps every product within ``limit``: nothing here checks.
+    """
+
+    limit: int
+
+    def encode(self, elems: Sequence[GroupElement]) -> np.ndarray:
+        raise NotImplementedError
+
+    def decode(self, rows: np.ndarray) -> list[GroupElement]:
+        raise NotImplementedError
+
+    def bound(self, g: GroupElement) -> int:
+        raise NotImplementedError
+
+    def product(self, rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+def row_code(spec: GroupSpec) -> RowCode | None:
+    """The spec's row encoding, or None if it has none."""
+    return getattr(spec, "_rows", None)
+
+
+class _TupleRows(RowCode):
+    """Elements that are int tuples of one length, one column each."""
+
+    limit = 2 ** 62
+
+    def __init__(self, width: int,
+                 product: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.width = width
+        self.product = product
+
+    def encode(self, elems):
+        return np.array(elems, dtype=np.int64).reshape(len(elems), self.width)
+
+    def decode(self, rows):
+        return list(map(tuple, rows.tolist()))
+
+    def bound(self, g):
+        return max(map(abs, g))
+
+
+def _lattice_rows(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+    return rows + step
+
+
+def _dihedral_rows(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+    t, f = rows[:, 0], rows[:, 1]
+    return np.column_stack((t + np.where(f, -step[0], step[0]), f ^ step[1]))
+
+
+def _bs11_rows(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+    m, n = rows[:, 0], rows[:, 1]
+    return np.column_stack((m + np.where(n & 1, -step[0], step[0]),
+                            n + step[1]))
+
+
+class _LatticeWreathRows(RowCode):
+    """``Z^d wr Z^d``: a position code, then one code per lamp, sorted and
+    padded with :data:`SENTINEL`.
+
+    A vector packs into ``d`` fields of ``b`` bits, each holding its
+    coordinate plus ``2^(b-1)``, the first coordinate highest; a lamp packs
+    its site's fields above its value's, so lamp codes sort by site as the
+    lamp tuples do.  Packing is affine while every coordinate fits, so
+    adding packed vectors (less the packed zero) adds the vectors: moving a
+    lamp's site or adding to its value is one integer sum.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.bits = bits = 62 // (2 * dim)
+        self.limit = (1 << (bits - 1)) - 1
+        self.zero = self._pack((0,) * dim)
+        self.site_shift = bits * dim
+        self.site_unit = 1 << (bits * dim)
+
+    def _pack(self, v: tuple[int, ...]) -> int:
+        code = 0
+        for a in v:
+            code = (code << self.bits) | (a + self.limit + 1)
+        return code
+
+    def _unpack(self, code: int) -> tuple[int, ...]:
+        bits, mask, bias = self.bits, (1 << self.bits) - 1, self.limit + 1
+        return tuple(((code >> (bits * i)) & mask) - bias
+                     for i in range(self.dim - 1, -1, -1))
+
+    def encode(self, elems):
+        width = 1 + max(len(lamps) for lamps, _ in elems)
+        out = np.full((len(elems), width), SENTINEL, dtype=np.int64)
+        unit, pack = self.site_unit, self._pack
+        for row, (lamps, pos) in zip(out, elems):
+            row[:1 + len(lamps)] = [pack(pos)] + [pack(s) * unit + pack(v)
+                                                  for s, v in lamps]
+        return out
+
+    def decode(self, rows):
+        unit, unpack = self.site_unit, self._unpack
+        return [(tuple((unpack(c // unit), unpack(c % unit))
+                       for c in row[1:] if c != SENTINEL), unpack(row[0]))
+                for row in rows.tolist()]
+
+    def bound(self, g):
+        lamps, pos = g
+        return max(map(abs, (*pos, *(a for s, v in lamps for a in (*s, *v)))))
+
+    def product(self, rows, step):
+        unit, zero, shift_bits = self.site_unit, self.zero, self.site_shift
+        pos, lamps = rows[:, 0], rows[:, 1:]
+        shift = (pos - zero) * unit       # moves a lamp's site by pos
+        out = np.full((len(rows), rows.shape[1] + len(step) - 1), SENTINEL,
+                      dtype=np.int64)
+        out[:, 0] = pos + (int(step[0]) - zero)
+        for lamp in step[1:].tolist():
+            if lamp == SENTINEL:
+                break
+            moved = lamp + shift
+            hit = lamps >> shift_bits == (moved >> shift_bits)[:, None]
+            lamps = lamps + hit * (lamp % unit - zero)
+            lamps[hit & (lamps & (unit - 1) == zero)] = SENTINEL
+            new = np.where(hit.any(axis=1), SENTINEL, moved)
+            lamps = np.concatenate((lamps, new[:, None]), axis=1)
+            lamps.sort(axis=1)
+        out[:, 1:1 + lamps.shape[1]] = lamps
+        return out
 
 
 def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:

@@ -201,16 +201,28 @@ def random_reduced_word(rank: int, length: int, rng: Random) -> FreeWord:
     """A random nonempty reduced word of exactly ``length`` letters.
 
     E7's stream of random words depends on these exact draws, so this stays
-    apart from ``groups.random_element``."""
+    apart from ``groups.random_element``.  Each letter is
+    ``rng.choice(alphabet)`` as ``random.Random`` makes it: ``getrandbits(k)``
+    with ``k`` the bit length of the alphabet's size, drawn again while it
+    is not below that size."""
     if length < 1:
         raise WordError("length must be >= 1")
-    letters: list[int] = []
+    if rank < 1:
+        raise WordError("rank must be >= 1")
     alphabet = [i for i in range(-rank, rank + 1) if i]
+    size = len(alphabet)
+    bits = size.bit_length()
+    draw = rng.getrandbits
+    letters: list[int] = []
+    last = 0
     while len(letters) < length:
-        letter = rng.choice(alphabet)
-        if letters and letters[-1] == -letter:
-            continue
-        letters.append(letter)
+        r = draw(bits)
+        while r >= size:
+            r = draw(bits)
+        letter = alphabet[r]
+        if letter != -last:
+            letters.append(letter)
+            last = letter
     return tuple(letters)
 
 

@@ -7,8 +7,19 @@ denominators with no gcd: the n-th convolution power of a law whose
 weights have lcm denominator D is kept over D^n.  Weights leave the class as reduced
 :class:`fractions.Fraction` values, and entropies are read straight off the
 numerators.  Convolution walks the support product and enforces a hard
-support cap.  ``convolve_family`` convolves several laws whose supports are
-the same set through one table of products, so each product is taken once.
+support cap.
+
+Laws that share a support set form a family.  On a spec with an integer row
+encoding (:func:`groups.row_code`: lattices, Dinf, BS(1,-1) and S(d, 2)),
+``family_powers`` keeps a family's powers as one int64 array of distinct
+rows and, per member, an atom order and a weight array: int64 numerators
+while they fit, Python ints beyond, or float64.  Each power is one product
+table of every row with every step atom; its distinct rows, by a lexsort and
+a first-difference test, are the next atoms, and each member adds its own
+weights with one ``np.add.at`` in its own (atom, step) order, so every
+member's power equals its own ``convolve`` in atoms, order, weights and
+denominator.  No product goes through ``groups.multiply`` and no dict is
+built.  Any other family, and a family of one, convolves law by law.
 
 ``FiniteMeasure.from_pairs`` with ``exact`` false builds a measure with
 binary64 weights instead.  Such a measure is only constructed, convolved
@@ -26,7 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, log
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import groups
 from .exact_entropy import LogLinear, entropy_form
@@ -181,9 +194,28 @@ def entropy(mu: FiniteMeasure) -> float:
     weight that rounds to 0 in binary64 adds 0.
     """
     denom = mu.denom
-    weights = (mu._atoms.values() if denom is None
-               else (a / denom for a in mu._atoms.values()))
+    return entropy_of(mu._atoms.values() if denom is None
+                      else (a / denom for a in mu._atoms.values()))
+
+
+def entropy_of(weights: Iterable[float]) -> float:
+    """``-sum w log w`` over binary64 weights, added in their order; a
+    weight of 0 adds 0."""
     return -sum(w * log(w) for w in weights if w > 0)
+
+
+def float_weights(weights: np.ndarray, denom: int | None) -> np.ndarray:
+    """Binary64 weights from an array of floats (``denom`` None) or of
+    integer numerators over ``denom``, each ``a / denom`` rounded correctly:
+    one division of exact binary64 values when ``a`` and ``denom`` are at
+    most 2^53, Python's int true division otherwise."""
+    if denom is None:
+        return weights
+    if (denom <= 2 ** 53 and weights.dtype == np.int64
+            and weights.max() <= 2 ** 53):
+        return weights / denom
+    return np.fromiter((a / denom for a in weights.tolist()), np.float64,
+                       len(weights))
 
 
 def exact_entropy(mu: FiniteMeasure) -> LogLinear:
@@ -207,98 +239,266 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
     """Convolution: the law of g*h with g ~ mu and h ~ nu independently.
 
     Weights multiply as they are stored: rational numerators, whose
-    denominators then multiply, or floats.
+    denominators then multiply, or floats.  Each pair costs one
+    ``groups.multiply`` and one dict lookup, which gives the product's slot
+    in a weight list; the atoms keep their order of first occurrence, and
+    the weights are summed in pair order.
     """
     _check_same(mu, nu)
     spec = mu.spec
     multiply = groups.multiply
-    out: dict[GroupElement, Any] = {}
-    get = out.get
+    index: dict[GroupElement, int] = {}
+    slot = index.setdefault
+    weights: list[Any] = []
+    steps = list(nu._atoms.items())
+    n = 0
     for g, wg in mu._atoms.items():
-        for h, wh in nu._atoms.items():
-            prod = multiply(spec, g, h)
-            w = wg * wh
-            cur = get(prod)
-            if cur is not None:
-                out[prod] = cur + w
+        for h, wh in steps:
+            i = slot(multiply(spec, g, h), n)
+            if i < n:
+                weights[i] += wg * wh
             else:
-                out[prod] = w
-                if len(out) > cap:
+                weights.append(wg * wh)
+                n += 1
+                if n > cap:
                     raise SupportCapError(
                         f"convolution support exceeded cap {cap}")
+    for prod, i in index.items():   # the index becomes the result
+        index[prod] = weights[i]
     return FiniteMeasure._over(
-        spec, out, None if mu.denom is None else mu.denom * nu.denom)
+        spec, index, None if mu.denom is None else mu.denom * nu.denom)
+
+
+# ---------------------------------------------------------------------------
+# families on integer rows
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class _RowFamily:
+    """One measure per member of a family, on integer rows: ``rows`` holds
+    the atoms once, in the first member's order; member ``j`` lists its atoms
+    as ``orders[j]`` (indices into ``rows``, None for ``rows``' own order)
+    and its weights in that order as ``weights[j]``, over ``denoms[j]``;
+    ``masses[j]`` is the sum of its weights for exact members."""
+
+    __slots__ = ("rows", "orders", "weights", "denoms", "masses")
+
+    def __init__(self, rows, orders, weights, denoms, masses):
+        self.rows = rows
+        self.orders = orders
+        self.weights = weights
+        self.denoms = denoms
+        self.masses = masses
+
+
+def _weight_array(mu: FiniteMeasure) -> np.ndarray:
+    """``mu``'s weights in atom order: float64, int64 numerators while their
+    sum fits, else Python ints in an object array."""
+    values = mu._atoms.values()
+    dtype = (np.float64 if mu.denom is None
+             else np.int64 if sum(values) <= _INT64_MAX else object)
+    return np.fromiter(values, dtype, len(values))
+
+
+def _member_orders(mus: Sequence[FiniteMeasure]
+                   ) -> tuple[list[GroupElement], list[np.ndarray | None]]:
+    """The first member's atoms, and each member's atom order as indices
+    into them (None for their own order; equal orders share one array).
+    Raises :class:`MeasureError` unless the members share their support."""
+    atoms = list(mus[0]._atoms)
+    index = {g: i for i, g in enumerate(atoms)}
+    shared: dict[tuple[int, ...], np.ndarray | None] = {
+        tuple(range(len(atoms))): None}
+    orders = []
+    for mu in mus:
+        try:
+            order = tuple(index[g] for g in mu._atoms)
+        except KeyError as exc:
+            raise MeasureError("family members differ in support") from exc
+        if len(order) != len(atoms):
+            raise MeasureError("family members differ in support")
+        if order not in shared:
+            shared[order] = np.array(order, dtype=np.intp)
+        orders.append(shared[order])
+    return atoms, orders
+
+
+def _encode_family(code: groups.RowCode,
+                   mus: Sequence[FiniteMeasure]) -> _RowFamily:
+    """Members that share a support, on rows."""
+    atoms, orders = _member_orders(mus)
+    return _RowFamily(code.encode(atoms), orders,
+                      [_weight_array(mu) for mu in mus],
+                      [mu.denom for mu in mus],
+                      [None if mu.denom is None else sum(mu._atoms.values())
+                       for mu in mus])
+
+
+def _distinct(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``table`` in order of first occurrence, and the
+    index among them of every row of ``table``.
+
+    A stable lexsort brings equal rows together, each run led by its first
+    occurrence; a first-difference test marks where each run starts.
+    """
+    order = np.lexsort(table.T)
+    ordered = table[order]
+    starts = np.empty(len(table), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    first = order[starts]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(len(table), dtype=np.intp)
+    inverse[order] = rank[np.cumsum(starts) - 1]
+    return table[np.sort(first)], inverse
+
+
+def _first_occurrences(index: np.ndarray) -> np.ndarray:
+    """The values of ``index``, which covers ``0 .. m - 1``, in order of
+    first occurrence."""
+    return np.argsort(np.unique(index, return_index=True)[1])
+
+
+def _row_step(code: groups.RowCode, power: _RowFamily, steps: _RowFamily,
+              cap: int) -> _RowFamily:
+    """Each member's power convolved with its own step law.
+
+    One product table holds every (atom, step atom) product in the first
+    member's order; its distinct rows, in first-occurrence order, are the
+    new atoms.  Each member adds its products' weights with one
+    ``np.add.at`` over the table's index, in its own (atom, step) order, so
+    its result equals its own :func:`convolve` in atoms, their order,
+    weights and denominator.
+    """
+    size, count = len(power.rows), len(steps.rows)
+    first = code.product(power.rows, steps.rows[0])
+    table = np.empty((size, count, first.shape[1]), dtype=np.int64)
+    table[:, 0] = first
+    for c in range(1, count):
+        table[:, c] = code.product(power.rows, steps.rows[c])
+    table = table.reshape(size * count, -1)
+    width = table.shape[1]
+    while width > 1 and (table[:, width - 1] == groups.SENTINEL).all():
+        width -= 1
+    rows, inverse = _distinct(table[:, :width])
+    del table
+    if len(rows) > cap:
+        raise SupportCapError(f"convolution support exceeded cap {cap}")
+    inverse = inverse.reshape(size, count)
+    walks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+    orders, weights, denoms, masses = [], [], [], []
+    for j, (w, s) in enumerate(zip(power.weights, steps.weights)):
+        atom_order, step_order = power.orders[j], steps.orders[j]
+        key = (id(atom_order), id(step_order))
+        if key not in walks:
+            index = inverse if atom_order is None else inverse[atom_order]
+            if step_order is not None:
+                index = index[:, step_order]
+            index = index.ravel()
+            walks[key] = (index, None if atom_order is None
+                          and step_order is None
+                          else _first_occurrences(index))
+        index, order = walks[key]
+        mass = None if power.masses[j] is None else (power.masses[j]
+                                                      * steps.masses[j])
+        if mass is not None and mass > _INT64_MAX:
+            w, s = w.astype(object), s.astype(object)
+        acc = np.zeros(len(rows), dtype=w.dtype)
+        np.add.at(acc, index, np.multiply.outer(w, s).ravel())
+        orders.append(order)
+        weights.append(acc if order is None else acc[order])
+        denoms.append(None if power.denoms[j] is None
+                      else power.denoms[j] * steps.denoms[j])
+        masses.append(mass)
+    return _RowFamily(rows, orders, weights, denoms, masses)
+
+
+def _family_code(mus: Sequence[FiniteMeasure], nus: Sequence[FiniteMeasure],
+                 steps: int) -> groups.RowCode | None:
+    """The row code on which the powers ``mu * nu^steps`` of a family are
+    built: None for a family of one, a spec without rows, or coordinates
+    (at most ``mu``'s largest plus ``steps`` times ``nu``'s) that would not
+    fit the code's fields."""
+    code = groups.row_code(mus[0].spec)
+    if len(mus) == 1 or code is None:
+        return None
+    reach = (max(map(code.bound, mus[0]._atoms))
+             + steps * max(map(code.bound, nus[0]._atoms)))
+    return code if reach <= code.limit else None
+
+
+def _check_family(mus: Sequence[FiniteMeasure],
+                  nus: Sequence[FiniteMeasure]) -> None:
+    for mu, nu in zip(mus, nus, strict=True):
+        _check_same(mus[0], mu)
+        _check_same(mu, nu)
 
 
 def convolve_family(mus: list[FiniteMeasure], nus: list[FiniteMeasure],
                     cap: int = DEFAULT_SUPPORT_CAP) -> list[FiniteMeasure]:
     """``[convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]`` for pairs
     that share a spec, a weight mode and, as sets, the support of ``mu``
-    and that of ``nu``: every product then recurs in every pair.
+    and that of ``nu``.
 
-    The first pair walks its atoms as :func:`convolve` does and keeps, per
-    ``(atom, step atom)``, the index of the product among its distinct
-    products.  Every other pair sums its own weights over those indices in
-    its own atom order, with no multiply, so each result equals its own
-    ``convolve`` in atoms, their order, weights and denominator.  A family
-    of one is plain :func:`convolve`.
+    On a spec with a row encoding (:func:`groups.row_code`) whose fields
+    hold the products, the pairs share one product table
+    (:func:`_row_step`); otherwise, and for a family of one, each pair is
+    convolved on its own.  Either way each result equals its own
+    ``convolve`` in atoms, their order, weights and denominator.
     """
-    mu0, nu0 = mus[0], nus[0]
-    if len(mus) == 1:
-        return [convolve(mu0, nu0, cap)]
-    for mu, nu in zip(mus, nus, strict=True):
-        _check_same(mu0, mu)
-        _check_same(mu, nu)
-    spec = mu0.spec
-    multiply = groups.multiply
-    index: dict[GroupElement, int] = {}
-    prods: list[GroupElement] = []
-    weights: list[Any] = []
-    rows: dict[GroupElement, list[int]] = {}
-    steps = list(nu0._atoms.items())
-    for g, wg in mu0._atoms.items():
-        row = rows[g] = []
-        for h, wh in steps:
-            prod = multiply(spec, g, h)
-            i = index.get(prod)
-            if i is not None:
-                weights[i] += wg * wh
-            else:
-                i = index[prod] = len(prods)
-                prods.append(prod)
-                weights.append(wg * wh)
-                if i >= cap:
-                    raise SupportCapError(
-                        f"convolution support exceeded cap {cap}")
-            row.append(i)
-    out = [FiniteMeasure._over(spec, dict(zip(prods, weights)),
-                               None if mu0.denom is None
-                               else mu0.denom * nu0.denom)]
-    column = {h: k for k, h in enumerate(nu0._atoms)}
-    for mu, nu in zip(mus[1:], nus[1:]):
-        if len(mu) != len(rows) or len(nu) != len(column):
-            raise MeasureError("family members differ in support")
+    _check_family(mus, nus)
+    code = _family_code(mus, nus, 1)
+    if code is None:
+        if len(mus) > 1:
+            _member_orders(mus)
+            _member_orders(nus)
+        return [convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]
+    power = _row_step(code, _encode_family(code, mus),
+                      _encode_family(code, nus), cap)
+    atoms = code.decode(power.rows)
+    return [FiniteMeasure._over(
+                mus[0].spec,
+                dict(zip(atoms if order is None else [atoms[i] for i in order],
+                         w.tolist())), denom)
+            for order, w, denom in zip(power.orders, power.weights,
+                                       power.denoms)]
+
+
+def family_powers(laws: Sequence[FiniteMeasure], n_max: int,
+                  cap: int = DEFAULT_SUPPORT_CAP
+                  ) -> Iterator[list[tuple[np.ndarray, int | None]]]:
+    """Per power ``n = 1 .. n_max`` of laws that share a spec, a weight mode
+    and a support set: each law's weights in its atom order (float64, int64
+    numerators, or Python ints beyond int64) and its denominator.
+
+    Each power equals the law's own :func:`convolution_power` in atoms,
+    order, weights and denominator.  A family whose spec encodes as rows
+    and whose coordinates stay within the fields to ``n_max`` keeps its
+    powers as rows and weight arrays, one product table a power
+    (:func:`_row_step`), and builds no dict; any other family goes through
+    :func:`convolve_family` a power at a time.  If the support cap is hit,
+    the :class:`SupportCapError` names the largest completed power.
+    """
+    _check_family(laws, laws)
+    code = _family_code(laws, laws, n_max - 1)
+    if code is not None:
+        steps = power = _encode_family(code, laws)
+    powers = laws
+    for n in range(1, n_max + 1):
         try:
-            order = [column[h] for h in nu._atoms]
-            atoms = [(rows[g], wg) for g, wg in mu._atoms.items()]
-        except KeyError as exc:
-            raise MeasureError("family members differ in support") from exc
-        if order == sorted(order):   # the first pair's step order
-            order = None
-        step_weights = list(nu._atoms.values())
-        acc: dict[int, Any] = {}
-        get = acc.get
-        for row, wg in atoms:
-            if order is not None:
-                row = [row[k] for k in order]
-            for i, wh in zip(row, step_weights):
-                w = wg * wh
-                cur = get(i)
-                acc[i] = w if cur is None else cur + w
-        out.append(FiniteMeasure._over(
-            spec, {prods[i]: w for i, w in acc.items()},
-            None if mu.denom is None else mu.denom * nu.denom))
-    return out
+            if code is not None and n > 1:
+                power = _row_step(code, power, steps, cap)
+            elif n > 1:
+                powers = convolve_family(powers, laws, cap)
+        except SupportCapError as exc:
+            raise SupportCapError(f"{exc} (largest completed power {n - 1})",
+                                  completed=n - 1) from exc
+        if code is not None:
+            yield list(zip(power.weights, power.denoms))
+        else:
+            yield [(_weight_array(p), p.denom) for p in powers]
 
 
 def convolution_power(mu: FiniteMeasure, n: int,

@@ -7,7 +7,9 @@ the ladder invariants (subadditivity, nonincreasing increments, and
 ``d_n <= H_n / n``) are decided exactly; the float ladders of perturbed step
 laws (E7) are checked to the slack ``FLOAT_SLACK``.  ``entropy_ladders``
 builds the ladders of laws that share a support together, one power at a
-time, multiplying each pair of atoms once for all of them.  Each invariant is
+time (:func:`measures.family_powers`: one product table of integer rows per
+power on the specs that encode), and reads each value, form and weight
+bracket from the power's weight arrays.  Each invariant is
 written once, as an expression over ``H_0 .. H_n`` that serves both modes.
 The float radial ladder of the free group carries outward-rounded binary64
 ends around each value instead, from which its checks are decided.  One
@@ -187,13 +189,14 @@ def entropy_ladders(laws: Sequence[FiniteMeasure], n_max: int,
     Laws on one spec, in one weight mode and with one support set form a
     family, whose powers share their support: the family's ladders are
     built in lockstep, one power at a time, by
-    :func:`measures.convolve_family`, which multiplies each pair of atoms
-    once for the whole family.  Each exact power's form is enclosed from its
-    binary64 weights ``a / D`` (:func:`_weight_brackets`; int true division
-    rounds correctly) when its law has mass at most 1, as every power then
-    has.  If the support cap is hit, the cap error propagates annotated with
-    the largest completed power, which is the same for every member of the
-    family.
+    :func:`measures.family_powers`, which on an encoded spec makes one
+    product table of integer rows per power for the whole family; a family
+    of one calls :func:`measures.convolve` per power.  Each exact power's
+    form is enclosed from its binary64 weights ``a / D``
+    (:func:`_weight_brackets`; each rounds correctly) when its law has mass
+    at most 1, as every power then has.  If the support cap is hit, the cap
+    error propagates annotated with the largest completed power, which is
+    the same for every member of the family.
     """
     if n_max < 1:
         raise MeasureError("n_max must be >= 1")
@@ -214,32 +217,25 @@ def entropy_ladders(laws: Sequence[FiniteMeasure], n_max: int,
 def _family_ladders(family: list[FiniteMeasure], n_max: int, cap: int
                     ) -> list[tuple[list[float], list[LogLinear] | None]]:
     """Values and, for exact laws, enclosed forms of the ladders of a
-    family of :func:`entropy_ladders`."""
+    family of :func:`entropy_ladders`, read from each power's weight arrays
+    (:func:`measures.family_powers`)."""
     exact = family[0].exact
     values: list[list[float]] = [[0.0] for _ in family]
     forms: list[list[LogLinear]] = [[LogLinear.zero()] for _ in family]
     enclosed = [exact and sum(mu._atoms.values()) <= mu.denom
                 for mu in family]
-    powers = family
-    for n in range(1, n_max + 1):
-        if n > 1:
-            try:
-                powers = measures.convolve_family(powers, family, cap)
-            except SupportCapError as exc:
-                raise SupportCapError(f"{exc} (largest completed power {n - 1})",
-                                      completed=n - 1) from exc
-        for vals, cur in zip(values, powers):
-            vals.append(measures.entropy(cur))
+    for power in measures.family_powers(family, n_max, cap):
+        qs = [measures.float_weights(w, denom) for w, denom in power]
+        for vals, q in zip(values, qs):
+            vals.append(measures.entropy_of(q.tolist()))
         if not exact:
             continue
-        new = [measures.exact_entropy(cur) for cur in powers]
-        weights = [np.fromiter((a / cur.denom for a in cur._atoms.values()),
-                               float, len(cur))
-                   for cur, enclose in zip(powers, enclosed) if enclose]
+        kept = [q for q, enclose in zip(qs, enclosed) if enclose]
         # H <= log N + 1/e for mass at most 1 over N atoms
         brackets = iter(_weight_brackets(
-            weights, [len(q).bit_length() + 1 for q in weights]))
-        for fs, form, enclose in zip(forms, new, enclosed):
+            kept, [len(q).bit_length() + 1 for q in kept]))
+        for fs, (w, denom), enclose in zip(forms, power, enclosed):
+            form = entropy_form(w.tolist(), denom)
             if enclose:
                 form.enclosure = next(brackets)
             fs.append(form)

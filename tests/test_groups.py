@@ -509,3 +509,61 @@ def test_parsing_a_group_text_again_leaves_no_growing_table():
 def test_multiply_refuses_an_unknown_spec(spec):
     with pytest.raises(GroupError, match="unknown spec"):
         multiply(spec, (0,), (0,))
+
+
+# ---------------------------------------------------------------------------
+# integer rows
+
+
+def _row_elements(spec, rng, count):
+    """Random elements of an encoded spec: Magnus images for S(d, 2)."""
+    if isinstance(spec, groups.FreeSolvable):
+        return [magnus.magnus_embed(
+                    magnus.random_reduced_word(spec.rank, rng.randint(1, 9), rng),
+                    spec.rank, 2)
+                for _ in range(count)]
+    return [groups.random_element(spec, rng) for _ in range(count)]
+
+
+ROW_SPECS = [IntegerLattice(1), Z2, IntegerLattice(3), DINF, BS11,
+             magnus.sdm_spec(2, 2), magnus.sdm_spec(3, 2)]
+
+
+@given(st.sampled_from(ROW_SPECS), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_row_products_equal_multiply(spec, rng):
+    """Rows decode to their elements, and the product of every row with one
+    step row decodes to ``multiply``, lamps cancelled and sorted."""
+    code = groups.row_code(spec)
+    elems = _row_elements(spec, rng, 20)
+    steps = _row_elements(spec, rng, 4) + elems[:2]
+    steps.append(groups.inverse(spec, elems[0]))
+    rows = code.encode(elems)
+    assert code.decode(rows) == elems
+    for h in steps:
+        step = code.encode([h])[0]
+        assert (code.decode(code.product(rows, step))
+                == [multiply(spec, g, h) for g in elems])
+
+
+def test_equal_elements_have_equal_rows():
+    spec = magnus.sdm_spec(3, 2)
+    code = groups.row_code(spec)
+    g = magnus.magnus_embed((1, 2, -1, 3), 3, 2)
+    h = magnus.magnus_embed((2, -3), 3, 2)
+    gh = multiply(spec, g, h)
+    wide = code.encode([gh, magnus.magnus_embed((1, 2, 3, 3, 3), 3, 2)])[0]
+    once = code.product(code.encode([g]), code.encode([h])[0])[0]
+    pad = len(wide) - len(once)
+    assert pad >= 0
+    assert list(once) + [groups.SENTINEL] * pad == list(wide)
+
+
+def test_specs_without_rows():
+    assert groups.row_code(Wreath(Cyclic(2), DINF)) is None
+    assert groups.row_code(F2) is None
+    assert groups.row_code(groups.FreeSolvable(2, 3)) is None
+    assert groups.row_code(Wreath(Z2, IntegerLattice(3))) is None
+    assert groups.row_code(Wreath(IntegerLattice(16), IntegerLattice(16))) is None
+    # S(d, 1) is the lattice
+    assert groups.row_code(groups.FreeSolvable(3, 1)).encode([(1, 2, 3)]).shape == (1, 3)

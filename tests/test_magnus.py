@@ -309,6 +309,31 @@ def test_derived_word_argument_validation():
         random_derived_series_word(2, 1, 1, rng)
     with pytest.raises(WordError):
         random_reduced_word(2, 0, rng)
+    with pytest.raises(WordError):
+        random_reduced_word(0, 3, rng)
+
+
+def _choice_reduced_word(rank, length, rng):
+    """``random_reduced_word`` as it was written with ``Random.choice``."""
+    letters = []
+    alphabet = [i for i in range(-rank, rank + 1) if i]
+    while len(letters) < length:
+        letter = rng.choice(alphabet)
+        if letters and letters[-1] == -letter:
+            continue
+        letters.append(letter)
+    return tuple(letters)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 19, 2026, 65537])
+def test_reduced_words_draw_what_random_choice_draws(seed):
+    """The same words, and the generator left in the same state."""
+    ours, ref = Random(seed), Random(seed)
+    for rank in range(1, 5):
+        for length in range(1, 31):
+            assert (random_reduced_word(rank, length, ours)
+                    == _choice_reduced_word(rank, length, ref))
+    assert ours.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -510,43 +511,66 @@ def test_exact_powers_match_the_fraction_loop(mu, cap):
 # families: laws that share a support, convolved through one product table
 
 
+_PRIME = 2 ** 31 - 1   # a prime denominator: D^3 passes 2^63
+
+ROW_SPECS = ["Z", "Z2", "Z3", "Dinf", "BS(1,-1)", "S(2,2)", "S(3,2)"]
+
+
 def _family_supports():
-    """Supports on Z^2, C2 wr Dinf and S(3, 2)."""
+    """Candidate atoms on every spec with a row encoding, and on C2 wr Dinf,
+    which has none."""
     from walklab import magnus
-    lamplighter = measures.lamplighter_family(F(3, 4), 2).support()
-    s32 = [magnus.magnus_embed((s * i,), 3, 2) for i in (1, 2, 3)
-           for s in (1, -1)]
+
+    def images(d):
+        return [magnus.magnus_embed(w, d, 2) for w in
+                [(1,), (-1,), (2,), (-2,), (1, 2), (2, -1, -1), (-2, 1, 2)]
+                + ([(3,), (-3,), (1, -3)] if d == 3 else [])]
+
     return {
-        "Z2": (IntegerLattice(2),
-               [(x, y) for x in range(-1, 2) for y in range(-1, 2)]),
-        "C2 wr Dinf": (WREATH_DINF, lamplighter),
-        "S(3,2)": (magnus.sdm_spec(3, 2), s32),
+        "Z": (Z, [(a,) for a in range(-2, 3)]),
+        "Z2": (IntegerLattice(2), [(x, y) for x in range(-1, 2)
+                                   for y in range(-1, 2)]),
+        "Z3": (IntegerLattice(3), [(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                   (0, 0, -1), (1, 1, 1), (0, 0, 0)]),
+        "Dinf": (DINF, [(t, f) for t in range(-2, 3) for f in (0, 1)]),
+        "BS(1,-1)": (BS11, [(m, n) for m in range(-1, 2)
+                            for n in range(-1, 2)]),
+        "S(2,2)": (magnus.sdm_spec(2, 2), images(2)),
+        "S(3,2)": (magnus.sdm_spec(3, 2), images(3)),
+        "C2 wr Dinf": (WREATH_DINF,
+                       measures.lamplighter_family(F(3, 4), 2).support()),
     }
 
 
 @st.composite
-def law_families(draw):
+def law_families(draw, specs=(*ROW_SPECS, "C2 wr Dinf")):
     """Two to four laws on one support, each with its own atom order and
-    weights, all exact or all float."""
-    spec, sites = _family_supports()[draw(st.sampled_from(
-        ["Z2", "C2 wr Dinf", "S(3,2)"]))]
+    weights: exact with small denominators (int64 numerators), exact over a
+    prime near 2^31 (D^n passes 2^63 at n = 3), or float."""
+    spec, sites = _family_supports()[draw(st.sampled_from(specs))]
     support = draw(st.lists(st.sampled_from(sites), min_size=1,
                             max_size=min(len(sites), 5), unique=True))
-    exact = draw(st.booleans())
+    mode = draw(st.sampled_from(["int64", "huge", "float"]))
     laws = []
     for _ in range(draw(st.integers(2, 4))):
         order = draw(st.permutations(support))
-        raw = draw(st.lists(st.integers(1, 9), min_size=len(order),
-                            max_size=len(order)))
+        if mode == "huge":
+            cuts = sorted(draw(st.lists(st.integers(1, _PRIME - 1),
+                                        min_size=len(order) - 1,
+                                        max_size=len(order) - 1, unique=True)))
+            raw = [b - a for a, b in zip([0] + cuts, cuts + [_PRIME])]
+        else:
+            raw = draw(st.lists(st.integers(1, 9), min_size=len(order),
+                                max_size=len(order)))
         total = sum(raw)
-        weights = [F(r, total) if exact else r / total for r in raw]
+        weights = [r / total if mode == "float" else F(r, total) for r in raw]
         laws.append(FiniteMeasure.from_pairs(spec, zip(order, weights),
-                                             exact=exact))
+                                             exact=mode != "float"))
     return laws
 
 
 @given(law_families())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_family_powers_equal_each_members_own_convolution(laws):
     """Atoms in order, weights bit for bit, and the denominator."""
     powers = own = laws
@@ -577,3 +601,83 @@ def test_family_convolution_keeps_the_support_cap():
     assert [len(p) for p in measures.convolve_family(laws, laws, cap=3)] == [3, 3]
     with pytest.raises(measures.SupportCapError):
         measures.convolve_family(laws, laws, cap=2)
+
+
+# ---------------------------------------------------------------------------
+# families on integer rows
+
+
+def _powers_by_convolve(laws, depth):
+    """Per power 1 .. depth, each law's weights in atom order and its
+    denominator, law by law with ``convolve``."""
+    own, out = list(laws), []
+    for n in range(1, depth + 1):
+        if n > 1:
+            own = [convolve(p, mu) for p, mu in zip(own, laws)]
+        out.append([(list(p._atoms.values()), p.denom) for p in own])
+    return out
+
+
+@given(law_families(ROW_SPECS), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_row_powers_equal_each_members_own_convolution(laws, cap):
+    """On every encoded spec, each member's power on rows equals its own
+    ``convolve`` power: weights in its atom order (int64 while the mass
+    fits, Python ints beyond) and denominator; a cap raises at the same
+    power as law by law."""
+    depth = 4
+    assert measures._family_code(laws, laws, depth - 1) is not None
+    ref = _powers_by_convolve(laws, depth)
+    over = next((n for n in range(2, depth + 1) if len(ref[n - 1][0][0]) > cap),
+                None)
+    got = []
+    try:
+        for power in measures.family_powers(laws, depth, cap):
+            got.append([(w.tolist(), denom) for w, denom in power])
+            if laws[0].exact:
+                assert all((w.dtype == object) == (denom > 2 ** 63 - 1)
+                           for w, denom in power)
+    except measures.SupportCapError as exc:
+        assert exc.completed == over - 1
+        assert f"largest completed power {over - 1}" in str(exc)
+    else:
+        assert over is None
+    assert got == ref[:len(got)]
+
+
+@pytest.mark.parametrize("case", ["overflow", "unencoded"])
+def test_families_off_the_rows_equal_their_own_convolutions(case, monkeypatch):
+    """A family whose coordinates would leave the row fields, and one on a
+    spec without rows (C2 wr Dinf), convolve law by law."""
+    if case == "overflow":
+        atoms = [(2 ** 62,), (-1,), (3,)]
+        laws = [FiniteMeasure.from_pairs(Z, zip(atoms, [F(1, 2), F(1, 3), F(1, 6)])),
+                FiniteMeasure.from_pairs(Z, zip(atoms[::-1], [F(1, 5), F(3, 5), F(1, 5)]))]
+    else:
+        laws = [measures.lamplighter_family(F(3, 4), k) for k in (2, 8)]
+    assert measures._family_code(laws, laws, 3) is None
+    calls = []
+    real = measures.convolve
+    monkeypatch.setattr(measures, "convolve",
+                        lambda *a: calls.append(1) or real(*a))
+    got = [[(w.tolist(), d) for w, d in power]
+           for power in measures.family_powers(laws, 4)]
+    assert len(calls) == 3 * len(laws)
+    assert got == _powers_by_convolve(laws, 4)
+
+
+def test_float_weights_round_each_numerator_once():
+    rng = Random(3)
+    for denom in (6, 2 ** 53, 2 ** 53 + 1, 3 ** 40, 7 ** 30):
+        nums = [rng.randrange(1, denom) for _ in range(50)]
+        mass = sum(nums)
+        w = np.array(nums, dtype=np.int64 if mass < 2 ** 63 else object)
+        assert (measures.float_weights(w, denom).tolist()
+                == [a / denom for a in nums])
+
+
+def test_convolve_cap_counts_distinct_products():
+    mu = uniform_measure(IntegerLattice(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert len(convolve(mu, mu, cap=9)) == 9
+    with pytest.raises(measures.SupportCapError):
+        convolve(mu, mu, cap=8)

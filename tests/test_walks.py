@@ -225,18 +225,18 @@ def test_family_ladders_equal_each_laws_own_ladder(laws):
 
 def test_laws_with_different_supports_form_separate_families(monkeypatch):
     sizes = []
-    convolve_family = measures.convolve_family
+    family_powers = measures.family_powers
 
-    def recorded(mus, nus, cap):
-        sizes.append(len(mus))
-        return convolve_family(mus, nus, cap)
+    def recorded(laws, n_max, cap):
+        sizes.append(len(laws))
+        return family_powers(laws, n_max, cap)
 
-    monkeypatch.setattr(measures, "convolve_family", recorded)
+    monkeypatch.setattr(measures, "family_powers", recorded)
     a = uniform_pm1()
     b = FiniteMeasure.from_pairs(Z, [((1,), F(1, 3)), ((-1,), F(2, 3))])
     c = uniform_measure(Z, [(1,), (-2,)])
     ladders = walks.entropy_ladders([a, c, b], 3)
-    assert sorted(sizes) == [1, 1, 2, 2]
+    assert sorted(sizes) == [1, 2]
     assert ([ladder.values for ladder in ladders]
             == [entropy_ladder(mu, 3).values for mu in (a, c, b)])
 
@@ -255,6 +255,48 @@ def test_family_truncation_annotates_every_member():
         with pytest.raises(measures.SupportCapError) as own:
             entropy_ladder(mu, 8, cap=20)
         assert own.value.completed == completed
+
+
+def _s32_laws(exact):
+    """Item 7's laws on S(3, 2): uniform on the six generator images, and
+    eps = 1/12, 1/24, 1/48 of mass moved from x1^-1 to x1 (E7's, in binary64
+    when ``exact`` is false)."""
+    from walklab import magnus
+    sdm = magnus.sdm_spec(3, 2)
+    gens = [magnus.magnus_embed((s * i,), 3, 2) for i in (1, 2, 3)
+            for s in (1, -1)]
+    sixth = F(1, 6) if exact else 1.0 / 6.0
+    laws = [FiniteMeasure.from_pairs(sdm, [(g, sixth) for g in gens], exact)]
+    for d in (12, 24, 48):
+        eps = F(1, d) if exact else 1.0 / d
+        pairs = [(g, sixth) for g in gens[2:]]
+        pairs += [(gens[0], sixth + eps), (gens[1], sixth - eps)]
+        laws.append(FiniteMeasure.from_pairs(sdm, pairs, exact))
+    return laws
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_s32_family_ladders_make_no_multiply(exact, monkeypatch):
+    """E7's perturbation family (float) and item 7's exact laws build their
+    ladders on rows, with no ``groups.multiply``, and equal each law's own
+    ladder: values bit for bit, forms and enclosures."""
+    laws = _s32_laws(exact)
+    calls = []
+    multiply = groups.multiply
+    monkeypatch.setattr(groups, "multiply",
+                        lambda *a: calls.append(a) or multiply(*a))
+    ladders = walks.entropy_ladders(laws, 4)
+    assert calls == []
+    for mu, ladder in zip(laws, ladders):
+        own = entropy_ladder(mu, 4)
+        assert ladder.values == own.values
+        if exact:
+            assert ([f.coeffs for f in ladder.forms]
+                    == [f.coeffs for f in own.forms])
+            assert ([f.enclosure for f in ladder.forms]
+                    == [f.enclosure for f in own.forms])
+    assert len(calls) == sum(len(convolution_power(mu, n)) * len(mu)
+                             for mu in laws for n in range(1, 4))
 
 
 def test_ladder_rows_and_ratios():
