@@ -504,8 +504,11 @@ def test_parsing_a_group_text_again_leaves_no_growing_table():
     assert sum(ref() is not None for ref in [first, *refs]) <= 1
 
 
-@pytest.mark.parametrize("spec", [object(), "Z", Wreath(object(), Z),
-                                  DirectProduct(Z, None)], ids=repr)
+@pytest.mark.parametrize("spec", [
+    pytest.param(object(), id="object()"),
+    "Z",
+    pytest.param(Wreath(object(), Z), id="Wreath(object(), Z)"),
+    DirectProduct(Z, None)], ids=repr)
 def test_multiply_refuses_an_unknown_spec(spec):
     with pytest.raises(GroupError, match="unknown spec"):
         multiply(spec, (0,), (0,))
