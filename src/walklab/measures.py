@@ -415,17 +415,16 @@ def _row_step(code: groups.RowCode, power: _RowFamily, steps: _RowFamily,
     return _RowFamily(rows, orders, weights, denoms, masses)
 
 
-def _family_code(mus: Sequence[FiniteMeasure], nus: Sequence[FiniteMeasure],
-                 steps: int) -> groups.RowCode | None:
-    """The row code on which the powers ``mu * nu^steps`` of a family are
-    built: None for a family of one, a spec without rows, or coordinates
-    (at most ``mu``'s largest plus ``steps`` times ``nu``'s) that would not
-    fit the code's fields."""
-    code = groups.row_code(mus[0].spec)
-    if len(mus) == 1 or code is None:
+def _family_code(laws: Sequence[FiniteMeasure],
+                 n_max: int) -> groups.RowCode | None:
+    """The row code on which a family's powers to ``n_max`` are built: None
+    for a family of one, a spec without rows, or coordinates (at most
+    ``n_max`` times the laws' largest) that would not fit the code's
+    fields."""
+    code = groups.row_code(laws[0].spec)
+    if len(laws) == 1 or code is None:
         return None
-    reach = (max(map(code.bound, mus[0]._atoms))
-             + steps * max(map(code.bound, nus[0]._atoms)))
+    reach = n_max * max(map(code.bound, laws[0]._atoms))
     return code if reach <= code.limit else None
 
 
@@ -440,30 +439,12 @@ def convolve_family(mus: list[FiniteMeasure], nus: list[FiniteMeasure],
                     cap: int = DEFAULT_SUPPORT_CAP) -> list[FiniteMeasure]:
     """``[convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]`` for pairs
     that share a spec, a weight mode and, as sets, the support of ``mu``
-    and that of ``nu``.
-
-    On a spec with a row encoding (:func:`groups.row_code`) whose fields
-    hold the products, the pairs share one product table
-    (:func:`_row_step`); otherwise, and for a family of one, each pair is
-    convolved on its own.  Either way each result equals its own
-    ``convolve`` in atoms, their order, weights and denominator.
-    """
+    and that of ``nu``: one family step off the rows, law by law."""
     _check_family(mus, nus)
-    code = _family_code(mus, nus, 1)
-    if code is None:
-        if len(mus) > 1:
-            _member_orders(mus)
-            _member_orders(nus)
-        return [convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]
-    power = _row_step(code, _encode_family(code, mus),
-                      _encode_family(code, nus), cap)
-    atoms = code.decode(power.rows)
-    return [FiniteMeasure._over(
-                mus[0].spec,
-                dict(zip(atoms if order is None else [atoms[i] for i in order],
-                         w.tolist())), denom)
-            for order, w, denom in zip(power.orders, power.weights,
-                                       power.denoms)]
+    if len(mus) > 1:
+        _member_orders(mus)
+        _member_orders(nus)
+    return [convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]
 
 
 def family_powers(laws: Sequence[FiniteMeasure], n_max: int,
@@ -482,7 +463,7 @@ def family_powers(laws: Sequence[FiniteMeasure], n_max: int,
     the :class:`SupportCapError` names the largest completed power.
     """
     _check_family(laws, laws)
-    code = _family_code(laws, laws, n_max - 1)
+    code = _family_code(laws, n_max)
     if code is not None:
         steps = power = _encode_family(code, laws)
     powers = laws
