@@ -38,7 +38,7 @@ from . import groups
 from .groups import GroupElement, IntegerLattice
 from .intervals import Bracket
 from .measures import FiniteMeasure
-from .rng import DrawBuffers, cumulative, draw, sample_stream, tally
+from .rng import BucketTable, cumulative, sample_stream
 
 _Z1 = IntegerLattice(1)
 _Z2 = IntegerLattice(2)
@@ -58,9 +58,13 @@ _ROOT_WIDTH = Fraction(1, 2 ** 60)
 # geometrically.
 _FIRST_BLOCK, _BLOCK_GROWTH, _LARGEST_BLOCK = 64, 5, 65_536
 _MIN_SUMMED, _WALKED_FLOOR = 512, 2048
+# A summed block costs about 0.4 ns a word per atom but the last, a walked
+# one about 5 ns a word, so laws with more atoms walk every block.
+_SUMMED_ATOMS = 12
 # Range sites are counted in a presence array of up to this many cells per
 # state of the path, and by sorting the states' keys when the spans are wider.
 _PRESENCE_CELLS = 8
+_RANGE_STEPS = 1 << 22  # range_rate holds a path whole, ~40 bytes a step
 
 
 class EscapeError(ValueError):
@@ -385,20 +389,22 @@ class _TwistedWalk:
     the twisted-lattice states of ``_twisted_steps``, drawn and walked on
     buffers allocated once for up to ``size`` steps.
 
-    A path holds the state before the block in slot 0 and the state after
-    step j in slot j.  The columns b and f stay 0 when no step moves them.
-    A walk that moves b and flips is on BS(1,-1), where every step flips
-    exactly when it moves b an odd distance: f is b mod 2 at every state,
-    and is not scanned.  A walk with no flipping step has ``moves`` and can
-    sum a block from atom counts.
+    A step's moves are gathered by its word's key (``BucketTable``), its
+    a-move by ``table.size + key`` when taken flipped.  A path holds the
+    state before the block in slot 0 and the state after step j in slot j.
+    The columns b and f stay 0 when no step moves them.  A walk that moves b
+    and flips is on BS(1,-1), where every step flips exactly when it moves b
+    an odd distance: f is b mod 2 at every state, and is not scanned.  A
+    walk with no flipping step and at most ``_SUMMED_ATOMS`` atoms has
+    ``moves`` and can sum a block from atom counts.
     """
 
-    def __init__(self, steps: list[tuple[int, int, int]], cum: np.ndarray,
+    def __init__(self, steps: list[tuple[int, int, int]], table: BucketTable,
                  size: int) -> None:
-        da, db, df = np.array(steps, dtype=np.int64).T
-        self.cum = cum
+        da, db, df = np.array(steps, dtype=np.int64).T[:, table.atom]
+        self.table = table
         self.size = size
-        self.da = da
+        self.da = np.concatenate([da, -da])
         self.db = db if db.any() else None
         self.df = df.astype(np.int8) if df.any() else None
         self.flip_is_b_parity = self.db is not None and self.df is not None
@@ -406,61 +412,63 @@ class _TwistedWalk:
         self.columns = ([0, 1] if self.db is not None
                         else [0, 2] if self.df is not None else [0])
         # (a, b) steps of atom 0 and the rises between neighbouring atoms
-        self.moves = None if self.df is not None else (
-            steps[0][:2], [(x1 - x0, y1 - y0) for (x0, y0, _), (x1, y1, _)
-                           in zip(steps, steps[1:])])
+        self.moves = None
+        if self.df is None and len(steps) <= _SUMMED_ATOMS:
+            self.moves = steps[0][:2], [(x1 - x0, y1 - y0) for (x0, y0, _), (
+                x1, y1, _) in zip(steps, steps[1:])]
         # most a and b move in one step, whatever the flip bit
         self.reach = (int(np.abs(da).max()), int(np.abs(db).max()))
-        self.draws = DrawBuffers(size + 1)
+        self.key = np.empty(size + 1, dtype=np.int64)
+        self.mask = np.empty(size + 1, dtype=bool)
         self.a = np.empty(size + 1, dtype=np.int64)
         self.b = np.zeros(size + 1, dtype=np.int64)
         self.f = np.zeros(size + 1, dtype=np.int8)
 
     @classmethod
-    def of(cls, spec, elems: list[GroupElement], cum: np.ndarray,
+    def of(cls, spec, elems: list[GroupElement], table: BucketTable,
            size: int) -> _TwistedWalk | None:
         """The walk of a law's atoms, or None for other groups and for steps
         too long for int64 prefix sums."""
         steps = _twisted_steps(spec, elems)
         if steps is None or max(abs(x) for step in steps for x in step) >= 1 << 31:
             return None
-        return cls(steps, cum, size)
+        return cls(steps, table, size)
 
-    def _indices(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return draw(self.cum, gen.random(out=self.draws.uniforms[:n]),
-                    self.draws)
+    def _keys(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return self.table.keys(gen.bit_generator.random_raw(n), self.key)
 
-    def _b_column(self, idx: np.ndarray, b0: int) -> np.ndarray:
-        b = self.b[:idx.size + 1]
+    def _b_column(self, key: np.ndarray, b0: int) -> np.ndarray:
+        b = self.b[:key.size + 1]
         b[0] = b0
-        self.db.take(idx, out=b[1:], mode="clip")  # mode "raise" would buffer
+        self.db.take(key, out=b[1:], mode="clip")  # mode "raise" would buffer
         return b.cumsum(out=b)
 
-    def _flip_moves(self, moves: np.ndarray, f: np.ndarray) -> None:
-        """Reverse each a-move taken while flipped: ``moves[j]`` is the move
-        of a step taken in state ``f[j]`` (0 or 1).  Scratch: the indices,
-        which the block has read by then."""
-        sign = np.multiply(f, -2, out=self.draws.indices[:moves.size])
-        sign += 1
-        moves *= sign
+    def _a_moves(self, key: np.ndarray, flips: np.ndarray,
+                 out: np.ndarray) -> None:
+        """Write to ``out`` the a-move of each step, reversed where it was
+        taken flipped: ``flips[j]`` has the parity of the flip bit before
+        step j (read only if a step flips).  Overwrites ``key``."""
+        if self.df is not None:
+            np.bitwise_and(flips, 1, out=out)
+            out *= self.table.size
+            key += out
+        self.da.take(key, out=out, mode="clip")
 
     def path(self, gen: np.random.Generator, n: int,
              start: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
         """States (a, b, f) of the next ``n`` steps of ``gen`` from ``start``."""
-        idx = self._indices(gen, n)
+        key = self._keys(gen, n)
         a, b, f = self.a[:n + 1], self.b[:n + 1], self.f[:n + 1]
         a[0] = start[0]
-        self.da.take(idx, out=a[1:], mode="clip")
         if self.db is not None:
-            self._b_column(idx, start[1])
+            self._b_column(key, start[1])
         if self.flip_is_b_parity:
             np.bitwise_and(b, 1, out=f, casting="unsafe")
         elif self.df is not None:
             f[0] = start[2]
-            self.df.take(idx, out=f[1:], mode="clip")
+            self.df.take(key, out=f[1:], mode="clip")
             np.bitwise_xor.accumulate(f, out=f)
-        if self.df is not None:
-            self._flip_moves(a[1:], f[:-1])
+        self._a_moves(key, f[:-1], a[1:])
         a.cumsum(out=a)
         return a, b, f
 
@@ -469,8 +477,7 @@ class _TwistedWalk:
         """State after the next ``n`` steps of ``gen`` from ``start``, from
         how often each atom came up; for walks with ``moves`` only."""
         (a, b), rises = self.moves
-        counts = tally(self.cum, gen.random(out=self.draws.uniforms[:n]),
-                       self.draws)
+        counts = self.table.tally(gen.bit_generator.random_raw(n))
         a, b = start[0] + n * a, start[1] + n * b
         for c, (ra, rb) in zip(counts, rises):
             a += c * ra
@@ -492,21 +499,18 @@ class _TwistedWalk:
         """
         if self.db is None:
             a, _, f = self.path(gen, n, start)
-            hits = np.equal(a[1:], 0, out=self.draws.mask[:n])
-            if self.df is not None:
-                hits &= np.equal(f[1:], 0, out=self.draws.counts[:n].view(bool))
+            away = (a[1:] if self.df is None
+                    else np.bitwise_or(a[1:], f[1:], out=self.key[:n]))
+            hits = np.equal(away, 0, out=self.mask[:n])
             first = int(hits.argmax())  # stops at the first hit
             return (first + 1 if hits[first] else 0), (int(a[-1]), 0,
                                                        int(f[-1]))
-        idx = self._indices(gen, n)
-        b = self._b_column(idx, start[1])
+        key = self._keys(gen, n)
+        b = self._b_column(key, start[1])
         moves = self.a[:n + 1]
-        self.da.take(idx, out=moves[:n], mode="clip")
+        self._a_moves(key, b[:n], moves[:n])
         moves[n] = 0
-        if self.df is not None:
-            self._flip_moves(moves[:n], np.bitwise_and(
-                b[:n], 1, out=self.draws.indices[:n]))
-        splits = np.equal(b, 0, out=self.draws.mask[:n + 1])
+        splits = np.equal(b, 0, out=self.mask[:n + 1])
         splits[0] = True
         splits = splits.nonzero()[0]
         a = np.add.reduceat(moves, splits).cumsum()
@@ -608,15 +612,17 @@ def _first_return_on_walk(walk: _TwistedWalk, gen: np.random.Generator,
     return horizon + 1
 
 
-def _first_return_by_multiply(spec, elems: list[GroupElement], cum: np.ndarray,
-                              gen: np.random.Generator, horizon: int) -> int:
+def _first_return_by_multiply(spec, elems: list[GroupElement],
+                              table: BucketTable, gen: np.random.Generator,
+                              horizon: int) -> int:
     """First-return time of one stream, one ``groups.multiply`` per step,
     drawn in blocks of ``_FIRST_BLOCK`` steps growing ``_BLOCK_GROWTH``
     times each up to ``_LARGEST_BLOCK``."""
     ident = groups.identity(spec)
     state, t, size = ident, 0, _FIRST_BLOCK
     while t < horizon:
-        for ix in draw(cum, gen.random(min(size, horizon - t))).tolist():
+        words = gen.bit_generator.random_raw(min(size, horizon - t))
+        for ix in table.draw(words).tolist():
             t += 1
             state = groups.multiply(spec, state, elems[ix])
             if state == ident:
@@ -635,20 +641,21 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
     drawing once no return is possible in the steps left, computes of a
     block only what the identity test reads, and sums whole blocks in
     which a walk with no flipping step cannot come back.  None of this
-    changes a result, since a stream's uniforms do not depend on how its
+    changes a result, since a stream's words do not depend on how its
     draws are split and a sample that cannot return has time horizon+1.
     """
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
     elems, cum = cumulative(mu)
-    walk = _TwistedWalk.of(mu.spec, elems, cum, min(horizon, _LARGEST_BLOCK))
+    table = BucketTable(cum)
+    walk = _TwistedWalk.of(mu.spec, elems, table, min(horizon, _LARGEST_BLOCK))
     out = np.empty(samples, dtype=np.int64)
     gen = None
     for i in range(samples):
         gen = sample_stream(seed, i, gen)
         out[i] = (_first_return_on_walk(walk, gen, horizon)
                   if walk is not None
-                  else _first_return_by_multiply(mu.spec, elems, cum, gen,
+                  else _first_return_by_multiply(mu.spec, elems, table, gen,
                                                  horizon))
     return out
 
@@ -715,30 +722,35 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
 
     The finite-n range is biased upward as an estimator of the escape
     probability; when a bias bound is available (drifted 1-d lattice walks)
-    it extends the interval's low side and is reported.
+    it extends the interval's low side and is reported.  Paths longer than
+    ``_RANGE_STEPS`` (about 4.2 million steps) are refused before anything
+    is allocated.
     """
     if n < 1 or samples < 1:
         raise EscapeError("n and samples must be >= 1")
+    if n > _RANGE_STEPS:
+        raise EscapeError(f"range paths are capped at {_RANGE_STEPS} steps, "
+                          f"got n = {n}")
     elems, cum = cumulative(mu)
-    walk = _TwistedWalk.of(mu.spec, elems, cum, n)
+    table = BucketTable(cum)
+    walk = _TwistedWalk.of(mu.spec, elems, table, n)
     sites, gen = [], None
     if walk is None:  # one groups.multiply per step
         ident = groups.identity(mu.spec)
         for i in range(samples):
             gen = sample_stream(seed, i, gen)
             state, seen = ident, {ident}
-            for ix in draw(cum, gen.random(n)).tolist():
+            for ix in table.draw(gen.bit_generator.random_raw(n)).tolist():
                 state = groups.multiply(mu.spec, state, elems[ix])
                 seen.add(state)
             sites.append(len(seen))
-    else:  # every path in one block
-        key = np.empty(n + 1, dtype=np.int64)
+    else:  # every path in one block; its key buffer is scratch after
         present = np.empty(_PRESENCE_CELLS * (n + 1), dtype=bool)
         for i in range(samples):
             gen = sample_stream(seed, i, gen)
             path = walk.path(gen, n, (0, 0, 0))
             sites.append(_distinct_states([path[c] for c in walk.columns],
-                                          key, present))
+                                          walk.key, present))
     rates = np.array(sites) / n
     mean = float(rates.mean())
     sd = float(rates.std(ddof=1)) if samples > 1 else 0.0

@@ -2,14 +2,21 @@
 
 Every Monte Carlo sample draws from its own Philox stream keyed by
 ``(seed, sample_index)``, so results are bit-identical however samples are
-batched.  A Philox stream yields the same uniforms however its draws are
-split into blocks (``random(512)`` then ``random(7)`` equals the first 519
-of ``random(519)``), so results do not depend on block boundaries either,
-nor on a sampler stopping a stream early: a sampler sizes its blocks by the
-state its walk is in, and no result depends on those sizes.  Every sampler
-turns its uniforms into atoms the same way: :func:`cumulative` once per
-step law, then :func:`draw` per block of uniforms, or :func:`tally` where a
-block needs only how often each atom came up.
+batched.  A stream yields the same raw 64-bit words however its draws are
+split into blocks (``random_raw(512)`` then ``random_raw(7)`` equals the
+first 519 of ``random_raw(519)``), so no result depends on the block sizes
+a sampler picks, nor on it stopping a stream early.  Every sampler turns
+one raw word per step into an atom by a :class:`BucketTable` of the step
+law's :func:`cumulative` weights.
+
+That draw is the float inverse-CDF draw, decided in integers.
+``Generator.random`` makes u = (r >> 11) 2^-53 of the raw word r (a test
+pins this), and the float draw takes the first atom whose cumulative weight
+exceeds u.  For a cumulative weight c, c 2^53 is exact in binary64, so
+u >= c exactly when r >> 11 >= ceil(c 2^53), that is when
+r >= T = ceil(c 2^53) 2^11.  The atom of r is the number of thresholds T_j
+(one per atom but the last) at most r.  A threshold of 2^64 or more (c = 1,
+or a cumulative weight rounded above 1) is reached by no word and dropped.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_COUNT_ATOMS = 32  # longest table drawn by counting comparisons
+_KEY_SHIFT = 52  # a word's bucket is its top 12 bits
+_BUCKETS = 1 << (64 - _KEY_SHIFT)
 
 
 def cumulative(mu) -> tuple[list, np.ndarray]:
@@ -30,60 +38,60 @@ def cumulative(mu) -> tuple[list, np.ndarray]:
     return mu.support(), cum
 
 
-class DrawBuffers:
-    """Work arrays for drawing blocks of up to ``size`` atoms without
-    allocating: the block's uniforms, the atom indices :func:`draw` writes,
-    and its comparison counts and mask (scratch once ``draw`` returns)."""
+class BucketTable:
+    """The atom of each raw word under the cumulative weights ``cum``.
 
-    def __init__(self, size: int) -> None:
-        self.uniforms = np.empty(size)
-        self.indices = np.empty(size, dtype=np.intp)
-        self.counts = np.empty(size, dtype=np.uint8)
-        self.mask = np.empty(size, dtype=bool)
-
-
-def draw(cum: np.ndarray, u: np.ndarray,
-         out: DrawBuffers | None = None) -> np.ndarray:
-    """Atom index per uniform: the first atom whose cumulative weight exceeds it.
-
-    Since u < 1 = cum[-1], that index is the number of cum[:-1] at most u.
-    Up to ``_COUNT_ATOMS`` atoms it is counted with one comparison per atom
-    (a few ns per uniform); a binary search costs tens of ns per uniform
-    and wins only on longer tables.  The indices are written to the first
-    ``len(u)`` slots of ``out.indices`` (fresh buffers when ``out`` is None)
-    and do not depend on how the uniforms are split into blocks.
+    A word's key is its bucket ``r >> 52``.  A bucket that no threshold
+    falls strictly inside holds words of one atom, so its key gives the
+    atom by one gather.  Each threshold splits at most one bucket, so at
+    most ``len(cum) - 1`` buckets are split (``split``, None if none is); a
+    word in one is re-keyed to ``_BUCKETS + atom``, its atom settled by
+    binary search over the thresholds.  Keys thus run over ``size``
+    entries, and a per-atom column ``x`` becomes a per-key table as
+    ``x[table.atom]``.
     """
-    n = u.size
-    if out is None:
-        out = DrawBuffers(n)
-    idx = out.indices[:n]
-    if len(cum) > _COUNT_ATOMS:
-        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1,
-                          out=idx)
-    count, above = out.counts[:n], out.mask[:n]
-    np.greater_equal(u, cum[0], out=count.view(bool))  # all 0 if cum[0] = 1
-    for c in cum[1:-1]:
-        count += np.greater_equal(u, c, out=above).view(np.uint8)
-    np.copyto(idx, count)
-    return idx
 
+    def __init__(self, cum: np.ndarray) -> None:
+        top = np.ceil(np.asarray(cum[:-1]) * 2.0 ** 53)
+        self.thresholds = top[top < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
+        edges = np.arange(_BUCKETS, dtype=np.uint64) << np.uint64(_KEY_SHIFT)
+        first = np.searchsorted(self.thresholds, edges, "right")
+        last = np.searchsorted(self.thresholds,
+                               edges | np.uint64((1 << _KEY_SHIFT) - 1), "right")
+        split = first != last
+        self.split = split if split.any() else None
+        self.atom = np.concatenate([first, np.arange(len(cum))])
+        self.size = self.atom.size
 
-def tally(cum: np.ndarray, u: np.ndarray,
-          out: DrawBuffers | None = None) -> list[int]:
-    """How many uniforms reach each of ``cum[:-1]``: entry j counts
-    ``u >= cum[j]``, the uniforms :func:`draw` maps to an atom after j.
+    def keys(self, words: np.ndarray, out: np.ndarray | None = None
+             ) -> np.ndarray:
+        """Key per word, written to the first ``len(words)`` slots of the
+        int64 array ``out`` (a fresh one when None)."""
+        n = words.size
+        key = np.empty(n, dtype=np.int64) if out is None else out[:n]
+        np.right_shift(words, _KEY_SHIFT, out=key.view(np.uint64))
+        if self.split is None:
+            return key
+        moved = np.flatnonzero(self.split.take(key))
+        if moved.size:
+            key[moved] = _BUCKETS + np.searchsorted(self.thresholds,
+                                                    words[moved], "right")
+        return key
 
-    With d_i the step of atom i, the block then moves by
-    ``len(u) d_0 + sum_j tally[j] (d_{j+1} - d_j)``, with no index per
-    uniform.  ``out`` lends its mask (or, past ``_COUNT_ATOMS`` atoms, its
-    index buffer) as scratch.
-    """
-    if len(cum) > _COUNT_ATOMS:
-        per_atom = np.bincount(draw(cum, u, out), minlength=len(cum))
-        return per_atom[:0:-1].cumsum()[::-1].tolist()
-    above = (out.mask if out is not None else np.empty(u.size, bool))[:u.size]
-    return [int(np.count_nonzero(np.greater_equal(u, c, out=above)))
-            for c in cum[:-1]]
+    def draw(self, words: np.ndarray) -> np.ndarray:
+        """Atom index per word."""
+        return self.atom.take(self.keys(words))
+
+    def tally(self, words: np.ndarray) -> list[int]:
+        """How many words reach each threshold: entry j counts the words
+        :meth:`draw` maps to an atom after j.  Dropped thresholds, which no
+        word reaches, have no entry.
+
+        With d_i the step of atom i, the block then moves by
+        ``len(words) d_0 + sum_j tally[j] (d_{j+1} - d_j)``, with no index
+        per word.  Costs one pass over the words per threshold.
+        """
+        return [int(np.count_nonzero(words >= t)) for t in self.thresholds]
 
 
 def sample_stream(seed: int, index: int,
@@ -104,4 +112,3 @@ def sample_stream(seed: int, index: int,
         "state": {"counter": zeros, "key": key},
         "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
-

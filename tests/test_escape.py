@@ -4,6 +4,7 @@ samplers, lattice normal form."""
 from __future__ import annotations
 
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import exp, nextafter
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from walklab import escape, groups, measures, rng
+from walklab import cli, escape, groups, measures, rng
 from walklab.escape import (
     DriftBound,
     EscapeError,
@@ -481,6 +482,24 @@ def test_range_rate_validation():
         range_rate(biased_pm1(F(3, 4)), 0, 10, seed=0)
 
 
+def test_range_rate_refuses_paths_past_its_cap(capsys):
+    """A path longer than ``_RANGE_STEPS`` is refused before any buffer for
+    it is allocated (tracemalloc sees numpy's allocations), and the command
+    line exits with status 2."""
+    mu = measures.bs11_family(F(3, 4), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EscapeError, match="capped"):
+            range_rate(mu, escape._RANGE_STEPS + 1, 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert cli.main(["escape", "bs11(k=2)", "--method", "range",
+                     "--horizon", "100000000"]) == 2
+    assert "capped" in capsys.readouterr().err
+
+
 def _reference_path(mu, seed, index, n):
     """States of the first ``n`` steps of the (seed, index) walk, built step
     by step with ``groups.multiply`` from atoms drawn by binary search in
@@ -506,14 +525,16 @@ def _reference_first_returns(mu, horizon, samples, seed):
 
 
 class CountingStream:
-    """A sample stream that counts the uniforms drawn from it."""
+    """A sample stream that counts the raw words drawn from it; it is its
+    own ``bit_generator``, and has no other draw a sampler could use."""
 
     def __init__(self, gen, drawn):
         self.gen, self.drawn = gen, drawn
+        self.bit_generator = self
 
-    def random(self, size=None, out=None):
-        self.drawn.append(out.size if out is not None else size)
-        return self.gen.random(size, out=out)
+    def random_raw(self, size=None):
+        self.drawn.append(size)
+        return self.gen.bit_generator.random_raw(size)
 
 
 def count_draws(monkeypatch):
@@ -565,6 +586,23 @@ def test_samplers_match_a_reference_walk(mu, monkeypatch):
                           for i in range(samples)])
         assert range_rate(mu, n, samples, seed).value == float(rates.mean())
     assert max(map(len, blocks)) >= 3
+
+
+@pytest.mark.parametrize("mu", [
+    measures.dinf_family(F(3, 4), 2),
+    measures.bs11_family(F(3, 4), 2),
+    FiniteMeasure.from_pairs(DINF, [((1, 0), F(3, 4)), ((1, 1), F(1, 4))]),
+    uniform_measure(BS11, [(1, 1), (-1, 0), (0, -1)]),
+], ids=["dinf(k=2)", "bs11(k=2)", "dinf-reflection", "bs11-twisted-step"])
+def test_flipping_paths_are_the_reference_walks_states(mu):
+    """A scanned path of a flipping law, its a-moves signed by the flip bit
+    before each step, is the plain group walk written as twisted-lattice
+    states, not only its mirror image."""
+    n, seed = 2000, 11
+    path = walk_of(mu, n).path(rng.sample_stream(seed, 0), n, (0, 0, 0))
+    states = list(zip(*(c.tolist() for c in path)))
+    assert states[1:] == escape._twisted_steps(
+        mu.spec, _reference_path(mu, seed, 0, n))
 
 
 def test_samplers_walk_the_plane_by_prefix_scans(monkeypatch):
@@ -829,7 +867,7 @@ def test_a_sample_stops_once_a_return_is_impossible(monkeypatch):
 
 def walk_of(mu, size):
     elems, cum = rng.cumulative(mu)
-    return escape._TwistedWalk.of(mu.spec, elems, cum, size)
+    return escape._TwistedWalk.of(mu.spec, elems, rng.BucketTable(cum), size)
 
 
 def last_state(path):
