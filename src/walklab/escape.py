@@ -19,18 +19,24 @@ Three estimator families:
 
 Both samplers walk Z, Z^2, Dinf and BS(1,-1) a block of steps at a time
 over twisted-lattice states (``_TwistedWalk``), and any other group one
-``groups.multiply`` per step; sample ``i`` reads only its (seed, i) stream.
-``lattice_law`` rewrites a law with no flipping step as a walk on Z or
-Z^2, the one form ``auto_escape`` certifies or brackets; other laws, and
-drifted laws with no closed form, are sampled.
+``groups.multiply`` per step; sample ``i`` reads only its (seed, i) stream,
+keyed exactly once.  First returns on those four groups run in rounds
+over a pool of live streams (``_Rounds``): a stream is keyed when it takes
+up a sample and stays live until that sample returns, cannot return or
+reaches the horizon, with no second keying and no saved state, and each
+round keys, gathers and prefix-scans the next blocks of many streams as
+one array.  ``lattice_law`` rewrites a law with no flipping step as a walk
+on Z or Z^2, the one form ``auto_escape`` certifies or brackets; other
+laws, and drifted laws with no closed form, are sampled.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, expm1, prod, sqrt
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -58,13 +64,26 @@ _ROOT_WIDTH = Fraction(1, 2 ** 60)
 # geometrically.
 _FIRST_BLOCK, _BLOCK_GROWTH, _LARGEST_BLOCK = 64, 5, 65_536
 _MIN_SUMMED, _WALKED_FLOOR = 512, 2048
+# A sampler round draws the next blocks of many live streams, at most
+# _ROUND_WORDS words in all unless one block alone is longer, and _POOL
+# streams fill one with first blocks.  On escape-mc's laws rounds of 2^15
+# words ran as fast as rounds of 2^16 and about 4% faster than rounds of
+# 2^14, and need no more buffer than one block of _LARGEST_BLOCK steps.
+_ROUND_WORDS = 1 << 15
+_POOL = _ROUND_WORDS // _FIRST_BLOCK
 # A summed block costs about 0.4 ns a word per atom but the last, a walked
 # one about 5 ns a word, so laws with more atoms walk every block.
 _SUMMED_ATOMS = 12
 # Range sites are counted in a presence array of up to this many cells per
 # state of the path, and by sorting the states' keys when the spans are wider.
 _PRESENCE_CELLS = 8
+# Prefix scans of at least this many slots run on paired columns (_scan).
+_PAIRED_SCAN = 4096
 _RANGE_STEPS = 1 << 22  # range_rate holds a path whole, ~40 bytes a step
+# range_rate on other groups holds the set of visited states, ~700 bytes a
+# state: 2^18 steps is about 180 MB
+_MULTIPLY_RANGE_STEPS = 1 << 18
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class EscapeError(ValueError):
@@ -384,26 +403,93 @@ def lattice_law(mu: FiniteMeasure) -> FiniteMeasure:
                                denom)
 
 
+def _scan(op: np.ufunc, x: np.ndarray, spare: np.ndarray) -> None:
+    """Prefix-scan ``x`` in place by ``op`` (add or xor); ``spare`` is a work
+    array of x's dtype at least half as long.
+
+    A flat ``op.accumulate`` takes about 2.6 ns a slot whatever the dtype.
+    Accumulating the even and the odd slots side by side, as the columns
+    of an (n/2, 2) view, takes about a fifth of that; the scan at an odd
+    slot is then its column's running value joined to the even one beside
+    it, and at an even slot to the odd one before it.  Joins included, a
+    scan of 65,536 int64 slots took about 80 us against 170 us flat (numpy
+    2.4, x86-64), but a few microseconds more in calls, so short arrays
+    are scanned flat."""
+    if x.size < _PAIRED_SCAN:
+        op.accumulate(x, out=x)
+        return
+    pairs = x[:x.size & ~1].reshape(-1, 2)
+    op.accumulate(pairs, axis=0, out=pairs)
+    odd = spare[:pairs.shape[0]]
+    np.copyto(odd, pairs[:, 1])
+    op(pairs[:, 0], odd, out=pairs[:, 1])
+    op(pairs[1:, 0], odd[:-1], out=pairs[1:, 0])
+    if x.size & 1:
+        x[-1] = op(x[-2], x[-1])
+
+
+def _segmented_scan(op: np.ufunc, undo: np.ufunc, x: np.ndarray,
+                    offsets: np.ndarray, starts: Sequence[int],
+                    spare: np.ndarray) -> np.ndarray:
+    """Prefix-scan ``x`` in place by ``op`` (add or xor) in the segments
+    that start at ``offsets``: each segment's first slot becomes its start
+    from ``starts``, the rest its scan from there.  Returns each segment's
+    last value; ``spare`` is as for ``_scan``.
+
+    One scan serves every segment: a segment's first slot is set to its
+    start less (by ``undo``, the inverse of ``op``) the value the scan
+    reaches at the end of the previous segment, found from one
+    ``op.reduceat``.  An int64 sum may wrap in between; every value it is
+    read at fits."""
+    if offsets.size == 1:
+        x[0] = starts[0]
+        _scan(op, x, spare)
+        return x[-1:].copy()
+    x[offsets] = 0
+    ends = op(starts, op.reduceat(x, offsets))
+    x[offsets[0]] = starts[0]
+    x[offsets[1:]] = undo(starts[1:], ends[:-1])
+    _scan(op, x, spare)
+    return ends
+
+
+def _first_hits(at: np.ndarray, offsets: np.ndarray,
+                lasts: np.ndarray) -> list[int]:
+    """Per segment, the first of the ascending positions ``at`` after its
+    start ``offsets[s]`` and up to its last slot ``lasts[s]``, relative to
+    its start; 0 for a segment with none."""
+    if not at.size:
+        return [0] * offsets.size
+    first = at.take(at.searchsorted(offsets + 1), mode="clip") - offsets
+    found = (first > 0) & (first <= lasts - offsets)
+    return np.where(found, first, 0).tolist()
+
+
 class _TwistedWalk:
     """Blocks of a walk on Z, Z^2, Dinf or BS(1,-1), by prefix scans over
     the twisted-lattice states of ``_twisted_steps``, drawn and walked on
-    buffers allocated once for up to ``size`` steps.
+    buffers allocated once for up to ``size`` steps in up to ``_POOL``
+    segments.
 
-    A step's moves are gathered by its word's key (``BucketTable``), its
-    a-move by ``table.size + key`` when taken flipped.  A path holds the
-    state before the block in slot 0 and the state after step j in slot j.
-    The columns b and f stay 0 when no step moves them.  A walk that moves b
-    and flips is on BS(1,-1), where every step flips exactly when it moves b
-    an odd distance: f is b mod 2 at every state, and is not scanned.  A
-    walk with no flipping step and at most ``_SUMMED_ATOMS`` atoms has
-    ``moves`` and can sum a block from atom counts.
+    Each method but ``path`` takes segments: a block of ``ns[s]`` steps
+    drawn from stream ``gens[s]``, from state ``starts[s]``; a single block
+    is the one-segment case.  The segments' words are joined by one zero
+    word each, then keyed, gathered and scanned as one array, in
+    which a segment's path holds its start state in its first slot and the
+    state after its step j in slot j.  A step's moves are gathered by its
+    word's key (``BucketTable``), its a-move by ``table.size + key`` when
+    taken flipped.  The columns b and f stay 0 when no step moves them.  A
+    walk that moves b and flips is on BS(1,-1), where every step flips
+    exactly when it moves b an odd distance: f is b mod 2 at every state,
+    and is not scanned.  A walk with no flipping step and at most
+    ``_SUMMED_ATOMS`` atoms has ``moves`` and can sum a block from atom
+    counts.
     """
 
     def __init__(self, steps: list[tuple[int, int, int]], table: BucketTable,
                  size: int) -> None:
         da, db, df = np.array(steps, dtype=np.int64).T[:, table.atom]
         self.table = table
-        self.size = size
         self.da = np.concatenate([da, -da])
         self.db = db if db.any() else None
         self.df = df.astype(np.int8) if df.any() else None
@@ -418,11 +504,12 @@ class _TwistedWalk:
                 x1, y1, _) in zip(steps, steps[1:])]
         # most a and b move in one step, whatever the flip bit
         self.reach = (int(np.abs(da).max()), int(np.abs(db).max()))
-        self.key = np.empty(size + 1, dtype=np.int64)
-        self.mask = np.empty(size + 1, dtype=bool)
-        self.a = np.empty(size + 1, dtype=np.int64)
-        self.b = np.zeros(size + 1, dtype=np.int64)
-        self.f = np.zeros(size + 1, dtype=np.int8)
+        cells = size + _POOL  # a slot per step and per segment start
+        self.key = np.empty(cells, dtype=np.int64)
+        self.mask = np.empty(cells, dtype=bool)
+        self.a = np.empty(cells, dtype=np.int64)
+        self.b = np.zeros(cells, dtype=np.int64)
+        self.f = np.zeros(cells, dtype=np.int8)
 
     @classmethod
     def of(cls, spec, elems: list[GroupElement], table: BucketTable,
@@ -434,14 +521,27 @@ class _TwistedWalk:
             return None
         return cls(steps, table, size)
 
-    def _keys(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return self.table.keys(gen.bit_generator.random_raw(n), self.key)
-
-    def _b_column(self, key: np.ndarray, b0: int) -> np.ndarray:
-        b = self.b[:key.size + 1]
-        b[0] = b0
-        self.db.take(key, out=b[1:], mode="clip")  # mode "raise" would buffer
-        return b.cumsum(out=b)
+    def _keys(self, gens: list, ns: list[int]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keys, in the key buffer, of the next ``ns[s]`` words of each
+        stream ``gens[s]``, joined by one zero word each so that key p is
+        the step into slot p + 1 of the segments' paths; and the offset and
+        last slot of each segment's path.  One block is keyed from its
+        stream's own array; more are first copied into the ``a`` buffer,
+        each while cache-hot.  The words are let go before any column is
+        built."""
+        lasts = np.cumsum(ns)
+        lasts += np.arange(len(ns))
+        if len(ns) == 1:
+            words = gens[0].bit_generator.random_raw(ns[0])
+        else:
+            words = self.a.view(np.uint64)[:int(lasts[-1])]
+            start = 0
+            for gen, n in zip(gens, ns):
+                words[start:start + n] = gen.bit_generator.random_raw(n)
+                start += n + 1
+            words[lasts[:-1]] = 0
+        return self.table.keys(words, self.key), lasts - ns, lasts
 
     def _a_moves(self, key: np.ndarray, flips: np.ndarray,
                  out: np.ndarray) -> None:
@@ -454,70 +554,101 @@ class _TwistedWalk:
             key += out
         self.da.take(key, out=out, mode="clip")
 
-    def path(self, gen: np.random.Generator, n: int,
-             start: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
-        """States (a, b, f) of the next ``n`` steps of ``gen`` from ``start``."""
-        key = self._keys(gen, n)
-        a, b, f = self.a[:n + 1], self.b[:n + 1], self.f[:n + 1]
-        a[0] = start[0]
+    def _b_column(self, key: np.ndarray, offsets: np.ndarray,
+                  start_b: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The b column of the segments' paths and its end per segment."""
+        b = self.b[:key.size + 1]
+        self.db.take(key, out=b[1:], mode="clip")  # mode "raise" would buffer
+        return b, _segmented_scan(np.add, np.subtract, b, offsets, start_b,
+                                  self.a)  # the a column comes after
+
+    def _states(self, gens: list, ns: list[int],
+                starts: list[tuple[int, int, int]]) -> tuple[np.ndarray, ...]:
+        """States (a, b, f) of the segments' paths, the offset and last slot
+        of each segment, and the a and f columns' ends per segment."""
+        key, offsets, lasts = self._keys(gens, ns)
+        a, b, f = (c[:key.size + 1] for c in (self.a, self.b, self.f))
+        start_a, start_b, start_f = zip(*starts)
         if self.db is not None:
-            self._b_column(key, start[1])
+            self._b_column(key, offsets, start_b)
+        end_f = None
         if self.flip_is_b_parity:
             np.bitwise_and(b, 1, out=f, casting="unsafe")
         elif self.df is not None:
-            f[0] = start[2]
             self.df.take(key, out=f[1:], mode="clip")
-            np.bitwise_xor.accumulate(f, out=f)
+            end_f = _segmented_scan(np.bitwise_xor, np.bitwise_xor, f,
+                                    offsets, start_f, self.mask.view(np.int8))
         self._a_moves(key, f[:-1], a[1:])
-        a.cumsum(out=a)
-        return a, b, f
+        end_a = _segmented_scan(np.add, np.subtract, a, offsets, start_a,
+                                self.key)  # spent by _a_moves
+        return a, b, f, offsets, lasts, end_a, end_f
 
-    def end(self, gen: np.random.Generator, n: int,
-            start: tuple[int, int, int]) -> tuple[int, int, int]:
-        """State after the next ``n`` steps of ``gen`` from ``start``, from
-        how often each atom came up; for walks with ``moves`` only."""
-        (a, b), rises = self.moves
-        counts = self.table.tally(gen.bit_generator.random_raw(n))
-        a, b = start[0] + n * a, start[1] + n * b
-        for c, (ra, rb) in zip(counts, rises):
-            a += c * ra
-            b += c * rb
-        return a, b, 0
+    def path(self, gen: np.random.Generator, n: int,
+             start: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+        """States (a, b, f) of the next ``n`` steps of ``gen`` from ``start``."""
+        return self._states([gen], [n], [start])[:3]
 
-    def first_hit(self, gen: np.random.Generator, n: int,
-                  start: tuple[int, int, int]
-                  ) -> tuple[int, tuple[int, int, int]]:
-        """Slot of the first identity in the next ``n`` steps of ``gen`` from
-        ``start`` (0 if none), and the state after them.
+    def end(self, gens: list, ns: list[int],
+            starts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        """State after each segment, from how often each atom came up in it;
+        for walks with ``moves`` only.  Each block is tallied as drawn:
+        summed blocks are long, and joining their words would cost more
+        than the calls it saves."""
+        (a0, b0), rises = self.moves
+        ends = []
+        for (a, b, _), n, gen in zip(starts, ns, gens):
+            counts = self.table.tally(gen.bit_generator.random_raw(n))
+            a, b = a + n * a0, b + n * b0
+            for c, (ra, rb) in zip(counts, rises):
+                a += c * ra
+                b += c * rb
+            ends.append((a, b, 0))
+        return ends
 
-        Without a b column the path is scanned for a = 0 (and f = 0).  With
-        one, f is 0 wherever b is (there is no flip, or f is b's parity), so
-        only b is scanned: a at b's zeros is ``start[0]`` plus the prefix
-        sums of one ``add.reduceat`` of the signed a-moves split there,
-        padded by one zero move so that a zero at the block's last step
-        splits too.
+    def first_hit(self, gens: list, ns: list[int],
+                  starts: list[tuple[int, int, int]]
+                  ) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """Per segment, the slot of the first identity in its path (0 if
+        none), and the state after it.
+
+        Without a b column the paths are scanned for a = 0 (and f = 0).
+        With one, f is 0 wherever b is (there is no flip, or f is b's
+        parity), so only b is scanned: a is read at the zeros of b and at
+        the segment starts, from one ``add.reduceat`` of the signed a-moves
+        split there and a segmented prefix sum of those rises; a segment's
+        last slot has a zero move out of it, so that a zero at its last
+        step splits too.
         """
+        zeros = [0] * len(ns)
         if self.db is None:
-            a, _, f = self.path(gen, n, start)
-            away = (a[1:] if self.df is None
-                    else np.bitwise_or(a[1:], f[1:], out=self.key[:n]))
-            hits = np.equal(away, 0, out=self.mask[:n])
-            first = int(hits.argmax())  # stops at the first hit
-            return (first + 1 if hits[first] else 0), (int(a[-1]), 0,
-                                                       int(f[-1]))
-        key = self._keys(gen, n)
-        b = self._b_column(key, start[1])
-        moves = self.a[:n + 1]
-        self._a_moves(key, b[:n], moves[:n])
-        moves[n] = 0
-        splits = np.equal(b, 0, out=self.mask[:n + 1])
-        splits[0] = True
-        splits = splits.nonzero()[0]
-        a = np.add.reduceat(moves, splits).cumsum()
-        hits = (a[:-1] == -start[0]).nonzero()[0]
-        end_b = int(b[-1])
-        end = start[0] + int(a[-1]), end_b, end_b & 1 if self.df is not None else 0
-        return (int(splits[hits[0] + 1]) if hits.size else 0), end
+            a, _, f, offsets, lasts, end_a, end_f = self._states(gens, ns,
+                                                                starts)
+            away = (a if self.df is None
+                    else np.bitwise_or(a, f, out=self.key[:a.size]))
+            at = np.equal(away, 0, out=self.mask[:a.size]).nonzero()[0]
+            end_b, end_f = zeros, zeros if end_f is None else end_f.tolist()
+        else:
+            start_a, start_b, _ = zip(*starts)
+            key, offsets, lasts = self._keys(gens, ns)
+            total = key.size + 1
+            b, end_b = self._b_column(key, offsets, start_b)
+            moves = self.a[:total]  # moves[p]: the a-move out of slot p
+            self._a_moves(key, b[:-1], moves[:-1])
+            moves[lasts] = 0  # out of a segment's last slot
+            splits = np.equal(b, 0, out=self.mask[:total])
+            splits[offsets] = True
+            splits = splits.nonzero()[0]
+            rise = np.add.reduceat(moves, splits)  # to the next split
+            firsts = splits.searchsorted(offsets)
+            a = np.empty_like(rise)  # a at each split
+            a[1:] = rise[:-1]
+            _segmented_scan(np.add, np.subtract, a, firsts, start_a, self.key)
+            end_a = np.add(start_a, np.add.reduceat(rise, firsts))
+            end_f = (end_b & 1).tolist() if self.df is not None else zeros
+            end_b = end_b.tolist()
+            at = splits[a == 0]
+        return (_first_hits(at, offsets, lasts),
+                list(zip(end_a.tolist(), end_b, end_f)))
 
 
 def _distinct_states(columns: list[np.ndarray], key: np.ndarray,
@@ -580,36 +711,104 @@ def _unreturning_steps(state: tuple[int, int, int],
     return max((a - 1) // ma if a else 0, (b - 1) // mb if b else 0)
 
 
-def _first_return_on_walk(walk: _TwistedWalk, gen: np.random.Generator,
-                          horizon: int) -> int:
-    """First-return time of one stream, horizon+1 if none.
+class _Stream:
+    """A live stream of the pool: the sample it draws for, its state after
+    ``done`` steps and the size of its next walked block; ``n`` is the
+    length of its next block, ``summed`` whether that block is summed."""
 
-    The stream stops once no return is possible in the steps left, and a
-    block stops where ``_free_steps`` says one could become impossible,
-    unless that would make it shorter than a floor.  A walk with no
-    flipping step that cannot return within ``_MIN_SUMMED`` steps sums a
-    block of as many steps (floor ``_MIN_SUMMED``).  Otherwise it walks a
-    block that starts at ``_FIRST_BLOCK`` steps and grows
-    ``_BLOCK_GROWTH`` times each time (floor ``_WALKED_FLOOR``).
+    __slots__ = ("index", "gen", "state", "done", "size", "n", "summed")
+
+
+class _Rounds:
+    """First-return times of samples ``0 .. out.size - 1`` into ``out``,
+    horizon+1 where none, walked in rounds over a pool of up to ``_POOL``
+    live streams.
+
+    Each stream of the pool is keyed once per sample, the first time with a
+    fresh generator and later by re-keying its own, and runs until its
+    sample returns, cannot return or reaches the horizon.  A round takes
+    streams from the front of the queue while their next blocks fit in
+    ``_ROUND_WORDS`` words (always one), sums all its summed blocks in one
+    ``end`` and scans all its walked ones in one ``first_hit``, and queues
+    each stream's next block at the back.
     """
-    state, done, size = (0, 0, 0), 0, _FIRST_BLOCK
-    while done < horizon:
-        left = horizon - done
-        free = _free_steps(state, left, walk.reach)
+
+    def __init__(self, walk: _TwistedWalk, horizon: int, seed: int,
+                 out: np.ndarray) -> None:
+        self.walk, self.horizon, self.seed, self.out = walk, horizon, seed, out
+        self.samples = iter(range(out.size))
+        self.queue: deque[_Stream] = deque()
+        out.fill(horizon + 1)
+        for _ in range(min(_POOL, out.size)):
+            stream = _Stream()
+            stream.gen, stream.done = None, horizon  # keyed by plan
+            self.plan(stream)
+
+    def plan(self, stream: _Stream) -> None:
+        """Queue the stream's next block.  Once its sample is at the horizon
+        or can no longer return, first key it to the next sample, if any.
+
+        A block stops where ``_free_steps`` says a return could become
+        impossible, unless that would make it shorter than a floor.  A walk
+        with no flipping step that cannot return within ``_MIN_SUMMED``
+        steps sums a block of as many steps (floor ``_MIN_SUMMED``).
+        Otherwise it walks a block that starts at ``_FIRST_BLOCK`` steps and
+        grows ``_BLOCK_GROWTH`` times each time (floor ``_WALKED_FLOOR``).
+        """
+        reach = self.walk.reach
+        left = self.horizon - stream.done
+        free = _free_steps(stream.state, left, reach) if left else -1
         if free < 0:
-            return horizon + 1
-        away = _unreturning_steps(state, walk.reach) if walk.moves else 0
-        if away >= _MIN_SUMMED:
-            n = min(away, max(free, _MIN_SUMMED), walk.size, left)
-            state = walk.end(gen, n, state)
-        else:
-            n = min(size, max(free, _WALKED_FLOOR), left)
-            hit, state = walk.first_hit(gen, n, state)
-            if hit:
-                return done + hit
-            size = min(size * _BLOCK_GROWTH, walk.size)
-        done += n
-    return horizon + 1
+            index = next(self.samples, None)
+            if index is None:
+                return
+            stream.index = index
+            stream.gen = sample_stream(self.seed, index, stream.gen)
+            stream.state, stream.done, stream.size = (0, 0, 0), 0, _FIRST_BLOCK
+            left = self.horizon
+            free = _free_steps(stream.state, left, reach)
+        away = (_unreturning_steps(stream.state, reach) if self.walk.moves
+                else 0)
+        stream.summed = away >= _MIN_SUMMED
+        stream.n = (min(away, max(free, _MIN_SUMMED), _LARGEST_BLOCK, left)
+                    if stream.summed
+                    else min(stream.size, max(free, _WALKED_FLOOR), left))
+        self.queue.append(stream)
+
+    def round(self) -> None:
+        queue = self.queue
+        words, summed, walked = 0, [], []
+        while queue and (not words or words + queue[0].n <= _ROUND_WORDS):
+            stream = queue.popleft()
+            words += stream.n
+            (summed if stream.summed else walked).append(stream)
+        if summed:
+            for stream, end in zip(summed, self.walk.end(*_blocks(summed))):
+                stream.state = end
+                stream.done += stream.n
+                self.plan(stream)
+        if walked:
+            for stream, hit, end in zip(
+                    walked, *self.walk.first_hit(*_blocks(walked))):
+                if hit:
+                    self.out[stream.index] = stream.done + hit
+                    stream.done = self.horizon  # done with this sample
+                else:
+                    stream.state = end
+                    stream.done += stream.n
+                    stream.size = min(stream.size * _BLOCK_GROWTH,
+                                      _LARGEST_BLOCK)
+                self.plan(stream)
+
+    def run(self) -> None:
+        while self.queue:
+            self.round()
+
+
+def _blocks(streams: list[_Stream]) -> tuple[list, list[int], list]:
+    """The segments of the streams' next blocks: streams, lengths, starts."""
+    return ([s.gen for s in streams], [s.n for s in streams],
+            [s.state for s in streams])
 
 
 def _first_return_by_multiply(spec, elems: list[GroupElement],
@@ -635,28 +834,44 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
                        seed: int) -> np.ndarray:
     """First return time to the identity per sample; horizon+1 if none seen.
 
-    Sample ``i`` consumes only its own (seed, i) stream, so results do not
-    depend on batching.  Each sample draws its stream in blocks sized by
-    the state its walk is in; on Z, Z^2, Dinf and BS(1,-1) it stops
-    drawing once no return is possible in the steps left, computes of a
-    block only what the identity test reads, and sums whole blocks in
-    which a walk with no flipping step cannot come back.  None of this
+    Sample ``i`` consumes only its own (seed, i) stream, keyed once, so
+    results do not depend on batching.  Each sample draws its stream in
+    blocks sized by the state its walk is in; on Z, Z^2, Dinf and BS(1,-1)
+    it stops drawing once no return is possible in the steps left, computes
+    of a block only what the identity test reads, and sums whole blocks in
+    which a walk with no flipping step cannot come back.  There the samples
+    run in rounds over a pool of up to ``_POOL`` live streams (``_Rounds``):
+    each round draws the next block of many streams, at most
+    ``_ROUND_WORDS`` words in all unless one block alone is longer, and
+    keys, gathers and scans its walked blocks as one array.  None of this
     changes a result, since a stream's words do not depend on how its
     draws are split and a sample that cannot return has time horizon+1.
+
+    A horizon whose horizon+1 exceeds int64, and a sample count whose
+    result array cannot be allocated, are refused before any draw.
     """
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
+    if horizon >= _INT64_MAX:
+        raise EscapeError(f"horizon {horizon} too large: horizon + 1 must "
+                          f"fit in int64 (at most {_INT64_MAX - 1})")
+    try:
+        out = np.empty(samples, dtype=np.int64)
+    except MemoryError:
+        raise EscapeError(f"no memory for {samples} first-return "
+                          "times") from None
     elems, cum = cumulative(mu)
     table = BucketTable(cum)
-    walk = _TwistedWalk.of(mu.spec, elems, table, min(horizon, _LARGEST_BLOCK))
-    out = np.empty(samples, dtype=np.int64)
+    walk = _TwistedWalk.of(mu.spec, elems, table,
+                           min(max(horizon, _ROUND_WORDS), _LARGEST_BLOCK,
+                               min(_POOL, samples) * horizon))
+    if walk is not None:
+        _Rounds(walk, horizon, seed, out).run()
+        return out
     gen = None
     for i in range(samples):
         gen = sample_stream(seed, i, gen)
-        out[i] = (_first_return_on_walk(walk, gen, horizon)
-                  if walk is not None
-                  else _first_return_by_multiply(mu.spec, elems, table, gen,
-                                                 horizon))
+        out[i] = _first_return_by_multiply(mu.spec, elems, table, gen, horizon)
     return out
 
 
@@ -724,7 +939,9 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     probability; when a bias bound is available (drifted 1-d lattice walks)
     it extends the interval's low side and is reported.  Paths longer than
     ``_RANGE_STEPS`` (about 4.2 million steps) are refused before anything
-    is allocated.
+    is allocated, and on groups walked one ``groups.multiply`` a step,
+    whose visited states take about 700 bytes each, paths longer than
+    ``_MULTIPLY_RANGE_STEPS`` (262,144 steps) before any is walked.
     """
     if n < 1 or samples < 1:
         raise EscapeError("n and samples must be >= 1")
@@ -734,6 +951,10 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     elems, cum = cumulative(mu)
     table = BucketTable(cum)
     walk = _TwistedWalk.of(mu.spec, elems, table, n)
+    if walk is None and n > _MULTIPLY_RANGE_STEPS:
+        raise EscapeError(
+            f"range paths on {mu.spec!r} hold every visited state and are "
+            f"capped at {_MULTIPLY_RANGE_STEPS} steps, got n = {n}")
     sites, gen = [], None
     if walk is None:  # one groups.multiply per step
         ident = groups.identity(mu.spec)

@@ -500,6 +500,57 @@ def test_range_rate_refuses_paths_past_its_cap(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_range_rate_refuses_multiply_paths_past_their_cap(capsys):
+    """On a group walked one ``groups.multiply`` a step, whose visited
+    states take about 700 bytes each, a path longer than
+    ``_MULTIPLY_RANGE_STEPS`` is refused before any step, allocating
+    under 1 MiB, and the command line exits with status 2."""
+    mu = measures.lamplighter_family(F(3, 4), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EscapeError, match="capped"):
+            range_rate(mu, escape._MULTIPLY_RANGE_STEPS + 1, 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert cli.main(["escape", "lamplighter(k=2, p=3/4)", "--method", "range",
+                     "--horizon", "4000000", "--samples", "1"]) == 2
+    assert "capped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon, samples", [
+    (10, 100_000_000_000_000),
+    (100_000_000_000_000_000_000, 4),
+    (2 ** 63 - 1, 4),
+], ids=["samples-past-memory", "horizon-past-int64", "horizon-plus-one-past-int64"])
+def test_monte_carlo_refuses_inputs_it_cannot_hold(horizon, samples, capsys,
+                                                   monkeypatch):
+    """A sample count whose result array cannot be allocated, and a horizon
+    whose horizon + 1 does not fit the int64 result, are refused before
+    any stream is keyed, and the command line exits with status 2.  A
+    horizon is refused allocating under 1 MiB (numpy reports the request
+    of an allocation that fails to tracemalloc, so the sample count's
+    refusal is not measured there)."""
+    def keyed(*args):
+        raise AssertionError("a stream was keyed")
+
+    monkeypatch.setattr(escape, "sample_stream", keyed)
+    mu = measures.z_drift_family()
+    tracemalloc.start()
+    try:
+        with pytest.raises(EscapeError):
+            first_return_times(mu, horizon, samples, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 or samples > horizon
+    assert cli.main(["escape", "z_drift(k=limit)", "--method", "mc",
+                     "--horizon", str(horizon), "--samples", str(samples),
+                     "--seed", "4"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def _reference_path(mu, seed, index, n):
     """States of the first ``n`` steps of the (seed, index) walk, built step
     by step with ``groups.multiply`` from atoms drawn by binary search in
@@ -828,6 +879,55 @@ def test_early_stop_keeps_first_returns_of_the_reference_walk(mu, horizon, seed)
             == _reference_first_returns(mu, horizon, 4, seed))
 
 
+POOL = escape._POOL
+
+
+@given(twisted_laws,
+       st.sampled_from([1, POOL - 1, POOL + 1, 3 * POOL + 2]),
+       st.integers(1, 63).filter(lambda h: h % 4), st.integers(0, 3))
+@example(twisted_law(BS11, [(1, 1), (-1, 0), (0, -1)], [1, 1, 1]),
+         3 * POOL + 2, 63, 1)
+@settings(max_examples=12, deadline=None)
+def test_rounds_keep_first_returns_of_the_reference_walk(mu, samples, horizon,
+                                                         seed):
+    """Fewer samples than the pool, a pool and one over, and three pools
+    and two over, each sample one short block: streams are re-keyed to the
+    next sample as theirs end, and the first returns equal those of the
+    plain group walk on the same streams."""
+    assert (first_return_times(mu, horizon, samples, seed).tolist()
+            == _reference_first_returns(mu, horizon, samples, seed))
+
+
+def test_rounds_key_each_sample_once_and_draw_at_most_a_block(monkeypatch):
+    """Every sample keys exactly one stream, a round batches the blocks of
+    many streams, and no round draws more than 65,536 words, however many
+    streams are live."""
+    blocks = count_draws(monkeypatch)
+    counting, keyed = escape.sample_stream, []
+
+    def stream(seed, index, gen=None):
+        keyed.append(index)
+        return counting(seed, index, gen)
+
+    monkeypatch.setattr(escape, "sample_stream", stream)
+    words, play = [], escape._Rounds.round
+
+    def round_(self):
+        before = sum(map(sum, blocks))
+        play(self)
+        words.append(sum(map(sum, blocks)) - before)
+
+    monkeypatch.setattr(escape._Rounds, "round", round_)
+    samples = POOL + 88
+    for mu in (measures.bs11_family(F(3, 4), 2), measures.z_drift_family()):
+        blocks.clear(), keyed.clear(), words.clear()
+        first_return_times(mu, 100_000, samples, seed=3)
+        assert sorted(keyed) == list(range(samples))
+        assert len(blocks) == samples
+        assert max(words) <= 65_536
+        assert len(words) < sum(map(len, blocks)) / 4
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 30),
        st.integers(0, 3), st.integers(0, 3))
 def test_free_steps_is_the_last_block_before_a_stop_can_fire(a, b, left,
@@ -898,7 +998,7 @@ def test_a_summed_block_ends_where_the_path_does(mu, a, b, n, seed):
     elif mu.spec == BS11:  # every b-step is even
         b *= 2
     start = (a, b, 0)
-    end = walk.end(rng.sample_stream(seed, 0), n, start)
+    [end] = walk.end([rng.sample_stream(seed, 0)], [n], [start])
     assert end == last_state(walk.path(rng.sample_stream(seed, 0), n, start))
 
 
@@ -923,7 +1023,7 @@ def test_a_at_the_zeros_of_b_finds_the_first_hit_of_the_path(mu, a, b, n, seed):
     on BS(1,-1) the f column of the path is b's parity."""
     walk = walk_of(mu, 700)
     start = (a, b, b & 1 if walk.df is not None else 0)
-    hit, end = walk.first_hit(rng.sample_stream(seed, 0), n, start)
+    [hit], [end] = walk.first_hit([rng.sample_stream(seed, 0)], [n], [start])
     path = walk.path(rng.sample_stream(seed, 0), n, start)
     states = list(zip(*(c.tolist() for c in path)))
     assert hit == next((j for j in range(1, n + 1)
@@ -954,6 +1054,34 @@ def test_summed_blocks_keep_first_returns_of_the_reference_walk(mu,
     assert (first_return_times(mu, horizon, samples, seed).tolist()
             == _reference_first_returns(mu, horizon, samples, seed))
     assert summed
+
+
+@pytest.mark.parametrize("op, undo, dtype", [
+    (np.add, np.subtract, np.int64),
+    (np.bitwise_xor, np.bitwise_xor, np.int8),
+], ids=["add", "xor"])
+@pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 20_001])
+def test_segmented_scans_equal_a_scan_per_segment(op, undo, dtype, size):
+    """Flat and paired-column scans, one segment or many (one of a single
+    slot among them), equal ``op.accumulate`` run on each segment from its
+    start."""
+    gen = np.random.default_rng(size)
+    x = gen.integers(-3, 4, size).astype(dtype)
+    cuts = gen.integers(1, size, 9).tolist() if size > 1 else []
+    for offsets in ([0], sorted({0, *cuts})):
+        offsets = np.array(offsets)
+        starts = gen.integers(-9, 10, offsets.size).astype(dtype).tolist()
+        edges = [*offsets.tolist(), size]
+        expected = []
+        for start, lo, hi in zip(starts, edges, edges[1:]):
+            segment = x[lo:hi].copy()
+            segment[0] = start
+            expected.append(op.accumulate(segment))
+        got = x.copy()
+        ends = escape._segmented_scan(op, undo, got, offsets, starts,
+                                      np.empty(size, dtype=dtype))
+        assert np.array_equal(got, np.concatenate(expected))
+        assert np.array_equal(ends, [e[-1] for e in expected])
 
 
 @pytest.mark.parametrize("spans", [(1, 1, 1), (40, 1, 1), (9, 7, 2),

@@ -96,6 +96,23 @@ def test_a_rekeyed_stream_equals_a_fresh_one():
                               rng.sample_stream(3, index).random(1001))
 
 
+def test_a_fresh_stream_is_the_philox_stream_of_its_key():
+    """A fresh generator, built without drawing entropy for a seed sequence,
+    is Philox keyed by (seed, index) with counter 0; its seed sequence
+    hands out nothing but that key."""
+    for seed, index in ((3, 0), (7, 123_456), (2 ** 64 - 1, 2 ** 64 - 1)):
+        key = np.array([seed, index], dtype=np.uint64)
+        reference = np.random.Generator(np.random.Philox(key=key))
+        fresh = rng.sample_stream(seed, index)
+        state, expected = (g.bit_generator.state for g in (fresh, reference))
+        for part in ("counter", "key"):
+            assert np.array_equal(state["state"][part], expected["state"][part])
+        assert np.array_equal(fresh.bit_generator.random_raw(1001),
+                              reference.bit_generator.random_raw(1001))
+    with pytest.raises(ValueError, match="Philox key"):
+        rng._PhiloxKey(key).generate_state(4)
+
+
 @pytest.mark.parametrize("atoms", [6, 40], ids=["6-atoms", "40-atoms"])
 def test_draw_into_shared_buffers_matches_a_fresh_draw(atoms):
     """Blocks of one stream's words keyed into one buffer give the atoms of
