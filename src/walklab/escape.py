@@ -857,7 +857,7 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
                           f"fit in int64 (at most {_INT64_MAX - 1})")
     try:
         out = np.empty(samples, dtype=np.int64)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: past numpy's sizes
         raise EscapeError(f"no memory for {samples} first-return "
                           "times") from None
     elems, cum = cumulative(mu)

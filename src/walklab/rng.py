@@ -21,8 +21,9 @@ or a cumulative weight rounded above 1) is reached by no word and dropped.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 _KEY_SHIFT = 52  # a word's bucket is its top 12 bits
@@ -95,21 +96,28 @@ class BucketTable:
         return [int(np.count_nonzero(words >= t)) for t in self.thresholds]
 
 
-class _PhiloxKey(ISeedSequence):
-    """A seed sequence whose state is a given Philox key: ``Philox`` builds
-    from it the generator ``Philox(key=key)`` builds, without first drawing
-    operating-system entropy for a seed sequence it would then ignore."""
+@cache
+def _philox_key() -> type:
+    """The seed-sequence class whose state is a given Philox key: ``Philox``
+    builds from ``_philox_key()(key)`` the generator ``Philox(key=key)``
+    builds, without first drawing operating-system entropy for a seed
+    sequence it would then ignore.  Built on first use, so that importing
+    this module does not import ``numpy.random`` (about 10 ms)."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("key",)
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("key",)
 
-    def __init__(self, key: np.ndarray) -> None:
-        self.key = key
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != self.key.size or np.dtype(dtype) != self.key.dtype:
-            raise ValueError(f"a Philox key is {self.key.size} words of "
-                             f"{self.key.dtype}, not {n_words} of {dtype}")
-        return self.key
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != self.key.size or np.dtype(dtype) != self.key.dtype:
+                raise ValueError(f"a Philox key is {self.key.size} words of "
+                                 f"{self.key.dtype}, not {n_words} of {dtype}")
+            return self.key
+
+    return PhiloxKey
 
 
 def sample_stream(seed: int, index: int,
@@ -123,7 +131,7 @@ def sample_stream(seed: int, index: int,
     """
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     if gen is None:
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        return np.random.Generator(np.random.Philox(_philox_key()(key)))
     zeros = np.zeros(4, dtype=np.uint64)
     gen.bit_generator.state = {
         "bit_generator": "Philox",

@@ -521,9 +521,11 @@ def test_range_rate_refuses_multiply_paths_past_their_cap(capsys):
 
 @pytest.mark.parametrize("horizon, samples", [
     (10, 100_000_000_000_000),
+    (10, 10 ** 30),
     (100_000_000_000_000_000_000, 4),
     (2 ** 63 - 1, 4),
-], ids=["samples-past-memory", "horizon-past-int64", "horizon-plus-one-past-int64"])
+], ids=["samples-past-memory", "samples-past-numpy", "horizon-past-int64",
+        "horizon-plus-one-past-int64"])
 def test_monte_carlo_refuses_inputs_it_cannot_hold(horizon, samples, capsys,
                                                    monkeypatch):
     """A sample count whose result array cannot be allocated, and a horizon

@@ -110,7 +110,7 @@ def test_a_fresh_stream_is_the_philox_stream_of_its_key():
         assert np.array_equal(fresh.bit_generator.random_raw(1001),
                               reference.bit_generator.random_raw(1001))
     with pytest.raises(ValueError, match="Philox key"):
-        rng._PhiloxKey(key).generate_state(4)
+        rng._philox_key()(key).generate_state(4)
 
 
 @pytest.mark.parametrize("atoms", [6, 40], ids=["6-atoms", "40-atoms"])
