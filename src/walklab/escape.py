@@ -862,6 +862,7 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
                           "times") from None
     elems, cum = cumulative(mu)
     table = BucketTable(cum)
+    # the most words one round can draw
     walk = _TwistedWalk.of(mu.spec, elems, table,
                            min(max(horizon, _ROUND_WORDS), _LARGEST_BLOCK,
                                min(_POOL, samples) * horizon))
