@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import sys
@@ -197,7 +198,10 @@ def _cmd_magnus(args) -> int:
 
 def _run_experiment(cfg: experiments.ExperimentConfig, args) -> int:
     """Run ``cfg`` with the flags given on the command line overriding its
-    fields, and write the report in the merged config's format and place."""
+    fields, and write the report in the merged config's format and place.
+    Standard error gets one line per expectation, then the sha256 of the
+    report's replay payload: two checkouts that print the same one computed
+    the same numbers."""
     overrides = {key: getattr(args, key) for key in ("seed", "cap", "fmt", "out")
                  if getattr(args, key) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
@@ -208,6 +212,8 @@ def _run_experiment(cfg: experiments.ExperimentConfig, args) -> int:
         status = "PASS" if exp["passed"] else "FAIL"
         sys.stderr.write(f"[{status}] {report.experiment} {exp['name']}: "
                          f"{exp['detail']}\n")
+    digest = hashlib.sha256(report.replay_payload().encode()).hexdigest()
+    sys.stderr.write(f"{report.experiment} replay sha256 {digest}\n")
     return 0 if report.passed else 1
 
 

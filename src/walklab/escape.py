@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, expm1, prod, sqrt
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +80,10 @@ _PRESENCE_CELLS = 8
 # Prefix scans of at least this many slots run on paired columns (_scan).
 _PAIRED_SCAN = 4096
 _RANGE_STEPS = 1 << 22  # range_rate holds a path whole, ~40 bytes a step
+# first_return_times walks at most samples * horizon steps, and refuses more
+# than this: about 1,000 times the 10^9 of the largest runs here, and hours
+# of sampling at the fastest rates
+_MC_STEPS = 1 << 40
 # range_rate on other groups holds the set of visited states, ~700 bytes a
 # state: 2^18 steps is about 180 MB
 _MULTIPLY_RANGE_STEPS = 1 << 18
@@ -811,23 +815,19 @@ def _blocks(streams: list[_Stream]) -> tuple[list, list[int], list]:
             [s.state for s in streams])
 
 
-def _first_return_by_multiply(spec, elems: list[GroupElement],
-                              table: BucketTable, gen: np.random.Generator,
-                              horizon: int) -> int:
-    """First-return time of one stream, one ``groups.multiply`` per step,
-    drawn in blocks of ``_FIRST_BLOCK`` steps growing ``_BLOCK_GROWTH``
-    times each up to ``_LARGEST_BLOCK``."""
-    ident = groups.identity(spec)
-    state, t, size = ident, 0, _FIRST_BLOCK
-    while t < horizon:
-        words = gen.bit_generator.random_raw(min(size, horizon - t))
+def _multiply_walk(spec, elems: list[GroupElement], table: BucketTable,
+                   gen: np.random.Generator, n: int) -> Iterator[GroupElement]:
+    """States after each of the first ``n`` steps of ``gen``, one
+    ``groups.multiply`` per step, drawn in blocks of ``_FIRST_BLOCK`` steps
+    growing ``_BLOCK_GROWTH`` times each up to ``_LARGEST_BLOCK``."""
+    state, size = groups.identity(spec), _FIRST_BLOCK
+    while n > 0:
+        words = gen.bit_generator.random_raw(min(size, n))
+        n -= words.size
         for ix in table.draw(words).tolist():
-            t += 1
             state = groups.multiply(spec, state, elems[ix])
-            if state == ident:
-                return t
+            yield state
         size = min(size * _BLOCK_GROWTH, _LARGEST_BLOCK)
-    return horizon + 1
 
 
 def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
@@ -847,8 +847,9 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
     changes a result, since a stream's words do not depend on how its
     draws are split and a sample that cannot return has time horizon+1.
 
-    A horizon whose horizon+1 exceeds int64, and a sample count whose
-    result array cannot be allocated, are refused before any draw.
+    A horizon whose horizon+1 exceeds int64, a sample count whose result
+    array cannot be allocated, and more than ``_MC_STEPS`` (2^40) steps in
+    all (samples times horizon) are refused before any draw.
     """
     if horizon < 1 or samples < 1:
         raise EscapeError("horizon and samples must be >= 1")
@@ -860,6 +861,10 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
     except (MemoryError, ValueError):  # ValueError: past numpy's sizes
         raise EscapeError(f"no memory for {samples} first-return "
                           "times") from None
+    if samples * horizon > _MC_STEPS:
+        raise EscapeError(f"{samples} samples to horizon {horizon} may walk "
+                          f"{samples * horizon} steps, past the budget of "
+                          f"{_MC_STEPS} (2^40)")
     elems, cum = cumulative(mu)
     table = BucketTable(cum)
     # the most words one round can draw
@@ -869,10 +874,12 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
     if walk is not None:
         _Rounds(walk, horizon, seed, out).run()
         return out
-    gen = None
+    ident, gen = groups.identity(mu.spec), None
     for i in range(samples):
         gen = sample_stream(seed, i, gen)
-        out[i] = _first_return_by_multiply(mu.spec, elems, table, gen, horizon)
+        states = _multiply_walk(mu.spec, elems, table, gen, horizon)
+        out[i] = next((t for t, state in enumerate(states, 1)
+                       if state == ident), horizon + 1)
     return out
 
 
@@ -957,15 +964,12 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
             f"range paths on {mu.spec!r} hold every visited state and are "
             f"capped at {_MULTIPLY_RANGE_STEPS} steps, got n = {n}")
     sites, gen = [], None
-    if walk is None:  # one groups.multiply per step
+    if walk is None:
         ident = groups.identity(mu.spec)
         for i in range(samples):
             gen = sample_stream(seed, i, gen)
-            state, seen = ident, {ident}
-            for ix in table.draw(gen.bit_generator.random_raw(n)).tolist():
-                state = groups.multiply(mu.spec, state, elems[ix])
-                seen.add(state)
-            sites.append(len(seen))
+            sites.append(len({ident, *_multiply_walk(mu.spec, elems, table,
+                                                     gen, n)}))
     else:  # every path in one block; its key buffer is scratch after
         present = np.empty(_PRESENCE_CELLS * (n + 1), dtype=bool)
         for i in range(samples):

@@ -305,13 +305,15 @@ def _member_orders(mus: Sequence[FiniteMeasure]
                    ) -> tuple[list[GroupElement], list[np.ndarray | None]]:
     """The first member's atoms, and each member's atom order as indices
     into them (None for their own order; equal orders share one array).
-    Raises :class:`MeasureError` unless the members share their support."""
+    Raises :class:`MeasureError` unless the members share a spec, a weight
+    mode and their support."""
     atoms = list(mus[0]._atoms)
     index = {g: i for i, g in enumerate(atoms)}
     shared: dict[tuple[int, ...], np.ndarray | None] = {
         tuple(range(len(atoms))): None}
     orders = []
     for mu in mus:
+        _check_same(mus[0], mu)
         try:
             order = tuple(index[g] for g in mu._atoms)
         except KeyError as exc:
@@ -322,17 +324,6 @@ def _member_orders(mus: Sequence[FiniteMeasure]
             shared[order] = np.array(order, dtype=np.intp)
         orders.append(shared[order])
     return atoms, orders
-
-
-def _encode_family(code: groups.RowCode,
-                   mus: Sequence[FiniteMeasure]) -> _RowFamily:
-    """Members that share a support, on rows."""
-    atoms, orders = _member_orders(mus)
-    return _RowFamily(code.encode(atoms), orders,
-                      [_weight_array(mu) for mu in mus],
-                      [mu.denom for mu in mus],
-                      [None if mu.denom is None else sum(mu._atoms.values())
-                       for mu in mus])
 
 
 def _distinct(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,25 +419,6 @@ def _family_code(laws: Sequence[FiniteMeasure],
     return code if reach <= code.limit else None
 
 
-def _check_family(mus: Sequence[FiniteMeasure],
-                  nus: Sequence[FiniteMeasure]) -> None:
-    for mu, nu in zip(mus, nus, strict=True):
-        _check_same(mus[0], mu)
-        _check_same(mu, nu)
-
-
-def convolve_family(mus: list[FiniteMeasure], nus: list[FiniteMeasure],
-                    cap: int = DEFAULT_SUPPORT_CAP) -> list[FiniteMeasure]:
-    """``[convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]`` for pairs
-    that share a spec, a weight mode and, as sets, the support of ``mu``
-    and that of ``nu``: one family step off the rows, law by law."""
-    _check_family(mus, nus)
-    if len(mus) > 1:
-        _member_orders(mus)
-        _member_orders(nus)
-    return [convolve(mu, nu, cap) for mu, nu in zip(mus, nus)]
-
-
 def family_powers(laws: Sequence[FiniteMeasure], n_max: int,
                   cap: int = DEFAULT_SUPPORT_CAP
                   ) -> Iterator[list[tuple[np.ndarray, int | None]]]:
@@ -458,21 +430,28 @@ def family_powers(laws: Sequence[FiniteMeasure], n_max: int,
     order, weights and denominator.  A family whose spec encodes as rows
     and whose coordinates stay within the fields to ``n_max`` keeps its
     powers as rows and weight arrays, one product table a power
-    (:func:`_row_step`), and builds no dict; any other family goes through
-    :func:`convolve_family` a power at a time.  If the support cap is hit,
-    the :class:`SupportCapError` names the largest completed power.
+    (:func:`_row_step`), and builds no dict; any other family calls
+    :func:`convolve` law by law, a power at a time.  The family is checked
+    once, before the first power: powers of laws with one support set share
+    their support.  If the support cap is hit, the :class:`SupportCapError`
+    names the largest completed power.
     """
-    _check_family(laws, laws)
+    atoms, orders = _member_orders(laws)
     code = _family_code(laws, n_max)
     if code is not None:
-        steps = power = _encode_family(code, laws)
+        steps = power = _RowFamily(
+            code.encode(atoms), orders, [_weight_array(mu) for mu in laws],
+            [mu.denom for mu in laws],
+            [None if mu.denom is None else sum(mu._atoms.values())
+             for mu in laws])
     powers = laws
     for n in range(1, n_max + 1):
         try:
             if code is not None and n > 1:
                 power = _row_step(code, power, steps, cap)
             elif n > 1:
-                powers = convolve_family(powers, laws, cap)
+                powers = [convolve(p, law, cap)
+                          for p, law in zip(powers, laws)]
         except SupportCapError as exc:
             raise SupportCapError(f"{exc} (largest completed power {n - 1})",
                                   completed=n - 1) from exc

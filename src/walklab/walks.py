@@ -17,8 +17,8 @@ binary64 kernel (``_entropy_ends``) computes those ends and also encloses
 each exact ladder value from its weight vector, so a check is settled
 without a multi-precision log unless its bracket contains 0.
 ``EntropyLadder.summary`` is the one plain-data record of a ladder that
-experiment reports, the command line and the scripts print, and ``csv_row``
-is its one CSV line.
+experiment reports and the command line print, and ``csv_row`` is its one
+CSV line.
 
 A trajectory enumeration lists every length-``n`` increment sequence with
 its exact weight; partition views are callables ``view(enum, t)`` that label

@@ -524,16 +524,17 @@ def test_range_rate_refuses_multiply_paths_past_their_cap(capsys):
     (10, 10 ** 30, False),
     (100_000_000_000_000_000_000, 4, True),
     (2 ** 63 - 1, 4, True),
+    (2 ** 63 - 2, 4, True),
 ], ids=["samples-past-memory", "samples-past-numpy", "horizon-past-int64",
-        "horizon-plus-one-past-int64"])
+        "horizon-plus-one-past-int64", "steps-past-budget"])
 def test_monte_carlo_refuses_inputs_it_cannot_hold(horizon, samples, traced,
                                                    capsys, monkeypatch):
-    """A sample count whose result array cannot be allocated, and a horizon
-    whose horizon + 1 does not fit the int64 result, are refused before
-    any stream is keyed, and the command line exits with status 2.  A
-    horizon is refused allocating under 1 MiB (numpy reports the request
-    of an allocation that fails to tracemalloc, so the sample count's
-    refusal is not measured there)."""
+    """A sample count whose result array cannot be allocated, a horizon
+    whose horizon + 1 does not fit the int64 result, and more than 2^40
+    steps in all are refused before any stream is keyed, and the command
+    line exits with status 2.  A horizon is refused allocating under 1 MiB
+    (numpy reports the request of an allocation that fails to tracemalloc,
+    so the sample count's refusal is not measured there)."""
     def keyed(*args):
         raise AssertionError("a stream was keyed")
 

@@ -5,12 +5,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -390,6 +386,8 @@ def test_cli_experiment_run(capsys):
     doc = json.loads(captured.out)
     assert doc["experiment"] == "E6" and doc["passed"] is True
     assert "[PASS]" in captured.err
+    assert captured.err.splitlines()[-1] == (
+        f"E6 replay sha256 {REPLAY_SHA256['E6']}")
 
 
 def test_cli_experiment_run_to_file(tmp_path, capsys):
@@ -446,25 +444,6 @@ def test_cli_lists_experiments_in_one_place(capsys):
         cli.main(["experiment", "list"])
     assert exc.value.code == 2
     assert "invalid choice: 'list'" in capsys.readouterr().err
-
-
-def _ladder_tables(*argv):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "ladder_tables.py"), *argv],
-        capture_output=True, text=True, env=env)
-
-
-def test_ladder_tables_rejects_p_for_z_drift():
-    run = _ladder_tables("z_drift", "--k", "2", "--nmax", "2", "--p", "1/2")
-    assert run.returncode == 2
-    assert "z_drift takes no --p" in run.stderr
-    run = _ladder_tables("dinf", "--k", "2", "--nmax", "2", "--format", "csv")
-    assert run.returncode == 0
-    assert run.stdout.splitlines()[1].startswith("dinf(p=3/4, k=2),0,")
 
 
 def test_cli_error_exit_codes(capsys):

@@ -1,10 +1,10 @@
 """Dead-surface guard: every module-level function and class in walklab has
 a caller in the program.
 
-The program is the package's modules, the scripts, the perfbench harness
-and the acceptance tests; unit tests alone do not keep a name alive, and
-neither does a re-export: the package ``__init__`` only imports names and
-lists them in ``__all__``, so it is not read.  A name counts as referenced
+The program is the package's modules, the perfbench harness and the
+acceptance tests; unit tests alone do not keep a name alive, and neither
+does a re-export: the package ``__init__`` only imports names and lists
+them in ``__all__``, so it is not read.  A name counts as referenced
 when another top-level statement of any of those files mentions it as a
 name, an attribute, or a string equal to it (perfbench patches functions by
 attribute name).  Matching is by name, not by resolved binding, so the guard
@@ -37,7 +37,6 @@ def _program_files() -> list[Path]:
     modules = [path for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"]
     return [*modules,
-            *sorted((ROOT / "scripts").glob("*.py")),
             *sorted((ROOT / "perfbench").glob("*.py")),
             ROOT / "tests" / "test_acceptance.py"]
 
