@@ -80,9 +80,9 @@ _PRESENCE_CELLS = 8
 # Prefix scans of at least this many slots run on paired columns (_scan).
 _PAIRED_SCAN = 4096
 _RANGE_STEPS = 1 << 22  # range_rate holds a path whole, ~40 bytes a step
-# first_return_times walks at most samples * horizon steps, and refuses more
-# than this: about 1,000 times the 10^9 of the largest runs here, and hours
-# of sampling at the fastest rates
+# first_return_times walks at most samples * horizon steps, and range_rate
+# samples * n; both refuse more than this: about 1,000 times the 10^9 of the
+# largest runs here, and hours of sampling at the fastest rates
 _MC_STEPS = 1 << 40
 # range_rate on other groups holds the set of visited states, ~700 bytes a
 # state: 2^18 steps is about 180 MB
@@ -946,9 +946,10 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     The finite-n range is biased upward as an estimator of the escape
     probability; when a bias bound is available (drifted 1-d lattice walks)
     it extends the interval's low side and is reported.  Paths longer than
-    ``_RANGE_STEPS`` (about 4.2 million steps) are refused before anything
-    is allocated, and on groups walked one ``groups.multiply`` a step,
-    whose visited states take about 700 bytes each, paths longer than
+    ``_RANGE_STEPS`` (about 4.2 million steps), and more than ``_MC_STEPS``
+    (2^40) steps in all (samples times n), are refused before anything is
+    allocated, and on groups walked one ``groups.multiply`` a step, whose
+    visited states take about 700 bytes each, paths longer than
     ``_MULTIPLY_RANGE_STEPS`` (262,144 steps) before any is walked.
     """
     if n < 1 or samples < 1:
@@ -956,6 +957,10 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     if n > _RANGE_STEPS:
         raise EscapeError(f"range paths are capped at {_RANGE_STEPS} steps, "
                           f"got n = {n}")
+    if samples * n > _MC_STEPS:
+        raise EscapeError(f"{samples} range paths of {n} steps walk "
+                          f"{samples * n} steps, past the budget of "
+                          f"{_MC_STEPS} (2^40)")
     elems, cum = cumulative(mu)
     table = BucketTable(cum)
     walk = _TwistedWalk.of(mu.spec, elems, table, n)

@@ -19,7 +19,7 @@ a first-difference test, are the next atoms, and each member adds its own
 weights with one ``np.add.at`` in its own (atom, step) order, so every
 member's power equals its own ``convolve`` in atoms, order, weights and
 denominator.  No product goes through ``groups.multiply`` and no dict is
-built.  Any other family, and a family of one, convolves law by law.
+built.  Any other family convolves law by law.
 
 ``FiniteMeasure.from_pairs`` with ``exact`` false builds a measure with
 binary64 weights instead.  Such a measure is only constructed, convolved
@@ -59,6 +59,9 @@ from .groups import (
 )
 
 DEFAULT_SUPPORT_CAP = 5_000_000
+# The most bytes one power's product table on rows may take (_row_step):
+# S(3, 2)'s laws on the six generator images reach n = 9 at about 0.23 GB
+MAX_ROW_TABLE_BYTES = 1 << 30
 
 
 class MeasureError(ValueError):
@@ -361,10 +364,15 @@ def _row_step(code: groups.RowCode, power: _RowFamily, steps: _RowFamily,
     new atoms.  Each member adds its products' weights with one
     ``np.add.at`` over the table's index, in its own (atom, step) order, so
     its result equals its own :func:`convolve` in atoms, their order,
-    weights and denominator.
+    weights and denominator.  A table past ``MAX_ROW_TABLE_BYTES`` is
+    refused with :class:`SupportCapError` before it is allocated.
     """
     size, count = len(power.rows), len(steps.rows)
     first = code.product(power.rows, steps.rows[0])
+    if first.nbytes * count > MAX_ROW_TABLE_BYTES:
+        raise SupportCapError(
+            f"a product table of {size * count} rows of {first.shape[1]} "
+            f"int64 would pass {MAX_ROW_TABLE_BYTES} bytes")
     table = np.empty((size, count, first.shape[1]), dtype=np.int64)
     table[:, 0] = first
     for c in range(1, count):
@@ -409,11 +417,10 @@ def _row_step(code: groups.RowCode, power: _RowFamily, steps: _RowFamily,
 def _family_code(laws: Sequence[FiniteMeasure],
                  n_max: int) -> groups.RowCode | None:
     """The row code on which a family's powers to ``n_max`` are built: None
-    for a family of one, a spec without rows, or coordinates (at most
-    ``n_max`` times the laws' largest) that would not fit the code's
-    fields."""
+    for a spec without rows, or for coordinates (at most ``n_max`` times the
+    laws' largest) that would not fit the code's fields."""
     code = groups.row_code(laws[0].spec)
-    if len(laws) == 1 or code is None:
+    if code is None:
         return None
     reach = n_max * max(map(code.bound, laws[0]._atoms))
     return code if reach <= code.limit else None

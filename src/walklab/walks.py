@@ -174,8 +174,8 @@ def csv_row(row: dict[str, Any]) -> str:
 def entropy_ladder(mu: FiniteMeasure, n_max: int,
                    cap: int = measures.DEFAULT_SUPPORT_CAP,
                    label: str | None = None) -> EntropyLadder:
-    """Ladder of ``mu`` up to ``n_max`` convolution powers: the family of
-    one of :func:`entropy_ladders`."""
+    """Ladder of ``mu`` up to ``n_max`` convolution powers:
+    :func:`entropy_ladders` of ``mu`` alone."""
     return entropy_ladders([mu], n_max, cap, [label])[0]
 
 
@@ -189,14 +189,13 @@ def entropy_ladders(laws: Sequence[FiniteMeasure], n_max: int,
     Laws on one spec, in one weight mode and with one support set form a
     family, whose powers share their support: the family's ladders are
     built in lockstep, one power at a time, by
-    :func:`measures.family_powers`, which on an encoded spec makes one
-    product table of integer rows per power for the whole family; a family
-    of one calls :func:`measures.convolve` per power.  Each exact power's
-    form is enclosed from its binary64 weights ``a / D``
-    (:func:`_weight_brackets`; each rounds correctly) when its law has mass
-    at most 1, as every power then has.  If the support cap is hit, the cap
-    error propagates annotated with the largest completed power, which is
-    the same for every member of the family.
+    :func:`measures.family_powers`: one product table of integer rows per
+    power on an encoded spec, :func:`measures.convolve` law by law on any
+    other.  Each exact power's form is enclosed from its binary64 weights
+    ``a / D`` (:func:`_weight_brackets`; each rounds correctly) when its law
+    has mass at most 1, as every power then has.  If the support cap is hit,
+    the cap error propagates annotated with the largest completed power,
+    which is the same for every member of the family.
     """
     if n_max < 1:
         raise MeasureError("n_max must be >= 1")

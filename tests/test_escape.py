@@ -500,6 +500,29 @@ def test_range_rate_refuses_paths_past_its_cap(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_range_rate_refuses_samples_past_the_step_budget(capsys,
+                                                        monkeypatch):
+    """More than ``_MC_STEPS`` (2^40) range steps in all (samples times n)
+    are refused before any stream is keyed or any buffer allocated, and the
+    command line exits with status 2 and one ``error:`` line."""
+    def keyed(*args):
+        raise AssertionError("a stream was keyed")
+
+    monkeypatch.setattr(escape, "sample_stream", keyed)
+    mu = measures.z_drift_family()
+    tracemalloc.start()
+    try:
+        with pytest.raises(EscapeError, match="budget"):
+            range_rate(mu, 4_000_000, 1_000_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert cli.main(["escape", "z_drift(k=limit)", "--method", "range",
+                     "--horizon", "4000000", "--samples", "1000000000"]) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
 def test_range_rate_refuses_multiply_paths_past_their_cap(capsys):
     """On a group walked one ``groups.multiply`` a step, whose visited
     states take about 700 bytes each, a path longer than

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import escape, groups, measures, walks
+from walklab import cli, escape, groups, measures, parsing, walks
 from walklab.exact_entropy import LogLinear, entropy_form
 from walklab.groups import (
     BS11,
@@ -541,7 +542,7 @@ def _family_supports():
 
 @st.composite
 def law_families(draw):
-    """Two to four laws on one support, each with its own atom order and
+    """One to four laws on one support, each with its own atom order and
     weights: exact with small denominators (int64 numerators), exact over a
     prime near 2^31 (D^n passes 2^63 at n = 3), or float."""
     spec, sites = _family_supports()[draw(st.sampled_from(ROW_SPECS))]
@@ -549,7 +550,7 @@ def law_families(draw):
                             max_size=min(len(sites), 5), unique=True))
     mode = draw(st.sampled_from(["int64", "huge", "float"]))
     laws = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         order = draw(st.permutations(support))
         if mode == "huge":
             cuts = sorted(draw(st.lists(st.integers(1, _PRIME - 1),
@@ -611,10 +612,10 @@ def _powers_by_convolve(laws, depth):
 @given(law_families(), st.integers(1, 60))
 @settings(max_examples=80, deadline=None)
 def test_row_powers_equal_each_members_own_convolution(laws, cap):
-    """On every encoded spec, each member's power on rows equals its own
-    ``convolve`` power: weights in its atom order (int64 while the mass
-    fits, Python ints beyond) and denominator; a cap raises at the same
-    power as law by law."""
+    """On every encoded spec, each member's power on rows, a law alone as
+    in a family, equals its own ``convolve`` power: weights in its atom
+    order (int64 while the mass fits, Python ints beyond) and denominator;
+    a cap raises at the same power as law by law."""
     depth = 4
     assert measures._family_code(laws, depth) is not None
     ref = _powers_by_convolve(laws, depth)
@@ -654,6 +655,36 @@ def test_families_off_the_rows_equal_their_own_convolutions(case, monkeypatch):
            for power in measures.family_powers(laws, 4)]
     assert len(calls) == 3 * len(laws)
     assert got == _powers_by_convolve(laws, 4)
+
+
+def test_row_table_past_its_byte_budget_is_refused_before_allocating(
+        capsys, monkeypatch):
+    """A power whose product table would pass ``MAX_ROW_TABLE_BYTES`` raises
+    :class:`SupportCapError` naming the largest completed power, allocating
+    less than that table would (tracemalloc sees numpy's allocations), and
+    ``walklab ladder`` exits with status 2."""
+    monkeypatch.setattr(measures, "MAX_ROW_TABLE_BYTES", 4 << 20)
+    literal = "measure { %s }" % " ".join(
+        f'atom "{x}" 1/6;' for x in ("x1", "X1", "x2", "X2", "x3", "X3"))
+    mu = parsing.parse_measure_or_family("S(3,2)", literal)
+    sixth = convolution_power(mu, 6)
+    # power 7's table: 6 steps of every atom of power 6, 8 int64 columns
+    refused = len(sixth) * 6 * 8 * 8
+    assert refused > measures.MAX_ROW_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(measures.SupportCapError) as info:
+            walks.entropy_ladder(mu, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.completed == 6
+    assert "largest completed power 6" in str(info.value)
+    assert peak < refused
+    assert cli.main(["ladder", literal, "--group", "S(3,2)",
+                     "--nmax", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "bytes" in err
 
 
 def test_float_weights_round_each_numerator_once():

@@ -278,25 +278,33 @@ def _s32_laws(exact):
 @pytest.mark.parametrize("exact", [False, True])
 def test_s32_family_ladders_make_no_multiply(exact, monkeypatch):
     """E7's perturbation family (float) and item 7's exact laws build their
-    ladders on rows, with no ``groups.multiply``, and equal each law's own
-    ladder: values bit for bit, forms and enclosures."""
+    ladders on rows, together and each alone, with no ``groups.multiply``,
+    and equal each law's ladder read off ``convolution_power``: values bit
+    for bit, and form coefficients; a law's enclosures are the same in its
+    family as alone."""
     laws = _s32_laws(exact)
     calls = []
     multiply = groups.multiply
     monkeypatch.setattr(groups, "multiply",
                         lambda *a: calls.append(a) or multiply(*a))
     ladders = walks.entropy_ladders(laws, 4)
+    alone = [entropy_ladder(mu, 4) for mu in laws]
     assert calls == []
-    for mu, ladder in zip(laws, ladders):
-        own = entropy_ladder(mu, 4)
-        assert ladder.values == own.values
+    expected = 0
+    for mu, ladder, own in zip(laws, ladders, alone):
+        powers = [convolution_power(mu, n) for n in range(1, 5)]
+        # convolution_power(mu, n) multiplies mu^k by mu for k = 1 .. n - 1
+        expected += sum(len(p) * len(mu) * (4 - k)
+                        for k, p in enumerate(powers[:-1], 1))
+        values = [0.0] + [measures.entropy(p) for p in powers]
+        assert ladder.values == own.values == values
         if exact:
-            assert ([f.coeffs for f in ladder.forms]
-                    == [f.coeffs for f in own.forms])
+            coeffs = [measures.exact_entropy(p).coeffs for p in powers]
+            assert [f.coeffs for f in ladder.forms[1:]] == coeffs
+            assert [f.coeffs for f in own.forms[1:]] == coeffs
             assert ([f.enclosure for f in ladder.forms]
                     == [f.enclosure for f in own.forms])
-    assert len(calls) == sum(len(convolution_power(mu, n)) * len(mu)
-                             for mu in laws for n in range(1, 4))
+    assert len(calls) == expected
 
 
 def test_ladder_rows_and_ratios():
