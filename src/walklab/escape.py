@@ -81,9 +81,14 @@ _PRESENCE_CELLS = 8
 _PAIRED_SCAN = 4096
 _RANGE_STEPS = 1 << 22  # range_rate holds a path whole, ~40 bytes a step
 # first_return_times walks at most samples * horizon steps, and range_rate
-# samples * n; both refuse more than this: about 1,000 times the 10^9 of the
-# largest runs here, and hours of sampling at the fastest rates
+# samples * (n + _RANGE_SAMPLE_STEPS); both refuse more than this: about
+# 1,000 times the 10^9 of the largest runs here, and hours of sampling at the
+# fastest rates
 _MC_STEPS = 1 << 40
+# Keying a range path's stream and counting its sites cost about as much as
+# this many steps more: 28 us a path at n = 1 against 13 ns a step at
+# n = 10^5 on Z, on a 2-vCPU x86-64 machine
+_RANGE_SAMPLE_STEPS = 1 << 11
 # range_rate on other groups holds the set of visited states, ~700 bytes a
 # state: 2^18 steps is about 180 MB
 _MULTIPLY_RANGE_STEPS = 1 << 18
@@ -830,6 +835,20 @@ def _multiply_walk(spec, elems: list[GroupElement], table: BucketTable,
         size = min(size * _BLOCK_GROWTH, _LARGEST_BLOCK)
 
 
+def _sample_results(samples: int, steps: int) -> np.ndarray:
+    """An int64 array for ``samples`` results of ``steps`` steps each, or
+    :class:`EscapeError` if the ``samples * steps`` steps pass
+    ``_MC_STEPS`` (2^40), before any allocation, or the array cannot be
+    allocated (a sample count within the budget is within numpy's sizes)."""
+    if samples * steps > _MC_STEPS:
+        raise EscapeError(f"{samples} samples costing {steps} steps each "
+                          f"pass the budget of {_MC_STEPS} (2^40) steps")
+    try:
+        return np.empty(samples, dtype=np.int64)
+    except MemoryError:
+        raise EscapeError(f"no memory for {samples} results") from None
+
+
 def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
                        seed: int) -> np.ndarray:
     """First return time to the identity per sample; horizon+1 if none seen.
@@ -856,15 +875,7 @@ def first_return_times(mu: FiniteMeasure, horizon: int, samples: int,
     if horizon >= _INT64_MAX:
         raise EscapeError(f"horizon {horizon} too large: horizon + 1 must "
                           f"fit in int64 (at most {_INT64_MAX - 1})")
-    try:
-        out = np.empty(samples, dtype=np.int64)
-    except (MemoryError, ValueError):  # ValueError: past numpy's sizes
-        raise EscapeError(f"no memory for {samples} first-return "
-                          "times") from None
-    if samples * horizon > _MC_STEPS:
-        raise EscapeError(f"{samples} samples to horizon {horizon} may walk "
-                          f"{samples * horizon} steps, past the budget of "
-                          f"{_MC_STEPS} (2^40)")
+    out = _sample_results(samples, horizon)
     elems, cum = cumulative(mu)
     table = BucketTable(cum)
     # the most words one round can draw
@@ -946,21 +957,20 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
     The finite-n range is biased upward as an estimator of the escape
     probability; when a bias bound is available (drifted 1-d lattice walks)
     it extends the interval's low side and is reported.  Paths longer than
-    ``_RANGE_STEPS`` (about 4.2 million steps), and more than ``_MC_STEPS``
-    (2^40) steps in all (samples times n), are refused before anything is
-    allocated, and on groups walked one ``groups.multiply`` a step, whose
-    visited states take about 700 bytes each, paths longer than
-    ``_MULTIPLY_RANGE_STEPS`` (262,144 steps) before any is walked.
+    ``_RANGE_STEPS`` (about 4.2 million steps), a sample count whose
+    results cannot be allocated, and more than ``_MC_STEPS`` (2^40) steps in
+    all, each path counted as ``n + _RANGE_SAMPLE_STEPS`` steps, are refused
+    before any stream is keyed or buffer allocated; on groups walked one
+    ``groups.multiply`` a step, whose visited states take about 700 bytes
+    each, paths longer than ``_MULTIPLY_RANGE_STEPS`` (262,144 steps) are
+    refused before any is walked.
     """
     if n < 1 or samples < 1:
         raise EscapeError("n and samples must be >= 1")
     if n > _RANGE_STEPS:
         raise EscapeError(f"range paths are capped at {_RANGE_STEPS} steps, "
                           f"got n = {n}")
-    if samples * n > _MC_STEPS:
-        raise EscapeError(f"{samples} range paths of {n} steps walk "
-                          f"{samples * n} steps, past the budget of "
-                          f"{_MC_STEPS} (2^40)")
+    sites = _sample_results(samples, n + _RANGE_SAMPLE_STEPS)
     elems, cum = cumulative(mu)
     table = BucketTable(cum)
     walk = _TwistedWalk.of(mu.spec, elems, table, n)
@@ -968,21 +978,21 @@ def range_rate(mu: FiniteMeasure, n: int, samples: int,
         raise EscapeError(
             f"range paths on {mu.spec!r} hold every visited state and are "
             f"capped at {_MULTIPLY_RANGE_STEPS} steps, got n = {n}")
-    sites, gen = [], None
+    gen = None
     if walk is None:
         ident = groups.identity(mu.spec)
         for i in range(samples):
             gen = sample_stream(seed, i, gen)
-            sites.append(len({ident, *_multiply_walk(mu.spec, elems, table,
-                                                     gen, n)}))
+            sites[i] = len({ident, *_multiply_walk(mu.spec, elems, table,
+                                                   gen, n)})
     else:  # every path in one block; its key buffer is scratch after
         present = np.empty(_PRESENCE_CELLS * (n + 1), dtype=bool)
         for i in range(samples):
             gen = sample_stream(seed, i, gen)
             path = walk.path(gen, n, (0, 0, 0))
-            sites.append(_distinct_states([path[c] for c in walk.columns],
-                                          walk.key, present))
-    rates = np.array(sites) / n
+            sites[i] = _distinct_states([path[c] for c in walk.columns],
+                                        walk.key, present)
+    rates = sites / n
     mean = float(rates.mean())
     sd = float(rates.std(ddof=1)) if samples > 1 else 0.0
     half = 1.96 * sd / sqrt(samples)

@@ -500,29 +500,6 @@ def test_range_rate_refuses_paths_past_its_cap(capsys):
     assert "capped" in capsys.readouterr().err
 
 
-def test_range_rate_refuses_samples_past_the_step_budget(capsys,
-                                                        monkeypatch):
-    """More than ``_MC_STEPS`` (2^40) range steps in all (samples times n)
-    are refused before any stream is keyed or any buffer allocated, and the
-    command line exits with status 2 and one ``error:`` line."""
-    def keyed(*args):
-        raise AssertionError("a stream was keyed")
-
-    monkeypatch.setattr(escape, "sample_stream", keyed)
-    mu = measures.z_drift_family()
-    tracemalloc.start()
-    try:
-        with pytest.raises(EscapeError, match="budget"):
-            range_rate(mu, 4_000_000, 1_000_000_000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert cli.main(["escape", "z_drift(k=limit)", "--method", "range",
-                     "--horizon", "4000000", "--samples", "1000000000"]) == 2
-    assert capsys.readouterr().err.count("error:") == 1
-
-
 def test_range_rate_refuses_multiply_paths_past_their_cap(capsys):
     """On a group walked one ``groups.multiply`` a step, whose visited
     states take about 700 bytes each, a path longer than
@@ -542,39 +519,49 @@ def test_range_rate_refuses_multiply_paths_past_their_cap(capsys):
     assert "capped" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("horizon, samples, traced", [
-    (10, 100_000_000_000_000, False),
-    (10, 10 ** 30, False),
-    (100_000_000_000_000_000_000, 4, True),
-    (2 ** 63 - 1, 4, True),
-    (2 ** 63 - 2, 4, True),
+@pytest.mark.parametrize("method, horizon, samples, traced", [
+    ("mc", 1, 2 ** 40, False),
+    ("mc", 10, 10 ** 30, True),
+    ("mc", 100_000_000_000_000_000_000, 4, True),
+    ("mc", 2 ** 63 - 1, 4, True),
+    ("mc", 2 ** 63 - 2, 4, True),
+    ("range", 10, 100_000_000_000_000, True),
+    ("range", 4_000_000, 1_000_000_000, True),
+    ("range", 1, 1_000_000_000, True),
 ], ids=["samples-past-memory", "samples-past-numpy", "horizon-past-int64",
-        "horizon-plus-one-past-int64", "steps-past-budget"])
-def test_monte_carlo_refuses_inputs_it_cannot_hold(horizon, samples, traced,
-                                                   capsys, monkeypatch):
-    """A sample count whose result array cannot be allocated, a horizon
-    whose horizon + 1 does not fit the int64 result, and more than 2^40
-    steps in all are refused before any stream is keyed, and the command
-    line exits with status 2.  A horizon is refused allocating under 1 MiB
-    (numpy reports the request of an allocation that fails to tracemalloc,
-    so the sample count's refusal is not measured there)."""
+        "horizon-plus-one-past-int64", "steps-past-budget",
+        "range-samples-past-budget", "range-steps-past-budget",
+        "range-short-paths-past-budget"])
+def test_monte_carlo_refuses_inputs_it_cannot_hold(method, horizon, samples,
+                                                   traced, capsys,
+                                                   monkeypatch):
+    """A sample count whose result array (8 TiB at 2^40 samples) cannot be
+    allocated, a horizon whose horizon + 1 does not fit the int64 result,
+    and more than 2^40 steps in all are refused before any stream is keyed,
+    and the command line exits with status 2 and one ``error:`` line.  A
+    range path counts as ``_RANGE_SAMPLE_STEPS`` steps more than its n, so
+    many short paths pass the budget too.  A traced case is refused
+    allocating under 1 MiB: past the budget, nothing is allocated (numpy
+    reports the request of an allocation that fails to tracemalloc, so the
+    refusal of a failed allocation is not measured)."""
     def keyed(*args):
         raise AssertionError("a stream was keyed")
 
     monkeypatch.setattr(escape, "sample_stream", keyed)
     mu = measures.z_drift_family()
+    run = first_return_times if method == "mc" else range_rate
     tracemalloc.start()
     try:
         with pytest.raises(EscapeError):
-            first_return_times(mu, horizon, samples, seed=4)
+            run(mu, horizon, samples, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20 or not traced
-    assert cli.main(["escape", "z_drift(k=limit)", "--method", "mc",
+    assert cli.main(["escape", "z_drift(k=limit)", "--method", method,
                      "--horizon", str(horizon), "--samples", str(samples),
                      "--seed", "4"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("error:") == 1
 
 
 def _reference_path(mu, seed, index, n):

@@ -205,20 +205,34 @@ def mixed_families(draw):
     return draw(st.permutations(laws))
 
 
+def _convolved_ladder(mu, n_max, cap=measures.DEFAULT_SUPPORT_CAP):
+    """Values and, for an exact law, form coefficients of ``mu``'s ladder
+    read off its powers by :func:`convolution_power`, which convolves pair
+    by pair with ``groups.multiply``: a reference apart from the rows."""
+    powers = [convolution_power(mu, n, cap) for n in range(1, n_max + 1)]
+    coeffs = ([measures.exact_entropy(p).coeffs for p in powers]
+              if mu.exact else None)
+    return [0.0] + [measures.entropy(p) for p in powers], coeffs
+
+
 @given(mixed_families())
 @settings(max_examples=30, deadline=None)
 def test_family_ladders_equal_each_laws_own_ladder(laws):
-    """Values bit for bit; forms and their enclosures equal."""
+    """Values bit for bit and form coefficients equal those read off each
+    law's :func:`convolution_power`; enclosures are the same in a family as
+    for the law alone."""
     ladders = walks.entropy_ladders(laws, 4, labels=[f"law {i}"
                                                      for i in range(len(laws))])
     for i, (mu, ladder) in enumerate(zip(laws, ladders)):
         own = entropy_ladder(mu, 4, label=f"law {i}")
+        values, coeffs = _convolved_ladder(mu, 4)
         assert ladder.label == own.label
-        assert ladder.values == own.values
+        assert ladder.values == own.values == values
         if own.forms is None:
-            assert ladder.forms is None
+            assert ladder.forms is None and coeffs is None
             continue
-        assert [f.coeffs for f in ladder.forms] == [f.coeffs for f in own.forms]
+        assert [f.coeffs for f in ladder.forms[1:]] == coeffs
+        assert [f.coeffs for f in own.forms[1:]] == coeffs
         assert ([f.enclosure for f in ladder.forms]
                 == [f.enclosure for f in own.forms])
 
@@ -238,10 +252,12 @@ def test_laws_with_different_supports_form_separate_families(monkeypatch):
     ladders = walks.entropy_ladders([a, c, b], 3)
     assert sorted(sizes) == [1, 2]
     assert ([ladder.values for ladder in ladders]
-            == [entropy_ladder(mu, 3).values for mu in (a, c, b)])
+            == [_convolved_ladder(mu, 3)[0] for mu in (a, c, b)])
 
 
 def test_family_truncation_annotates_every_member():
+    """The family stops at the power past which each member's own
+    :func:`convolution_power` passes the cap."""
     z2 = IntegerLattice(2)
     steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     laws = [uniform_measure(z2, steps),
@@ -252,9 +268,9 @@ def test_family_truncation_annotates_every_member():
     completed = info.value.completed
     assert f"largest completed power {completed}" in str(info.value)
     for mu in laws:
-        with pytest.raises(measures.SupportCapError) as own:
-            entropy_ladder(mu, 8, cap=20)
-        assert own.value.completed == completed
+        convolution_power(mu, completed, cap=20)
+        with pytest.raises(measures.SupportCapError):
+            convolution_power(mu, completed + 1, cap=20)
 
 
 def _s32_laws(exact):
@@ -290,21 +306,18 @@ def test_s32_family_ladders_make_no_multiply(exact, monkeypatch):
     ladders = walks.entropy_ladders(laws, 4)
     alone = [entropy_ladder(mu, 4) for mu in laws]
     assert calls == []
-    expected = 0
     for mu, ladder, own in zip(laws, ladders, alone):
-        powers = [convolution_power(mu, n) for n in range(1, 5)]
-        # convolution_power(mu, n) multiplies mu^k by mu for k = 1 .. n - 1
-        expected += sum(len(p) * len(mu) * (4 - k)
-                        for k, p in enumerate(powers[:-1], 1))
-        values = [0.0] + [measures.entropy(p) for p in powers]
+        values, coeffs = _convolved_ladder(mu, 4)
         assert ladder.values == own.values == values
         if exact:
-            coeffs = [measures.exact_entropy(p).coeffs for p in powers]
             assert [f.coeffs for f in ladder.forms[1:]] == coeffs
             assert [f.coeffs for f in own.forms[1:]] == coeffs
             assert ([f.enclosure for f in ladder.forms]
                     == [f.enclosure for f in own.forms])
-    assert len(calls) == expected
+    # _convolved_ladder(mu, 4) multiplies mu^k by mu for k < n, n = 1 .. 4
+    made = len(calls)
+    assert made == sum(len(convolution_power(mu, k)) * len(mu) * (4 - k)
+                       for mu in laws for k in range(1, 4))
 
 
 def test_ladder_rows_and_ratios():
