@@ -197,17 +197,17 @@ def _cmd_magnus(args) -> int:
 
 
 def _run_experiment(cfg: experiments.ExperimentConfig, args) -> int:
-    """Run ``cfg`` with the flags given on the command line overriding its
-    fields, and write the report in the merged config's format and place.
+    """Run ``cfg`` with ``--seed`` and ``--cap`` overriding its fields, and
+    write the report in the ``--format`` (json when unset) to ``--out``.
     Standard error gets one line per expectation, then the sha256 of the
     report's replay payload: two checkouts that print the same one computed
     the same numbers."""
-    overrides = {key: getattr(args, key) for key in ("seed", "cap", "fmt", "out")
+    overrides = {key: getattr(args, key) for key in ("seed", "cap")
                  if getattr(args, key) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     report = experiments.run_experiment(cfg)
-    _emit(report.ladder_csv() if cfg.fmt == "csv" else report.to_json(),
-          cfg.out)
+    _emit(report.ladder_csv() if args.fmt == "csv" else report.to_json(),
+          args.out)
     for exp in report.expectations:
         status = "PASS" if exp["passed"] else "FAIL"
         sys.stderr.write(f"[{status}] {report.experiment} {exp['name']}: "

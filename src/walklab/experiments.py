@@ -84,15 +84,11 @@ class ExperimentConfig:
     samples: int | None = None
     cap: int | None = None
     p: Fraction = Fraction(3, 4)
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"known: {', '.join(sorted(EXPERIMENTS))}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.fmt!r}")
         if any(k < 1 for k in self.k_grid):
             raise ConfigError("grid indices must be >= 1")
         for name in ("n_max", "radial_n_max", "horizon", "samples", "cap"):
@@ -128,8 +124,6 @@ class ExperimentConfig:
             "samples": int,
             "cap": int,
             "p": Fraction,
-            "out": str,
-            "fmt": str,
         }
         for key, value in raw.items():
             if key not in converters:

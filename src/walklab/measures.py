@@ -334,13 +334,16 @@ def _distinct(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index among them of every row of ``table``.
 
     A stable lexsort brings equal rows together, each run led by its first
-    occurrence; a first-difference test marks where each run starts.
+    occurrence; a run starts where any column, read in that order, differs
+    from the row before, tested a column at a time so that no sorted copy
+    of the table is made.
     """
     order = np.lexsort(table.T)
-    ordered = table[order]
-    starts = np.empty(len(table), dtype=bool)
+    starts = np.zeros(len(table), dtype=bool)
     starts[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    for column in table.T:
+        column = column[order]
+        starts[1:] |= column[1:] != column[:-1]
     first = order[starts]
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))

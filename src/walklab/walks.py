@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product as iter_product
+from itertools import count, islice, product as iter_product
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -246,13 +246,14 @@ def _family_ladders(family: list[FiniteMeasure], n_max: int, cap: int
 
 
 def _radial_chain(rank: int, exact: bool) -> Iterator[np.ndarray]:
-    """Laws of the word length after n = 0, 1, 2, ... simple-walk steps.
+    """Laws of the word length after n = 0, 1, 2, ... simple-walk steps,
+    each on the lengths ``k = n % 2, n % 2 + 2, ..., n`` that the walk can
+    reach: an array of Fractions (dtype object) or of floats.
 
     The distance process is the birth-death chain on 0, 1, 2, ... stepping
     0 -> 1 surely and k -> k+1 with probability (2d-1)/2d, k -> k-1 with
-    probability 1/2d for k >= 1.  The law after n steps has length n + 1:
-    an array of Fractions (dtype object) or of floats.  Each step is
-    ``next[j] = law[j-1] * up + law[j+1] * down`` on array slices.
+    probability 1/2d for k >= 1.  Each step is ``next[k] = law[k-1] * up +
+    law[k+1] * down`` on array slices of the law on every length to n.
     """
     if rank < 1:
         raise MeasureError("rank must be >= 1")
@@ -265,20 +266,14 @@ def _radial_chain(rank: int, exact: bool) -> Iterator[np.ndarray]:
         up = (two_d - 1) / two_d
         down = 1 / two_d
         dist = np.array([1.0])
-    while True:
-        yield dist
+    for n in count():
+        yield dist[n % 2::2]
         nxt = np.empty(len(dist) + 1, dtype=dist.dtype)
         nxt[0] = dist[0] * 0
         nxt[1:] = dist * up
         nxt[1] = dist[0]
         nxt[:-2] += dist[1:] * down
         dist = nxt
-
-
-def free_group_distance_distribution(rank: int, n: int,
-                                     exact: bool = False) -> list[Any]:
-    """Law of the word-length after ``n`` steps of the simple walk."""
-    return next(islice(_radial_chain(rank, exact), n, None)).tolist()
 
 
 def sphere_size(rank: int, k: int) -> int:
@@ -313,14 +308,14 @@ def free_group_srw_ladder(rank: int, n_max: int,
     forms = [LogLinear.zero()]
     chain = islice(_radial_chain(rank, True), 1, n_max + 1)
     for n, dist in enumerate(chain, 1):
-        coeffs = entropy_form(q for q in dist if q).coeffs
-        for k, q in enumerate(dist[1:].tolist(), 1):
-            if q:
-                s = sphere_size(rank, k)
-                coeffs[s] = coeffs.get(s, 0) + q
-        form = LogLinear._of(coeffs, None, False)
-        # the positive entries, each rounded once from its Fraction
-        q = np.array(dist[n % 2::2].tolist(), dtype=float)
+        weights = dist.tolist()
+        coeffs = entropy_form(weights).coeffs
+        for k, q in zip(count(n % 2, 2), weights):
+            s = sphere_size(rank, k)
+            coeffs[s] = coeffs.get(s, 0) + q
+        form = LogLinear(coeffs)  # drops log S_0 = log 1
+        # the weights, each rounded once from its Fraction
+        q = np.array(weights, dtype=float)
         form.enclosure, = _weight_brackets([q], [n * log_2d],
                                            [log_sphere[n % 2:n + 1:2]])
         forms.append(form)
@@ -414,7 +409,7 @@ def _entropy_ends(q: np.ndarray, log_s, sizes, g, cap,
     """
     m, e = np.frexp(q)
     low = m < _SQRT_HALF
-    m[low] *= 2
+    m *= 1 + low
     e -= low
     t = (m - 1) / (m + 1)
     s = t * t
@@ -460,13 +455,12 @@ def _weight_brackets(qs: list[np.ndarray], caps: list,
 
 
 def _radial_batches(rank: int, n_max: int) -> Iterator[tuple[int, list]]:
-    """``(n0, slices)``: the positive-parity slices ``dist_n[n % 2::2]`` of
-    the binary64 chain for ``n = n0, n0 + 1, ...``, at most ``_BATCH``
-    entries a batch unless one slice alone is longer."""
+    """``(n0, laws)``: the binary64 chain's laws for ``n = n0, n0 + 1,
+    ...``, at most ``_BATCH`` entries a batch unless one law alone is
+    longer."""
     batch: list[np.ndarray] = []
     size = 0
-    for n, dist in enumerate(islice(_radial_chain(rank, False), n_max + 1)):
-        q = dist[n % 2::2]
+    for n, q in enumerate(islice(_radial_chain(rank, False), n_max + 1)):
         if batch and size + len(q) > _BATCH:
             yield n - len(batch), batch
             batch, size = [], 0

@@ -30,7 +30,6 @@ F = Fraction
 def test_config_defaults():
     cfg = ExperimentConfig("E6")
     assert cfg.seed == 7
-    assert cfg.fmt == "json"
     assert cfg.p == F(3, 4)
 
 
@@ -42,14 +41,12 @@ def test_config_from_text_full():
         k_grid = 2, 8, 32
         n_max = 6
         p = 2/3
-        fmt = csv
     """)
     assert cfg.experiment == "E4"
     assert cfg.seed == 11
     assert cfg.k_grid == (2, 8, 32)
     assert cfg.n_max == 6
     assert cfg.p == F(2, 3)
-    assert cfg.fmt == "csv"
 
 
 def test_config_round_trip_through_dict():
@@ -68,6 +65,9 @@ def test_config_round_trip_through_dict():
     ("experiment = E1\nseed = 1\nseed = 2", "duplicate"),
     ("experiment = E1\nwidth = 3", "unknown config key"),
     ("experiment = E6\ntol = 1e-3", "unknown config key 'tol'"),
+    # the output format and place are the command line's --format and --out
+    ("experiment = E1\nfmt = csv", "unknown config key 'fmt'"),
+    ("experiment = E1\nout = x", "unknown config key 'out'"),
     ("experiment E1", "expected 'key = value'"),
 ])
 def test_config_from_text_errors(text, message):
@@ -76,8 +76,6 @@ def test_config_from_text_errors(text, message):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig("E1", fmt="yaml")
     with pytest.raises(ConfigError):
         ExperimentConfig("E1", k_grid=(0,))
     with pytest.raises(ConfigError):
@@ -195,13 +193,13 @@ def test_ladder_cache_checks_the_support_cap(tmp_path, capsys, monkeypatch):
 # must leave them unchanged; a deliberate change of numbers or report layout
 # updates them.
 REPLAY_SHA256 = {
-    "E1": "ecbb5f9c4561f56f90556004f1f9f1fbb52d2cd73a2b74a618ec3416a4c3b433",
-    "E2": "db94deb61f4bcfff747e5bd60b773e5c117b878f120e141ae0f7faf4a4ee4430",
-    "E3": "bee7ba3de541ce258b58cd5d738f888e8b78480e1b326ea5036ab1581a54f26c",
-    "E4": "c57c39497581f8062089ff71e689e18223d041c94f94e5823c1ee9e2677e6d99",
-    "E5": "d7e7be253204cf912acb64b7b5489c7a1b4cd9528625051359b75952ac7be1f8",
-    "E6": "a468af05cf3abea6418c64908e712bfb51ef1c6abbb141503ecfac81a56f24e7",
-    "E7": "b5a34c8f9f539180f163f9ab8559e9b8d3b14c3b354f3075f4dfc23d3be0338a",
+    "E1": "189d149004ca096e28c4dc10b06b5633131b9d901d80ee4dc401bdf159a7681b",
+    "E2": "bb61ecece59a03d194503d6e8c845886c3eb528ae601640e5b89b99089f4e2cb",
+    "E3": "e944cfb9735c8998d2f6d82f28e1547a2d8bec8d37b49b108caebd52066061aa",
+    "E4": "860ceb3cd7ad823956150b68e7f662cfcdbdf3a503ae41e12f724ecc8e72637a",
+    "E5": "b9a1fa9b6ff2ab628adc1a5ac81fe5253b907c092db0aea6efb137a7e0050b1b",
+    "E6": "cd76e25a7cbbbd7a9cce21f372ede250e364e70e7c4d8f062f701c9801a6709d",
+    "E7": "f39dabb8f67994e010f73c9d0d7cad78b789d29417d22c6193e86ecfa6e42e16",
 }
 
 
@@ -391,28 +389,38 @@ def test_cli_experiment_run(capsys):
 
 
 def test_cli_experiment_run_to_file(tmp_path, capsys):
+    """A report written to a file has the digest of the stdout run."""
     out = tmp_path / "report.json"
     assert cli.main(["experiment", "run", "E6", "--out", str(out)]) == 0
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert json.loads(out.read_text())["experiment"] == "E6"
+    assert captured.err.splitlines()[-1] == (
+        f"E6 replay sha256 {REPLAY_SHA256['E6']}")
 
 
-def test_cli_experiment_run_honours_config_format_and_out(tmp_path, capsys):
+def test_cli_experiment_run_writes_a_config_in_the_flags_format_and_place(
+        tmp_path, capsys):
     csv_out = tmp_path / "ladders.csv"
     cfg = tmp_path / "e4.txt"
-    cfg.write_text(f"experiment = E4\nk_grid = 2\nn_max = 3\n"
-                   f"fmt = csv\nout = {csv_out}\n")
-    assert cli.main(["experiment", "run", str(cfg)]) == 0
+    cfg.write_text("experiment = E4\nk_grid = 2\nn_max = 3\n")
+    assert cli.main(["experiment", "run", str(cfg), "--format", "csv",
+                     "--out", str(csv_out)]) == 0
     assert capsys.readouterr().out == ""
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "measure,n,H,ratio,diff"
     assert lines[1].startswith("e4-nu(k=2),0,")
-    # flags on the command line override the file
     json_out = tmp_path / "report.json"
     assert cli.main(["experiment", "run", str(cfg), "--format", "json",
                      "--out", str(json_out)]) == 0
     capsys.readouterr()
-    assert json.loads(json_out.read_text())["config"]["fmt"] == "json"
+    assert json.loads(json_out.read_text())["config"]["experiment"] == "E4"
+    # a config file cannot name them
+    cfg.write_text(f"experiment = E4\nfmt = csv\nout = {csv_out}\n")
+    assert cli.main(["experiment", "run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config key 'fmt'\n"
 
 
 def _assert_unrecognized(capsys, argv, flag):

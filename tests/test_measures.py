@@ -687,6 +687,25 @@ def test_row_table_past_its_byte_budget_is_refused_before_allocating(
     assert err.count("error:") == 1 and "bytes" in err
 
 
+def test_distinct_rows_make_no_sorted_copy_of_the_table():
+    """``_distinct`` gives the distinct rows in first-occurrence order and
+    the index of every row; on a table of many duplicate rows it allocates
+    less than the table, which a sorted copy of it alone would take."""
+    rng = np.random.default_rng(5)
+    base = rng.integers(-4, 5, size=(500, 12))
+    table = base[rng.integers(0, len(base), size=100_000)]
+    tracemalloc.start()
+    try:
+        rows, inverse = measures._distinct(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes
+    _, first = np.unique(table, axis=0, return_index=True)
+    assert (rows == table[np.sort(first)]).all()
+    assert (rows[inverse] == table).all()
+
+
 def test_float_weights_round_each_numerator_once():
     rng = Random(3)
     for denom in (6, 2 ** 53, 2 ** 53 + 1, 3 ** 40, 7 ** 30):

@@ -26,8 +26,6 @@ KEEP = {
     "total_variation": "the exact Fannes-Audenaert check planned for S(3,2) "
                        "ladders measures T_n with it",
     "tower_height": "tests read the nesting depth of parsed towers with it",
-    "free_group_distance_distribution": "tests check the float radial "
-                                        "ladder loop against it",
     "random_element": "the property tests of groups, parsing and measures "
                       "draw their random elements with it",
 }

@@ -33,7 +33,6 @@ from walklab.walks import (
     conditional_entropy_form,
     endpoint_view,
     entropy_ladder,
-    free_group_distance_distribution,
     free_group_srw_ladder,
     increment_view,
     joint_view,
@@ -408,11 +407,15 @@ def test_radial_first_step():
     assert ladder.forms[1] == LogLinear.of_log(4)
 
 
+def _distance_law(rank, n):
+    """The exact law of the word length after ``n`` steps, on the lengths
+    ``n % 2, n % 2 + 2, ..., n``."""
+    return next(islice(walks._radial_chain(rank, True), n, None)).tolist()
+
+
 def test_radial_distance_law_small_n():
-    dist = free_group_distance_distribution(2, 2, exact=True)
-    assert dist[0] == F(1, 4)
-    assert dist[2] == F(3, 4)
-    assert sum(dist) == 1
+    assert _distance_law(2, 2) == [F(1, 4), F(3, 4)]  # lengths 0 and 2
+    assert _distance_law(2, 3) == [F(7, 16), F(9, 16)]  # lengths 1 and 3
 
 
 def test_sphere_sizes():
@@ -443,12 +446,12 @@ def test_float_radial_brackets_contain_the_entropy(rank):
     ladder = free_group_srw_ladder(rank, 300)
     with mpmath.workprec(200):
         for n in (1, 2, 3, 50, 300):
-            dist = free_group_distance_distribution(rank, n, exact=True)
             h = mpmath.fsum(
                 mpmath.mpf(q.numerator) / q.denominator
                 * (mpmath.log(sphere_size(rank, k) * q.denominator)
                    - mpmath.log(q.numerator))
-                for k, q in enumerate(dist) if q)
+                for k, q in zip(range(n % 2, n + 1, 2),
+                                _distance_law(rank, n)))
             lo, hi = ladder.bounds[n]
             assert lo <= h <= hi, (n, lo, h, hi)
             assert ladder.values[n] == (lo + hi) / 2
@@ -467,9 +470,11 @@ def test_float_radial_ladder_past_underflow_matches_the_math_log_loop():
     log_spheres = np.array([math.log(sphere_size(rank, k))
                             for k in range(n_max + 1)])
     expected = [0.0]
-    for dist in islice(walks._radial_chain(rank, False), 1, n_max + 1):
+    chain = islice(walks._radial_chain(rank, False), 1, n_max + 1)
+    for n, dist in enumerate(chain, 1):
         ks = np.flatnonzero(dist > 0)
         q = dist[ks]
+        ks = 2 * ks + n % 2  # the lengths
         log_q = np.fromiter(map(math.log, q.tolist()), float, len(q))
         expected.append(float(np.cumsum(-q * log_q + q * log_spheres[ks])[-1]))
     ladder = free_group_srw_ladder(rank, n_max)
